@@ -25,7 +25,6 @@ from .quadrature import (
 from .sections import SectionBasis, gram_entry_closed_form
 from .operators import (
     OperatorMatrix,
-    PowerIterationError,
     ToeplitzFamily,
     geom_quant,
     op_norm,

@@ -2,6 +2,10 @@
 (Toeplitz), the covariant-derivative operator of geometric quantization, the
 operator norm, and the graded family acting on the whole coordinate ring.
 
+Matrices are assembled in the closed-form orthonormal basis of sections.py
+with one angular FFT per radius and one radial sum per diagonal: O(R m^2)
+time and O(R A + R m) memory for R radii and A angles.
+
 The level-m geometric-quantization operator uses the Hamiltonian field of f
 taken with respect to m*omega (the symplectic form whose prequantum bundle
 the level-m power is); with the divergence-form Laplacian of chart.py this
@@ -18,10 +22,6 @@ import numpy as np
 from .chart import SmoothFunction, shifted_by_laplacian
 from .quadrature import QuadratureRule, build_quadrature
 from .sections import SectionBasis
-
-
-class PowerIterationError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -64,22 +64,37 @@ class OperatorMatrix:
             raise ValueError("operators at different levels")
 
 
-def _basis(m: int, quad: QuadratureRule | None) -> SectionBasis:
-    return SectionBasis.build(m, quad)
+def _assemble(b: SectionBasis, values: np.ndarray) -> np.ndarray:
+    """Matrix <s_j, g s_k> of the function with the given node values.
+
+    The rule is a product of radii and equally spaced angles, so the angular
+    sum of g against e^(i (k-j) theta) is one inverse FFT per radius, and
+    each diagonal d = k - j is that mode contracted with P[:, j] P[:, j+d]
+    over the radii: the same quadrature sum as the dense pairing, regrouped.
+    """
+    R, A = b.quad.radial_count, b.quad.angular_count
+    modes = b.radial_weights[:, None] * np.fft.ifft(values.reshape(R, A), axis=1)
+    n = b.dim
+    k = np.arange(n)
+    # modes d and -d of diagonal d as four real columns (re, im, re, im), so
+    # each radial contraction is a real matrix product
+    pairs = np.stack([modes[:, k % A], modes[:, -k % A]], axis=-1)
+    pairs = np.ascontiguousarray(pairs.view(float).transpose(1, 0, 2))
+    PT = np.ascontiguousarray(b.profiles.T)
+    out = np.empty((n, n), dtype=complex)
+    for d in range(n):
+        upper, lower = ((PT[:n - d] * PT[d:]) @ pairs[d]).view(complex).T
+        out[k[:n - d], k[d:]] = upper
+        out[k[d:], k[:n - d]] = lower
+    return out
 
 
 def toeplitz(f: SmoothFunction, m: int, quad: QuadratureRule | None = None,
              basis: SectionBasis | None = None) -> OperatorMatrix:
-    """Compress multiplication by f onto the holomorphic sections.
-
-    In the monomial basis the matrix of pairings is <z^j, f z^k>; returning
-    C A C* with C the inverse Cholesky factor of the Gram matrix realizes
-    the orthogonal projection in the orthonormal basis.
-    """
-    b = basis if basis is not None else _basis(m, quad)
-    fvals = f(b.quad.nodes)
-    A = b.pairings(fvals[None, :] * b.values)
-    return OperatorMatrix(m, b.to_onb(A))
+    """Compress multiplication by f onto the holomorphic sections: the
+    matrix <s_j, f s_k> in the orthonormal section basis."""
+    b = basis if basis is not None else SectionBasis.build(m, quad)
+    return OperatorMatrix(m, _assemble(b, f(b.quad.nodes)))
 
 
 def geom_quant(f: SmoothFunction, m: int, quad: QuadratureRule | None = None,
@@ -88,68 +103,29 @@ def geom_quant(f: SmoothFunction, m: int, quad: QuadratureRule | None = None,
 
     Applied to a holomorphic chart section s, the covariant derivative along
     X_f is X^z (s' + m s dlog h1) + X^zbar * 0; X_f is the Hamiltonian field
-    of f for the level form m*omega, i.e. 1/m times the chart field.  The
-    result is a smooth, generally non-holomorphic section, projected back
-    through the Gram matrix.
+    of f for the level form m*omega, i.e. 1/m times the chart field.  With
+    s_k' = sqrt(k (m-k+1)) s_{k-1} and dlog h1 = -zbar/(1+|z|^2), the
+    projection is -<s_j, X^z s_{k-1}> sqrt(k (m-k+1))
+    + m <s_j, X^z zbar/(1+|z|^2) s_k> + i <s_j, f s_k>.
     """
     if m < 1:
         raise ValueError("geometric quantization needs level m >= 1")
-    b = basis if basis is not None else _basis(m, quad)
+    b = basis if basis is not None else SectionBasis.build(m, quad)
     z = b.quad.nodes
-    factor = (1.0 + np.abs(z) ** 2) ** 2
-    xz_level = -1j * factor * f.d_zbar(z) / m
-    dlog_h1 = -np.conj(z) / (1.0 + np.abs(z) ** 2)
-    nabla = xz_level[None, :] * (b.derivatives + m * dlog_h1[None, :] * b.values)
-    pf = -nabla + 1j * f(z)[None, :] * b.values
-    B = b.pairings(pf)
-    return OperatorMatrix(m, b.to_onb(B))
+    factor = 1.0 + np.abs(z) ** 2
+    xz_level = -1j * factor ** 2 * f.d_zbar(z) / m
+    mat = 1j * _assemble(b, f(z)) + m * _assemble(b, xz_level * np.conj(z) / factor)
+    k = np.arange(1, m + 1)
+    mat[:, 1:] -= _assemble(b, xz_level)[:, :-1] * np.sqrt(k * (m - k + 1))
+    return OperatorMatrix(m, mat)
 
 
-def op_norm(M: OperatorMatrix | np.ndarray, tol: float = 1e-12,
-            max_iter: int = 5000, block: int = 8) -> float:
-    """Largest singular value by block power iteration on M* M.
-
-    The iteration matrix is hermitian, so the top Ritz value's eigenpair
-    residual ||H x - lambda x|| bounds the eigenvalue error; iterating a
-    small deterministic block instead of one vector keeps convergence fast
-    when the top of the spectrum is a near-degenerate cluster (which the
-    symmetric spectra here routinely produce).  On stagnation the iteration
-    restarts once from a shifted deterministic block before giving up.
-    """
+def op_norm(M: OperatorMatrix | np.ndarray) -> float:
+    """Largest singular value (spectral norm) by a dense SVD."""
     a = M.mat if isinstance(M, OperatorMatrix) else np.asarray(M)
     if a.size == 0:
         return 0.0
-    H = a.conj().T @ a
-    n = H.shape[0]
-    scale = float(np.max(np.abs(H)))
-    if scale == 0.0:
-        return 0.0
-    b = min(n, block)
-
-    def start_block(shift: float) -> np.ndarray:
-        i = np.arange(1, n + 1)[:, None]
-        j = np.arange(1, b + 1)[None, :]
-        return np.cos(i * j + shift) + 1j * np.sin(0.5 * i * j + shift)
-
-    def run(v0: np.ndarray):
-        q, _ = np.linalg.qr(v0)
-        for _ in range(max_iter):
-            z = H @ q
-            s = q.conj().T @ z
-            w, u = np.linalg.eigh(s)
-            lam = float(w[-1])
-            x = q @ u[:, -1]
-            if np.linalg.norm(H @ x - lam * x) <= tol * scale:
-                return lam
-            q, _ = np.linalg.qr(z)
-        return None
-
-    lam = run(start_block(0.0))
-    if lam is None:
-        lam = run(start_block(1.0))
-    if lam is None:
-        raise PowerIterationError("power iteration did not converge")
-    return float(np.sqrt(max(lam, 0.0)))
+    return float(np.linalg.norm(a, 2))
 
 
 def tuynman_residual(f: SmoothFunction, m: int,
@@ -159,7 +135,7 @@ def tuynman_residual(f: SmoothFunction, m: int,
     The identity is exact on the sphere; the residual measures quadrature
     and rounding error only and does not decrease with m past that floor.
     """
-    b = _basis(m, quad)
+    b = SectionBasis.build(m, quad)
     q = geom_quant(f, m, basis=b)
     t = toeplitz(shifted_by_laplacian(f, m), m, basis=b)
     return op_norm(q - 1j * t)

@@ -1,24 +1,21 @@
 """Holomorphic section spaces of the level-m bundle over P^1.
 
-In the chart, a basis of H^0 is the monomials 1, z, ..., z^m (degree-m
-homogeneous polynomials in two variables restricted to the chart).  The
-Gram matrix of the bundle inner product is diagonal with Beta-integral
-entries 2*pi*k!(m-k)!/(m+1)!; the orthonormalizing transform comes from its
-Cholesky factor.
+In the chart, H^0 is spanned by the monomials z^k, k = 0..m, whose Gram
+matrix is diagonal with Beta-integral entries 2*pi*k!(m-k)!/(m+1)!; so
+s_k = c_k z^k with c_k = sqrt((m+1)/(2*pi) * C(m,k)) is orthonormal in
+closed form.  At a node r e^(i theta) the weighted s_k is P[r, k] e^(i k theta)
+with the radial profile P[r, k] = c_k r^k (1+r^2)^(-m/2), evaluated in log
+space so that nothing overflows at large m.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from math import factorial, pi
 
 import numpy as np
 
-from .chart import hermitian_weight
-from .quadrature import QuadratureRule, build_quadrature
-
-log = logging.getLogger(__name__)
+from .quadrature import InsufficientResolutionError, QuadratureRule, build_quadrature
 
 
 def gram_entry_closed_form(j: int, k: int, m: int) -> float:
@@ -30,46 +27,34 @@ def gram_entry_closed_form(j: int, k: int, m: int) -> float:
 
 @dataclass(frozen=True)
 class SectionBasis:
-    """Monomial basis data of H^0(P^1, L^m) under a quadrature rule."""
+    """Orthonormal basis data of H^0(P^1, L^m) on a product quadrature rule."""
 
     m: int
     quad: QuadratureRule
-    values: np.ndarray          # (m+1, npts) monomial values at the nodes
-    derivatives: np.ndarray     # (m+1, npts) chart derivatives d/dz z^k
-    metric_weights: np.ndarray  # w * h_m at the nodes
-    gram: np.ndarray
-    chol: np.ndarray            # lower Cholesky factor L of the Gram matrix
-    inv_chol: np.ndarray        # C = L^-1, the orthonormalizing transform
+    radial_weights: np.ndarray  # (R,) weight of each radius, summed over angles
+    profiles: np.ndarray        # (R, m+1) P[i, k] = c_k r_i^k (1+r_i^2)^(-m/2)
 
     @classmethod
     def build(cls, m: int, quad: QuadratureRule | None = None) -> "SectionBasis":
         if m < 0:
             raise ValueError("level must be nonnegative")
         quad = quad if quad is not None else build_quadrature(max(m, 1))
-        z = quad.nodes
+        shape = (quad.radial_count, quad.angular_count)
+        r = np.abs(quad.nodes.reshape(shape)[:, 0])
         k = np.arange(m + 1)
-        values = z[None, :] ** k[:, None]
-        derivatives = np.zeros_like(values)
-        if m >= 1:
-            derivatives[1:, :] = k[1:, None] * z[None, :] ** (k[1:, None] - 1)
-        mw = quad.weights * hermitian_weight(z, m)
-        gram = (values.conj() * mw) @ values.T
-        chol = np.linalg.cholesky(gram)
-        inv_chol = np.linalg.inv(chol)
-        d = np.abs(np.diag(gram))
-        log.debug("level %d Gram diagonal condition %.3e", m, d.max() / d.min())
-        return cls(m=m, quad=quad, values=values, derivatives=derivatives,
-                   metric_weights=mw, gram=gram, chol=chol, inv_chol=inv_chol)
+        # log C(m, k) as a cumulative sum of log((m-k+1)/k)
+        log_binom = np.concatenate(([0.0], np.cumsum(np.log((m - k[1:] + 1) / k[1:]))))
+        log_c = 0.5 * (np.log((m + 1) / (2.0 * pi)) + log_binom)
+        log_p = (log_c[None, :] + k[None, :] * np.log(r)[:, None]
+                 - 0.5 * m * np.log1p(r * r)[:, None])
+        profiles = np.exp(log_p)
+        if not np.all(np.isfinite(profiles)):
+            raise InsufficientResolutionError(
+                f"level-{m} section profiles are not finite on this rule")
+        return cls(m=m, quad=quad,
+                   radial_weights=quad.weights.reshape(shape).sum(axis=1),
+                   profiles=profiles)
 
     @property
     def dim(self) -> int:
         return self.m + 1
-
-    def pairings(self, section_values: np.ndarray) -> np.ndarray:
-        """Matrix <z^j, s_k> for a stack of section value rows s_k."""
-        return (self.values.conj() * self.metric_weights) @ section_values.T
-
-    def to_onb(self, mono_pairing_matrix: np.ndarray) -> np.ndarray:
-        """Conjugate a pairing matrix into the orthonormal basis."""
-        C = self.inv_chol
-        return C @ mono_pairing_matrix @ C.conj().T

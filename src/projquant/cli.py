@@ -1,10 +1,10 @@
 """Unified command-line front end.
 
-Exit codes: 0 on success, 1 when a numeric check violates its threshold
-(CI-friendly), 2 on usage errors.  All CSV output carries a header row, '.'
-decimals and leading '# key = value' lines echoing the configuration; JSON
-output embeds the same configuration under the "config" key.  Identical
-configuration produces byte-identical output.
+Exit codes: 0 on success, 1 when a numeric check violates its threshold or
+the numerics break down (CI-friendly), 2 on usage errors.  All CSV output
+carries a header row, '.' decimals and leading '# key = value' lines echoing
+the configuration; JSON output embeds the same configuration under the
+"config" key.  Identical configuration produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 
 from . import coordring, gitquot, projgeo, weierstrass
 from .btquant import (
+    InsufficientResolutionError,
     build_quadrature,
     dirac_table,
     doubling_levels,
@@ -220,6 +221,13 @@ def _weight_invariants(action: gitquot.LinearAction):
     return gitquot.InvariantSet.certified(found, action)
 
 
+def _quad_note(config: RunConfig, exact: bool) -> list[str]:
+    """Trailer line reporting rule exactness, when the config sizes the rule."""
+    if config.quad_radial or config.quad_angular:
+        return [f"# quad_exact = {exact}"]
+    return []
+
+
 def _bt_levels(args) -> list[int]:
     return doubling_levels(args.m_min, args.m_max)
 
@@ -235,6 +243,7 @@ def cmd_bt_converge(args, config: RunConfig) -> int:
     radial = config.quad_radial or None
     angular = config.quad_angular or None
     quad = build_quadrature(max(levels), radial=radial, angular=angular)
+    note = _quad_note(config, quad.is_exact_for(max(levels)))
 
     if args.check == "norm":
         data = norm_asymptotics(f, levels, quad=quad)
@@ -247,7 +256,7 @@ def cmd_bt_converge(args, config: RunConfig) -> int:
                    f"# gap_slope = {slope!r}",
                    f"# upper_bound_ok = {bound_ok}",
                    f"# pass = {ok}"]
-        _write(_csv(config, ["m", "value"], rows, trailer), args.out)
+        _write(_csv(config, ["m", "value"], rows, note + trailer), args.out)
         return PASS if ok else FAIL
 
     if args.check == "dirac":
@@ -262,21 +271,21 @@ def cmd_bt_converge(args, config: RunConfig) -> int:
                    f"# first_over_final = {ratio!r}",
                    f"# slope_ok = {slope_ok}", f"# ratio_ok = {ratio_ok}",
                    f"# pass = {ok}"]
-        _write(_csv(config, ["m", "value"], table.rows(), trailer), args.out)
+        _write(_csv(config, ["m", "value"], table.rows(), note + trailer), args.out)
         return PASS if ok else FAIL
 
     if args.check == "product":
         table = product_table(f, g if g else f, levels, quad=quad)
         ok = table.slope is not None and abs(table.slope + 1.0) <= 0.3
         trailer = [f"# slope = {table.slope!r}", f"# pass = {ok}"]
-        _write(_csv(config, ["m", "value"], table.rows(), trailer), args.out)
+        _write(_csv(config, ["m", "value"], table.rows(), note + trailer), args.out)
         return PASS if ok else FAIL
 
     if args.check == "tuynman":
         rows = [(m, tuynman_residual(f, m, quad=quad)) for m in levels]
         ok = all(v <= 1e-6 for (_, v) in rows)
         trailer = [f"# pass = {ok}"]
-        _write(_csv(config, ["m", "value"], rows, trailer), args.out)
+        _write(_csv(config, ["m", "value"], rows, note + trailer), args.out)
         return PASS if ok else FAIL
 
     if args.check == "c1":
@@ -293,7 +302,7 @@ def cmd_bt_converge(args, config: RunConfig) -> int:
                    f"# final_under_5pct_of_first = {ratio_ok}",
                    f"# pass = {ok}"]
         rows = [(m, a) for (m, a, _) in data["rows"]]
-        _write(_csv(config, ["m", "value"], rows, trailer), args.out)
+        _write(_csv(config, ["m", "value"], rows, note + trailer), args.out)
         return PASS if ok else FAIL
 
     raise UsageError(f"unknown check {args.check!r}")
@@ -305,17 +314,20 @@ def cmd_tuynman_check(args, config: RunConfig) -> int:
     levels = [int(m) for m in args.m.split(",")]
     rows = []
     worst = 0.0
+    exact = True
     for name in names:
         f = family[name]
         for m in levels:
             quad = build_quadrature(m, radial=config.quad_radial or None,
                                     angular=config.quad_angular or None)
+            exact = exact and quad.is_exact_for(m)
             res = tuynman_residual(f, m, quad=quad)
             worst = max(worst, res)
             rows.append((name, m, res))
     ok = worst <= 1e-6
     trailer = [f"# max_residual = {worst!r}", f"# pass = {ok}"]
-    _write(_csv(config, ["f", "m", "residual"], rows, trailer), args.out)
+    _write(_csv(config, ["f", "m", "residual"], rows,
+                _quad_note(config, exact) + trailer), args.out)
     return PASS if ok else FAIL
 
 
@@ -402,6 +414,9 @@ def main(argv=None) -> int:
         parser.error(str(exc))  # exits with code 2
     try:
         return args.handler(args, config)
+    except (np.linalg.LinAlgError, InsufficientResolutionError) as exc:
+        print(f"error: numeric failure: {exc}", file=sys.stderr)
+        return FAIL
     except (UsageError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

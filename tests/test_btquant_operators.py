@@ -6,6 +6,7 @@ import pytest
 from projquant.btquant import (
     SectionBasis,
     build_quadrature,
+    dirac_residual,
     geom_quant,
     op_norm,
     toeplitz,
@@ -76,6 +77,36 @@ def test_coordinate_toeplitz_are_scaled_spin_matrices(family, quad64):
         assert np.max(np.abs(toeplitz(family["x3"], m, quad=quad64).mat - scale * j3)) < 1e-12
 
 
+def spin_ladder(m: int):
+    """Raising operator J+ and J3 of spin m/2 in the descending-weight basis,
+    so that J1 = (J+ + J-)/2 and J2 = (J+ - J-)/2i match spin_matrices."""
+    k = np.arange(m)
+    jp = np.diag(np.sqrt((k + 1.0) * (m - k)), 1)
+    j3 = np.diag((m - 2.0 * np.arange(m + 1)) / 2.0)
+    assert np.max(np.abs(jp @ jp.T - jp.T @ jp - 2 * j3)) < 1e-12 * m
+    return jp, j3
+
+
+@pytest.mark.parametrize("m", [96, 128, 256])
+def test_spin_model_at_large_levels(family, m):
+    # the levels where a numeric Gram/Cholesky basis loses precision and
+    # z^k overflows: the spin-model closed forms must still hold to 1e-10
+    quad = build_quadrature(m)
+    jp, j3 = spin_ladder(m)
+    scale = 2.0 / (m + 2)
+    targets = {"x1": scale * (jp + jp.T) / 2, "x2": -scale * (jp - jp.T) / 2j,
+               "x3": scale * j3}
+    for name, target in targets.items():
+        assert np.max(np.abs(toeplitz(family[name], m, quad=quad).mat - target)) < 1e-10
+    closed_form = 4.0 * m / (m + 2) ** 2
+    for f, g in (("x1", "x2"), ("x2", "x3"), ("x3", "x1")):
+        r = dirac_residual(family[f], family[g], m, quad=quad)
+        assert abs(r - closed_form) < 1e-10
+    if m == 128:
+        for name in ("x1", "x3"):
+            assert tuynman_residual(family[name], m, quad=quad) < 1e-10
+
+
 def test_hermiticity_for_real_functions(family, quad64):
     for name in ("x1", "x2", "x3", "x3sq", "x1x2"):
         for m in (4, 16, 64):
@@ -116,7 +147,7 @@ def test_rotation_equivariance(family, quad64):
 
 
 def test_op_norm_against_svd(family, quad64):
-    # dual route: power iteration vs dense SVD
+    # op_norm is the spectral norm of the dense matrix
     for name in ("x1", "x3", "x1x2"):
         for m in (4, 16, 64):
             T = toeplitz(family[name], m, quad=quad64)
@@ -218,6 +249,12 @@ def test_total_toeplitz_preserves_grading(family):
 
 def test_section_basis_values_shape(quad16):
     b = SectionBasis.build(5, quad16)
-    assert b.values.shape == (6, quad16.nodes.size)
+    assert b.profiles.shape == (quad16.radial_count, 6)
     assert b.dim == 6
-    assert np.max(np.abs(b.inv_chol @ b.gram @ b.inv_chol.conj().T - np.eye(6))) < 1e-12
+    # rebuild the weighted section values and integrate conj(s_j) s_k
+    theta = np.angle(quad16.nodes.reshape(quad16.radial_count, -1)[0])
+    k = np.arange(6)
+    values = (b.profiles.T[:, :, None] * np.exp(1j * k[:, None, None] * theta)).reshape(6, -1)
+    assert values.shape == (6, quad16.nodes.size)
+    gram = (values.conj() * quad16.weights) @ values.T
+    assert np.max(np.abs(gram - np.eye(6))) < 1e-12

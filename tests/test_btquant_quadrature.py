@@ -6,6 +6,7 @@ import pytest
 
 from projquant.btquant import build_quadrature
 from projquant.btquant.chart import hermitian_weight
+from projquant.btquant.quadrature import gauss_legendre
 from projquant.btquant.sections import SectionBasis, gram_entry_closed_form
 
 
@@ -40,6 +41,16 @@ def test_radial_oracle_matches_beta_function():
             assert abs(radial_moment_oracle(k, m) - beta_closed_form(k, m)) < 1e-12
 
 
+def test_gauss_legendre_exact_at_the_endpoints():
+    # ((1-t)/2)^j peaks at t = -1, where the section profiles of low k live;
+    # the n-point rule must integrate it for every j < 2n to rounding
+    for n in (134, 262, 1030):
+        t, v = gauss_legendre(n)
+        b = (1.0 - t) / 2.0
+        worst = max(abs(np.sum(v * b ** j) * (j + 1) / 2.0 - 1.0) for j in range(2 * n))
+        assert worst < 5e-14
+
+
 def test_total_mass(quad64):
     assert abs(quad64.total_mass() - 2 * math.pi) < 1e-10
 
@@ -53,15 +64,37 @@ def test_angular_orthogonality(quad64):
         assert abs(val) < 1e-12
 
 
+def _section_values(basis, quad):
+    """s_k (1+|z|^2)^(-m/2) at every node, rebuilt from the radial profiles."""
+    theta = np.angle(quad.nodes.reshape(quad.radial_count, quad.angular_count)[0])
+    k = np.arange(basis.dim)
+    vals = basis.profiles.T[:, :, None] * np.exp(1j * k[:, None, None] * theta)
+    return vals.reshape(basis.dim, -1)
+
+
 def test_gram_matches_beta_oracle(quad64):
+    r = np.abs(quad64.nodes.reshape(quad64.radial_count, -1)[:, 0])
     for m in (3, 8, 16):
         basis = SectionBasis.build(m, quad64)
+        s = _section_values(basis, quad64)
+        gram = (s.conj() * quad64.weights) @ s.T
+        assert np.max(np.abs(gram - np.eye(m + 1))) < 1e-12
         for k in range(m + 1):
-            target = 4 * math.pi * radial_moment_oracle(k, m)
-            assert abs(basis.gram[k, k] - target) < 1e-10
-            assert abs(basis.gram[k, k] - gram_entry_closed_form(k, k, m)) < 1e-10
-        off = basis.gram - np.diag(np.diag(basis.gram))
-        assert np.max(np.abs(off)) < 1e-12
+            c = basis.profiles[:, k] / (r ** k * (1 + r ** 2) ** (-m / 2))
+            assert np.max(np.abs(c - c[0])) < 1e-12 * c[0]
+            assert abs(c[0] ** 2 * gram_entry_closed_form(k, k, m) - 1) < 1e-12
+            assert abs(c[0] ** 2 * 4 * math.pi * radial_moment_oracle(k, m) - 1) < 1e-10
+
+
+def test_section_profiles_finite_at_large_level():
+    # z^k and the binomial coefficients overflow long before m = 1024; the
+    # log-space profiles must stay finite and normalized
+    m = 1024
+    basis = SectionBasis.build(m)
+    assert basis.profiles.shape == (basis.quad.radial_count, m + 1)
+    assert np.all(np.isfinite(basis.profiles))
+    norms = basis.radial_weights @ basis.profiles ** 2
+    assert np.max(np.abs(norms - 1.0)) < 1e-10
 
 
 def test_default_rule_exactness_flag(quad64):

@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 
+from projquant import cli
+from projquant.btquant import InsufficientResolutionError
 from projquant.cli import main
 from projquant.config import RunConfig, load_config
 
@@ -217,6 +219,33 @@ def test_tuynman_check_command(capsys):
 def test_unknown_function_rejected(capsys):
     code = main(["bt-converge", "--check", "norm", "--f", "nope"])
     assert code == 2
+    assert main(["tuynman-check", "--f", "x1,nope", "--m", "2"]) == 2
+
+
+@pytest.mark.parametrize("exc", [np.linalg.LinAlgError("SVD did not converge"),
+                                 InsufficientResolutionError("profiles are not finite")])
+def test_numeric_failure_exits_1(capsys, monkeypatch, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "norm_asymptotics", broken)
+    code = main(["bt-converge", "--check", "norm", "--f", "x3", "--m-max", "8"])
+    assert code == 1
+    assert f"error: numeric failure: {exc}" in capsys.readouterr().err
+
+
+def test_quad_override_reports_exactness(tmp_path, capsys):
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("quad_radial = 3\n")
+    code, out = run_cli(capsys, "--config", str(cfg), "bt-converge", "--check", "norm",
+                        "--f", "x3", "--m-min", "4", "--m-max", "16")
+    assert "# quad_exact = False" in comments(out)
+    code, out = run_cli(capsys, "--config", str(cfg), "tuynman-check", "--m", "2,8")
+    assert "# quad_exact = False" in comments(out)
+    # default rules are exact by construction and add no line
+    code, out = run_cli(capsys, "tuynman-check", "--m", "2,8")
+    assert code == 0
+    assert not any("quad_exact" in c for c in comments(out))
 
 
 # -- config and determinism ----------------------------------------------------------------------
