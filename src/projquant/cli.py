@@ -97,19 +97,6 @@ def cmd_classify_cubic(args, config: RunConfig) -> int:
     return PASS
 
 
-def _bisect_zero(f, a, b, fa, fb, iters=60):
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fa < 0) != (fm < 0):
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
-
-
 def cmd_curve_points(args, config: RunConfig) -> int:
     if args.poly is not None:
         f = parse_polynomial(args.poly, nvars=3)
@@ -120,26 +107,31 @@ def cmd_curve_points(args, config: RunConfig) -> int:
     affine = f.dehomogenize(2)  # plot plane is the chart X2 = 1
 
     def val(x, y):
-        return float(np.real(complex(affine.evaluate((complex(x), complex(y))))))
+        return np.real(np.broadcast_to(affine.evaluate_array((x, y)), np.broadcast(x, y).shape))
 
     xs = np.linspace(args.xmin, args.xmax, args.resolution)
     ys = np.linspace(args.ymin, args.ymax, args.resolution)
-    pts = []
-    for x in xs:  # sign changes along vertical grid lines
-        vals = [val(x, y) for y in ys]
-        for y0, y1, f0, f1 in zip(ys, ys[1:], vals, vals[1:]):
-            if f0 == 0.0:
-                pts.append((float(x), float(y0)))
-            elif (f0 < 0) != (f1 < 0):
-                pts.append((float(x), _bisect_zero(lambda t: val(x, t), y0, y1, f0, f1)))
-    for y in ys:  # and along horizontal ones
-        vals = [val(x, y) for x in xs]
-        for x0, x1, f0, f1 in zip(xs, xs[1:], vals, vals[1:]):
-            if f0 == 0.0:
-                pts.append((float(x0), float(y)))
-            elif (f0 < 0) != (f1 < 0):
-                pts.append((_bisect_zero(lambda t: val(t, y), x0, x1, f0, f1), float(y)))
-    pts.sort()
+    nodes = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
+    grid = val(nodes[..., 0], nodes[..., 1])
+    # vertical grid lines, then horizontal ones: a node value of exactly 0 is a
+    # point (lo = hi), a sign change a bracket; the fixed coordinate stays exact
+    lo, hi, fa = [], [], []
+    for vals, p in ((grid, nodes), (grid.T, nodes.transpose(1, 0, 2))):
+        a, b = vals[:, :-1], vals[:, 1:]
+        hit = (a == 0.0) | ((a < 0) != (b < 0))
+        lo.append(p[:, :-1][hit])
+        hi.append(np.where((a[hit] == 0.0)[:, None], lo[-1], p[:, 1:][hit]))
+        fa.append(a[hit])
+    lo, hi, fa = (np.concatenate(c) for c in (lo, hi, fa))
+    for _ in range(60):  # all brackets in lockstep
+        mid = 0.5 * (lo + hi)
+        fm = val(mid[:, 0], mid[:, 1])
+        stop = fm == 0.0  # an exact zero freezes its bracket at mid
+        left = (fa < 0) != (fm < 0)
+        lo = np.where((stop | ~left)[:, None], mid, lo)
+        hi = np.where((stop | left)[:, None], mid, hi)
+        fa = np.where(left, fa, fm)
+    pts = sorted(map(tuple, (0.5 * (lo + hi)).tolist()))
     _write(_csv(config, ["x", "y"], pts), args.out)
     return PASS
 
@@ -148,18 +140,16 @@ def cmd_weierstrass_embed(args, config: RunConfig) -> int:
     lat = weierstrass.Lattice(complex(args.tau))
     N = args.cutoff if args.cutoff else config.lattice_cutoff
     rng = np.random.default_rng(config.seed)
-    rows = []
-    count = 0
-    while count < args.samples:
+    zs = []
+    while len(zs) < args.samples:
         z = complex(rng.uniform(0.02, 0.98), rng.uniform(0.02, 0.98) * lat.tau.imag)
-        if lat.distance_to_lattice(z) <= 10 * weierstrass.POLE_GUARD:
-            continue
-        p = weierstrass.embed(lat, z, N)
-        res = weierstrass.ode_residual(lat, z, N)
-        X, Y, _ = (complex(c) for c in p.coords)
-        rows.append((z.real, z.imag, X, Y, 1.0, res))
-        count += 1
-    worst = max(r[-1] for r in rows) if rows else 0.0
+        if lat.distance_to_lattice(z) > 10 * weierstrass.POLE_GUARD:
+            zs.append(z)
+    zs = np.array(zs, dtype=complex)
+    X, Y = weierstrass.wp(lat, zs, N), weierstrass.wp_prime(lat, zs, N)
+    res = weierstrass.eisenstein(lat, N).cubic_residual(X, Y)
+    rows = list(zip(zs.real.tolist(), zs.imag.tolist(), X, Y, [1.0] * len(zs), res))
+    worst = float(max(res, default=0.0))
     trailer = [f"# max_ode_residual = {worst!r}", f"# pass = {worst <= 1e-6}"]
     _write(_csv(config, ["z_re", "z_im", "X", "Y", "Z", "residual"], rows, trailer),
            args.out)

@@ -22,7 +22,6 @@ class RunConfig:
     lattice_cutoff: int = 60
     rank_rtol: float = 1e-9
     membership_tol: float = 1e-8
-    power_tol: float = 1e-12
     zero_level_tol: float = 1e-9
     seed: int = 0
 

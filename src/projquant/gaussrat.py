@@ -119,12 +119,6 @@ def is_exact_scalar(x) -> bool:
     return isinstance(x, (int, Fraction, GaussianRational))
 
 
-def exact_to_complex(x) -> complex:
-    if isinstance(x, GaussianRational):
-        return complex(x)
-    return complex(float(x), 0.0)
-
-
 def _scale_row_integral(row):
     """Clear denominators so Bareiss pivots stay (Gaussian-)integral."""
     denoms = []

@@ -279,35 +279,50 @@ def orbit_meets_zero_level(action: LinearAction, x, tol: float = 1e-9,
                                "one-parameter actions only")
     v = _coords(x)
     w = np.array(action.weights, dtype=float)
-
-    def mu_at(s: float) -> float:
-        scaled = v * np.exp(s * w)
-        return float(moment_map(action, scaled)[0])
-
     for limit_dir in ("0", "inf"):
         p = one_param_limit(action.weights, x, limit_dir)
         if float(np.linalg.norm(moment_map(action, p))) <= tol:
             return True, p
 
     ss = np.linspace(-log_t_range, log_t_range, samples)
-    vals = [mu_at(s) for s in ss]
-    for s, val in zip(ss, vals):
-        if abs(val) <= tol:
-            return True, ProjPoint(tuple(v * np.exp(s * w)))
-    for (s0, f0), (s1, f1) in zip(zip(ss, vals), zip(ss[1:], vals[1:])):
-        if f0 * f1 < 0:
-            lo, hi = s0, s1
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fm = mu_at(mid)
-                if abs(fm) <= tol:
-                    return True, ProjPoint(tuple(v * np.exp(mid * w)))
-                if f0 * fm < 0:
-                    hi = mid
-                else:
-                    lo, f0 = mid, fm
-            break
+    on_grid, at = _ray_moment_map(action, v)
+    vals = on_grid(ss)
+    hits = np.flatnonzero(np.abs(vals) <= tol)
+    if len(hits):
+        return True, ProjPoint(tuple(v * np.exp(ss[hits[0]] * w)))
+    for k in np.flatnonzero(vals[:-1] * vals[1:] < 0)[:1]:  # first bracket only
+        lo, hi, f0 = ss[k], ss[k + 1], vals[k]
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            fm = at(mid)
+            if abs(fm) <= tol:
+                return True, ProjPoint(tuple(v * np.exp(mid * w)))
+            if f0 * fm < 0:
+                hi = mid
+            else:
+                lo, f0 = mid, fm
     return False, None
+
+
+def _ray_moment_map(action: LinearAction, v: np.ndarray):
+    """mu at e^(s w) . v in closed form: sum w_j a_j e^(2 s w_j) over 2 pi sum
+    a_j e^(2 s w_j), a_j = |v_j|^2 on the support of v, exponents shifted by
+    their maximum; returns (on_grid, at), for an array of s and one float s."""
+    live = v != 0
+    log_a, w = 2.0 * np.log(np.abs(v[live])), np.array(action.weights, dtype=float)[live]
+    la, wl = log_a.tolist(), w.tolist()
+
+    def on_grid(s):
+        e = log_a + 2.0 * np.multiply.outer(s, w)
+        e = np.exp(e - e.max(axis=-1, keepdims=True))
+        return (e @ w) / (2.0 * math.pi * e.sum(axis=-1))
+
+    def at(s):
+        e = [a + 2.0 * s * wj for a, wj in zip(la, wl)]
+        top = max(e)
+        e = [math.exp(x - top) for x in e]
+        return sum(x * wj for x, wj in zip(e, wl)) / (2.0 * math.pi * sum(e))
+    return on_grid, at
 
 
 def is_stable(action: LinearAction, x, inv: InvariantSet,
@@ -364,30 +379,30 @@ def k_orbit_equivalent(action: LinearAction, p: ProjPoint, q: ProjPoint,
     """
     if not action.is_diagonal or action.weights is None:
         raise NotDiagonalError("K-orbit grouping implemented for diagonal actions")
-    u, v = p.to_complex(), q.to_complex()
-    live = u != 0
-    if not np.array_equal(live, v != 0):
-        return False
-    idx = np.flatnonzero(live)
-    ru, rv = np.abs(u[idx]), np.abs(v[idx])
-    scale = rv[0] / ru[0]
-    if np.max(np.abs(rv - scale * ru)) > tol * np.max(rv):
-        return False
-    w = np.array([action.weights[j] for j in idx], dtype=float)
-    alpha = np.angle(v[idx] / u[idx])
-    if len(idx) == 1 or np.ptp(w) == 0:
-        return True
+    return _k_orbit_match(action.weights, p.to_complex()[None, :], q, tol)
+
+
+def _k_orbit_match(weights, reps: np.ndarray, q: ProjPoint, tol: float) -> bool:
+    """Whether q is k_orbit_equivalent to some row of reps, in array ops."""
+    v = q.to_complex()
+    idx = np.flatnonzero(v)
+    u = reps[np.all((reps != 0) == (v != 0), axis=1)][:, idx]
+    ru, rv = np.abs(u), np.abs(v[idx])
+    u = u[np.max(np.abs(rv - rv[0] / ru[:, :1] * ru), axis=1) <= tol * np.max(rv)]
+    w = np.array([weights[j] for j in idx], dtype=float)
+    if len(u) == 0 or len(idx) == 1 or np.ptp(w) == 0:
+        return len(u) > 0
+    alpha = np.angle(v[idx] / u)
     # alpha_j = phi + theta w_j (mod 2 pi): solve from the extremal pair,
     # trying each branch of the 2-pi ambiguity, then verify all entries
     j_hi, j_lo = int(np.argmax(w)), int(np.argmin(w))
     span = w[j_hi] - w[j_lo]
-    base = (alpha[j_hi] - alpha[j_lo]) / span
+    base = (alpha[:, j_hi] - alpha[:, j_lo]) / span
     for branch in range(int(span)):
-        theta = base + 2.0 * math.pi * branch / span
-        phi = alpha[j_lo] - theta * w[j_lo]
-        resid = alpha - (phi + theta * w)
-        resid = np.angle(np.exp(1j * resid))
-        if np.max(np.abs(resid)) <= tol:
+        theta = (base + 2.0 * math.pi * branch / span)[:, None]
+        phi = alpha[:, j_lo:j_lo + 1] - theta * w[j_lo]
+        resid = np.angle(np.exp(1j * (alpha - (phi + theta * w))))
+        if np.any(np.max(np.abs(resid), axis=1) <= tol):
             return True
     return False
 
@@ -395,10 +410,12 @@ def k_orbit_equivalent(action: LinearAction, p: ProjPoint, q: ProjPoint,
 def count_k_orbit_classes(action: LinearAction, points,
                           tol: float = K_ORBIT_TOL) -> int:
     """Number of K-orbit equivalence classes among the given points."""
-    reps: list[ProjPoint] = []
+    if not action.is_diagonal or action.weights is None:
+        raise NotDiagonalError("K-orbit grouping implemented for diagonal actions")
+    reps = np.empty((0, action.n + 1), dtype=complex)
     for p in points:
-        if not any(k_orbit_equivalent(action, r, p, tol) for r in reps):
-            reps.append(p)
+        if not _k_orbit_match(action.weights, reps, p, tol):
+            reps = np.vstack([reps, p.to_complex()])
     return len(reps)
 
 

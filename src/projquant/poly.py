@@ -12,7 +12,7 @@ import itertools
 import re as _re
 from fractions import Fraction
 
-from .gaussrat import GaussianRational, exact_to_complex, is_exact_scalar
+from .gaussrat import GaussianRational, is_exact_scalar
 
 
 def grlex_key(mono):
@@ -209,14 +209,18 @@ class Polynomial:
                         v = v * _gr_pow(x, e)
                 total = total + v
             return total if total.im != 0 else total.re
-        zs = [complex(x) for x in coords]
-        total = 0j
+        return complex(self.evaluate_array([complex(x) for x in coords]))
+
+    def evaluate_array(self, coords):
+        """Float value at coordinates that may be numpy arrays (broadcast); rational
+        coefficients enter as floats, so real input gives the complex path's real part."""
+        total = 0
         for m, c in self.iter_terms():
-            v = exact_to_complex(c) if is_exact_scalar(c) else complex(c)
-            for x, e in zip(zs, m):
+            v = complex(c) if isinstance(c, GaussianRational) else float(c)
+            for x, e in zip(coords, m):
                 if e:
-                    v *= x ** e
-            total += v
+                    v = v * _powu(x, e)
+            total = total + v
         return total
 
     def dehomogenize(self, i: int) -> "Polynomial":
@@ -256,6 +260,16 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.nvars}, {format_polynomial(self)!r})"
+
+
+def _powu(x, e: int):
+    """x**e for e >= 1 by binary exponentiation, as CPython does for complex."""
+    out = x if e & 1 else None
+    while e > 1:
+        e, x = e >> 1, x * x
+        if e & 1:
+            out = x if out is None else out * x
+    return out
 
 
 def _gr_pow(x, e):

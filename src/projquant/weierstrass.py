@@ -51,19 +51,16 @@ class Lattice:
     def nome(self) -> complex:
         return cmath.exp(2j * cmath.pi * self.tau)
 
-    def reduce(self, z: complex) -> complex:
-        """Translate z by lattice vectors into the cell centered at 0."""
-        z = complex(z)
-        n = round(z.imag / self.tau.imag)
-        z = z - n * self.tau
-        z = z - round(z.real)
-        return z
+    def reduce(self, z):
+        """Translate z (a number or an array) into the cell centered at 0."""
+        z = np.asarray(z, dtype=complex)
+        z = z - np.round(z.imag / self.tau.imag) * self.tau
+        return (z - np.round(z.real))[()]
 
-    def distance_to_lattice(self, z: complex) -> float:
-        zr = self.reduce(z)
-        near = (0, 1, -1, self.tau, -self.tau, 1 + self.tau, -1 - self.tau,
-                1 - self.tau, -1 + self.tau)
-        return min(abs(zr - w) for w in near)
+    def distance_to_lattice(self, z):
+        near = np.array([0, 1, -1, self.tau, -self.tau, 1 + self.tau, -1 - self.tau,
+                         1 - self.tau, -1 + self.tau])
+        return np.min(np.abs(np.asarray(self.reduce(z))[..., None] - near), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -77,6 +74,10 @@ class EisensteinPair:
 
     def discriminant(self) -> complex:
         return self.g2 ** 3 - 27 * self.g3 ** 2
+
+    def cubic_residual(self, p, pp):
+        """|pp^2 - 4 p^3 + g2 p + g3|: how far (p : pp : 1) is off the cubic."""
+        return abs(pp ** 2 - 4 * p ** 3 + self.g2 * p + self.g3)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +127,8 @@ def wp_prime_lattice(L: Lattice, z: complex, N: int = DEFAULT_CUTOFF) -> complex
     return complex(-2.0 * (1.0 / z ** 3 + np.sum((z - w) ** -3.0)))
 
 
-def _check_off_lattice(L: Lattice, z: complex):
-    if L.distance_to_lattice(z) <= POLE_GUARD:
+def _check_off_lattice(L: Lattice, z):
+    if np.any(L.distance_to_lattice(z) <= POLE_GUARD):
         raise LatticePointError(f"z = {z} is within {POLE_GUARD} of a lattice point")
 
 
@@ -167,37 +168,37 @@ def eisenstein(L: Lattice, N: int = DEFAULT_CUTOFF) -> EisensteinPair:
     return EisensteinPair(g2, g3, N, float(tail))
 
 
-def wp(L: Lattice, z: complex, N: int = DEFAULT_CUTOFF) -> complex:
+def wp(L: Lattice, z, N: int = DEFAULT_CUTOFF):
     """Weierstrass wp via its Fourier expansion in u = exp(2 pi i z).
 
-    z is reduced to the fundamental cell first, which makes periodicity
-    exact; the n = 0 term is invariant under u -> 1/u, so evenness is exact
-    as well.
+    z is a number or an array of numbers (the result has its shape); it is
+    reduced to the fundamental cell first, which makes periodicity exact;
+    the n = 0 term is invariant under u -> 1/u, so evenness is exact as well.
     """
     _check_off_lattice(L, z)
-    zr = L.reduce(z)
+    u = np.exp(2j * cmath.pi * np.atleast_1d(L.reduce(z)))
     q = L.nome
-    u = cmath.exp(2j * cmath.pi * zr)
     s = 1.0 / 12.0 + u / (1 - u) ** 2
     for n in range(1, N + 1):
         qn = q ** n
         a, b = qn * u, qn / u
         s += a / (1 - a) ** 2 + b / (1 - b) ** 2 - 2 * qn / (1 - qn) ** 2
-    return (2j * cmath.pi) ** 2 * s
+    s = (2j * cmath.pi) ** 2 * s
+    return s if np.ndim(z) else complex(s[0])
 
 
-def wp_prime(L: Lattice, z: complex, N: int = DEFAULT_CUTOFF) -> complex:
+def wp_prime(L: Lattice, z, N: int = DEFAULT_CUTOFF):
     """Derivative of wp, from the term-wise differentiated expansion."""
     _check_off_lattice(L, z)
-    zr = L.reduce(z)
+    u = np.exp(2j * cmath.pi * np.atleast_1d(L.reduce(z)))
     q = L.nome
-    u = cmath.exp(2j * cmath.pi * zr)
     s = u * (1 + u) / (1 - u) ** 3
     for n in range(1, N + 1):
         qn = q ** n
         a, b = qn * u, qn / u
         s += a * (1 + a) / (1 - a) ** 3 - b * (1 + b) / (1 - b) ** 3
-    return (2j * cmath.pi) ** 3 * s
+    s = (2j * cmath.pi) ** 3 * s
+    return s if np.ndim(z) else complex(s[0])
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +206,14 @@ def wp_prime(L: Lattice, z: complex, N: int = DEFAULT_CUTOFF) -> complex:
 # ---------------------------------------------------------------------------
 
 def ode_residual(L: Lattice, z: complex, N: int = DEFAULT_CUTOFF) -> float:
-    """|wp'(z)^2 - 4 wp(z)^3 + g2 wp(z) + g3| with all pieces at cutoff N."""
-    pair = eisenstein(L, N)
-    p = wp(L, z, N)
-    pp = wp_prime(L, z, N)
-    return abs(pp ** 2 - 4 * p ** 3 + pair.g2 * p + pair.g3)
+    """|wp'(z)^2 - 4 wp(z)^3 + g2 wp(z) + g3| at cutoff N, for a number or an array z."""
+    return eisenstein(L, N).cubic_residual(wp(L, z, N), wp_prime(L, z, N))
 
 
 def ode_residual_lattice(L: Lattice, z: complex, N: int = DEFAULT_CUTOFF) -> float:
     """Same residual evaluated along the direct lattice-sum route."""
-    pair = eisenstein_lattice(L, N)
-    p = wp_lattice(L, z, N)
-    pp = wp_prime_lattice(L, z, N)
-    return abs(pp ** 2 - 4 * p ** 3 + pair.g2 * p + pair.g3)
+    return eisenstein_lattice(L, N).cubic_residual(wp_lattice(L, z, N),
+                                                   wp_prime_lattice(L, z, N))
 
 
 def embed(L: Lattice, z: complex, N: int = DEFAULT_CUTOFF) -> ProjPoint:

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 import subprocess
 import sys
 
@@ -77,6 +78,93 @@ def test_curve_points_empty_window(capsys):
     assert header == ["x", "y"]
     assert rows == []
 
+
+
+def _scalar_curve_scan(f, xs, ys):
+    """Reference route: one Polynomial.evaluate call per point and a plain
+    scalar bisection per bracket, scanning the same grid lines in the same
+    order.  Returns the sorted points and the number of exact node zeros."""
+    affine = f.dehomogenize(2)
+
+    def val(x, y):
+        return affine.evaluate((complex(x), complex(y))).real
+
+    def bisect(g, a, b, fa):
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            fm = g(mid)
+            if fm == 0.0:
+                return mid
+            if (fa < 0) != (fm < 0):
+                b = mid
+            else:
+                a, fa = mid, fm
+        return 0.5 * (a + b)
+
+    pts, zeros = [], 0
+    for fixed, steps, point in ((xs, ys, lambda c, t: (c, t)), (ys, xs, lambda c, t: (t, c))):
+        for c in fixed:
+            line = lambda t, c=c: val(*point(c, t))
+            vals = [line(t) for t in steps]
+            for k in range(len(steps) - 1):
+                if vals[k] == 0.0:
+                    pts.append(point(c, steps[k]))
+                    zeros += 1
+                elif (vals[k] < 0) != (vals[k + 1] < 0):
+                    pts.append(point(c, bisect(line, steps[k], steps[k + 1], vals[k])))
+    return sorted(pts), zeros
+
+
+@pytest.mark.parametrize("argv, window, want_zeros", [
+    # smooth cubic, discriminant 8 - 27 = -19
+    (["--g2", "2", "--g3", "1"], (-2.0, 2.0, -3.0, 3.0), False),
+    # nodal cubic y^2 = (x + 1)(2x - 1)^2
+    (["--g2", "3", "--g3", "-1"], (-1.5, 1.5, -2.0, 2.0), False),
+    # ellipse x^2 + 4 y^2 = 2
+    (["--poly", "X0^2 + 4*X1^2 - 2*X2^2"], (-2.0, 2.0, -1.0, 1.0), False),
+    # y^2 = 4x^3 - 4x vanishes at the grid nodes (-1, 0), (0, 0), (1, 0)
+    (["--g2", "4", "--g3", "0"], (-2.0, 2.0, -3.0, 3.0), True),
+    # no real point in the window
+    (["--g2", "4", "--g3", "0"], (5.0, 6.0, -1.0, 1.0), False),
+])
+def test_curve_points_match_scalar_scan(capsys, argv, window, want_zeros):
+    from projquant.poly import parse_polynomial
+    from projquant.projgeo import weierstrass_cubic
+
+    xmin, xmax, ymin, ymax = window
+    res = 41
+    code, out = run_cli(capsys, "curve-points", *argv, "--resolution", str(res),
+                        f"--xmin={xmin}", f"--xmax={xmax}", f"--ymin={ymin}", f"--ymax={ymax}")
+    assert code == 0
+    if argv[0] == "--poly":
+        f = parse_polynomial(argv[1], nvars=3)
+    else:
+        f = weierstrass_cubic(Fraction(argv[1]), Fraction(argv[3]))
+    want, zeros = _scalar_curve_scan(f, np.linspace(xmin, xmax, res).tolist(),
+                                     np.linspace(ymin, ymax, res).tolist())
+    assert zeros > 0 or not want_zeros  # the exact-zero branch is exercised
+    header, rows = csv_rows(out)
+    assert header == ["x", "y"]
+    assert rows == [[repr(x), repr(y)] for x, y in want]
+    if window[0] == 5.0:
+        assert rows == []
+
+
+def test_weierstrass_embed_computes_eisenstein_once(capsys, monkeypatch):
+    from projquant import weierstrass
+
+    calls = []
+    real = weierstrass.eisenstein
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(weierstrass, "eisenstein", counting)
+    code, out = run_cli(capsys, "weierstrass-embed", "--tau", "2j", "--samples", "30")
+    assert code == 0
+    assert len(csv_rows(out)[1]) == 30
+    assert len(calls) == 1
 
 def _component_count(pts, link_scale):
     parent = list(range(len(pts)))
@@ -274,6 +362,21 @@ def test_config_rejects_unknown_keys(tmp_path):
     cfg.write_text("no_such_key = 1\n")
     with pytest.raises(ValueError):
         load_config(str(cfg))
+
+
+def test_power_tol_is_not_a_config_key(tmp_path, capsys):
+    # nothing reads a power-iteration tolerance, so the config neither
+    # accepts nor echoes one
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("power_tol = 1e-12\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "hilbert", "--nvars", "2", "--m", "0..2"])
+    assert exc.value.code == 2
+    assert "power_tol" in capsys.readouterr().err
+    code, out = run_cli(capsys, "hilbert", "--nvars", "2", "--m", "0..2")
+    assert code == 0 and not any("power_tol" in line for line in comments(out))
+    code, out = run_cli(capsys, "classify-cubic", "--g2", "0", "--g3", "0")
+    assert code == 0 and "power_tol" not in json.loads(out)["config"]
 
 
 def test_byte_identical_reruns(capsys):

@@ -1,8 +1,10 @@
+import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from projquant.gaussrat import GaussianRational
 from projquant.poly import Polynomial
@@ -207,6 +209,53 @@ def test_orbit_search_rejects_nondiagonal():
         orbit_meets_zero_level(action, pt(1.0, 1.0))
 
 
+
+@st.composite
+def weighted_points(draw):
+    """Weights in [-3, 3] on 2-4 coordinates and a point with a random
+    support, moduli in [0.1, 10] and random phases."""
+    n = draw(st.integers(2, 4))
+    weights = tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    live = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    mods = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    phases = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n))
+    x = np.array([m * cmath.exp(1j * a) if on else 0.0
+                  for m, a, on in zip(mods, phases, live)])
+    return weights, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_points(),
+       st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
+                          allow_nan=False, allow_infinity=False))
+def test_orbit_search_properties(case, lam):
+    weights, x = case
+    action = LinearAction.from_weights(weights)
+    on_support = [w for w, c in zip(weights, x) if c != 0]
+    met, witness = orbit_meets_zero_level(action, x, tol=1e-9)
+    # Kirwan/Hilbert-Mumford: 0 in the convex hull of the weights on the support
+    assert met == (min(on_support) <= 0 <= max(on_support))
+    if met:
+        assert abs(moment_map(action, witness)[0]) <= 1e-9
+    else:
+        assert witness is None
+    assert orbit_meets_zero_level(action, lam * x, tol=1e-9)[0] == met
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_points(), st.floats(-14.0, 14.0))
+def test_ray_closed_form_matches_moment_map(case, s):
+    from projquant.gitquot import _ray_moment_map
+
+    weights, x = case
+    action = LinearAction.from_weights(weights)
+    on_grid, at = _ray_moment_map(action, x)
+    direct = moment_map(action, x * np.exp(s * np.array(weights, dtype=float)))[0]
+    scale = max(max(abs(w) for w in weights) / (2 * math.pi), abs(direct))  # |mu| bound
+    assert abs(at(s) - direct) <= 1e-13 * scale
+    assert abs(on_grid(np.array([s, 0.0]))[0] - direct) <= 1e-13 * scale
+
+
 # -- stability ------------------------------------------------------------------------
 
 def test_stability_verdicts():
@@ -235,6 +284,29 @@ def test_quotient_of_hyperbolic_zero_level_is_a_point():
            for a, b in zip(phases[:12], phases[12:])]
     assert count_k_orbit_classes(HYPERBOLIC, pts) == 1
 
+
+
+def test_k_orbit_classes_against_pairwise_greedy():
+    action = LinearAction.from_weights((-1, 1, 1))
+    rng = np.random.default_rng(3)
+    moduli = [(math.sqrt(2), 1.0, 1.0), (math.sqrt(5), 1.0, 2.0), (1.0, 1.0, 0.0),
+              (1.0, 0.0, 1.0)]
+    points = []
+    for _ in range(6):
+        for r in moduli:
+            phi, theta = rng.uniform(0, 2 * np.pi, 2)  # a K-orbit and projective move
+            phases = np.exp(1j * (phi + theta * np.array([-1.0, 1.0, 1.0])))
+            points.append(pt(*(2.0 * np.array(r) * phases)))
+    points.append(pt(math.sqrt(2), 1.0, 1j))  # same moduli, a phase profile of its own
+    points.append(pt(*points[0].coords[:2], 0.0))  # agrees with points[0] on its support
+    reps = []
+    for p in points:
+        if not any(k_orbit_equivalent(action, r, p) for r in reps):
+            reps.append(p)
+    assert count_k_orbit_classes(action, points) == len(reps) == 6
+    gen = np.array([[0, 1.0, 0], [-1.0, 0, 0], [0, 0, 0]], dtype=complex)
+    with pytest.raises(NotDiagonalError):
+        count_k_orbit_classes(LinearAction(n=2, generators=(gen,), weights=(0, 0, 0)), [])
 
 # -- the correspondence check --------------------------------------------------------------
 

@@ -131,6 +131,28 @@ def test_wp_routes_agree():
     assert abs(wp_prime(L, z) - wp_prime_lattice(L, z, 240)) < 1e-4
 
 
+
+@pytest.mark.parametrize("tau", [TAU_SQUARE, TAU_RECT, TAU_HEX])
+def test_wp_on_arrays(tau):
+    L = Lattice(tau)
+    rng = np.random.default_rng(7)
+    # near 0 the lattice sums at N = 240 meet the tolerances of test_wp_routes_agree
+    re, im = rng.uniform(0.05, 0.35, (2, 3, 4)) * rng.choice([-1.0, 1.0], (2, 3, 4))
+    z = re + 1j * im
+    p, pp = wp(L, z), wp_prime(L, z)
+    assert p.shape == pp.shape == z.shape
+    for zi, pi, ppi in zip(z.ravel(), p.ravel(), pp.ravel()):
+        # each element is the scalar call, and both agree with the lattice sums
+        p1, pp1 = wp(L, complex(zi)), wp_prime(L, complex(zi))
+        assert type(p1) is complex and type(pp1) is complex
+        assert abs(pi - p1) <= 1e-15 * abs(p1) and abs(ppi - pp1) <= 1e-15 * abs(pp1)
+        assert abs(pi - wp_lattice(L, zi, 240)) < 1e-5
+        assert abs(ppi - wp_prime_lattice(L, zi, 240)) < 1e-4
+    res = ode_residual(L, z)
+    assert res.shape == z.shape and np.all(res < 1e-6)
+    with pytest.raises(LatticePointError):
+        wp(L, np.array([0.3 + 0.2j, 1.0 + tau]))
+
 def test_pole_guard():
     L = Lattice(TAU_RECT)
     for z in (0.0, 1.0, 3 + 4j, 1e-9 + 0j):
