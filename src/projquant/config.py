@@ -20,8 +20,6 @@ class RunConfig:
     quad_radial: int = 0          # 0 = derived from the level cap
     quad_angular: int = 0         # 0 = derived from the level cap
     lattice_cutoff: int = 60
-    rank_rtol: float = 1e-9
-    membership_tol: float = 1e-8
     zero_level_tol: float = 1e-9
     seed: int = 0
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,7 +95,7 @@ class LinearAction:
         s = np.linalg.svd(flat, compute_uv=False)
         return int(np.sum(s > 1e-9 * s[0]))
 
-    @property
+    @cached_property
     def is_diagonal(self) -> bool:
         return all(np.max(np.abs(g - np.diag(np.diag(g)))) == 0.0
                    for g in self.generators)
@@ -218,9 +219,14 @@ def semistable(x, inv: InvariantSet, tol: float = 0.0) -> bool:
         raise EmptyInvariantSetError("cannot decide semistability from an empty set")
     if isinstance(x, ProjPoint) and x.is_exact and tol == 0.0:
         return any(_nonzero_exact(F.evaluate(x.coords)) for F in inv.polys)
-    v = _coords(x)
-    nrm = float(np.linalg.norm(v))
-    return any(abs(F.evaluate(v)) > tol * nrm ** F.degree() for F in inv.polys)
+    return bool(np.any(_invariant_moduli(inv, _coords(x)[None, :]) > tol))
+
+
+def _invariant_moduli(inv: InvariantSet, V: np.ndarray) -> np.ndarray:
+    """|F(v)| / ||v||^deg F for each row v of V, one column per invariant."""
+    nrm = np.linalg.norm(V, axis=1)
+    return np.stack([np.abs(F.evaluate_array(V.T)) / nrm ** F.degree()
+                     for F in inv.polys], axis=1)
 
 
 def _nonzero_exact(val) -> bool:
@@ -270,59 +276,79 @@ def orbit_meets_zero_level(action: LinearAction, x, tol: float = 1e-9,
 
     Along t = e^s the single moment component is monotone in s (it is the
     logarithmic derivative of a log-convex function), so a sign change plus
-    bisection decides the question; both t -> 0 and t -> infinity limit
-    points are also inspected.  Returns (met, witness) with the witness a
-    ProjPoint or None.
+    a safeguarded root search decides the question; both t -> 0 and
+    t -> infinity limit points are also inspected.  Returns (met, witness)
+    with the witness a ProjPoint or None.
     """
+    weights, v = _one_param_weights(action), _coords(x)
+    return _witness(weights, v, _orbit_search(weights, v[None, :], tol, log_t_range, samples)[0])
+
+
+def _one_param_weights(action: LinearAction) -> tuple:
     if not action.is_diagonal or action.weights is None or len(action.generators) != 1:
-        raise NotDiagonalError("orbit search implemented for diagonal "
-                               "one-parameter actions only")
-    v = _coords(x)
-    w = np.array(action.weights, dtype=float)
-    for limit_dir in ("0", "inf"):
-        p = one_param_limit(action.weights, x, limit_dir)
-        if float(np.linalg.norm(moment_map(action, p))) <= tol:
-            return True, p
+        raise NotDiagonalError("orbit search implemented for diagonal one-parameter actions only")
+    return action.weights
 
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _orbit_search(weights, V: np.ndarray, tol: float, log_t_range: float = 14.0,
+                  samples: int = 60) -> np.ndarray:
+    """Where the orbit closure of each row v of V meets the zero level: -inf or
+    inf for the t -> 0 or t -> infinity limit (mu = extremal weight on the
+    support / 2 pi; '0' first), s for e^(s w) . v, nan when it does not.  The
+    first grid hit wins, else the first sign change, narrowed in lockstep by
+    Newton steps (mu' = Var_p(w) / pi; the midpoint when a step leaves the
+    bracket) for at most 200 evaluations."""
+    w = np.array(weights, dtype=float)
+    log_a = 2.0 * np.log(np.abs(V))  # -inf off the support
+    w_live = np.where(V != 0, w, np.nan)
+    s = np.full(len(V), np.nan)
+    s[np.abs(np.fmax.reduce(w_live, axis=1)) / (2.0 * math.pi) <= tol] = np.inf
+    s[np.abs(np.fmin.reduce(w_live, axis=1)) / (2.0 * math.pi) <= tol] = -np.inf
     ss = np.linspace(-log_t_range, log_t_range, samples)
-    on_grid, at = _ray_moment_map(action, v)
-    vals = on_grid(ss)
-    hits = np.flatnonzero(np.abs(vals) <= tol)
-    if len(hits):
-        return True, ProjPoint(tuple(v * np.exp(ss[hits[0]] * w)))
-    for k in np.flatnonzero(vals[:-1] * vals[1:] < 0)[:1]:  # first bracket only
-        lo, hi, f0 = ss[k], ss[k + 1], vals[k]
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = at(mid)
-            if abs(fm) <= tol:
-                return True, ProjPoint(tuple(v * np.exp(mid * w)))
-            if f0 * fm < 0:
-                hi = mid
-            else:
-                lo, f0 = mid, fm
-    return False, None
+    vals = _ray_moment_map(log_a[:, None, :], ss[:, None], w)[0]
+    hit, todo = np.abs(vals) <= tol, np.isnan(s)  # not decided by a limit
+    found = todo & hit.any(axis=1)
+    s[found] = ss[hit[found].argmax(axis=1)]
+    sign_change = vals[:, :-1] * vals[:, 1:] < 0
+    rows = np.flatnonzero(todo & ~found & sign_change.any(axis=1))
+    k = sign_change[rows].argmax(axis=1)  # first bracket only
+    lo, hi, log_a = ss[k], ss[k + 1], log_a[rows]
+    x, evals = 0.5 * (lo + hi), 0
+    while len(rows) and evals < 200:
+        evals += 1
+        mu, slope = _ray_moment_map(log_a, x[:, None], w)
+        done = np.abs(mu) <= tol
+        if done.any():
+            s[rows[done]] = x[done]
+            rows, log_a, lo, hi, x, mu, slope = (
+                a[~done] for a in (rows, log_a, lo, hi, x, mu, slope))
+        up = mu > 0  # mu increases with s
+        lo, hi = np.where(up, lo, x), np.where(up, x, hi)
+        step = x - mu / slope
+        x = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+    return s
 
 
-def _ray_moment_map(action: LinearAction, v: np.ndarray):
-    """mu at e^(s w) . v in closed form: sum w_j a_j e^(2 s w_j) over 2 pi sum
-    a_j e^(2 s w_j), a_j = |v_j|^2 on the support of v, exponents shifted by
-    their maximum; returns (on_grid, at), for an array of s and one float s."""
-    live = v != 0
-    log_a, w = 2.0 * np.log(np.abs(v[live])), np.array(action.weights, dtype=float)[live]
-    la, wl = log_a.tolist(), w.tolist()
+def _ray_moment_map(log_a: np.ndarray, s, w: np.ndarray):
+    """mu at e^(s w) . v and d mu / ds over the last axis: sum w_j p_j / (2 pi
+    sum p_j) and Var_p(w) / pi, p_j = |v_j|^2 e^(2 s w_j) (log |v_j|^2 given),
+    the exponents shifted by their maximum."""
+    e = log_a + 2.0 * s * w
+    e -= np.maximum.reduce(e, axis=-1, keepdims=True)
+    p = np.exp(e, out=e)
+    z = np.add.reduce(p, axis=-1)
+    mean = (p @ w) / z
+    return mean / (2.0 * math.pi), ((p @ (w * w)) / z - mean * mean) / math.pi
 
-    def on_grid(s):
-        e = log_a + 2.0 * np.multiply.outer(s, w)
-        e = np.exp(e - e.max(axis=-1, keepdims=True))
-        return (e @ w) / (2.0 * math.pi * e.sum(axis=-1))
 
-    def at(s):
-        e = [a + 2.0 * s * wj for a, wj in zip(la, wl)]
-        top = max(e)
-        e = [math.exp(x - top) for x in e]
-        return sum(x * wj for x, wj in zip(e, wl)) / (2.0 * math.pi * sum(e))
-    return on_grid, at
+def _witness(weights, v: np.ndarray, s: float):
+    """(met, witness) for the row v of _orbit_search and its result s."""
+    if np.isnan(s):
+        return False, None
+    if np.isinf(s):
+        return True, one_param_limit(weights, v, "0" if s < 0 else "inf")
+    return True, ProjPoint(tuple(v * np.exp(s * np.array(weights, dtype=float))))
 
 
 def is_stable(action: LinearAction, x, inv: InvariantSet,
@@ -448,21 +474,23 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
     while len(points) < n_samples:
         points.append(ProjPoint(tuple(rng.normal(size=n) + 1j * rng.normal(size=n))))
 
-    rows = []
-    mismatches = 0
-    for p in points:
-        ss = semistable(p, inv, tol=1e-12)
-        met, _ = orbit_meets_zero_level(action, p, tol=max(tol, 1e-10))
-        mismatches += int(ss != met)
-        rows.append({"point": format_point(p), "semistable": ss,
-                     "orbit_meets_zero_level": met,
-                     "mu": [float(c) for c in moment_map(action, p)],
-                     "limit_t_to_0": format_point(one_param_limit(action.weights, p, "0")),
-                     "limit_t_to_inf": format_point(one_param_limit(action.weights, p, "inf"))})
+    weights = _one_param_weights(action)
+    V = np.array([p.to_complex() for p in points])
+    semi = np.any(_invariant_moduli(inv, V) > 1e-12, axis=1)
+    met = ~np.isnan(_orbit_search(weights, V, max(tol, 1e-10)))
+    mismatches = int(np.count_nonzero(semi != met))
+    mus = [moment_map(action, p) for p in points]
+    rows = [{"point": format_point(p), "semistable": bool(a), "orbit_meets_zero_level": bool(b),
+             "mu": [float(c) for c in mu],
+             "limit_t_to_0": format_point(one_param_limit(weights, p, "0")),
+             "limit_t_to_inf": format_point(one_param_limit(weights, p, "inf"))}
+            for p, a, b, mu in zip(points, semi, met, mus)]
 
-    zl = zero_level(action, points, tol=1e-7)
+    zl = [p for p, mu in zip(points, mus) if float(np.linalg.norm(mu)) <= 1e-7]
     zl_phases = _zero_level_samples(action, rng, count=64)
-    zero_all_semistable = all(semistable(p, inv, tol=1e-12) for p in zl + zl_phases)
+    zl_moduli = _invariant_moduli(
+        inv, np.array([p.to_complex() for p in zl + zl_phases]).reshape(-1, n))
+    zero_all_semistable = bool(np.all(np.any(zl_moduli > 1e-12, axis=1)))
     classes = count_k_orbit_classes(action, zl_phases) if zl_phases else 0
     inv_classes = _invariant_value_classes(inv, zl_phases) if zl_phases else 0
     return {
@@ -484,30 +512,26 @@ def _invariant_value_classes(inv: InvariantSet, points, tol: float = 1e-6) -> in
     |F(x)| / ||x||^deg F is constant on K-orbits and on projective classes,
     so the number of distinct value vectors lower-bounds the fiber count of
     the invariant-theory quotient on the sampled set."""
-    vectors = []
-    for p in points:
-        v = p.to_complex()
-        nrm = float(np.linalg.norm(v))
-        vectors.append(np.array([abs(F.evaluate(v)) / nrm ** F.degree()
-                                 for F in inv.polys]))
-    classes: list[np.ndarray] = []
-    for vec in vectors:
-        if not any(np.max(np.abs(vec - c)) <= tol for c in classes):
-            classes.append(vec)
+    vectors = _invariant_moduli(inv, np.array([p.to_complex() for p in points]))
+    classes = vectors[:0]
+    for vec in vectors:  # greedy: the first match keeps a vector out
+        if not np.any(np.max(np.abs(classes - vec), axis=1) <= tol):
+            classes = np.vstack([classes, vec])
     return len(classes)
 
 
 def _zero_level_samples(action: LinearAction, rng, count: int = 64) -> list:
-    """Deterministic points on the moment zero level of a diagonal
-    one-parameter action, found by bisection along random rays."""
-    out = []
-    tries = 0
+    """Deterministic points on the moment zero level of a diagonal one-parameter
+    action, found by the orbit search along random rays (drawn in blocks)."""
+    weights, n = action.weights, action.n + 1
+    out, tries = [], 0
     while len(out) < count and tries < 50 * count:
-        tries += 1
-        n = action.n + 1
-        x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        met, witness = orbit_meets_zero_level(action, x, tol=1e-12)
-        if met and witness is not None:
-            if float(np.linalg.norm(moment_map(action, witness))) <= 1e-10:
+        block = min(count - len(out), 50 * count - tries)
+        tries += block
+        ri = rng.normal(size=(block, 2, n))
+        X = ri[:, 0] + 1j * ri[:, 1]
+        for x, s in zip(X, _orbit_search(weights, X, 1e-12)):
+            met, witness = _witness(weights, x, s)
+            if met and float(np.linalg.norm(moment_map(action, witness))) <= 1e-10:
                 out.append(witness)
     return out

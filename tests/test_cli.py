@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 import subprocess
 import sys
@@ -339,10 +340,14 @@ def test_quad_override_reports_exactness(tmp_path, capsys):
 # -- config and determinism ----------------------------------------------------------------------
 
 def test_unknown_flag_exits_2():
+    # the child imports the package this suite imports, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "projquant.cli", "hilbert", "--nvars", "3",
          "--bogus-flag"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 2
 
 
@@ -364,19 +369,20 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(str(cfg))
 
 
-def test_power_tol_is_not_a_config_key(tmp_path, capsys):
-    # nothing reads a power-iteration tolerance, so the config neither
-    # accepts nor echoes one
+@pytest.mark.parametrize("key", ["power_tol", "rank_rtol", "membership_tol"])
+def test_dead_tolerances_are_not_config_keys(tmp_path, capsys, key):
+    # nothing reads these tolerances, so the config neither accepts nor
+    # echoes them
     cfg = tmp_path / "old.cfg"
-    cfg.write_text("power_tol = 1e-12\n")
+    cfg.write_text(f"{key} = 1e-9\n")
     with pytest.raises(SystemExit) as exc:
         main(["--config", str(cfg), "hilbert", "--nvars", "2", "--m", "0..2"])
     assert exc.value.code == 2
-    assert "power_tol" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
     code, out = run_cli(capsys, "hilbert", "--nvars", "2", "--m", "0..2")
-    assert code == 0 and not any("power_tol" in line for line in comments(out))
+    assert code == 0 and not any(key in line for line in comments(out))
     code, out = run_cli(capsys, "classify-cubic", "--g2", "0", "--g3", "0")
-    assert code == 0 and "power_tol" not in json.loads(out)["config"]
+    assert code == 0 and key not in json.loads(out)["config"]
 
 
 def test_byte_identical_reruns(capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from projquant.gaussrat import GaussianRational
 from projquant.poly import Polynomial
-from projquant.projgeo import ProjPoint
+from projquant.projgeo import ProjPoint, format_point
 from projquant.gitquot import (
     EmptyInvariantSetError,
     InexactGeneratorsError,
@@ -210,18 +210,24 @@ def test_orbit_search_rejects_nondiagonal():
 
 
 
+def _points(n):
+    """A point with a random support, moduli in [0.1, 10] and random phases."""
+    live = st.lists(st.booleans(), min_size=n, max_size=n).filter(any)
+    mods = st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)
+    phases = st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n)
+    return st.tuples(live, mods, phases).map(lambda c: np.array(
+        [m * cmath.exp(1j * a) if on else 0.0 for on, m, a in zip(*c)]))
+
+
 @st.composite
-def weighted_points(draw):
-    """Weights in [-3, 3] on 2-4 coordinates and a point with a random
-    support, moduli in [0.1, 10] and random phases."""
+def weighted_points(draw, rows=None):
+    """Weights in [-3, 3] on 2-4 coordinates and a point, or a stack of 1
+    to `rows` points."""
     n = draw(st.integers(2, 4))
     weights = tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
-    live = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
-    mods = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
-    phases = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n))
-    x = np.array([m * cmath.exp(1j * a) if on else 0.0
-                  for m, a, on in zip(mods, phases, live)])
-    return weights, x
+    if rows is None:
+        return weights, draw(_points(n))
+    return weights, np.array(draw(st.lists(_points(n), min_size=1, max_size=rows)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -243,17 +249,46 @@ def test_orbit_search_properties(case, lam):
 
 
 @settings(max_examples=200, deadline=None)
+@given(weighted_points(rows=8), st.sampled_from([1e-9, 1e-12]))
+def test_orbit_search_batch_matches_rows(case, tol):
+    from projquant.gitquot import _orbit_search, _witness
+
+    weights, V = case
+    action = LinearAction.from_weights(weights)
+    found = _orbit_search(weights, V, tol)
+    for v, s in zip(V, found):
+        met, witness = orbit_meets_zero_level(action, v, tol=tol)
+        assert met == (not np.isnan(s))
+        if not met:
+            continue
+        batch_witness = _witness(weights, v, s)[1]
+        for p in (witness, batch_witness):
+            assert abs(moment_map(action, p)[0]) <= tol
+        if np.isinf(s):  # a one-parameter limit
+            limit = one_param_limit(weights, v, "0" if s < 0 else "inf")
+            assert batch_witness.coords == witness.coords == limit.coords
+
+
+@settings(max_examples=200, deadline=None)
 @given(weighted_points(), st.floats(-14.0, 14.0))
 def test_ray_closed_form_matches_moment_map(case, s):
     from projquant.gitquot import _ray_moment_map
 
     weights, x = case
+    w = np.array(weights, dtype=float)
     action = LinearAction.from_weights(weights)
-    on_grid, at = _ray_moment_map(action, x)
-    direct = moment_map(action, x * np.exp(s * np.array(weights, dtype=float)))[0]
-    scale = max(max(abs(w) for w in weights) / (2 * math.pi), abs(direct))  # |mu| bound
-    assert abs(at(s) - direct) <= 1e-13 * scale
-    assert abs(on_grid(np.array([s, 0.0]))[0] - direct) <= 1e-13 * scale
+    with np.errstate(divide="ignore"):
+        log_a = 2.0 * np.log(np.abs(x))
+    direct = moment_map(action, x * np.exp(s * w))[0]
+    scale = max(max(abs(w)) / (2 * math.pi), abs(direct))  # |mu| bound
+    on_grid = _ray_moment_map(log_a[None, None, :], np.array([[s], [0.0]]), w)[0]
+    mu, slope = (float(a[0]) for a in _ray_moment_map(log_a[None, :], np.array([[s]]), w))
+    assert abs(on_grid[0, 0] - direct) <= 1e-13 * scale
+    assert abs(mu - direct) <= 1e-13 * scale
+    # central difference, error O(h^2 |mu'''|) + O(eps |mu| / h)
+    h = 1e-5
+    up, down = _ray_moment_map(log_a[None, :], np.array([[s + h], [s - h]]), w)[0]
+    assert abs(slope - (up - down) / (2 * h)) <= 1e-7 * max(1.0, max(abs(w)) ** 2)
 
 
 # -- stability ------------------------------------------------------------------------
@@ -332,6 +367,122 @@ def test_kirwan_correspondence_hyperbolic():
     generic = next(r for r in report["samples"] if r["semistable"])
     assert generic["limit_t_to_0"].endswith(": 0.0)")
     assert generic["limit_t_to_inf"].startswith("(0.0 :")
+
+
+def _greedy_value_classes(inv, points, tol=1e-6):
+    """Pairwise greedy reference for _invariant_value_classes: scalar
+    evaluations, each vector compared with one class at a time."""
+    classes = []
+    for p in points:
+        v = p.to_complex()
+        nrm = float(np.linalg.norm(v))
+        vec = [abs(F.evaluate(v)) / nrm ** F.degree() for F in inv.polys]
+        if not any(max(abs(a - b) for a, b in zip(vec, c)) <= tol for c in classes):
+            classes.append(vec)
+    return len(classes)
+
+
+def test_invariant_value_classes_against_pairwise_greedy():
+    from projquant.gitquot import _invariant_value_classes
+
+    action = LinearAction.from_weights((-1, 1, 1))
+    y = [Polynomial.variable(3, j) for j in range(3)]
+    inv = InvariantSet.certified([y[0] * y[1], y[0] * y[2]], action)
+    tol = 1e-6
+
+    def values(x):
+        return np.array([abs(F.evaluate(x)) for F in inv.polys]) / np.linalg.norm(x) ** 2
+
+    rng = np.random.default_rng(11)
+    points = []
+    for _ in range(6):
+        base = rng.normal(size=3) + 1j * rng.normal(size=3)
+        step = rng.normal(size=3)
+        rate = np.max(np.abs(values(base + 1e-4 * step) - values(base))) / 1e-4
+        # sup-norm distances 0.5, 0.9, 1.5 and 2 tol from the base along one
+        # line: the first two join the base's class, the last two a new one
+        points.append(pt(*base))
+        points += [pt(*(base + c * tol / rate * step)) for c in (0.5, 0.9, 1.5, 2.0)]
+    got = _invariant_value_classes(inv, points, tol)
+    assert got == _greedy_value_classes(inv, points, tol) == 12
+    rng.shuffle(points)
+    assert _invariant_value_classes(inv, points, tol) == _greedy_value_classes(inv, points, tol)
+
+
+@pytest.mark.parametrize("weights, count", [((-1, 1, 1), 64), ((0, 1), 8), ((1, 2), 3)])
+def test_zero_level_samples_follow_single_ray_draws(weights, count):
+    from projquant.gitquot import _zero_level_samples
+
+    action = LinearAction.from_weights(weights)
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    got = _zero_level_samples(action, rng, count)
+    want, tries = [], 0
+    while len(want) < count and tries < 50 * count:  # one ray per draw
+        tries += 1
+        x = ref.normal(size=len(weights)) + 1j * ref.normal(size=len(weights))
+        met, witness = orbit_meets_zero_level(action, x, tol=1e-12)
+        if met and abs(moment_map(action, witness)[0]) <= 1e-10:
+            want.append(witness)
+    assert len(got) == len(want) == (0 if weights == (1, 2) else count)
+    for p, q in zip(got, want):
+        assert np.allclose(p.to_complex(), q.to_complex(), rtol=1e-12, atol=0.0)
+    assert rng.normal() == ref.normal()  # the same number of draws
+
+
+def _kirwan_reference(action, inv, n_samples, tol, seed):
+    """kirwan_correspondence_check one point and one ray at a time."""
+    rng = np.random.default_rng(seed)
+    n = action.n + 1
+
+    def draw():
+        return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+    points = [ProjPoint(tuple(draw())) for _ in range(max(0, n_samples - 2 * n))]
+    points += [ProjPoint(tuple(1.0 if i == j else 0.0 for i in range(n))) for j in range(n)]
+    while len(points) < n_samples:
+        points.append(ProjPoint(tuple(draw())))
+    rows, mismatches = [], 0
+    for p in points:
+        ss = semistable(p, inv, tol=1e-12)
+        met, _ = orbit_meets_zero_level(action, p, tol=max(tol, 1e-10))
+        mismatches += int(ss != met)
+        rows.append({"point": format_point(p), "semistable": ss,
+                     "orbit_meets_zero_level": met,
+                     "mu": [float(c) for c in moment_map(action, p)],
+                     "limit_t_to_0": format_point(one_param_limit(action.weights, p, "0")),
+                     "limit_t_to_inf": format_point(one_param_limit(action.weights, p, "inf"))})
+    zl = zero_level(action, points, tol=1e-7)
+    phases, tries = [], 0
+    while len(phases) < 64 and tries < 50 * 64:
+        tries += 1
+        met, witness = orbit_meets_zero_level(action, draw(), tol=1e-12)
+        if met and abs(moment_map(action, witness)[0]) <= 1e-10:
+            phases.append(witness)
+    classes = count_k_orbit_classes(action, phases) if phases else 0
+    inv_classes = _greedy_value_classes(inv, phases) if phases else 0
+    return {
+        "n_samples": len(points),
+        "samples": rows,
+        "equivalence_holds": mismatches == 0,
+        "mismatches": mismatches,
+        "zero_level_sampled": len(zl),
+        "zero_level_all_semistable": all(semistable(p, inv, tol=1e-12) for p in zl + phases),
+        "quotient_classes": classes,
+        "invariant_value_classes": inv_classes,
+        "quotient_matches_invariants": classes == inv_classes,
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("weights, monomials", [
+    ((-1, 1), [(1, 1)]), ((-1, 2), [(2, 1)]), ((-1, 1, 1), [(1, 1, 0), (1, 0, 1)])])
+def test_kirwan_check_matches_pointwise_reference(weights, monomials, seed):
+    action = LinearAction.from_weights(weights)
+    inv = InvariantSet.certified(
+        [Polynomial.monomial(len(weights), m) for m in monomials], action)
+    report = kirwan_correspondence_check(action, inv, n_samples=60, tol=1e-9, seed=seed)
+    assert report == _kirwan_reference(action, inv, 60, 1e-9, seed)
+    assert report["equivalence_holds"] and report["zero_level_all_semistable"]
 
 
 def test_kirwan_trivial_action_contract():
