@@ -57,12 +57,11 @@ def _csv(config: RunConfig, header: list[str], rows, trailer: list[str] = ()) ->
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (complex, np.complexfloating)) and not isinstance(x, (float, np.floating)):
-        x = complex(x)
-        if abs(x.imag) <= 1e-12 * max(1.0, abs(x.real)):
-            return repr(x.real)
-        return repr(x)
-    if isinstance(x, (float, np.floating)):
+    if isinstance(x, complex):
+        if abs(x.imag) > 1e-12 * max(1.0, abs(x.real)):
+            return repr(complex(x))
+        x = x.real
+    if isinstance(x, float):
         return repr(float(x))
     return str(x)
 
@@ -138,17 +137,18 @@ def cmd_curve_points(args, config: RunConfig) -> int:
 
 def cmd_weierstrass_embed(args, config: RunConfig) -> int:
     lat = weierstrass.Lattice(complex(args.tau))
-    N = args.cutoff if args.cutoff else config.lattice_cutoff
     rng = np.random.default_rng(config.seed)
-    zs = []
+    zs = np.empty(0, dtype=complex)
     while len(zs) < args.samples:
-        z = complex(rng.uniform(0.02, 0.98), rng.uniform(0.02, 0.98) * lat.tau.imag)
-        if lat.distance_to_lattice(z) > 10 * weierstrass.POLE_GUARD:
-            zs.append(z)
-    zs = np.array(zs, dtype=complex)
-    X, Y = weierstrass.wp(lat, zs, N), weierstrass.wp_prime(lat, zs, N)
-    res = weierstrass.eisenstein(lat, N).cubic_residual(X, Y)
-    rows = list(zip(zs.real.tolist(), zs.imag.tolist(), X, Y, [1.0] * len(zs), res))
+        # blocks of the points still needed: the stream of one (x, y) draw per
+        # point, and never a draw past the last accepted point
+        xy = rng.uniform(0.02, 0.98, size=(args.samples - len(zs), 2))
+        z = xy[:, 0] + 1j * (xy[:, 1] * lat.tau.imag)
+        zs = np.concatenate([zs, z[lat.distance_to_lattice(z) > 10 * weierstrass.POLE_GUARD]])
+    X, Y = weierstrass.wp(lat, zs), weierstrass.wp_prime(lat, zs)
+    res = weierstrass.eisenstein(lat).cubic_residual(X, Y)
+    rows = zip(zs.real.tolist(), zs.imag.tolist(), X.tolist(), Y.tolist(),
+               [1.0] * len(zs), res.tolist())
     worst = float(max(res, default=0.0))
     trailer = [f"# max_ode_residual = {worst!r}", f"# pass = {worst <= 1e-6}"]
     _write(_csv(config, ["z_re", "z_im", "X", "Y", "Z", "residual"], rows, trailer),
@@ -355,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", required=True,
                    help="lattice parameter as a Python complex, e.g. 2j or 0.5+0.866j")
     p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--cutoff", type=int, default=0,
-                   help="series cutoff N (default: config lattice_cutoff)")
     p.add_argument("--out")
     p.set_defaults(handler=cmd_weierstrass_embed)
 

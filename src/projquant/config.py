@@ -19,7 +19,6 @@ OUTPUT_DIR_ENV = "PROJQUANT_OUTDIR"
 class RunConfig:
     quad_radial: int = 0          # 0 = derived from the level cap
     quad_angular: int = 0         # 0 = derived from the level cap
-    lattice_cutoff: int = 60
     zero_level_tol: float = 1e-9
     seed: int = 0
 

@@ -301,10 +301,10 @@ def _orbit_search(weights, V: np.ndarray, tol: float, log_t_range: float = 14.0,
     bracket) for at most 200 evaluations."""
     w = np.array(weights, dtype=float)
     log_a = 2.0 * np.log(np.abs(V))  # -inf off the support
-    w_live = np.where(V != 0, w, np.nan)
+    w_lo, w_hi = _extremal_weights(weights, V)
     s = np.full(len(V), np.nan)
-    s[np.abs(np.fmax.reduce(w_live, axis=1)) / (2.0 * math.pi) <= tol] = np.inf
-    s[np.abs(np.fmin.reduce(w_live, axis=1)) / (2.0 * math.pi) <= tol] = -np.inf
+    s[np.abs(w_hi) / (2.0 * math.pi) <= tol] = np.inf
+    s[np.abs(w_lo) / (2.0 * math.pi) <= tol] = -np.inf
     ss = np.linspace(-log_t_range, log_t_range, samples)
     vals = _ray_moment_map(log_a[:, None, :], ss[:, None], w)[0]
     hit, todo = np.abs(vals) <= tol, np.isnan(s)  # not decided by a limit
@@ -328,6 +328,13 @@ def _orbit_search(weights, V: np.ndarray, tol: float, log_t_range: float = 14.0,
         step = x - mu / slope
         x = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
     return s
+
+
+def _extremal_weights(weights, V: np.ndarray):
+    """Least and greatest weight on the support of each row of V: the
+    weights whose coordinates survive as t -> 0 and t -> infinity."""
+    w_live = np.where(V != 0, np.array(weights, dtype=float), np.nan)
+    return np.fmin.reduce(w_live, axis=1), np.fmax.reduce(w_live, axis=1)
 
 
 def _ray_moment_map(log_a: np.ndarray, s, w: np.ndarray):
@@ -480,11 +487,13 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
     met = ~np.isnan(_orbit_search(weights, V, max(tol, 1e-10)))
     mismatches = int(np.count_nonzero(semi != met))
     mus = [moment_map(action, p) for p in points]
+    # one_param_limit of every row: the coordinates at the extremal weights
+    w = np.array(weights, dtype=float)
+    limits = [[format_point(ProjPoint(row)) for row in np.where(w == ext[:, None], V, 0.0)]
+              for ext in _extremal_weights(weights, V)]
     rows = [{"point": format_point(p), "semistable": bool(a), "orbit_meets_zero_level": bool(b),
-             "mu": [float(c) for c in mu],
-             "limit_t_to_0": format_point(one_param_limit(weights, p, "0")),
-             "limit_t_to_inf": format_point(one_param_limit(weights, p, "inf"))}
-            for p, a, b, mu in zip(points, semi, met, mus)]
+             "mu": [float(c) for c in mu], "limit_t_to_0": l0, "limit_t_to_inf": linf}
+            for p, a, b, mu, l0, linf in zip(points, semi, met, mus, *limits)]
 
     zl = [p for p, mu in zip(points, mus) if float(np.linalg.norm(mu)) <= 1e-7]
     zl_phases = _zero_level_samples(action, rng, count=64)

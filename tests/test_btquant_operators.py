@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from projquant.btquant import (
     SectionBasis,
@@ -258,3 +259,20 @@ def test_section_basis_values_shape(quad16):
     assert values.shape == (6, quad16.nodes.size)
     gram = (values.conj() * quad16.weights) @ values.T
     assert np.max(np.abs(gram - np.eye(6))) < 1e-12
+
+
+_REAL_FAMILY = ("one", "x1", "x2", "x3", "x3sq", "x1x2")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6), st.integers(1, 48))
+def test_toeplitz_of_real_function_is_hermitian_and_bounded(family, quad64, coeffs, m):
+    # real combinations of the family: T_f is Hermitian, and the compression
+    # of multiplication by f has norm at most sup |f|
+    fs = [family[name] for name in _REAL_FAMILY]
+    f = SmoothFunction("combo", fn=lambda z: sum(c * g.fn(z) for c, g in zip(coeffs, fs)),
+                       at_infinity=sum(c * g.at_infinity for c, g in zip(coeffs, fs)))
+    T = toeplitz(f, m, quad=quad64)
+    sup = f.sup_norm()
+    assert T.hermiticity_defect() <= 1e-13 * max(1.0, sup)
+    assert op_norm(T) <= sup * (1 + 1e-12) + 1e-13

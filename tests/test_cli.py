@@ -218,6 +218,63 @@ def test_hilbert_full_ring(capsys):
 
 # -- weierstrass-embed --------------------------------------------------------------------
 
+def test_weierstrass_embed_has_no_cutoff_flag(capsys):
+    # the nome-series length is derived from the reduced lattice
+    with pytest.raises(SystemExit) as exc:
+        main(["weierstrass-embed", "--tau", "2j", "--samples", "8", "--cutoff", "48"])
+    assert exc.value.code == 2
+    assert "--cutoff" in capsys.readouterr().err
+
+
+def test_weierstrass_embed_samples_follow_single_point_draws(tmp_path, capsys):
+    # the block draws give the stream of one (x, y) pair per point
+    from projquant.weierstrass import POLE_GUARD, Lattice
+
+    for tau, samples, seed in ((2j, 50, 0), (0.3 + 0.1j, 17, 5), (1e-3j, 9, 2)):
+        lat = Lattice(tau)
+        rng = np.random.default_rng(seed)
+        want = []
+        while len(want) < samples:
+            z = complex(rng.uniform(0.02, 0.98), rng.uniform(0.02, 0.98) * lat.tau.imag)
+            if lat.distance_to_lattice(z) > 10 * POLE_GUARD:
+                want.append(z)
+        cfg = tmp_path / f"seed{seed}.cfg"
+        cfg.write_text(f"seed = {seed}\n")
+        _, rows = csv_rows(run_cli(capsys, "--config", str(cfg), "weierstrass-embed",
+                                   f"--tau={tau!r}", "--samples", str(samples))[1])
+        assert [complex(float(r[0]), float(r[1])) for r in rows] == want
+
+
+class _ScriptedUniform:
+    """Stands in for the generator: uniform() hands out the scripted (x, y)
+    rows in order and records the block sizes asked for."""
+
+    def __init__(self, rows):
+        self.rows, self.sizes = list(rows), []
+
+    def uniform(self, low, high, size):
+        self.sizes.append(size)
+        block, self.rows = self.rows[:size[0]], self.rows[size[0]:]
+        return np.array(block, dtype=float)
+
+
+def test_weierstrass_embed_block_draws_stop_at_last_accepted_point(capsys, monkeypatch):
+    # (0, 0) is the lattice point 0 and is rejected; random draws almost never
+    # are, so only a scripted stream shows the refill blocks and where they stop
+    good = [(0.1 * k + 0.05, 0.37) for k in range(9)]
+    script = [good[0], (0, 0), good[1], (0, 0), good[2], (0, 0), good[3], good[4], (0, 0),
+              good[5], (0, 0), good[6], good[7], good[8]]
+    fake = _ScriptedUniform(script + [(0.5, 0.5)] * 8)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: fake)
+    code, out = run_cli(capsys, "weierstrass-embed", "--tau", "2j", "--samples", "9")
+    assert code == 0
+    zs = [(float(r[0]), float(r[1])) for r in csv_rows(out)[1]]
+    assert zs == [(x, 2 * y) for x, y in good]
+    # 9 needed, 5 kept; 4 needed, 3 kept; 1 needed, 1 kept: nothing past good[8]
+    assert fake.sizes == [(9, 2), (4, 2), (1, 2)]
+    assert len(fake.rows) == 8
+
+
 def test_weierstrass_embed(capsys):
     code, out = run_cli(capsys, "weierstrass-embed", "--tau", "2j",
                         "--samples", "8")
@@ -353,13 +410,13 @@ def test_unknown_flag_exits_2():
 
 def test_config_file_round_trip(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("lattice_cutoff = 48\nseed = 3  # comment\n")
+    cfg.write_text("zero_level_tol = 1e-07\nseed = 3  # comment\n")
     parsed = load_config(str(cfg))
-    assert parsed.lattice_cutoff == 48 and parsed.seed == 3
+    assert parsed.zero_level_tol == 1e-07 and parsed.seed == 3
     code, out = run_cli(capsys, "--config", str(cfg), "hilbert",
                         "--nvars", "2", "--m", "0..2")
     assert code == 0
-    assert "# lattice_cutoff = 48" in comments(out)
+    assert "# zero_level_tol = 1e-07" in comments(out)
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -369,10 +426,11 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(str(cfg))
 
 
-@pytest.mark.parametrize("key", ["power_tol", "rank_rtol", "membership_tol"])
+@pytest.mark.parametrize("key", ["power_tol", "rank_rtol", "membership_tol",
+                                 "lattice_cutoff"])
 def test_dead_tolerances_are_not_config_keys(tmp_path, capsys, key):
-    # nothing reads these tolerances, so the config neither accepts nor
-    # echoes them
+    # nothing reads these tolerances (nor the torus series cutoff, which is
+    # derived per lattice), so the config neither accepts nor echoes them
     cfg = tmp_path / "old.cfg"
     cfg.write_text(f"{key} = 1e-9\n")
     with pytest.raises(SystemExit) as exc:
@@ -410,4 +468,4 @@ def test_output_dir_env_override(tmp_path, monkeypatch, capsys):
 
 def test_runconfig_validation():
     with pytest.raises(ValueError):
-        RunConfig(lattice_cutoff=0)
+        RunConfig(zero_level_tol=0)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from projquant.gaussrat import GaussianRational, I_UNIT, exact_rank
 
@@ -70,3 +71,38 @@ def test_exact_rank_gaussian_entries():
 def test_exact_rank_zero_and_empty():
     assert exact_rank([[Fraction(0), Fraction(0)]]) == 0
     assert exact_rank([]) == 0
+
+
+def _fraction_rank(rows):
+    """Rank by plain Gauss-Jordan elimination over Fraction."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col] / m[rank][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def low_rank_rational_matrices(draw):
+    """Products of random factors, so that rank deficiency is common; the
+    entries are rationals and some factors have zero rows or columns."""
+    rows, cols, inner = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+    left = draw(st.lists(st.lists(entry, min_size=inner, max_size=inner), min_size=rows, max_size=rows))
+    right = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=inner, max_size=inner))
+    return [[sum(left[i][k] * right[k][j] for k in range(inner)) for j in range(cols)]
+            for i in range(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(low_rank_rational_matrices())
+def test_exact_rank_against_fraction_elimination(m):
+    assert exact_rank(m) == _fraction_rank(m)

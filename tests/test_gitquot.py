@@ -429,6 +429,50 @@ def test_zero_level_samples_follow_single_ray_draws(weights, count):
     assert rng.normal() == ref.normal()  # the same number of draws
 
 
+class _ScriptedNormal:
+    """Stands in for the generator: normal() hands out the scripted rays (as
+    (2, n) real/imaginary pairs) in order and records the block sizes."""
+
+    def __init__(self, rays):
+        self.rays, self.sizes = list(rays), []
+
+    def normal(self, size):
+        self.sizes.append(size[0])
+        block, self.rays = self.rays[:size[0]], self.rays[size[0]:]
+        return np.array([[x.real, x.imag] for x in block])
+
+
+def test_zero_level_samples_stop_at_last_accepted_ray():
+    # random rays are accepted all-or-none (a generic ray of weights (-1, 1)
+    # always meets the zero level), so only a scripted stream can mix them:
+    # (0, 1) lies off the support of the weight -1 and is rejected
+    from projquant.gitquot import _zero_level_samples
+
+    good = [np.array([1.0 + k, 2.0 - 1j * k]) for k in range(5)]
+    bad = np.array([0.0, 1.0 + 0j])
+    fake = _ScriptedNormal([good[0], bad, good[1], bad, good[2], bad, good[3], good[4]]
+                           + [good[0]] * 6)
+    got = _zero_level_samples(LinearAction.from_weights((-1, 1)), fake, count=5)
+    # 5 needed, 3 kept; 2 needed, 1 kept; 1 needed, 1 kept: nothing past good[4]
+    assert fake.sizes == [5, 2, 1] and len(fake.rays) == 6
+    want = [orbit_meets_zero_level(LinearAction.from_weights((-1, 1)), x, tol=1e-12)[1]
+            for x in good]
+    assert [p.coords for p in got] == [q.coords for q in want]
+
+
+def test_orbit_search_reports_the_t_to_0_limit_first():
+    # with every support weight 0 both limits lie on the zero level; the
+    # t -> 0 limit (-inf) wins, as orbit_meets_zero_level documents
+    from projquant.gitquot import _orbit_search
+
+    V = np.array([[1.0, 0.0, 0.0], [0.3, -2j, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
+    s = _orbit_search((0, 0, 2), V, 1e-9)
+    assert s[0] == s[1] == -np.inf
+    assert np.isnan(s[2])  # support weight 2 only: mu = 1 / pi
+    assert s[3] == -np.inf  # least support weight 0
+    assert _orbit_search((-2, 0), np.array([[1.0, 1.0]]), 1e-9)[0] == np.inf
+
+
 def _kirwan_reference(action, inv, n_samples, tol, seed):
     """kirwan_correspondence_check one point and one ray at a time."""
     rng = np.random.default_rng(seed)
@@ -475,7 +519,8 @@ def _kirwan_reference(action, inv, n_samples, tol, seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("weights, monomials", [
-    ((-1, 1), [(1, 1)]), ((-1, 2), [(2, 1)]), ((-1, 1, 1), [(1, 1, 0), (1, 0, 1)])])
+    ((-1, 1), [(1, 1)]), ((-1, 2), [(2, 1)]), ((-1, 1, 1), [(1, 1, 0), (1, 0, 1)]),
+    ((0, 1), [(1, 0)]), ((-1, 0, 1), [(0, 1, 0)])])
 def test_kirwan_check_matches_pointwise_reference(weights, monomials, seed):
     action = LinearAction.from_weights(weights)
     inv = InvariantSet.certified(

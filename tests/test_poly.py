@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from projquant.poly import (
     Polynomial,
@@ -184,3 +185,17 @@ def test_exhaustive_small_products_divide():
            for a, b in product([-1, 1, 2], repeat=2)]
     for g, h in product(lin, repeat=2):
         assert divides(g, g * h)
+
+
+@st.composite
+def rational_polynomials(draw):
+    n = draw(st.integers(1, 4))
+    monos = st.tuples(*[st.integers(0, 4)] * n)
+    coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+    return Polynomial(n, draw(st.dictionaries(monos, coeffs, max_size=6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_polynomials())
+def test_format_parse_round_trip_property(p):
+    assert parse_polynomial(format_polynomial(p), nvars=p.nvars) == p
