@@ -28,8 +28,11 @@ def doubling_levels(m_min: int, m_max: int) -> list[int]:
     return levels
 
 
-def fit_loglog_slope(ms, values) -> float:
-    """Least-squares slope of log(value) against log(m)."""
+def fit_loglog_slope(ms, values) -> float | None:
+    """Least-squares slope of log(value) against log(m); None when fewer
+    than two distinct levels leave no line to fit."""
+    if len(set(ms)) < 2:
+        return None
     x = np.log(np.asarray(ms, dtype=float))
     y = np.log(np.asarray(values, dtype=float))
     return float(np.polyfit(x, y, 1)[0])
@@ -111,13 +114,14 @@ def star_c1_check(f: SmoothFunction, g: SmoothFunction, m_list,
         b = SectionBasis.build(m, quad)
         tf = toeplitz(f, m, basis=b)
         tg = toeplitz(g, m, basis=b)
-        fg = SmoothFunction(name="fg", fn=lambda z: f(z) * g(z))
-        gf = SmoothFunction(name="gf", fn=lambda z: g(z) * f(z))
-        m1 = m * (tf @ tg - toeplitz(fg, m, basis=b))
-        m1_swap = m * (tg @ tf - toeplitz(gf, m, basis=b))
+        # f g = g f pointwise, so one T_fg serves both orders
+        tfg = toeplitz(SmoothFunction(name="fg", fn=lambda z: f(z) * g(z)), m, basis=b)
+        fg_product = tf @ tg
+        m1 = m * (fg_product - tfg)
+        m1_swap = m * (tg @ tf - tfg)
         t_bracket = toeplitz(poisson_function(f, g), m, basis=b)
         antisym = op_norm((m1 - m1_swap) - (-1j) * t_bracket)
-        c0 = op_norm(tf @ tg - toeplitz(fg, m, basis=b))
+        c0 = op_norm(fg_product - tfg)
         rows.append((m, antisym, c0))
     antis = [a for (_, a, _) in rows]
     slope = fit_loglog_slope(m_list, antis) if all(a > 0 for a in antis) else None

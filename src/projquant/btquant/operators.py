@@ -3,8 +3,12 @@
 operator norm, and the graded family acting on the whole coordinate ring.
 
 Matrices are assembled in the closed-form orthonormal basis of sections.py
-with one angular FFT per radius and one radial sum per diagonal: O(R m^2)
-time and O(R A + R m) memory for R radii and A angles.
+with one angular FFT per radius and, for each parity of k - j, one real
+matrix product of the basis's radial table with the angular modes.  For R
+radii, A angles and n = m + 1 that is an R x A FFT plus about 8 R n^2 flops
+at BLAS-3 speed (8.7 GFLOP at m = 1024, half of them for (s, D) pairs that
+fall outside the matrix).  Memory is O(R A + n^2): the basis holds the
+(2m+1) x R table, 17 MB at m = 1024, and the n x n scales.
 
 The level-m geometric-quantization operator uses the Hamiltonian field of f
 taken with respect to m*omega (the symplectic form whose prequantum bundle
@@ -18,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .chart import SmoothFunction, shifted_by_laplacian
 from .quadrature import QuadratureRule, build_quadrature
@@ -68,24 +73,35 @@ def _assemble(b: SectionBasis, values: np.ndarray) -> np.ndarray:
     """Matrix <s_j, g s_k> of the function with the given node values.
 
     The rule is a product of radii and equally spaced angles, so the angular
-    sum of g against e^(i (k-j) theta) is one inverse FFT per radius, and
-    each diagonal d = k - j is that mode contracted with P[:, j] P[:, j+d]
-    over the radii: the same quadrature sum as the dense pairing, regrouped.
+    sum of g against e^(i (k-j) theta) is one inverse FFT per radius: the
+    weighted mode M_D(r_i) of D = k - j.  The radial sum pairs it with
+    P[i, j] P[i, k], which the basis factors as pair_scale[j, k] times
+    radial_table[s, i] with s = j + k.  So entry (j, k) is pair_scale[j, k]
+    mu_D(s), mu_D(s) = sum_i radial_table[s, i] M_D(r_i): the same quadrature
+    sum as the dense pairing, regrouped.  D and s have the same parity, and
+    one real matrix product per parity gives mu for all of its (s, D).
     """
+    m, n = b.m, b.dim
     R, A = b.quad.radial_count, b.quad.angular_count
-    modes = b.radial_weights[:, None] * np.fft.ifft(values.reshape(R, A), axis=1)
-    n = b.dim
-    k = np.arange(n)
-    # modes d and -d of diagonal d as four real columns (re, im, re, im), so
-    # each radial contraction is a real matrix product
-    pairs = np.stack([modes[:, k % A], modes[:, -k % A]], axis=-1)
-    pairs = np.ascontiguousarray(pairs.view(float).transpose(1, 0, 2))
-    PT = np.ascontiguousarray(b.profiles.T)
+    modes = np.fft.ifft(np.asarray(values, dtype=complex).reshape(R, A), axis=1)
+    modes *= b.radial_weights[:, None]
     out = np.empty((n, n), dtype=complex)
-    for d in range(n):
-        upper, lower = ((PT[:n - d] * PT[d:]) @ pairs[d]).view(complex).T
-        out[k[:n - d], k[d:]] = upper
-        out[k[d:], k[:n - d]] = lower
+    for p in (0, 1):
+        D0 = -m + (m + p) % 2  # the k - j of parity p are D0, D0 + 2, ..., <= m
+        D = np.arange(D0, m + 1, 2)
+        # mu[t, e] = mu_D[e](2t + p), with the modes as (re, im) column pairs
+        mu = (b.radial_table[p::2] @ modes.take(D % A, axis=1).view(float)).view(complex)
+        # Entry (2J + row, 2K + col) of the block out[row::2, col::2] has
+        # s = 2(J + K) + row + col and D = 2(K - J) + col - row, so it is
+        # element J (nD - 1) + K (nD + 1) + start of mu: a strided view.
+        nD, item = D.size, mu.itemsize
+        for row in (0, 1):
+            col = (row + p) % 2
+            block = out[row::2, col::2]
+            start = (row + col - p) // 2 * nD + (col - row - D0) // 2
+            view = as_strided(mu.reshape(-1)[start:], block.shape,
+                              ((nD - 1) * item, (nD + 1) * item), writeable=False)
+            np.multiply(view, b.pair_scale[row::2, col::2], out=block)
     return out
 
 

@@ -4,18 +4,35 @@ In the chart, H^0 is spanned by the monomials z^k, k = 0..m, whose Gram
 matrix is diagonal with Beta-integral entries 2*pi*k!(m-k)!/(m+1)!; so
 s_k = c_k z^k with c_k = sqrt((m+1)/(2*pi) * C(m,k)) is orthonormal in
 closed form.  At a node r e^(i theta) the weighted s_k is P[r, k] e^(i k theta)
-with the radial profile P[r, k] = c_k r^k (1+r^2)^(-m/2), evaluated in log
-space so that nothing overflows at large m.
+with the radial profile P[r, k] = c_k r^k (1+r^2)^(-m/2).
+
+A product of two profiles, P[r, j] P[r, k] = c_j c_k r^s (1+r^2)^(-m), depends
+on j and k only through s = j + k and the constants, so the basis stores the
+radial table r^s (1+r^2)^(-m) for s = 0..2m, each row divided by its maximum
+over the radii, and the matching scales c_j c_k max_r r^(j+k) (1+r^2)^(-m).
+Everything is evaluated in log space so that nothing overflows at large m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial, pi
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .quadrature import InsufficientResolutionError, QuadratureRule, build_quadrature
+
+#: Normalized radial-table entries below this are stored as zero.  Dropping
+#: them moves a matrix entry by at most 1e-250 * (m+1) * max|g|: the scale of
+#: an entry is max_r P[r, j] P[r, k] <= (m+1)/(2 pi) (P[r, k]^2 is (m+1)/(2 pi)
+#: times a binomial probability), and the weighted angular modes of g sum to at
+#: most 2 pi max|g| over the radii.  The operator's norm is at most max|g|, so
+#: that is some 1e-234 * (m+1) of its rounding unit, far below anything
+#: rounding can see.  The entries it zeroes would otherwise reach the matrix
+#: product as subnormals, which run it several times slower.
+TABLE_FLUSH = 1e-250
 
 
 def gram_entry_closed_form(j: int, k: int, m: int) -> float:
@@ -25,6 +42,10 @@ def gram_entry_closed_form(j: int, k: int, m: int) -> float:
     return 2.0 * pi * factorial(k) * factorial(m - k) / factorial(m + 1)
 
 
+def _radii(quad: QuadratureRule) -> np.ndarray:
+    return np.abs(quad.nodes.reshape(quad.radial_count, quad.angular_count)[:, 0])
+
+
 @dataclass(frozen=True)
 class SectionBasis:
     """Orthonormal basis data of H^0(P^1, L^m) on a product quadrature rule."""
@@ -32,29 +53,44 @@ class SectionBasis:
     m: int
     quad: QuadratureRule
     radial_weights: np.ndarray  # (R,) weight of each radius, summed over angles
-    profiles: np.ndarray        # (R, m+1) P[i, k] = c_k r_i^k (1+r_i^2)^(-m/2)
+    log_c: np.ndarray           # (m+1,) log c_k
+    radial_table: np.ndarray    # (2m+1, R) r_i^s (1+r_i^2)^(-m) / max_i, flushed
+    pair_scale: np.ndarray      # (m+1, m+1) c_j c_k max_i r_i^(j+k) (1+r_i^2)^(-m)
 
     @classmethod
     def build(cls, m: int, quad: QuadratureRule | None = None) -> "SectionBasis":
         if m < 0:
             raise ValueError("level must be nonnegative")
         quad = quad if quad is not None else build_quadrature(max(m, 1))
-        shape = (quad.radial_count, quad.angular_count)
-        r = np.abs(quad.nodes.reshape(shape)[:, 0])
+        r = _radii(quad)
         k = np.arange(m + 1)
         # log C(m, k) as a cumulative sum of log((m-k+1)/k)
         log_binom = np.concatenate(([0.0], np.cumsum(np.log((m - k[1:] + 1) / k[1:]))))
         log_c = 0.5 * (np.log((m + 1) / (2.0 * pi)) + log_binom)
-        log_p = (log_c[None, :] + k[None, :] * np.log(r)[:, None]
-                 - 0.5 * m * np.log1p(r * r)[:, None])
-        profiles = np.exp(log_p)
-        if not np.all(np.isfinite(profiles)):
+        table = np.multiply.outer(np.arange(2 * m + 1), np.log(r))
+        table -= m * np.log1p(r * r)
+        row_max = table.max(axis=1)
+        table -= row_max[:, None]
+        np.exp(table, out=table)
+        table[table < TABLE_FLUSH] = 0.0
+        scale = np.add.outer(log_c, log_c)
+        scale += sliding_window_view(row_max, m + 1)
+        np.exp(scale, out=scale)
+        if not np.all(np.isfinite(scale)):
             raise InsufficientResolutionError(
-                f"level-{m} section profiles are not finite on this rule")
+                f"level-{m} section kernel is not finite on this rule")
         return cls(m=m, quad=quad,
-                   radial_weights=quad.weights.reshape(shape).sum(axis=1),
-                   profiles=profiles)
+                   radial_weights=quad.weights.reshape(r.size, -1).sum(axis=1),
+                   log_c=log_c, radial_table=table, pair_scale=scale)
 
     @property
     def dim(self) -> int:
         return self.m + 1
+
+    @cached_property
+    def profiles(self) -> np.ndarray:
+        """(R, m+1) radial profiles P[i, k] = c_k r_i^k (1+r_i^2)^(-m/2)."""
+        r = _radii(self.quad)
+        k = np.arange(self.dim)
+        return np.exp(self.log_c + k * np.log(r)[:, None]
+                      - 0.5 * self.m * np.log1p(r * r)[:, None])

@@ -10,6 +10,7 @@ the configuration; JSON output embeds the same configuration under the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -325,7 +326,12 @@ def cmd_tuynman_check(args, config: RunConfig) -> int:
 # parser wiring
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged.  It holds the cmd_* handlers themselves, so replacing one of
+    them after the first call has no effect (their own globals are still
+    looked up at call time)."""
     parser = argparse.ArgumentParser(
         prog="projquant",
         description="Projective geometry, torus embeddings, Berezin-Toeplitz "

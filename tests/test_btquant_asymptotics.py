@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,16 @@ def test_fit_loglog_slope_exact_powers():
     ms = [2, 4, 8, 16]
     assert abs(fit_loglog_slope(ms, [1.0 / m for m in ms]) + 1.0) < 1e-12
     assert abs(fit_loglog_slope(ms, [3.0 / m ** 2 for m in ms]) + 2.0) < 1e-12
+
+
+def test_fit_loglog_slope_needs_two_levels(family, quad64):
+    # one level, or one level repeated, leaves no line to fit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fit_loglog_slope([16], [0.1]) is None
+        assert fit_loglog_slope([16, 16], [0.1, 0.2]) is None
+        assert norm_asymptotics(family["x3"], [16], quad=quad64)["gap_slope"] is None
+        assert dirac_table(family["x1"], family["x2"], [16], quad=quad64).slope is None
 
 
 # -- norm saturation ------------------------------------------------------------

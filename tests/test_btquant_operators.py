@@ -15,6 +15,7 @@ from projquant.btquant import (
     tuynman_residual,
 )
 from projquant.btquant.chart import SmoothFunction
+from projquant.btquant.operators import _assemble
 from projquant.coordring import GradedRingPresentation, hilbert_function
 
 
@@ -88,7 +89,7 @@ def spin_ladder(m: int):
     return jp, j3
 
 
-@pytest.mark.parametrize("m", [96, 128, 256])
+@pytest.mark.parametrize("m", [96, 128, 256, 512])
 def test_spin_model_at_large_levels(family, m):
     # the levels where a numeric Gram/Cholesky basis loses precision and
     # z^k overflows: the spin-model closed forms must still hold to 1e-10
@@ -259,6 +260,31 @@ def test_section_basis_values_shape(quad16):
     assert values.shape == (6, quad16.nodes.size)
     gram = (values.conj() * quad16.weights) @ values.T
     assert np.max(np.abs(gram - np.eye(6))) < 1e-12
+
+
+def _dense_pairing(b, values):
+    """<s_j, g s_k> as the plain quadrature sum over every node, with the
+    weighted sections rebuilt from the radial profiles as above."""
+    quad = b.quad
+    theta = np.angle(quad.nodes.reshape(quad.radial_count, -1)[0])
+    k = np.arange(b.dim)
+    s = (b.profiles.T[:, :, None] * np.exp(1j * k[:, None, None] * theta)).reshape(b.dim, -1)
+    return (s.conj() * quad.weights * values) @ s.T
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 31, 32, 64])
+def test_assembly_matches_dense_pairing(family, m):
+    # the regrouped assembly is the same quadrature sum as the dense pairing:
+    # every family function, and the complex node values geom_quant pairs
+    # (the Hamiltonian field X^z, alone and times zbar/(1+|z|^2))
+    quad = build_quadrature(m)
+    b = SectionBasis.build(m, quad)
+    z = quad.nodes
+    factor = 1.0 + np.abs(z) ** 2
+    for f in family.values():
+        xz = -1j * factor ** 2 * f.d_zbar(z) / m
+        for values in (f(z), xz, xz * np.conj(z) / factor):
+            assert np.max(np.abs(_assemble(b, values) - _dense_pairing(b, values))) < 1e-13
 
 
 _REAL_FAMILY = ("one", "x1", "x2", "x3", "x3sq", "x1x2")

@@ -3,6 +3,7 @@ import os
 from fractions import Fraction
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -362,6 +363,22 @@ def test_tuynman_check_command(capsys):
     assert len(rows) == 8  # x1 and x3 at m in {2,4,8,16}
 
 
+@pytest.mark.parametrize("check, pair, slope_key", [
+    ("norm", ["--f", "x3"], "gap_slope"),
+    ("dirac", ["--f", "x1", "--g", "x2"], "slope"),
+])
+def test_bt_converge_single_level_has_no_slope(capsys, check, pair, slope_key):
+    # one level leaves no line to fit: the slope is None, with no warning,
+    # and the check still fails
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(capsys, "bt-converge", "--check", check, *pair,
+                            "--m-min", "16", "--m-max", "16")
+    assert code == 1
+    assert f"# {slope_key} = None" in comments(out)
+    assert "# pass = False" in comments(out)
+
+
 def test_unknown_function_rejected(capsys):
     code = main(["bt-converge", "--check", "norm", "--f", "nope"])
     assert code == 2
@@ -396,16 +413,44 @@ def test_quad_override_reports_exactness(tmp_path, capsys):
 
 # -- config and determinism ----------------------------------------------------------------------
 
-def test_unknown_flag_exits_2():
+def _child_env():
     # the child imports the package this suite imports, installed or not
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_unknown_flag_exits_2():
     proc = subprocess.run(
         [sys.executable, "-m", "projquant.cli", "hilbert", "--nvars", "3",
          "--bogus-flag"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 2
+
+
+def test_one_process_runs_commands_like_separate_processes(capsys):
+    # the parser is built once per process; subcommands run in turn through
+    # it, with a usage error in between, print what fresh processes print
+    commands = [
+        ["classify-cubic", "--g2", "3", "--g3", "1"],
+        ["hilbert", "--nvars", "3", "--degrees", "3", "--m", "0..6"],
+        ["weierstrass-embed", "--tau", "0.3+1.9j", "--samples", "12"],
+        ["bt-converge", "--check", "norm", "--f", "x3", "--m-min", "4", "--m-max", "16"],
+        ["moment-map", "--weights=-1,1", "--samples", "20"],
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    procs = [subprocess.Popen([sys.executable, "-m", "projquant.cli", *cmd],
+                              stdout=subprocess.PIPE, text=True, env=_child_env())
+             for cmd in commands]
+    separate = [(proc.communicate(timeout=120)[0], proc.returncode) for proc in procs]
+    in_process = []
+    for cmd in commands:
+        code, out = run_cli(capsys, *cmd)
+        in_process.append((out, code))
+        with pytest.raises(SystemExit):
+            main(["hilbert", "--bogus-flag"])
+        capsys.readouterr()
+    assert in_process == separate
 
 
 def test_config_file_round_trip(tmp_path, capsys):
