@@ -181,6 +181,11 @@ def _h(z):
     return 1.0 / (1.0 + np.abs(z) ** 2)
 
 
+def _of_h(expr):
+    """z -> expr(z, h) with h = _h(z) computed once per call."""
+    return lambda z: expr(z, _h(z))
+
+
 def standard_family() -> dict[str, SmoothFunction]:
     """The fixed test family: 1, the three ambient coordinates x1, x2, x3 of
     the unit sphere, x3^2 and x1*x2.  Closed under the Poisson bracket up to
@@ -189,16 +194,16 @@ def standard_family() -> dict[str, SmoothFunction]:
         "x1",
         fn=lambda z: ((z + np.conj(z)) * _h(z)).real.astype(complex),
         at_infinity=0.0,
-        dz=lambda z: _h(z) - (z + np.conj(z)) * np.conj(z) * _h(z) ** 2,
-        dzbar=lambda z: _h(z) - (z + np.conj(z)) * z * _h(z) ** 2,
+        dz=_of_h(lambda z, h: h - (z + np.conj(z)) * np.conj(z) * h ** 2),
+        dzbar=_of_h(lambda z, h: h - (z + np.conj(z)) * z * h ** 2),
         lap=lambda z: -4.0 * (z + np.conj(z)) * _h(z),
     )
     x2 = SmoothFunction(
         "x2",
         fn=lambda z: (-1j * (z - np.conj(z)) * _h(z)).real.astype(complex),
         at_infinity=0.0,
-        dz=lambda z: -1j * _h(z) + 1j * (z - np.conj(z)) * np.conj(z) * _h(z) ** 2,
-        dzbar=lambda z: 1j * _h(z) + 1j * (z - np.conj(z)) * z * _h(z) ** 2,
+        dz=_of_h(lambda z, h: -1j * h + 1j * (z - np.conj(z)) * np.conj(z) * h ** 2),
+        dzbar=_of_h(lambda z, h: 1j * h + 1j * (z - np.conj(z)) * z * h ** 2),
         lap=lambda z: -4.0 * (-1j) * (z - np.conj(z)) * _h(z),
     )
     x3 = SmoothFunction(
@@ -221,8 +226,8 @@ def standard_family() -> dict[str, SmoothFunction]:
         "x3sq",
         fn=lambda z: (2.0 * _h(z) - 1.0).astype(complex) ** 2,
         at_infinity=1.0,
-        dz=lambda z: 2.0 * (2.0 * _h(z) - 1.0) * (-2.0 * np.conj(z) * _h(z) ** 2),
-        dzbar=lambda z: 2.0 * (2.0 * _h(z) - 1.0) * (-2.0 * z * _h(z) ** 2),
+        dz=_of_h(lambda z, h: 2.0 * (2.0 * h - 1.0) * (-2.0 * np.conj(z) * h ** 2)),
+        dzbar=_of_h(lambda z, h: 2.0 * (2.0 * h - 1.0) * (-2.0 * z * h ** 2)),
         lap=lambda z: -12.0 * (2.0 * _h(z) - 1.0) ** 2 + 4.0,
     )
     x1x2 = SmoothFunction(

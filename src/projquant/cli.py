@@ -15,22 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import coordring, gitquot, projgeo, weierstrass
-from .btquant import (
-    InsufficientResolutionError,
-    build_quadrature,
-    dirac_table,
-    doubling_levels,
-    norm_asymptotics,
-    product_table,
-    standard_family,
-    star_c1_check,
-    tuynman_residual,
-)
 from .config import RunConfig, load_config, output_path
-from .poly import parse_polynomial
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -78,10 +63,13 @@ def _fraction(text: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each imports what it uses, so a command loads no module
+# (and the exact ones no numpy) that it does not need
 # ---------------------------------------------------------------------------
 
 def cmd_classify_cubic(args, config: RunConfig) -> int:
+    from . import projgeo
+
     g2, g3 = args.g2, args.g3
     verdict = projgeo.cubic_classify(g2, g3)
     singular = [projgeo.format_point(p)
@@ -98,6 +86,11 @@ def cmd_classify_cubic(args, config: RunConfig) -> int:
 
 
 def cmd_curve_points(args, config: RunConfig) -> int:
+    import numpy as np
+
+    from . import projgeo
+    from .poly import parse_polynomial
+
     if args.poly is not None:
         f = parse_polynomial(args.poly, nvars=3)
         if not f.is_homogeneous():
@@ -137,6 +130,10 @@ def cmd_curve_points(args, config: RunConfig) -> int:
 
 
 def cmd_weierstrass_embed(args, config: RunConfig) -> int:
+    import numpy as np
+
+    from . import weierstrass
+
     lat = weierstrass.Lattice(complex(args.tau))
     rng = np.random.default_rng(config.seed)
     zs = np.empty(0, dtype=complex)
@@ -158,6 +155,8 @@ def cmd_weierstrass_embed(args, config: RunConfig) -> int:
 
 
 def cmd_hilbert(args, config: RunConfig) -> int:
+    from . import coordring
+
     degrees = tuple(int(d) for d in args.degrees.split(",")) if args.degrees else ()
     ring = coordring.GradedRingPresentation(args.nvars, degrees)
     lo, hi = _parse_range(args.m)
@@ -177,6 +176,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def cmd_moment_map(args, config: RunConfig) -> int:
+    from . import gitquot
+
     weights = tuple(int(w) for w in args.weights.split(","))
     action = gitquot.LinearAction.from_weights(weights)
     inv = _weight_invariants(action)
@@ -192,11 +193,13 @@ def cmd_moment_map(args, config: RunConfig) -> int:
     return PASS if (ok and report["zero_level_all_semistable"]) else FAIL
 
 
-def _weight_invariants(action: gitquot.LinearAction):
-    """Certified monomial invariants of a diagonal action, by weight search.
+def _weight_invariants(action):
+    """Certified monomial invariants of a diagonal gitquot.LinearAction, by
+    weight search.
 
     Monomials X^a with sum(a_i w_i) = 0 and total degree <= 4 are invariant;
     returns None when there are none (e.g. all weights of one sign)."""
+    from . import gitquot
     from .poly import Polynomial, monomials_of_degree
 
     weights = action.weights
@@ -219,18 +222,17 @@ def _quad_note(config: RunConfig, exact: bool) -> list[str]:
     return []
 
 
-def _bt_levels(args) -> list[int]:
-    return doubling_levels(args.m_min, args.m_max)
-
-
 def cmd_bt_converge(args, config: RunConfig) -> int:
+    from .btquant import (build_quadrature, dirac_table, doubling_levels, norm_asymptotics,
+                          product_table, standard_family, star_c1_check, tuynman_residual)
+
     family = standard_family()
     try:
         f = family[args.f]
         g = family[args.g] if args.g else None
     except KeyError as exc:
         raise UsageError(f"unknown test function {exc}; choose from {sorted(family)}")
-    levels = _bt_levels(args)
+    levels = doubling_levels(args.m_min, args.m_max)
     radial = config.quad_radial or None
     angular = config.quad_angular or None
     quad = build_quadrature(max(levels), radial=radial, angular=angular)
@@ -300,6 +302,8 @@ def cmd_bt_converge(args, config: RunConfig) -> int:
 
 
 def cmd_tuynman_check(args, config: RunConfig) -> int:
+    from .btquant import build_quadrature, standard_family, tuynman_residual
+
     family = standard_family()
     names = args.f.split(",")
     levels = [int(m) for m in args.m.split(",")]
@@ -408,12 +412,22 @@ def main(argv=None) -> int:
         parser.error(str(exc))  # exits with code 2
     try:
         return args.handler(args, config)
-    except (np.linalg.LinAlgError, InsufficientResolutionError) as exc:
+    except _numeric_failures() as exc:  # before ValueError: LinAlgError is one
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return FAIL
     except (UsageError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+
+
+def _numeric_failures() -> tuple[type, ...]:
+    """The numeric failure classes of the modules loaded so far.  An except
+    clause evaluates this only once an exception is raised; a handler that
+    never imported numpy or btquant cannot raise theirs, so it imports neither."""
+    return tuple(getattr(sys.modules[module], name) for module, name in (
+        ("numpy.linalg", "LinAlgError"),
+        ("projquant.btquant.quadrature", "InsufficientResolutionError"))
+        if module in sys.modules)
 
 
 if __name__ == "__main__":

@@ -15,11 +15,13 @@ import re as _re
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .gaussrat import GaussianRational, exact_rank, is_exact_scalar
 from .poly import Polynomial, format_polynomial
+
+if TYPE_CHECKING:
+    import numpy as np  # the float helpers import it when called
 
 #: singular values below this relative threshold count as zero (float rank)
 FLOAT_RANK_RTOL = 1e-9
@@ -61,13 +63,19 @@ class ProjPoint:
         return all(is_exact_scalar(c) for c in self.coords)
 
     def to_complex(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([complex(c) for c in self.coords])
 
     def norm(self) -> float:
+        import numpy as np
+
         return float(np.linalg.norm(self.to_complex()))
 
     def proportional_to(self, other: "ProjPoint", tol: float = 1e-10) -> bool:
         """Projective equality: all 2x2 minors a_i b_j - a_j b_i vanish."""
+        import numpy as np
+
         a, b = self.to_complex(), other.to_complex()
         if len(a) != len(b):
             return False
@@ -185,6 +193,8 @@ def _exact_matrix_rank(values) -> int:
 
 
 def _float_matrix_rank(values, rtol: float = FLOAT_RANK_RTOL) -> int:
+    import numpy as np
+
     a = np.array([[complex(v) for v in row] for row in values])
     if a.size == 0:
         return 0
@@ -226,6 +236,8 @@ def zariski_tangent_dim(gens, point, membership_tol: float = MEMBERSHIP_TOL) -> 
     gens are polynomials in n affine variables; the result is
     n - rank(Jacobian at the point), the dimension of (M/M^2)*.
     """
+    import numpy as np
+
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         raise ValueError("need at least one nonzero generator")

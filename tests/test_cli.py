@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from projquant import cli
+from projquant import btquant, cli
 from projquant.btquant import InsufficientResolutionError
 from projquant.cli import main
 from projquant.config import RunConfig, load_config
@@ -391,7 +391,8 @@ def test_numeric_failure_exits_1(capsys, monkeypatch, exc):
     def broken(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, "norm_asymptotics", broken)
+    # the handler looks the function up in btquant when it runs
+    monkeypatch.setattr(btquant, "norm_asymptotics", broken)
     code = main(["bt-converge", "--check", "norm", "--f", "x3", "--m-max", "8"])
     assert code == 1
     assert f"error: numeric failure: {exc}" in capsys.readouterr().err
@@ -426,6 +427,81 @@ def test_unknown_flag_exits_2():
          "--bogus-flag"],
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 2
+
+
+# what a child process has imported after one command: a module it does not
+# need costs start-up in every process that runs the command
+_CHILD_MODULES = """
+import contextlib, io, json, sys
+from projquant.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        rc = main(sys.argv[1:])
+    except SystemExit as exc:
+        rc = exc.code
+print(json.dumps([rc, sorted(sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize("argv, code, absent", [
+    (["--help"], 0, {"numpy"}),
+    (["classify-cubic", "--g2", "0", "--g3", "0"], 0, {"numpy"}),
+    (["hilbert", "--nvars", "3", "--degrees", "3", "--m", "0..10"], 0, {"numpy"}),
+    (["hilbert", "--bogus-flag"], 2, {"numpy"}),
+    (["weierstrass-embed", "--tau", "2j", "--samples", "5"], 0,
+     {"projquant.btquant", "projquant.gitquot"}),
+])
+def test_commands_import_only_what_they_use(argv, code, absent):
+    proc = subprocess.run([sys.executable, "-c", _CHILD_MODULES, *argv],
+                          capture_output=True, text=True, env=_child_env())
+    rc, modules = json.loads(proc.stdout)
+    assert rc == code
+    assert absent.isdisjoint(modules)
+
+
+def test_bare_import_loads_no_submodule():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, projquant; print(json.dumps(sorted("
+         "m for m in sys.modules if m.split('.')[0] in ('numpy', 'projquant'))))"],
+        capture_output=True, text=True, env=_child_env())
+    assert json.loads(proc.stdout) == ["projquant"]
+
+
+# the package's public names, by the module that defines them
+PUBLIC = {
+    "gaussrat": ["GaussianRational", "exact_rank"],
+    "poly": ["Polynomial", "divides", "format_polynomial", "parse_polynomial"],
+    "projgeo": ["CubicClass", "JacobiMatrix", "PointNotOnVarietyError", "ProjPoint",
+                "VarietyPresentation", "cubic_classify", "dehomogenize", "evaluate",
+                "is_on_variety", "is_singular_point", "jacobian", "rank_at",
+                "veronese_square", "zariski_tangent_dim"],
+    "coordring": ["GradedRingPresentation", "graded_basis_hypersurface",
+                  "hilbert_function", "krull_dim", "variety_dim"],
+    "weierstrass": ["EisensteinPair", "Lattice", "LatticePointError", "eisenstein",
+                    "embed", "ode_residual", "wp", "wp_prime"],
+}
+SUBMODULES = ["btquant", "coordring", "gaussrat", "gitquot", "poly", "projgeo", "weierstrass"]
+
+
+def test_public_surface():
+    import importlib
+
+    import projquant
+
+    star = {}
+    exec("from projquant import *", star)
+    owners = [(name, mod) for mod, names in PUBLIC.items() for name in names]
+    owners += [(mod, None) for mod in SUBMODULES]
+    assert len(owners) == 40
+    for name, mod in owners:
+        want = importlib.import_module(f"projquant.{name if mod is None else mod}")
+        if mod is not None:
+            want = getattr(want, name)
+        assert getattr(projquant, name) is want, name
+        assert name in dir(projquant), name
+        assert star[name] is want, name
+    with pytest.raises(AttributeError):
+        projquant.no_such_name
 
 
 def test_one_process_runs_commands_like_separate_processes(capsys):
