@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import SmoothFunction, poisson_function
-from .operators import op_norm, toeplitz
+from .operators import _level_basis, op_norm, toeplitz
 from .quadrature import QuadratureRule, build_quadrature
 from .sections import SectionBasis
 
@@ -77,7 +77,7 @@ def dirac_residual(f: SmoothFunction, g: SmoothFunction, m: int,
                    quad: QuadratureRule | None = None,
                    basis: SectionBasis | None = None) -> float:
     """|| m i [T_f, T_g] - T_{{f,g}} || at level m."""
-    b = basis if basis is not None else SectionBasis.build(m, _shared_quad([m], quad))
+    b = _level_basis(m, quad, basis)
     tf = toeplitz(f, m, basis=b)
     tg = toeplitz(g, m, basis=b)
     tb = toeplitz(poisson_function(f, g), m, basis=b)
@@ -89,7 +89,7 @@ def product_residual(f: SmoothFunction, g: SmoothFunction, m: int,
                      quad: QuadratureRule | None = None,
                      basis: SectionBasis | None = None) -> float:
     """|| T_f T_g - T_{f g} || at level m."""
-    b = basis if basis is not None else SectionBasis.build(m, _shared_quad([m], quad))
+    b = _level_basis(m, quad, basis)
     tf = toeplitz(f, m, basis=b)
     tg = toeplitz(g, m, basis=b)
     fg = SmoothFunction(name=f"{f.name}*{g.name}",

@@ -105,11 +105,21 @@ def _assemble(b: SectionBasis, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _level_basis(m: int, quad: QuadratureRule | None,
+                 basis: SectionBasis | None) -> SectionBasis:
+    """The given basis, which must be of level m, or a new one on quad."""
+    if basis is None:
+        return SectionBasis.build(m, quad)
+    if basis.m != m:
+        raise ValueError(f"section basis of level {basis.m} given for level {m}")
+    return basis
+
+
 def toeplitz(f: SmoothFunction, m: int, quad: QuadratureRule | None = None,
              basis: SectionBasis | None = None) -> OperatorMatrix:
     """Compress multiplication by f onto the holomorphic sections: the
     matrix <s_j, f s_k> in the orthonormal section basis."""
-    b = basis if basis is not None else SectionBasis.build(m, quad)
+    b = _level_basis(m, quad, basis)
     return OperatorMatrix(m, _assemble(b, f(b.quad.nodes)))
 
 
@@ -126,7 +136,7 @@ def geom_quant(f: SmoothFunction, m: int, quad: QuadratureRule | None = None,
     """
     if m < 1:
         raise ValueError("geometric quantization needs level m >= 1")
-    b = basis if basis is not None else SectionBasis.build(m, quad)
+    b = _level_basis(m, quad, basis)
     z = b.quad.nodes
     factor = 1.0 + np.abs(z) ** 2
     xz_level = -1j * factor ** 2 * f.d_zbar(z) / m

@@ -8,6 +8,7 @@ handled without any floating arithmetic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Exact = "Fraction | GaussianRational"
@@ -121,21 +122,9 @@ def is_exact_scalar(x) -> bool:
 
 def _scale_row_integral(row):
     """Clear denominators so Bareiss pivots stay (Gaussian-)integral."""
-    denoms = []
-    for x in row:
-        g = GaussianRational.of(x)
-        denoms.append(g.re.denominator)
-        denoms.append(g.im.denominator)
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // _gcd(lcm, d)
-    return [GaussianRational.of(x) * lcm for x in row]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    row = [GaussianRational.of(x) for x in row]
+    lcm = math.lcm(*(f.denominator for g in row for f in (g.re, g.im)))
+    return [g * lcm for g in row]
 
 
 def exact_rank(rows) -> int:

@@ -19,10 +19,12 @@ import numpy as np
 
 from .gaussrat import GaussianRational, I_UNIT
 from .poly import Polynomial
-from .projgeo import ProjPoint, format_point
+from .projgeo import ProjPoint, _float_matrix_rank, format_point
 
 ANTIHERMITIAN_TOL = 1e-12
 K_ORBIT_TOL = 1e-8
+#: the orbit search samples mu at this many s in [-RAY_LOG_T, RAY_LOG_T], t = e^s
+RAY_LOG_T, RAY_SAMPLES = 14.0, 60
 
 
 class InexactGeneratorsError(TypeError):
@@ -88,12 +90,8 @@ class LinearAction:
     def k_dim(self) -> int:
         """Real dimension of the compact group = complex dimension of its
         complexification; the rank of the generator set."""
-        flat = np.array([np.concatenate([g.real.ravel(), g.imag.ravel()])
-                         for g in self.generators])
-        if flat.size == 0 or not np.any(flat):
-            return 0
-        s = np.linalg.svd(flat, compute_uv=False)
-        return int(np.sum(s > 1e-9 * s[0]))
+        flat = [np.concatenate([g.real.ravel(), g.imag.ravel()]) for g in self.generators]
+        return _float_matrix_rank(flat, max(map(np.linalg.norm, self.generators), default=0.0))
 
     @cached_property
     def is_diagonal(self) -> bool:
@@ -142,7 +140,7 @@ def _derivation(F: Polynomial, matrix_rows) -> Polynomial:
             continue
         for j in range(n):
             c = matrix_rows[i][j]
-            if c == GaussianRational(0):
+            if c == 0:
                 continue
             out = out + dF * Polynomial.variable(n, j) * c
     return out
@@ -150,22 +148,16 @@ def _derivation(F: Polynomial, matrix_rows) -> Polynomial:
 
 def infinitesimal_invariance(F: Polynomial, action: LinearAction) -> bool:
     """Certify G-invariance of F: the derivation of F along every generator
-    A_j and along i*A_j (covering the complexified algebra) vanishes as a
-    polynomial, checked in exact arithmetic."""
+    A_j vanishes as a polynomial, checked in exact arithmetic.  The
+    derivation is complex-linear in the matrix, so this covers i*A_j and the
+    whole complexified algebra too."""
     if action.exact_generators is None:
         raise InexactGeneratorsError(
             "exact generators required for a certified invariance check; "
             "use infinitesimal_invariance_numeric for a non-certified verdict")
     if F.nvars != action.n + 1:
         raise ValueError("polynomial/action dimension mismatch")
-    for gen in action.exact_generators:
-        d = _derivation(F, gen)
-        if not d.is_zero:
-            return False
-        gen_i = tuple(tuple(I_UNIT * c for c in row) for row in gen)
-        if not _derivation(F, gen_i).is_zero:
-            return False
-    return True
+    return all(_derivation(F, gen).is_zero for gen in action.exact_generators)
 
 
 def infinitesimal_invariance_numeric(F: Polynomial, action: LinearAction,
@@ -218,7 +210,7 @@ def semistable(x, inv: InvariantSet, tol: float = 0.0) -> bool:
     if not inv.polys:
         raise EmptyInvariantSetError("cannot decide semistability from an empty set")
     if isinstance(x, ProjPoint) and x.is_exact and tol == 0.0:
-        return any(_nonzero_exact(F.evaluate(x.coords)) for F in inv.polys)
+        return any(F.evaluate(x.coords) != 0 for F in inv.polys)
     return bool(np.any(_invariant_moduli(inv, _coords(x)[None, :]) > tol))
 
 
@@ -229,48 +221,39 @@ def _invariant_moduli(inv: InvariantSet, V: np.ndarray) -> np.ndarray:
                      for F in inv.polys], axis=1)
 
 
-def _nonzero_exact(val) -> bool:
-    return GaussianRational.of(val) != GaussianRational(0)
-
-
-def orbit_dim(action: LinearAction, x, rtol: float = 1e-9) -> int:
+def orbit_dim(action: LinearAction, x) -> int:
     """Complex dimension of the orbit of the complexified group through x:
-    rank of the generator directions A_j x taken modulo the line C x."""
+    rank of the generator directions A_j x taken modulo the line C x, each
+    at most max ||A_j|| ||x|| in size."""
     v = _coords(x)
     nrm2 = np.real(np.vdot(v, v))
     rows = []
     for g in action.generators:
         w = g @ v
-        w = w - (np.vdot(v, w) / nrm2) * v
-        rows.append(w)
-    a = np.array(rows)
-    if not np.any(a):
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > rtol * s[0]))
+        rows.append(w - (np.vdot(v, w) / nrm2) * v)
+    scale = max(map(np.linalg.norm, action.generators), default=0.0) * math.sqrt(nrm2)
+    return _float_matrix_rank(rows, scale)
 
 
 def one_param_limit(weights, x, direction: str) -> ProjPoint:
-    """Limit of (t^w0 x0 : ... : t^wn xn) as t -> 0 or t -> infinity.
-
-    Coordinates attaining the extremal weight among the nonzero ones
-    survive (minimal weight for t -> 0, maximal for t -> infinity); the
-    rest vanish in the limit.  The result is a fixed point of the subgroup.
-    """
-    if direction not in ("0", "inf", "t->0", "t->inf"):
+    """Limit of (t^w0 x0 : ... : t^wn xn) as t -> 0 (direction "0") or
+    t -> infinity ("inf"): the coordinates at the least resp. greatest weight
+    on the support survive.  The result is a fixed point of the subgroup."""
+    if direction not in ("0", "inf"):
         raise ValueError("direction must be one of '0', 'inf'")
-    to_zero = direction in ("0", "t->0")
-    v = _coords(x)
-    weights = tuple(int(w) for w in weights)
-    live = [j for j in range(len(v)) if v[j] != 0]
-    extremal = min(weights[j] for j in live) if to_zero else max(weights[j] for j in live)
-    coords = tuple(v[j] if (j in live and weights[j] == extremal) else 0.0
-                   for j in range(len(v)))
-    return ProjPoint(coords)
+    to_zero, to_inf = _limits(weights, _coords(x)[None, :])
+    return ProjPoint(tuple((to_zero if direction == "0" else to_inf)[0]))
 
 
-def orbit_meets_zero_level(action: LinearAction, x, tol: float = 1e-9,
-                           log_t_range: float = 14.0, samples: int = 60):
+def _limits(weights, V: np.ndarray):
+    """The t -> 0 and t -> infinity limits of each row of V: the coordinates
+    at the least and at the greatest weight on its support survive, the
+    rest vanish."""
+    w = np.array(weights, dtype=float)
+    return tuple(np.where(w == ext[:, None], V, 0.0) for ext in _extremal_weights(weights, V))
+
+
+def orbit_meets_zero_level(action: LinearAction, x, tol: float = 1e-9):
     """For a diagonal one-parameter action: does the closure of the
     complexified orbit of x meet the zero level of the moment map?
 
@@ -281,18 +264,17 @@ def orbit_meets_zero_level(action: LinearAction, x, tol: float = 1e-9,
     with the witness a ProjPoint or None.
     """
     weights, v = _one_param_weights(action), _coords(x)
-    return _witness(weights, v, _orbit_search(weights, v[None, :], tol, log_t_range, samples)[0])
+    return _witness(weights, v, _orbit_search(weights, v[None, :], tol)[0])
 
 
 def _one_param_weights(action: LinearAction) -> tuple:
     if not action.is_diagonal or action.weights is None or len(action.generators) != 1:
-        raise NotDiagonalError("orbit search implemented for diagonal one-parameter actions only")
+        raise NotDiagonalError("implemented for diagonal one-parameter actions only")
     return action.weights
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _orbit_search(weights, V: np.ndarray, tol: float, log_t_range: float = 14.0,
-                  samples: int = 60) -> np.ndarray:
+def _orbit_search(weights, V: np.ndarray, tol: float) -> np.ndarray:
     """Where the orbit closure of each row v of V meets the zero level: -inf or
     inf for the t -> 0 or t -> infinity limit (mu = extremal weight on the
     support / 2 pi; '0' first), s for e^(s w) . v, nan when it does not.  The
@@ -305,7 +287,7 @@ def _orbit_search(weights, V: np.ndarray, tol: float, log_t_range: float = 14.0,
     s = np.full(len(V), np.nan)
     s[np.abs(w_hi) / (2.0 * math.pi) <= tol] = np.inf
     s[np.abs(w_lo) / (2.0 * math.pi) <= tol] = -np.inf
-    ss = np.linspace(-log_t_range, log_t_range, samples)
+    ss = np.linspace(-RAY_LOG_T, RAY_LOG_T, RAY_SAMPLES)
     vals = _ray_moment_map(log_a[:, None, :], ss[:, None], w)[0]
     hit, todo = np.abs(vals) <= tol, np.isnan(s)  # not decided by a limit
     found = todo & hit.any(axis=1)
@@ -362,44 +344,18 @@ def is_stable(action: LinearAction, x, inv: InvariantSet,
               tol: float = 0.0) -> bool:
     """Stability for the shipped diagonal examples: full-dimensional orbit,
     semistable, and a closedness surrogate for one-parameter diagonal
-    actions: each one-parameter limit either lies on the orbit itself or
-    leaves the semistable locus (so the orbit is closed within it).
-    General closedness is not decided here."""
-    if not semistable(x, inv, tol):
-        return False
-    if orbit_dim(action, x) != action.k_dim:
+    actions: both one-parameter limits leave the semistable locus (so the
+    orbit is closed within it).  Neither limit can lie on the orbit itself:
+    the support of a semistable point with a one-dimensional orbit carries
+    two weights (one weight w != 0 makes every invariant vanish, w = 0 fixes
+    the point), so each limit drops a coordinate.  General closedness is not
+    decided here."""
+    if not semistable(x, inv, tol) or orbit_dim(action, x) != action.k_dim:
         return False
     if action.is_diagonal and action.weights is not None and action.k_dim == 1:
-        for direction in ("0", "inf"):
-            p = one_param_limit(action.weights, x, direction)
-            if _in_one_param_orbit(action.weights, x, p):
-                continue
-            if semistable(p, inv, tol):
-                return False
+        return not any(semistable(one_param_limit(action.weights, x, direction), inv, tol)
+                       for direction in ("0", "inf"))
     return True
-
-
-def _in_one_param_orbit(weights, x, p: ProjPoint, tol: float = 1e-9) -> bool:
-    """Whether p lies on the diagonal orbit {t . x} (real t > 0 suffices for
-    the closedness surrogate)."""
-    v = _coords(x)
-    u = p.to_complex()
-    live_v = v != 0
-    if not np.array_equal(live_v, u != 0):
-        return False
-    # same zero pattern: candidate scalings come from any live coordinate
-    w = np.array(weights, dtype=float)
-    idx = np.flatnonzero(live_v)
-    ratios = np.abs(u[idx] / v[idx])
-    spread = np.ptp(w[idx])
-    if spread == 0:
-        return True  # subgroup fixes the support; orbit is the point itself
-    # solve |t|^(w_j - w_k) from two distinct weights, then verify all
-    j = idx[np.argmax(w[idx])]
-    k = idx[np.argmin(w[idx])]
-    t_mag = (ratios[np.argmax(w[idx])] / ratios[np.argmin(w[idx])]) ** (1.0 / (w[j] - w[k]))
-    predicted = ratios[0] * (t_mag ** (w[idx] - w[idx][0]))
-    return bool(np.max(np.abs(predicted - ratios)) <= tol * np.max(ratios))
 
 
 def k_orbit_equivalent(action: LinearAction, p: ProjPoint, q: ProjPoint,
@@ -410,14 +366,13 @@ def k_orbit_equivalent(action: LinearAction, p: ProjPoint, q: ProjPoint,
     pattern, their moduli agree up to one overall scale, and the phase
     profile differs by phi + theta * w_j for some phases phi, theta.
     """
-    if not action.is_diagonal or action.weights is None:
-        raise NotDiagonalError("K-orbit grouping implemented for diagonal actions")
-    return _k_orbit_match(action.weights, p.to_complex()[None, :], q, tol)
+    return _k_orbit_match(_one_param_weights(action), p.to_complex()[None, :],
+                          q.to_complex(), tol)
 
 
-def _k_orbit_match(weights, reps: np.ndarray, q: ProjPoint, tol: float) -> bool:
-    """Whether q is k_orbit_equivalent to some row of reps, in array ops."""
-    v = q.to_complex()
+def _k_orbit_match(weights, reps: np.ndarray, v: np.ndarray, tol: float) -> bool:
+    """Whether the point v is k_orbit_equivalent to some row of reps, in
+    array ops."""
     idx = np.flatnonzero(v)
     u = reps[np.all((reps != 0) == (v != 0), axis=1)][:, idx]
     ru, rv = np.abs(u), np.abs(v[idx])
@@ -443,12 +398,18 @@ def _k_orbit_match(weights, reps: np.ndarray, q: ProjPoint, tol: float) -> bool:
 def count_k_orbit_classes(action: LinearAction, points,
                           tol: float = K_ORBIT_TOL) -> int:
     """Number of K-orbit equivalence classes among the given points."""
-    if not action.is_diagonal or action.weights is None:
-        raise NotDiagonalError("K-orbit grouping implemented for diagonal actions")
-    reps = np.empty((0, action.n + 1), dtype=complex)
-    for p in points:
-        if not _k_orbit_match(action.weights, reps, p, tol):
-            reps = np.vstack([reps, p.to_complex()])
+    weights = _one_param_weights(action)
+    V = np.array([p.to_complex() for p in points], dtype=complex).reshape(-1, action.n + 1)
+    return _class_count(V, lambda reps, v: _k_orbit_match(weights, reps, v, tol))
+
+
+def _class_count(rows: np.ndarray, same) -> int:
+    """Greedy class count: a row opens a class unless same(reps, row) puts
+    it in the class of one of the representatives so far (rows of reps)."""
+    reps = rows[:0]
+    for row in rows:
+        if not same(reps, row):
+            reps = np.vstack([reps, row])
     return len(reps)
 
 
@@ -463,8 +424,7 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
     the zero-level samples are grouped into K-orbit classes and the class
     count reported.  Diagonal one-parameter actions only.
     """
-    if not action.is_diagonal or action.weights is None:
-        raise NotDiagonalError("correspondence check needs a diagonal action")
+    weights = _one_param_weights(action)
     if inv is None or not inv.polys:
         return {
             "n_samples": 0,
@@ -481,16 +441,12 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
     while len(points) < n_samples:
         points.append(ProjPoint(tuple(rng.normal(size=n) + 1j * rng.normal(size=n))))
 
-    weights = _one_param_weights(action)
     V = np.array([p.to_complex() for p in points])
     semi = np.any(_invariant_moduli(inv, V) > 1e-12, axis=1)
     met = ~np.isnan(_orbit_search(weights, V, max(tol, 1e-10)))
     mismatches = int(np.count_nonzero(semi != met))
     mus = [moment_map(action, p) for p in points]
-    # one_param_limit of every row: the coordinates at the extremal weights
-    w = np.array(weights, dtype=float)
-    limits = [[format_point(ProjPoint(row)) for row in np.where(w == ext[:, None], V, 0.0)]
-              for ext in _extremal_weights(weights, V)]
+    limits = [[format_point(ProjPoint(row)) for row in lim] for lim in _limits(weights, V)]
     rows = [{"point": format_point(p), "semistable": bool(a), "orbit_meets_zero_level": bool(b),
              "mu": [float(c) for c in mu], "limit_t_to_0": l0, "limit_t_to_inf": linf}
             for p, a, b, mu, l0, linf in zip(points, semi, met, mus, *limits)]
@@ -522,11 +478,7 @@ def _invariant_value_classes(inv: InvariantSet, points, tol: float = 1e-6) -> in
     so the number of distinct value vectors lower-bounds the fiber count of
     the invariant-theory quotient on the sampled set."""
     vectors = _invariant_moduli(inv, np.array([p.to_complex() for p in points]))
-    classes = vectors[:0]
-    for vec in vectors:  # greedy: the first match keeps a vector out
-        if not np.any(np.max(np.abs(classes - vec), axis=1) <= tol):
-            classes = np.vstack([classes, vec])
-    return len(classes)
+    return _class_count(vectors, lambda reps, vec: np.any(np.max(np.abs(reps - vec), axis=1) <= tol))
 
 
 def _zero_level_samples(action: LinearAction, rng, count: int = 64) -> list:

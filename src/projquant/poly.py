@@ -159,14 +159,7 @@ class Polynomial:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power")
-        result = Polynomial.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _powu(self, k) if k else Polynomial.constant(self.nvars, 1)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -206,7 +199,7 @@ class Polynomial:
                 v = GaussianRational.of(c)
                 for x, e in zip(coords, m):
                     if e:
-                        v = v * _gr_pow(x, e)
+                        v = v * _powu(x, e)
                 total = total + v
             return total if total.im != 0 else total.re
         return complex(self.evaluate_array([complex(x) for x in coords]))
@@ -269,17 +262,6 @@ def _powu(x, e: int):
         e, x = e >> 1, x * x
         if e & 1:
             out = x if out is None else out * x
-    return out
-
-
-def _gr_pow(x, e):
-    v = GaussianRational.of(x)
-    out = GaussianRational(1)
-    while e:
-        if e & 1:
-            out = out * v
-        v = v * v
-        e >>= 1
     return out
 
 

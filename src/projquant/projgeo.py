@@ -23,7 +23,8 @@ from .poly import Polynomial, format_polynomial
 if TYPE_CHECKING:
     import numpy as np  # the float helpers import it when called
 
-#: singular values below this relative threshold count as zero (float rank)
+#: singular values below this fraction of the entries' size bound count as
+#: zero (float rank)
 FLOAT_RANK_RTOL = 1e-9
 
 #: default scale-invariant membership tolerance for floating points
@@ -88,9 +89,7 @@ class ProjPoint:
 
 
 def _scalar_is_zero(c):
-    if is_exact_scalar(c):
-        return GaussianRational.of(c) == 0 if isinstance(c, GaussianRational) else c == 0
-    return complex(c) == 0
+    return c == 0 if is_exact_scalar(c) else complex(c) == 0
 
 
 @dataclass(frozen=True)
@@ -169,7 +168,7 @@ def is_on_variety(V: VarietyPresentation, p: ProjPoint, tol: float = 0.0) -> boo
     With exact coordinates and tol = 0 the test is exact.
     """
     if p.is_exact and tol == 0:
-        return all(_exact_is_zero(evaluate(g, p)) for g in V.generators)
+        return all(evaluate(g, p) == 0 for g in V.generators)
     norm = p.norm()
     vec = p.to_complex()
     for g in V.generators:
@@ -179,29 +178,29 @@ def is_on_variety(V: VarietyPresentation, p: ProjPoint, tol: float = 0.0) -> boo
     return True
 
 
-def _exact_is_zero(v) -> bool:
-    return GaussianRational.of(v) == GaussianRational(0)
-
-
 def jacobian(V: VarietyPresentation) -> JacobiMatrix:
     rows = tuple(tuple(g.partial(i) for i in range(V.nvars)) for g in V.generators)
     return JacobiMatrix(rows)
 
 
-def _exact_matrix_rank(values) -> int:
-    return exact_rank(values)
-
-
-def _float_matrix_rank(values, rtol: float = FLOAT_RANK_RTOL) -> int:
+def _float_matrix_rank(values, scale: float) -> int:
+    """Rank of a float matrix whose entries are sums of terms at most scale
+    in size: singular values above FLOAT_RANK_RTOL * scale count.  Rounding
+    leaves entries of size eps * scale where the exact value is zero, which
+    a threshold relative to the largest singular value would count."""
     import numpy as np
 
-    a = np.array([[complex(v) for v in row] for row in values])
+    a = np.array(values, dtype=complex)
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(np.linalg.svd(a, compute_uv=False) > FLOAT_RANK_RTOL * scale))
+
+
+def _derivative_bound(gens, norm: float) -> float:
+    """Bound deg * sum |c| * norm^(deg-1) on every |dg/dX_i| at a point of the
+    given norm; it holds for terms below the top degree when norm >= 1."""
+    return max(g.degree() * sum(abs(complex(c)) for c in g.terms.values())
+               * norm ** (g.degree() - 1) for g in gens)
 
 
 def rank_at(V: VarietyPresentation, p: ProjPoint,
@@ -212,8 +211,8 @@ def rank_at(V: VarietyPresentation, p: ProjPoint,
         raise PointNotOnVarietyError(f"{format_point(p)} is not on the variety")
     values = jacobian(V).evaluate(p.coords)
     if p.is_exact:
-        return _exact_matrix_rank(values)
-    return _float_matrix_rank(values)
+        return exact_rank(values)
+    return _float_matrix_rank(values, _derivative_bound(V.generators, p.norm()))
 
 
 def is_singular_point(V: VarietyPresentation, p: ProjPoint,
@@ -236,8 +235,6 @@ def zariski_tangent_dim(gens, point, membership_tol: float = MEMBERSHIP_TOL) -> 
     gens are polynomials in n affine variables; the result is
     n - rank(Jacobian at the point), the dimension of (M/M^2)*.
     """
-    import numpy as np
-
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         raise ValueError("need at least one nonzero generator")
@@ -246,16 +243,20 @@ def zariski_tangent_dim(gens, point, membership_tol: float = MEMBERSHIP_TOL) -> 
     if len(point) != n:
         raise ValueError("point dimension mismatch")
     exact = all(is_exact_scalar(c) for c in point)
-    scale = max(1.0, float(np.linalg.norm([abs(complex(c)) for c in point])))
-    for g in gens:
-        val = g.evaluate(point)
-        on_zero = (_exact_is_zero(val) if exact
-                   else abs(complex(val)) <= membership_tol * scale ** max(g.degree(), 1))
-        if not on_zero:
-            raise PointNotOnVarietyError("point is not a common zero")
+    if exact:
+        off = [g for g in gens if g.evaluate(point) != 0]
+    else:
+        import numpy as np
+
+        scale = max(1.0, float(np.linalg.norm([abs(complex(c)) for c in point])))
+        off = [g for g in gens
+               if abs(complex(g.evaluate(point))) > membership_tol * scale ** max(g.degree(), 1)]
+    if off:
+        raise PointNotOnVarietyError("point is not a common zero")
     values = [[g.partial(i).evaluate(point) for i in range(n)] for g in gens]
-    rank = _exact_matrix_rank(values) if exact else _float_matrix_rank(values)
-    return n - rank
+    if exact:
+        return n - exact_rank(values)
+    return n - _float_matrix_rank(values, _derivative_bound(gens, scale))
 
 
 def dehomogenize(f: Polynomial, i: int) -> Polynomial:
@@ -290,9 +291,9 @@ def cubic_classify(g2, g3, tol: float = 1e-12) -> CubicClass:
     exact = is_exact_scalar(g2) and is_exact_scalar(g3)
     d = discriminant(g2, g3)
     if exact:
-        if not _exact_is_zero(d):
+        if d != 0:
             return CubicClass.SMOOTH
-        if _exact_is_zero(GaussianRational.of(g2)) and _exact_is_zero(GaussianRational.of(g3)):
+        if g2 == 0 and g3 == 0:
             return CubicClass.CUSPIDAL
         return CubicClass.NODAL
     scale = max(abs(complex(g2)) ** 3, 27 * abs(complex(g3)) ** 2, 1.0)
@@ -336,9 +337,9 @@ def weierstrass_cubic_singular_points(g2, g3):
     if not (is_exact_scalar(g2) and is_exact_scalar(g3)):
         raise TypeError("exact g2, g3 required")
     d = discriminant(g2, g3)
-    if not _exact_is_zero(d):
+    if d != 0:
         return []
-    if _exact_is_zero(GaussianRational.of(g2)):
+    if g2 == 0:
         return [ProjPoint((Fraction(0), Fraction(0), Fraction(1)))]
     x = GaussianRational.of(-3) * GaussianRational.of(g3) / (2 * GaussianRational.of(g2))
     x = x if x.im != 0 else x.re

@@ -10,6 +10,7 @@ from projquant.btquant import (
     dirac_residual,
     geom_quant,
     op_norm,
+    product_residual,
     toeplitz,
     total_toeplitz,
     tuynman_residual,
@@ -220,6 +221,20 @@ def test_tuynman_residual_is_quadrature_limited(family):
 def test_geom_quant_rejects_level_zero(family):
     with pytest.raises(ValueError):
         geom_quant(family["x3"], 0)
+
+
+def test_basis_of_another_level_is_rejected(family):
+    # a level-4 basis would give a 5 x 5 matrix labelled level 8, and a
+    # Dirac residual of 0.444 where level 8 has 4m/(m+2)^2 = 0.32
+    f, g = family["x1"], family["x2"]
+    b4 = SectionBasis.build(4)
+    for call in (toeplitz, geom_quant):
+        with pytest.raises(ValueError, match="level 4 given for level 8"):
+            call(f, 8, basis=b4)
+    for call in (dirac_residual, product_residual):
+        with pytest.raises(ValueError, match="level 4 given for level 8"):
+            call(f, g, 8, basis=b4)
+    assert abs(dirac_residual(f, g, 8, basis=SectionBasis.build(8)) - 0.32) < 1e-12
 
 
 # -- graded family ---------------------------------------------------------------

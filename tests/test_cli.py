@@ -459,6 +459,17 @@ def test_commands_import_only_what_they_use(argv, code, absent):
     assert absent.isdisjoint(modules)
 
 
+def test_exact_zariski_dimension_loads_no_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys; from fractions import Fraction; "
+         "from projquant.poly import parse_polynomial; "
+         "from projquant.projgeo import zariski_tangent_dim; "
+         "d = zariski_tangent_dim([parse_polynomial('X1^2 - 4 X0^3 - 4 X0^2', 2)], "
+         "(Fraction(0), Fraction(0))); print(json.dumps([d, 'numpy' in sys.modules]))"],
+        capture_output=True, text=True, env=_child_env())
+    assert json.loads(proc.stdout) == [2, False]
+
+
 def test_bare_import_loads_no_submodule():
     proc = subprocess.run(
         [sys.executable, "-c", "import json, sys, projquant; print(json.dumps(sorted("

@@ -173,6 +173,24 @@ def test_orbit_dim_examples():
     assert orbit_dim(TRIVIAL, pt(1.0, 0.0)) == 0
 
 
+@pytest.mark.parametrize("weights", [(3, 3, -1), (-1, 1), (-1, 2, 2)])
+def test_orbit_dim_is_one_iff_the_support_carries_two_weights(weights):
+    # at a fixed point A x - <x, A x> x / |x|^2 is rounding noise, no direction
+    action = LinearAction.from_weights(weights)
+    rng = np.random.default_rng(4)
+    n = len(weights)
+    for k in range(300):
+        live = rng.random(n) < 0.5
+        live[rng.integers(n)] = True
+        if k % 2:
+            x = pt(*(F(int(a), int(b)) if on else F(0) for on, a, b
+                     in zip(live, rng.integers(-9, 10, n) | 1, rng.integers(1, 8, n))))
+        else:
+            x = np.where(live, rng.normal(size=n) + 1j * rng.normal(size=n), 0)
+        want = len({w for w, on in zip(weights, live) if on}) > 1
+        assert orbit_dim(action, x) == want
+
+
 def test_orbit_dim_bounded_by_group_dim():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -298,6 +316,30 @@ def test_stability_verdicts():
     assert is_stable(HYPERBOLIC, pt(F(2), F(-3)), INV)
     assert not is_stable(HYPERBOLIC, pt(F(1), F(0)), INV)  # fixed point
     assert not is_stable(HYPERBOLIC, pt(F(0), F(1)), INV)
+
+
+@pytest.mark.parametrize("weights", [(-1, 1), (-1, 2), (-1, 1, 1), (2, -1, -1), (0, 1), (0, 1, 1)])
+def test_stability_is_hilbert_mumford(weights):
+    # the supplied invariants generate the invariant ring for these weights,
+    # so x is stable iff the least support weight is < 0 < the greatest; a
+    # zero weight makes points semistable whose t -> 0 limit is semistable too
+    from projquant.cli import _weight_invariants
+
+    action = LinearAction.from_weights(weights)
+    inv = _weight_invariants(action)
+    rng = np.random.default_rng(6)
+    n = len(weights)
+    for k in range(200):
+        live = rng.random(n) < 0.6
+        live[rng.integers(n)] = True
+        if k % 2:
+            re, im, den = rng.integers(-9, 10, (3, n))
+            x = pt(*(GaussianRational(F(int(a), int(abs(d)) + 1), F(int(b) | 1, 7)) if on else F(0)
+                     for on, a, b, d in zip(live, re, im, den)))
+        else:
+            x = pt(*np.where(live, np.exp(rng.uniform(-3, 3, n) + 2j * np.pi * rng.random(n)), 0))
+        support = [w for w, on in zip(weights, live) if on]
+        assert is_stable(action, x, inv) == (min(support) < 0 < max(support))
 
 
 # -- K-orbit classes ---------------------------------------------------------------------

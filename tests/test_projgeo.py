@@ -191,6 +191,17 @@ def test_float_rank_path():
     assert not is_singular_point(V, p)
 
 
+@pytest.mark.parametrize("c", [F(2, 7), F(5, 3)])
+def test_float_node_is_singular_like_the_exact_one(c):
+    # the node of g2 = 12 c^2, g3 = -8 c^3 is (c : 0 : 1); at its float
+    # representative the Jacobian entries are rounding noise (1e-16, 1e-14)
+    f = weierstrass_cubic(12 * c ** 2, -8 * c ** 3)
+    V = VarietyPresentation([f], claimed_dim=1)
+    assert is_singular_point(V, pt(c, 0, 1))
+    assert rank_at(V, ProjPoint((float(c), 0.0, 1.0))) == 0
+    assert zariski_tangent_dim([f.dehomogenize(2)], (float(c), 0.0)) == 2
+
+
 # -- Zariski tangent space ---------------------------------------------------
 
 def _plane_cubic(a, b):
