@@ -11,10 +11,12 @@ polynomial in t of degree at most m.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 TOTAL_MASS = 2.0 * np.pi
+MEMO_SIZES = 32  # Gauss-Legendre rule sizes kept per process
 
 #: default rule sizes for level cap m_max; generous margins keep every
 #: integrand of the shipped function family inside the exactness budget
@@ -23,25 +25,53 @@ def default_radial(m_max: int) -> int:
 
 
 def default_angular(m_max: int) -> int:
-    return 2 * m_max + 8
+    """The smallest 7-smooth count >= 2 m_max + 8, a fast FFT length."""
+    a = 2 * m_max + 8
+    while pow(210, a.bit_length(), a):  # a divides 210^k iff a is 7-smooth
+        a += 1
+    return a
 
 
 class InsufficientResolutionError(RuntimeError):
     pass
 
 
+@lru_cache(maxsize=MEMO_SIZES)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1]: numpy's leggauss nodes,
-    with the weights 2 / ((1-t^2) P_n'(t)^2) recomputed by recurrence there.
-    leggauss's own weights drift by up to 2e-9 relative at n = 1030, which
-    the closed-form normalization of the section basis would expose."""
-    t, _ = np.polynomial.legendre.leggauss(n)
-    p_prev, p = np.ones_like(t), t
-    for j in range(2, n + 1):
-        p_prev, p = p, ((2 * j - 1) * t * p - (j - 1) * p_prev) / j
-    one_minus_t2 = (1.0 - t) * (1.0 + t)
-    dp = n * (p_prev - t * p) / one_minus_t2
-    return t, 2.0 / (one_minus_t2 * dp * dp)
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1]: Newton steps
+    on the three-term recurrence from Tricomi's asymptotic nodes (Hale &
+    Townsend, SIAM J. Sci. Comput. 35, 2013) for the half t <= 0, mirrored.
+    The unknown is u = 1 + t and the recurrence runs on S_j = P_j + P_(j-1):
+    both keep their relative accuracy next to t = -1, where the weight is
+    most sensitive to the node.  The weights 2 / ((1-t^2) P_n'^2) of the last
+    pass are carried to first order along its step (below 1e-8 relative).
+    Each size is built once per process and shared: the arrays are read-only.
+    """
+    theta = np.pi * (4 * np.arange(1, (n + 1) // 2 + 1) - 1) / (4 * n + 2)
+    u = 1.0 - np.cos(theta) * (1 - (n - 1) / (8 * n ** 3)
+                               - (39 - 28 / np.sin(theta) ** 2) / (384 * n ** 4))
+    u[n // 2:] = 1.0  # the middle node of an odd rule
+    tmp = np.empty_like(u)
+    for _ in range(8):  # three passes from Tricomi's nodes
+        p, s = np.ones_like(u), u.copy()
+        for j in range(2, n + 1):  # S_j = ((2j-1) u P_(j-1) - (j-1) S_(j-1)) / j
+            np.subtract(s, p, out=p)
+            np.multiply(u, p, out=tmp)
+            tmp *= (2 * j - 1) / j
+            s *= (1 - j) / j
+            s += tmp
+        p_n = s - p
+        t, one_minus_t2 = u - 1.0, u * (2.0 - u)
+        dp = n * (p - t * p_n) / one_minus_t2
+        step = p_n / dp
+        u -= step
+        if np.max(np.abs(step) / one_minus_t2) <= 1e-8:
+            break
+    w = 2.0 / (one_minus_t2 * dp * dp) * (1.0 + 2.0 * t * step / one_minus_t2)
+    t = np.concatenate((u - 1.0, 1.0 - u[:n // 2][::-1]))
+    w = np.concatenate((w, w[:n // 2][::-1]))
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 @dataclass(frozen=True)

@@ -198,21 +198,21 @@ def _weight_invariants(action):
     weight search.
 
     Monomials X^a with sum(a_i w_i) = 0 and total degree <= 4 are invariant;
-    returns None when there are none (e.g. all weights of one sign)."""
+    keeps each that no kept one divides (weights (-1,0,1): X1 and X0 X2).
+    Returns None when there are none (e.g. all weights of one sign)."""
     from . import gitquot
     from .poly import Polynomial, monomials_of_degree
 
     weights = action.weights
-    found = []
+    kept = []
     for deg in range(1, 5):
         for mono in monomials_of_degree(len(weights), deg):
-            if sum(e * w for e, w in zip(mono, weights)) == 0:
-                found.append(Polynomial.monomial(len(weights), mono))
-        if found:
-            break
-    if not found:
+            if (sum(e * w for e, w in zip(mono, weights)) == 0
+                    and not any(all(a <= b for a, b in zip(k, mono)) for k in kept)):
+                kept.append(mono)
+    if not kept:
         return None
-    return gitquot.InvariantSet.certified(found, action)
+    return gitquot.InvariantSet.certified([Polynomial.monomial(len(weights), a) for a in kept], action)
 
 
 def _quad_note(config: RunConfig, exact: bool) -> list[str]:

@@ -12,6 +12,7 @@ from projquant.btquant.sections import SectionBasis, gram_entry_closed_form
 
 @lru_cache(maxsize=4)
 def _gauss(nodes: int):
+    """numpy's rule, as an independent reference."""
     u, w = np.polynomial.legendre.leggauss(nodes)
     return u, w
 
@@ -44,11 +45,40 @@ def test_radial_oracle_matches_beta_function():
 def test_gauss_legendre_exact_at_the_endpoints():
     # ((1-t)/2)^j peaks at t = -1, where the section profiles of low k live;
     # the n-point rule must integrate it for every j < 2n to rounding
-    for n in (134, 262, 1030):
+    for n in (134, 135, 262, 1030, 1031):
         t, v = gauss_legendre(n)
         b = (1.0 - t) / 2.0
         worst = max(abs(np.sum(v * b ** j) * (j + 1) / 2.0 - 1.0) for j in range(2 * n))
         assert worst < 5e-14
+
+
+@pytest.mark.parametrize("n, nodes, weights", [
+    (1, [0.0], [2.0]),
+    (2, [-1 / math.sqrt(3), 1 / math.sqrt(3)], [1.0, 1.0]),
+    (3, [-math.sqrt(0.6), 0.0, math.sqrt(0.6)], [5 / 9, 8 / 9, 5 / 9]),
+])
+def test_gauss_legendre_small_rules(n, nodes, weights):
+    t, v = gauss_legendre(n)
+    assert np.max(np.abs(t - nodes)) <= 2.3e-16
+    assert np.max(np.abs(v - weights)) <= 5e-16
+
+
+def test_gauss_legendre_nodes_match_numpy():
+    # leggauss is documented as tested up to degree 100
+    for n in range(1, 101):
+        t, _ = gauss_legendre(n)
+        ref_t, _ = _gauss(n)
+        assert np.all(np.diff(t) > 0)
+        assert np.max(np.abs(t - ref_t)) <= 4.5e-16
+
+
+def test_gauss_legendre_is_shared_and_read_only():
+    t, v = gauss_legendre(38)
+    again = gauss_legendre(38)
+    assert again[0] is t and again[1] is v
+    for a in (t, v):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_total_mass(quad64):

@@ -318,7 +318,8 @@ def test_stability_verdicts():
     assert not is_stable(HYPERBOLIC, pt(F(0), F(1)), INV)
 
 
-@pytest.mark.parametrize("weights", [(-1, 1), (-1, 2), (-1, 1, 1), (2, -1, -1), (0, 1), (0, 1, 1)])
+@pytest.mark.parametrize("weights", [(-1, 1), (-1, 2), (-1, 1, 1), (2, -1, -1), (0, 1), (0, 1, 1),
+                                     (-1, 0, 1)])
 def test_stability_is_hilbert_mumford(weights):
     # the supplied invariants generate the invariant ring for these weights,
     # so x is stable iff the least support weight is < 0 < the greatest; a
@@ -340,6 +341,20 @@ def test_stability_is_hilbert_mumford(weights):
             x = pt(*np.where(live, np.exp(rng.uniform(-3, 3, n) + 2j * np.pi * rng.random(n)), 0))
         support = [w for w, on in zip(weights, live) if on]
         assert is_stable(action, x, inv) == (min(support) < 0 < max(support))
+
+
+def test_weight_invariants_keep_every_generator_of_degree_at_most_4():
+    # for weights (-1, 0, 1) the invariant ring is generated by X1 and X0 X2;
+    # keeping only the lowest degree lost X0 X2, so (1:0:1), whose orbit
+    # closure meets the zero level, was not semistable
+    from projquant.cli import _weight_invariants
+
+    action = LinearAction.from_weights((-1, 0, 1))
+    inv = _weight_invariants(action)
+    assert sorted(str(P) for P in inv.polys) == sorted(
+        str(P) for P in (Polynomial.variable(3, 1), Polynomial.monomial(3, (1, 0, 1))))
+    assert orbit_meets_zero_level(action, pt(F(1), F(0), F(1)))
+    assert semistable(pt(F(1), F(0), F(1)), inv)
 
 
 # -- K-orbit classes ---------------------------------------------------------------------
