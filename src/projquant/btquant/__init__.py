@@ -8,7 +8,6 @@ from .chart import (
     curvature_residual,
     hamiltonian_vf,
     hermitian_weight,
-    laplacian,
     omega_density,
     poisson,
     poisson_function,

@@ -92,9 +92,7 @@ def product_residual(f: SmoothFunction, g: SmoothFunction, m: int,
     b = _level_basis(m, quad, basis)
     tf = toeplitz(f, m, basis=b)
     tg = toeplitz(g, m, basis=b)
-    fg = SmoothFunction(name=f"{f.name}*{g.name}",
-                        fn=lambda z: f(z) * g(z),
-                        at_infinity=f.at_infinity * g.at_infinity)
+    fg = SmoothFunction(name=f"{f.name}*{g.name}", fn=lambda z: f(z) * g(z))
     tfg = toeplitz(fg, m, basis=b)
     return op_norm(tf @ tg - tfg)
 

@@ -1,4 +1,4 @@
-"""Kaehler data of P^1 in the affine chart, and smooth test functions.
+"""Kaehler data of P^1 in the affine chart, and smooth functions on it.
 
 Conventions, fixed once for the whole package:
 
@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-FD_STEP = 1e-5
+from ..poly import Polynomial, _powu, parse_polynomial
 
 
 def hermitian_weight(z, m: int):
@@ -46,15 +46,16 @@ class GradientUnavailableError(RuntimeError):
 class SmoothFunction:
     """Real or complex smooth function on the sphere, seen in the chart.
 
-    fn evaluates on (arrays of) chart points; at_infinity supplies the value
-    at the missing point.  Analytic chart derivatives are optional -- when
-    absent, central differences with step 1e-5 stand in (matching analytic
-    values to ~1e-6, which tests enforce for the shipped family).
+    fn evaluates on (arrays of) chart points; at_infinity is the value at the
+    missing point, or None when it is not known.  The chart derivatives dz,
+    dzbar and the Laplacian lap are optional callables; a function without
+    one raises GradientUnavailableError where it is needed, since no
+    estimate stands in for it.
     """
 
     name: str
     fn: Callable
-    at_infinity: complex = 0.0
+    at_infinity: float | None = None
     dz: Callable | None = None
     dzbar: Callable | None = None
     lap: Callable | None = None
@@ -62,37 +63,29 @@ class SmoothFunction:
     def __call__(self, z):
         return self.fn(np.asarray(z, dtype=complex))
 
+    def _derived(self, field: str, z):
+        callable_ = getattr(self, field)
+        if callable_ is None:
+            raise GradientUnavailableError(f"{self.name} has no {field} callable")
+        return callable_(np.asarray(z, dtype=complex))
+
     def d_z(self, z):
-        z = np.asarray(z, dtype=complex)
-        if self.dz is not None:
-            return self.dz(z)
-        fx = (self.fn(z + FD_STEP) - self.fn(z - FD_STEP)) / (2 * FD_STEP)
-        fy = (self.fn(z + 1j * FD_STEP) - self.fn(z - 1j * FD_STEP)) / (2 * FD_STEP)
-        return 0.5 * (fx - 1j * fy)
+        return self._derived("dz", z)
 
     def d_zbar(self, z):
-        z = np.asarray(z, dtype=complex)
-        if self.dzbar is not None:
-            return self.dzbar(z)
-        fx = (self.fn(z + FD_STEP) - self.fn(z - FD_STEP)) / (2 * FD_STEP)
-        fy = (self.fn(z + 1j * FD_STEP) - self.fn(z - 1j * FD_STEP)) / (2 * FD_STEP)
-        return 0.5 * (fx + 1j * fy)
+        return self._derived("dzbar", z)
 
     def laplacian_values(self, z):
-        z = np.asarray(z, dtype=complex)
-        if self.lap is not None:
-            return self.lap(z)
-        h = 1e-4
-        second = (self.fn(z + h) + self.fn(z - h) + self.fn(z + 1j * h)
-                  + self.fn(z - 1j * h) - 4.0 * self.fn(z)) / h ** 2
-        return 0.5 * (1.0 + np.abs(z) ** 2) ** 2 * second
+        return self._derived("lap", z)
 
-    def sup_norm(self, radial: int = 160, angular: int = 64) -> float:
-        """Numerical sup over the sphere: deterministic chart grid plus the
-        point at infinity."""
-        t = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, radial)
+    def sup_norm(self) -> float:
+        """Max |f| over 160 heights x3 uniform in (-1, 1], among them z = 0 and
+        the equator |z| = 1, times 64 angles, and the point at infinity."""
+        if self.at_infinity is None:
+            raise ValueError(f"{self.name} has no known value at infinity")
+        t = np.linspace(-1.0, 1.0, 161)[:-1]
         r = np.sqrt((1 + t) / (1 - t))
-        th = 2 * np.pi * np.arange(angular) / angular
+        th = 2 * np.pi * np.arange(64) / 64
         z = (r[:, None] * np.exp(1j * th)[None, :]).ravel()
         return float(max(np.max(np.abs(self.fn(z))), abs(self.at_infinity)))
 
@@ -116,31 +109,14 @@ def poisson(f: SmoothFunction, g: SmoothFunction, z):
 
 
 def poisson_function(f: SmoothFunction, g: SmoothFunction) -> SmoothFunction:
-    """{f,g} packaged as a SmoothFunction (values only; derivatives fall
-    back to finite differences)."""
-    inf_ring = 1e6 * np.exp(2j * np.pi * np.arange(8) / 8)
-    at_inf = complex(np.mean(poisson(f, g, inf_ring)))
-    return SmoothFunction(
-        name=f"{{{f.name},{g.name}}}",
-        fn=lambda z: poisson(f, g, z),
-        at_infinity=at_inf,
-    )
-
-
-def laplacian(f: SmoothFunction, z):
-    """Laplace-Beltrami operator of the Fubini-Study metric applied to f."""
-    return f.laplacian_values(z)
+    """{f,g} packaged as a SmoothFunction (values only)."""
+    return SmoothFunction(name=f"{{{f.name},{g.name}}}", fn=lambda z: poisson(f, g, z))
 
 
 def shifted_by_laplacian(f: SmoothFunction, m: int) -> SmoothFunction:
     """The combination f - (1/2m) Delta f entering the Tuynman identity."""
-    inf_ring = 1e6 * np.exp(2j * np.pi * np.arange(8) / 8)
-    lap_inf = complex(np.mean(f.laplacian_values(inf_ring)))
-    return SmoothFunction(
-        name=f"{f.name}-lap/{2 * m}",
-        fn=lambda z: f(z) - f.laplacian_values(z) / (2.0 * m),
-        at_infinity=f.at_infinity - lap_inf / (2.0 * m),
-    )
+    return SmoothFunction(name=f"{f.name}-lap/{2 * m}",
+                          fn=lambda z: f(z) - f.laplacian_values(z) / (2.0 * m))
 
 
 def curvature_residual(grid_halfwidth: float = 3.0, grid_points: int = 61,
@@ -181,61 +157,87 @@ def _h(z):
     return 1.0 / (1.0 + np.abs(z) ** 2)
 
 
-def _of_h(expr):
-    """z -> expr(z, h) with h = _h(z) computed once per call."""
-    return lambda z: expr(z, _h(z))
+#: the coordinates x1, x2, x3 of the unit sphere over chart points z, h = _h(z)
+_COORDINATES = (lambda z, h: 2.0 * z.real * h, lambda z, h: 2.0 * z.imag * h,
+                lambda z, h: 2.0 * h - 1.0)
+
+
+def _coordinate_derivative(i: int, z, h, bar: bool):
+    """d x_i / dz (bar: d x_i / dzbar) in one complex array: h - (z + zbar) w h^2,
+    -+i h + i (z - zbar) w h^2 and -2 w h^2 with w = zbar (bar: z)."""
+    out = z.copy() if bar else np.conj(z)
+    out *= 2.0 * (z.real, z.imag)[i] if i < 2 else -2.0
+    out *= h ** 2
+    if i < 2:
+        np.subtract(h if i == 0 else (1j if bar else -1j) * h, out, out=out)
+    return out
+
+
+def _sphere_laplacian(p: Polynomial) -> Polynomial:
+    """Delta of p(x1, x2, x3) on the unit sphere, as a polynomial.  From
+    Delta x_i = -4 x_i, <grad x_i, grad x_j> = 2 (delta_ij - x_i x_j) and
+    Euler's sum_i x_i d_i X^a = d X^a for a term of degree d:
+    Delta X^a = 2 sum_i d_i d_i X^a - 2 d (d + 1) X^a."""
+    out = Polynomial(3, {m: -2 * sum(m) * (sum(m) + 1) * c for m, c in p.terms.items()})
+    for i in range(3):
+        out = out + 2 * p.partial(i).partial(i)
+    return out
+
+
+def _evaluate(q: Polynomial, z, h=None):
+    """q at the sphere points over chart points z, as an array.  The terms are
+    those of Polynomial.evaluate_array, less its unit factors and leading 0,
+    which cost an array pass each; h = _h(z) is formed here if not given."""
+    z = np.asarray(z, dtype=complex)
+    if h is None and q.degree() > 0:
+        h = _h(z)
+    total = None
+    for mono, c in q.iter_terms():
+        v = None if c == 1 else float(c)
+        for i, e in enumerate(mono):
+            if e:
+                power = _powu(_COORDINATES[i](z, h), e)
+                v = power if v is None else np.multiply(v, power, out=power)
+        v = 1.0 if v is None else v
+        if total is None:
+            total = v
+        else:  # in place: the terms are fresh arrays, a constant comes last
+            total = np.add(total, v, out=v if isinstance(v, np.ndarray) else total)
+    return total if isinstance(total, np.ndarray) else np.full(z.shape, total or 0.0)
+
+
+def _derivative(gradient, z, bar: bool):
+    """Chain rule: sum of d p / d X_i (None: the constant 1) times d x_i / dz
+    (bar: / dzbar) over the nonzero partials in gradient."""
+    z = np.asarray(z, dtype=complex)
+    if not gradient:
+        return np.zeros(z.shape, dtype=complex)
+    h, out = _h(z), None
+    for i, p_i in gradient:
+        term = _coordinate_derivative(i, z, h, bar)
+        if p_i is not None:
+            term *= _evaluate(p_i, z, h)
+        out = term if out is None else out + term
+    return out
+
+
+def _on_sphere(name: str, text: str) -> SmoothFunction:
+    """The polynomial in X0, X1, X2 = x1, x2, x3 given by text, restricted to
+    the sphere, with every chart fact derived from it.  Values are real."""
+    p = parse_polynomial(text, 3)
+    lap, unit = _sphere_laplacian(p), Polynomial.constant(3, 1)
+    gradient = [(i, None if p_i == unit else p_i)
+                for i, p_i in enumerate(map(p.partial, range(3))) if not p_i.is_zero]
+    return SmoothFunction(name, fn=lambda z: _evaluate(p, z),
+                          at_infinity=float(p.evaluate((0, 0, -1))),
+                          dz=lambda z: _derivative(gradient, z, False),
+                          dzbar=lambda z: _derivative(gradient, z, True),
+                          lap=lambda z: _evaluate(lap, z))
 
 
 def standard_family() -> dict[str, SmoothFunction]:
-    """The fixed test family: 1, the three ambient coordinates x1, x2, x3 of
-    the unit sphere, x3^2 and x1*x2.  Closed under the Poisson bracket up to
-    constants, with known angular selection rules."""
-    x1 = SmoothFunction(
-        "x1",
-        fn=lambda z: ((z + np.conj(z)) * _h(z)).real.astype(complex),
-        at_infinity=0.0,
-        dz=_of_h(lambda z, h: h - (z + np.conj(z)) * np.conj(z) * h ** 2),
-        dzbar=_of_h(lambda z, h: h - (z + np.conj(z)) * z * h ** 2),
-        lap=lambda z: -4.0 * (z + np.conj(z)) * _h(z),
-    )
-    x2 = SmoothFunction(
-        "x2",
-        fn=lambda z: (-1j * (z - np.conj(z)) * _h(z)).real.astype(complex),
-        at_infinity=0.0,
-        dz=_of_h(lambda z, h: -1j * h + 1j * (z - np.conj(z)) * np.conj(z) * h ** 2),
-        dzbar=_of_h(lambda z, h: 1j * h + 1j * (z - np.conj(z)) * z * h ** 2),
-        lap=lambda z: -4.0 * (-1j) * (z - np.conj(z)) * _h(z),
-    )
-    x3 = SmoothFunction(
-        "x3",
-        fn=lambda z: (2.0 * _h(z) - 1.0).astype(complex),
-        at_infinity=-1.0,
-        dz=lambda z: -2.0 * np.conj(z) * _h(z) ** 2,
-        dzbar=lambda z: -2.0 * z * _h(z) ** 2,
-        lap=lambda z: -4.0 * (2.0 * _h(z) - 1.0),
-    )
-    one = SmoothFunction(
-        "one",
-        fn=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
-        at_infinity=1.0,
-        dz=lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
-        dzbar=lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
-        lap=lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
-    )
-    x3sq = SmoothFunction(
-        "x3sq",
-        fn=lambda z: (2.0 * _h(z) - 1.0).astype(complex) ** 2,
-        at_infinity=1.0,
-        dz=_of_h(lambda z, h: 2.0 * (2.0 * h - 1.0) * (-2.0 * np.conj(z) * h ** 2)),
-        dzbar=_of_h(lambda z, h: 2.0 * (2.0 * h - 1.0) * (-2.0 * z * h ** 2)),
-        lap=lambda z: -12.0 * (2.0 * _h(z) - 1.0) ** 2 + 4.0,
-    )
-    x1x2 = SmoothFunction(
-        "x1x2",
-        fn=lambda z: x1.fn(z) * x2.fn(z),
-        at_infinity=0.0,
-        dz=lambda z: x1.dz(z) * x2.fn(z) + x1.fn(z) * x2.dz(z),
-        dzbar=lambda z: x1.dzbar(z) * x2.fn(z) + x1.fn(z) * x2.dzbar(z),
-        lap=lambda z: -12.0 * x1.fn(z) * x2.fn(z),
-    )
-    return {"one": one, "x1": x1, "x2": x2, "x3": x3, "x3sq": x3sq, "x1x2": x1x2}
+    """The fixed test family, polynomials in X0, X1, X2 = x1, x2, x3: 1, the
+    three coordinates, x3^2 and x1*x2.  Closed under the Poisson bracket up
+    to constants, with known angular selection rules."""
+    texts = {"one": "1", "x1": "X0", "x2": "X1", "x3": "X2", "x3sq": "X2^2", "x1x2": "X0*X1"}
+    return {name: _on_sphere(name, text) for name, text in texts.items()}

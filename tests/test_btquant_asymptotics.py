@@ -13,6 +13,7 @@ from projquant.btquant import (
     product_table,
     star_c1_check,
     toeplitz,
+    tuynman_residual,
 )
 from projquant.btquant.chart import SmoothFunction, poisson_function
 from projquant.btquant.operators import op_norm
@@ -102,6 +103,35 @@ def test_dirac_bilinearity_identity(family, quad64):
     lhs = (m * 1j * (tf2 @ tg - tg @ tf2) - tb2).mat
     rhs = 2.0 * (m * 1j * (tf @ tg - tg @ tf) - tb).mat
     assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+def _z_rotated_frame(family, phi):
+    """y_i = sum_j R_ij x_j for the turn by phi about the x3 axis, assembled
+    from the family's fn/dz/dzbar/lap/at_infinity fields as an outside
+    caller (the benchmark's bt_deep workload) assembles it."""
+    c, s = np.cos(phi), np.sin(phi)
+    xs = [family["x1"], family["x2"], family["x3"]]
+
+    def combo(row, attr):
+        parts = [(float(a), getattr(x, attr)) for a, x in zip(row, xs)]
+        return lambda z: sum(a * fn(z) for a, fn in parts)
+
+    return [SmoothFunction(f"y{i + 1}", fn=combo(row, "fn"),
+                           at_infinity=float(sum(a * x.at_infinity for a, x in zip(row, xs))),
+                           dz=combo(row, "dz"), dzbar=combo(row, "dzbar"), lap=combo(row, "lap"))
+            for i, row in enumerate(((c, s, 0.0), (-s, c, 0.0), (0.0, 0.0, 1.0)))]
+
+
+def test_rotated_frame_from_family_fields(family):
+    m = 16
+    y = _z_rotated_frame(family, 0.7)
+    for f in y:
+        assert tuynman_residual(f, m) <= 1e-12
+        # the grid's 64 angles miss a turned maximum by at most pi/64
+        assert np.cos(np.pi / 64) <= f.sup_norm() <= 1.0
+    # {y1, y2} = 2 y3 cyclically, as for the coordinates themselves
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        assert abs(dirac_residual(y[a], y[b], m) - 4.0 * m / (m + 2) ** 2) <= 1e-12
 
 
 # -- product residual -----------------------------------------------------------------

@@ -42,14 +42,32 @@ def test_radial_oracle_matches_beta_function():
             assert abs(radial_moment_oracle(k, m) - beta_closed_form(k, m)) < 1e-12
 
 
+def _endpoint_moment_errors(t, v, near=16):
+    """|(j+1)/2 sum_k v_k ((1-t_k)/2)^j - 1| for j < 2n.
+
+    In double, the rounding of (1-t)/2 grows j-fold in the power; at large j
+    the nodes nearest t = -1 carry the sum, so their terms are summed exactly:
+    the float nodes and weights are dyadic rationals, t = p/q and v = w/2^s
+    with q a power of two, so (1-t)/2 = (q-p)/2q and each term is an integer
+    over a power of two.  The exact part is rounded once.
+    """
+    b, far = (1.0 - t[near:]) / 2.0, v[near:]
+    nodes = [(q - p, q.bit_length()) for p, q in map(float.as_integer_ratio, t[:near])]
+    weights = [(w, s.bit_length() - 1) for w, s in map(float.as_integer_ratio, v[:near])]
+    powers = [1] * near
+    for j in range(2 * t.size):
+        shifts = [s + e * j for (_, e), (_, s) in zip(nodes, weights)]
+        top = max(shifts)
+        exact = sum(w * pw << (top - sh) for (w, _), pw, sh in zip(weights, powers, shifts))
+        yield abs((exact / (1 << top) + np.sum(far * b ** j)) * (j + 1) / 2.0 - 1.0)
+        powers = [pw * num for pw, (num, _) in zip(powers, nodes)]
+
+
 def test_gauss_legendre_exact_at_the_endpoints():
     # ((1-t)/2)^j peaks at t = -1, where the section profiles of low k live;
     # the n-point rule must integrate it for every j < 2n to rounding
     for n in (134, 135, 262, 1030, 1031):
-        t, v = gauss_legendre(n)
-        b = (1.0 - t) / 2.0
-        worst = max(abs(np.sum(v * b ** j) * (j + 1) / 2.0 - 1.0) for j in range(2 * n))
-        assert worst < 5e-14
+        assert max(_endpoint_moment_errors(*gauss_legendre(n))) < 5e-14
 
 
 @pytest.mark.parametrize("n, nodes, weights", [
