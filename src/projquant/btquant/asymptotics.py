@@ -30,8 +30,9 @@ def doubling_levels(m_min: int, m_max: int) -> list[int]:
 
 def fit_loglog_slope(ms, values) -> float | None:
     """Least-squares slope of log(value) against log(m); None when fewer
-    than two distinct levels leave no line to fit."""
-    if len(set(ms)) < 2:
+    than two distinct levels leave no line to fit, or when a value <= 0 has
+    no logarithm."""
+    if len(set(ms)) < 2 or not all(v > 0 for v in values):
         return None
     x = np.log(np.asarray(ms, dtype=float))
     y = np.log(np.asarray(values, dtype=float))
@@ -69,8 +70,7 @@ def norm_asymptotics(f: SmoothFunction, m_list,
         nrm = op_norm(toeplitz(f, m, quad=quad))
         rows.append((m, nrm, sup - nrm))
     gaps = [g for (_, _, g) in rows]
-    slope = fit_loglog_slope(m_list, gaps) if all(g > 0 for g in gaps) else None
-    return {"sup_norm": sup, "rows": rows, "gap_slope": slope}
+    return {"sup_norm": sup, "rows": rows, "gap_slope": fit_loglog_slope(m_list, gaps)}
 
 
 def dirac_residual(f: SmoothFunction, g: SmoothFunction, m: int,
@@ -122,19 +122,18 @@ def star_c1_check(f: SmoothFunction, g: SmoothFunction, m_list,
         c0 = op_norm(fg_product - tfg)
         rows.append((m, antisym, c0))
     antis = [a for (_, a, _) in rows]
-    slope = fit_loglog_slope(m_list, antis) if all(a > 0 for a in antis) else None
-    return {"rows": rows, "antisym_slope": slope}
+    return {"rows": rows, "antisym_slope": fit_loglog_slope(m_list, antis)}
 
 
 def dirac_table(f, g, m_list, quad=None) -> ConvergenceTable:
     quad = _shared_quad(m_list, quad)
     vals = tuple(dirac_residual(f, g, m, quad=quad) for m in m_list)
-    slope = fit_loglog_slope(m_list, vals) if all(v > 0 for v in vals) else None
-    return ConvergenceTable("dirac", f.name, g.name, tuple(m_list), vals, slope)
+    return ConvergenceTable("dirac", f.name, g.name, tuple(m_list), vals,
+                            fit_loglog_slope(m_list, vals))
 
 
 def product_table(f, g, m_list, quad=None) -> ConvergenceTable:
     quad = _shared_quad(m_list, quad)
     vals = tuple(product_residual(f, g, m, quad=quad) for m in m_list)
-    slope = fit_loglog_slope(m_list, vals) if all(v > 0 for v in vals) else None
-    return ConvergenceTable("product", f.name, g.name, tuple(m_list), vals, slope)
+    return ConvergenceTable("product", f.name, g.name, tuple(m_list), vals,
+                            fit_loglog_slope(m_list, vals))

@@ -58,9 +58,6 @@ class OperatorMatrix:
 
     __rmul__ = __mul__
 
-    def adjoint(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.m, self.mat.conj().T)
-
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.mat - self.mat.conj().T)))
 

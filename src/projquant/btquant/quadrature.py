@@ -82,7 +82,6 @@ class QuadratureRule:
     weights: np.ndarray
     radial_count: int
     angular_count: int
-    m_max: int
 
     def total_mass(self) -> float:
         return float(np.sum(self.weights))
@@ -120,8 +119,7 @@ def build_quadrature(m_max: int, radial: int | None = None,
     theta = 2.0 * np.pi * np.arange(A) / A
     z = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
     w = np.repeat(np.pi * v / A, A)
-    rule = QuadratureRule(nodes=z, weights=w, radial_count=R,
-                          angular_count=A, m_max=m_max)
+    rule = QuadratureRule(nodes=z, weights=w, radial_count=R, angular_count=A)
     if abs(rule.total_mass() - TOTAL_MASS) > 1e-10:
         raise InsufficientResolutionError(
             f"total mass {rule.total_mass()!r} misses 2*pi")

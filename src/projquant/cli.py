@@ -58,8 +58,10 @@ def _json_report(config: RunConfig, payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _fraction(text: str) -> Fraction:
-    return Fraction(text)
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +170,12 @@ def cmd_hilbert(args, config: RunConfig) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+    lo, sep, hi = text.partition("..")
+    lo = int(lo)
+    hi = int(hi) if sep else lo
+    if lo > hi:
+        raise UsageError(f"empty degree range {text!r}: {lo} > {hi}")
+    return lo, hi
 
 
 def cmd_moment_map(args, config: RunConfig) -> int:
@@ -181,9 +184,8 @@ def cmd_moment_map(args, config: RunConfig) -> int:
     weights = tuple(int(w) for w in args.weights.split(","))
     action = gitquot.LinearAction.from_weights(weights)
     inv = _weight_invariants(action)
-    tol = args.tol if args.tol is not None else config.zero_level_tol
     report = gitquot.kirwan_correspondence_check(
-        action, inv, n_samples=args.samples, tol=tol, seed=config.seed)
+        action, inv, n_samples=args.samples, tol=config.zero_level_tol, seed=config.seed)
     ok = report.get("equivalence_holds")
     payload = {"weights": list(weights), "report": report,
                "invariants": [str(F) for F in (inv.polys if inv else ())]}
@@ -215,13 +217,6 @@ def _weight_invariants(action):
     return gitquot.InvariantSet.certified([Polynomial.monomial(len(weights), a) for a in kept], action)
 
 
-def _quad_note(config: RunConfig, exact: bool) -> list[str]:
-    """Trailer line reporting rule exactness, when the config sizes the rule."""
-    if config.quad_radial or config.quad_angular:
-        return [f"# quad_exact = {exact}"]
-    return []
-
-
 def cmd_bt_converge(args, config: RunConfig) -> int:
     from .btquant import (build_quadrature, dirac_table, doubling_levels, norm_asymptotics,
                           product_table, standard_family, star_c1_check, tuynman_residual)
@@ -232,97 +227,65 @@ def cmd_bt_converge(args, config: RunConfig) -> int:
         g = family[args.g] if args.g else None
     except KeyError as exc:
         raise UsageError(f"unknown test function {exc}; choose from {sorted(family)}")
+    if g is None and args.check in ("dirac", "c1"):
+        raise UsageError(f"--g is required for the {args.check} check")
     levels = doubling_levels(args.m_min, args.m_max)
-    radial = config.quad_radial or None
-    angular = config.quad_angular or None
-    quad = build_quadrature(max(levels), radial=radial, angular=angular)
-    note = _quad_note(config, quad.is_exact_for(max(levels)))
+    quad = build_quadrature(max(levels))
 
     if args.check == "norm":
         data = norm_asymptotics(f, levels, quad=quad)
         rows = [(m, nrm) for (m, nrm, _) in data["rows"]]
         slope = data["gap_slope"]
         bound_ok = all(nrm <= data["sup_norm"] + 1e-8 for (_, nrm) in rows)
-        slope_ok = slope is not None and abs(slope + 1.0) <= 0.15
-        ok = bound_ok and slope_ok
+        ok = bound_ok and slope is not None and abs(slope + 1.0) <= 0.15
         trailer = [f"# sup_norm = {data['sup_norm']!r}",
                    f"# gap_slope = {slope!r}",
-                   f"# upper_bound_ok = {bound_ok}",
-                   f"# pass = {ok}"]
-        _write(_csv(config, ["m", "value"], rows, note + trailer), args.out)
-        return PASS if ok else FAIL
-
-    if args.check == "dirac":
-        if g is None:
-            raise UsageError("--g is required for the dirac check")
+                   f"# upper_bound_ok = {bound_ok}"]
+    elif args.check == "dirac":
         table = dirac_table(f, g, levels, quad=quad)
+        rows = table.rows()
         slope_ok = table.slope is not None and abs(table.slope + 1.0) <= 0.3
         ratio = table.values[0] / table.values[-1]
         ratio_ok = ratio > 8.0
         ok = slope_ok and ratio_ok
         trailer = [f"# slope = {table.slope!r}",
                    f"# first_over_final = {ratio!r}",
-                   f"# slope_ok = {slope_ok}", f"# ratio_ok = {ratio_ok}",
-                   f"# pass = {ok}"]
-        _write(_csv(config, ["m", "value"], table.rows(), note + trailer), args.out)
-        return PASS if ok else FAIL
-
-    if args.check == "product":
+                   f"# slope_ok = {slope_ok}", f"# ratio_ok = {ratio_ok}"]
+    elif args.check == "product":
         table = product_table(f, g if g else f, levels, quad=quad)
+        rows = table.rows()
         ok = table.slope is not None and abs(table.slope + 1.0) <= 0.3
-        trailer = [f"# slope = {table.slope!r}", f"# pass = {ok}"]
-        _write(_csv(config, ["m", "value"], table.rows(), note + trailer), args.out)
-        return PASS if ok else FAIL
-
-    if args.check == "tuynman":
+        trailer = [f"# slope = {table.slope!r}"]
+    elif args.check == "tuynman":
         rows = [(m, tuynman_residual(f, m, quad=quad)) for m in levels]
         ok = all(v <= 1e-6 for (_, v) in rows)
-        trailer = [f"# pass = {ok}"]
-        _write(_csv(config, ["m", "value"], rows, note + trailer), args.out)
-        return PASS if ok else FAIL
-
-    if args.check == "c1":
-        if g is None:
-            raise UsageError("--g is required for the c1 check")
+        trailer = []
+    else:  # c1; argparse restricts --check to the five choices
         data = star_c1_check(f, g, levels, quad=quad)
-        antis = [a for (_, a, _) in data["rows"]]
-        tail = [a for (m, a, _) in data["rows"] if m >= 8]
+        rows = [(m, a) for (m, a, _) in data["rows"]]
+        tail = [a for (m, a) in rows if m >= 8]
         monotone = all(b < a for a, b in zip(tail, tail[1:]))
-        ratio_ok = antis[-1] < 0.05 * antis[0]
+        ratio_ok = rows[-1][1] < 0.05 * rows[0][1]
         ok = monotone and ratio_ok
         trailer = [f"# antisym_slope = {data['antisym_slope']!r}",
                    f"# monotone_from_8 = {monotone}",
-                   f"# final_under_5pct_of_first = {ratio_ok}",
-                   f"# pass = {ok}"]
-        rows = [(m, a) for (m, a, _) in data["rows"]]
-        _write(_csv(config, ["m", "value"], rows, note + trailer), args.out)
-        return PASS if ok else FAIL
-
-    raise UsageError(f"unknown check {args.check!r}")
+                   f"# final_under_5pct_of_first = {ratio_ok}"]
+    _write(_csv(config, ["m", "value"], rows, trailer + [f"# pass = {ok}"]), args.out)
+    return PASS if ok else FAIL
 
 
 def cmd_tuynman_check(args, config: RunConfig) -> int:
     from .btquant import build_quadrature, standard_family, tuynman_residual
 
     family = standard_family()
-    names = args.f.split(",")
     levels = [int(m) for m in args.m.split(",")]
-    rows = []
-    worst = 0.0
-    exact = True
-    for name in names:
-        f = family[name]
-        for m in levels:
-            quad = build_quadrature(m, radial=config.quad_radial or None,
-                                    angular=config.quad_angular or None)
-            exact = exact and quad.is_exact_for(m)
-            res = tuynman_residual(f, m, quad=quad)
-            worst = max(worst, res)
-            rows.append((name, m, res))
+    quads = {m: build_quadrature(m) for m in levels}
+    rows = [(name, m, tuynman_residual(family[name], m, quad=quads[m]))
+            for name in args.f.split(",") for m in levels]
+    worst = max(res for (_, _, res) in rows)
     ok = worst <= 1e-6
     trailer = [f"# max_residual = {worst!r}", f"# pass = {ok}"]
-    _write(_csv(config, ["f", "m", "residual"], rows,
-                _quad_note(config, exact) + trailer), args.out)
+    _write(_csv(config, ["f", "m", "residual"], rows, trailer), args.out)
     return PASS if ok else FAIL
 
 
@@ -344,15 +307,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify-cubic", help="classify a Weierstrass plane cubic")
-    p.add_argument("--g2", type=_fraction, required=True)
-    p.add_argument("--g3", type=_fraction, required=True)
+    p.add_argument("--g2", type=Fraction, required=True)
+    p.add_argument("--g3", type=Fraction, required=True)
     p.add_argument("--out")
     p.set_defaults(handler=cmd_classify_cubic)
 
     p = sub.add_parser("curve-points", help="real locus of a plane curve as CSV")
     p.add_argument("--poly", help="homogeneous polynomial in X0, X1, X2")
-    p.add_argument("--g2", type=_fraction, default=Fraction(0))
-    p.add_argument("--g3", type=_fraction, default=Fraction(0))
+    p.add_argument("--g2", type=Fraction, default=Fraction(0))
+    p.add_argument("--g3", type=Fraction, default=Fraction(0))
     p.add_argument("--xmin", type=float, default=-2.0)
     p.add_argument("--xmax", type=float, default=2.0)
     p.add_argument("--ymin", type=float, default=-3.0)
@@ -364,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weierstrass-embed", help="embed a torus into P^2")
     p.add_argument("--tau", required=True,
                    help="lattice parameter as a Python complex, e.g. 2j or 0.5+0.866j")
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--out")
     p.set_defaults(handler=cmd_weierstrass_embed)
 
@@ -378,9 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moment-map", help="moment map / stability report")
     p.add_argument("--weights", required=True, help="comma-separated integers")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--tol", type=float, default=None,
-                   help="zero-level tolerance (default: config zero_level_tol)")
+    p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--out")
     p.set_defaults(handler=cmd_moment_map)
 

@@ -17,17 +17,12 @@ OUTPUT_DIR_ENV = "PROJQUANT_OUTDIR"
 
 @dataclass
 class RunConfig:
-    quad_radial: int = 0          # 0 = derived from the level cap
-    quad_angular: int = 0         # 0 = derived from the level cap
     zero_level_tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.name in ("quad_radial", "quad_angular", "seed"):
-                continue
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"{f.name} must be positive")
+        if self.zero_level_tol <= 0:
+            raise ValueError("zero_level_tol must be positive")
 
     def to_dict(self) -> dict:
         return asdict(self)

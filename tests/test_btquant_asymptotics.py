@@ -36,11 +36,14 @@ def test_fit_loglog_slope_exact_powers():
 
 
 def test_fit_loglog_slope_needs_two_levels(family, quad64):
-    # one level, or one level repeated, leaves no line to fit
+    # one level, or one level repeated, leaves no line to fit; a value <= 0
+    # has no logarithm
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert fit_loglog_slope([16], [0.1]) is None
         assert fit_loglog_slope([16, 16], [0.1, 0.2]) is None
+        assert fit_loglog_slope([4, 8, 16], [0.1, 0.0, 0.02]) is None
+        assert fit_loglog_slope([4, 8, 16], [0.1, 0.05, -0.02]) is None
         assert norm_asymptotics(family["x3"], [16], quad=quad64)["gap_slope"] is None
         assert dirac_table(family["x1"], family["x2"], [16], quad=quad64).slope is None
 

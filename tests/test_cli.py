@@ -217,6 +217,13 @@ def test_hilbert_full_ring(capsys):
     assert [int(d) for _, d in rows] == [1, 2, 3, 4, 5, 6]
 
 
+def test_hilbert_rejects_empty_range(capsys):
+    # lo > hi would print a table with no rows
+    assert main(["hilbert", "--nvars", "3", "--m", "5..2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "5..2" in captured.err
+
+
 # -- weierstrass-embed --------------------------------------------------------------------
 
 def test_weierstrass_embed_has_no_cutoff_flag(capsys):
@@ -225,6 +232,19 @@ def test_weierstrass_embed_has_no_cutoff_flag(capsys):
         main(["weierstrass-embed", "--tau", "2j", "--samples", "8", "--cutoff", "48"])
     assert exc.value.code == 2
     assert "--cutoff" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["weierstrass-embed", "--tau", "2j", "--samples", "0"],
+    ["moment-map", "--weights=-1,1", "--samples", "-5"],
+])
+def test_samples_must_be_positive(argv, capsys):
+    # zero samples would pass the torus gate vacuously, and a negative
+    # count would run the coordinate fixed points alone
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
 
 
 def test_weierstrass_embed_samples_follow_single_point_draws(tmp_path, capsys):
@@ -299,6 +319,31 @@ def test_moment_map_report(capsys):
     assert payload["report"]["equivalence_holds"] is True
     assert payload["report"]["quotient_classes"] == 1
     assert payload["invariants"] == ["X0*X1"]
+
+
+def test_moment_map_tolerance_only_from_config(tmp_path, capsys, monkeypatch):
+    # zero_level_tol is set only by the config, which the JSON echoes
+    with pytest.raises(SystemExit) as exc:
+        main(["moment-map", "--weights=-1,1", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    from projquant import gitquot
+
+    seen = []
+    check = gitquot.kirwan_correspondence_check
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["tol"])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(gitquot, "kirwan_correspondence_check", spy)
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("zero_level_tol = 0.001\n")
+    code, out = run_cli(capsys, "--config", str(cfg), "moment-map",
+                        "--weights=-1,1", "--samples", "20")
+    assert code == 0
+    assert seen == [1e-3]
+    assert json.loads(out)["config"]["zero_level_tol"] == 1e-3
 
 
 def test_moment_map_no_invariants(capsys):
@@ -396,20 +441,6 @@ def test_numeric_failure_exits_1(capsys, monkeypatch, exc):
     code = main(["bt-converge", "--check", "norm", "--f", "x3", "--m-max", "8"])
     assert code == 1
     assert f"error: numeric failure: {exc}" in capsys.readouterr().err
-
-
-def test_quad_override_reports_exactness(tmp_path, capsys):
-    cfg = tmp_path / "coarse.cfg"
-    cfg.write_text("quad_radial = 3\n")
-    code, out = run_cli(capsys, "--config", str(cfg), "bt-converge", "--check", "norm",
-                        "--f", "x3", "--m-min", "4", "--m-max", "16")
-    assert "# quad_exact = False" in comments(out)
-    code, out = run_cli(capsys, "--config", str(cfg), "tuynman-check", "--m", "2,8")
-    assert "# quad_exact = False" in comments(out)
-    # default rules are exact by construction and add no line
-    code, out = run_cli(capsys, "tuynman-check", "--m", "2,8")
-    assert code == 0
-    assert not any("quad_exact" in c for c in comments(out))
 
 
 # -- config and determinism ----------------------------------------------------------------------
@@ -559,10 +590,11 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["power_tol", "rank_rtol", "membership_tol",
-                                 "lattice_cutoff"])
+                                 "lattice_cutoff", "quad_radial", "quad_angular"])
 def test_dead_tolerances_are_not_config_keys(tmp_path, capsys, key):
     # nothing reads these tolerances (nor the torus series cutoff, which is
-    # derived per lattice), so the config neither accepts nor echoes them
+    # derived per lattice, nor the BT rule sizes, which are derived from the
+    # level cap), so the config neither accepts nor echoes them
     cfg = tmp_path / "old.cfg"
     cfg.write_text(f"{key} = 1e-9\n")
     with pytest.raises(SystemExit) as exc:
