@@ -40,7 +40,6 @@ from .asymptotics import (
     norm_asymptotics,
     product_residual,
     product_table,
-    star_c1_check,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

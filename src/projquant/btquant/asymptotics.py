@@ -1,6 +1,8 @@
-"""Semiclassical diagnostics: norm saturation, the commutator/Poisson
-(Dirac) residual, the product residual, and the antisymmetrized first-order
-star-product check, each reported per level with a log-log slope fit.
+"""Semiclassical diagnostics, each per level with a log-log slope fit: norm
+saturation, the product residual and the commutator/Poisson (Dirac) residual.
+The Dirac residual is also the star product's first-order check: the
+antisymmetric part m (T_f T_g - T_{fg}) - m (T_g T_f - T_{gf}) - T_{-i{f,g}}
+is -i (m i [T_f, T_g] - T_{{f,g}}), so it has the Dirac residual's norm.
 """
 
 from __future__ import annotations
@@ -41,9 +43,6 @@ def fit_loglog_slope(ms, values) -> float | None:
 
 @dataclass(frozen=True)
 class ConvergenceTable:
-    check: str
-    f_name: str
-    g_name: str | None
     levels: tuple
     values: tuple
     slope: float | None
@@ -97,43 +96,13 @@ def product_residual(f: SmoothFunction, g: SmoothFunction, m: int,
     return op_norm(tf @ tg - tfg)
 
 
-def star_c1_check(f: SmoothFunction, g: SmoothFunction, m_list,
-                  quad: QuadratureRule | None = None) -> dict:
-    """First-order structure of the induced star product, without knowing
-    the first coefficient itself.
-
-    Per level, form M1 = m (T_f T_g - T_{fg}) and its (f,g)-swap; the
-    difference is m [T_f, T_g] and must approach T_{-i{f,g}}.  The zeroth
-    order is checked alongside via ||T_f T_g - T_{fg}|| -> 0.
-    """
-    quad = _shared_quad(m_list, quad)
-    rows = []
-    for m in m_list:
-        b = SectionBasis.build(m, quad)
-        tf = toeplitz(f, m, basis=b)
-        tg = toeplitz(g, m, basis=b)
-        # f g = g f pointwise, so one T_fg serves both orders
-        tfg = toeplitz(SmoothFunction(name="fg", fn=lambda z: f(z) * g(z)), m, basis=b)
-        fg_product = tf @ tg
-        m1 = m * (fg_product - tfg)
-        m1_swap = m * (tg @ tf - tfg)
-        t_bracket = toeplitz(poisson_function(f, g), m, basis=b)
-        antisym = op_norm((m1 - m1_swap) - (-1j) * t_bracket)
-        c0 = op_norm(fg_product - tfg)
-        rows.append((m, antisym, c0))
-    antis = [a for (_, a, _) in rows]
-    return {"rows": rows, "antisym_slope": fit_loglog_slope(m_list, antis)}
-
-
 def dirac_table(f, g, m_list, quad=None) -> ConvergenceTable:
     quad = _shared_quad(m_list, quad)
     vals = tuple(dirac_residual(f, g, m, quad=quad) for m in m_list)
-    return ConvergenceTable("dirac", f.name, g.name, tuple(m_list), vals,
-                            fit_loglog_slope(m_list, vals))
+    return ConvergenceTable(tuple(m_list), vals, fit_loglog_slope(m_list, vals))
 
 
 def product_table(f, g, m_list, quad=None) -> ConvergenceTable:
     quad = _shared_quad(m_list, quad)
     vals = tuple(product_residual(f, g, m, quad=quad) for m in m_list)
-    return ConvergenceTable("product", f.name, g.name, tuple(m_list), vals,
-                            fit_loglog_slope(m_list, vals))
+    return ConvergenceTable(tuple(m_list), vals, fit_loglog_slope(m_list, vals))

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..poly import Polynomial, _powu, parse_polynomial
+from ..poly import Polynomial, parse_polynomial
 
 
 def hermitian_weight(z, m: int):
@@ -185,25 +185,14 @@ def _sphere_laplacian(p: Polynomial) -> Polynomial:
 
 
 def _evaluate(q: Polynomial, z, h=None):
-    """q at the sphere points over chart points z, as an array.  The terms are
-    those of Polynomial.evaluate_array, less its unit factors and leading 0,
-    which cost an array pass each; h = _h(z) is formed here if not given."""
+    """q at the sphere points over chart points z, as an array: evaluate_array
+    on the coordinates q uses; h = _h(z) is formed here if not given."""
     z = np.asarray(z, dtype=complex)
-    if h is None and q.degree() > 0:
+    used = [any(mono[i] for mono in q.terms) for i in range(3)]
+    if h is None and any(used):
         h = _h(z)
-    total = None
-    for mono, c in q.iter_terms():
-        v = None if c == 1 else float(c)
-        for i, e in enumerate(mono):
-            if e:
-                power = _powu(_COORDINATES[i](z, h), e)
-                v = power if v is None else np.multiply(v, power, out=power)
-        v = 1.0 if v is None else v
-        if total is None:
-            total = v
-        else:  # in place: the terms are fresh arrays, a constant comes last
-            total = np.add(total, v, out=v if isinstance(v, np.ndarray) else total)
-    return total if isinstance(total, np.ndarray) else np.full(z.shape, total or 0.0)
+    value = q.evaluate_array([x(z, h) if u else None for x, u in zip(_COORDINATES, used)])
+    return value if isinstance(value, np.ndarray) else np.full(z.shape, value)
 
 
 def _derivative(gradient, z, bar: bool):

@@ -58,6 +58,14 @@ def _json_report(config: RunConfig, payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _fraction(text: str) -> Fraction:
+    """A rational argument such as 3/4; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
@@ -99,6 +107,8 @@ def cmd_curve_points(args, config: RunConfig) -> int:
             raise UsageError("curve polynomial must be homogeneous in X0, X1, X2")
     else:
         f = projgeo.weierstrass_cubic(args.g2, args.g3)
+    if args.resolution < 2:
+        raise UsageError(f"--resolution must be >= 2 grid nodes per axis, got {args.resolution}")
     affine = f.dehomogenize(2)  # plot plane is the chart X2 = 1
 
     def val(x, y):
@@ -219,7 +229,7 @@ def _weight_invariants(action):
 
 def cmd_bt_converge(args, config: RunConfig) -> int:
     from .btquant import (build_quadrature, dirac_table, doubling_levels, norm_asymptotics,
-                          product_table, standard_family, star_c1_check, tuynman_residual)
+                          product_table, standard_family, tuynman_residual)
 
     family = standard_family()
     try:
@@ -260,14 +270,14 @@ def cmd_bt_converge(args, config: RunConfig) -> int:
         rows = [(m, tuynman_residual(f, m, quad=quad)) for m in levels]
         ok = all(v <= 1e-6 for (_, v) in rows)
         trailer = []
-    else:  # c1; argparse restricts --check to the five choices
-        data = star_c1_check(f, g, levels, quad=quad)
-        rows = [(m, a) for (m, a, _) in data["rows"]]
+    else:  # c1, argparse's fifth choice: the Dirac norm (see btquant.asymptotics)
+        table = dirac_table(f, g, levels, quad=quad)
+        rows = table.rows()
         tail = [a for (m, a) in rows if m >= 8]
         monotone = all(b < a for a, b in zip(tail, tail[1:]))
         ratio_ok = rows[-1][1] < 0.05 * rows[0][1]
         ok = monotone and ratio_ok
-        trailer = [f"# antisym_slope = {data['antisym_slope']!r}",
+        trailer = [f"# antisym_slope = {table.slope!r}",
                    f"# monotone_from_8 = {monotone}",
                    f"# final_under_5pct_of_first = {ratio_ok}"]
     _write(_csv(config, ["m", "value"], rows, trailer + [f"# pass = {ok}"]), args.out)
@@ -307,15 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify-cubic", help="classify a Weierstrass plane cubic")
-    p.add_argument("--g2", type=Fraction, required=True)
-    p.add_argument("--g3", type=Fraction, required=True)
+    p.add_argument("--g2", type=_fraction, required=True)
+    p.add_argument("--g3", type=_fraction, required=True)
     p.add_argument("--out")
     p.set_defaults(handler=cmd_classify_cubic)
 
     p = sub.add_parser("curve-points", help="real locus of a plane curve as CSV")
     p.add_argument("--poly", help="homogeneous polynomial in X0, X1, X2")
-    p.add_argument("--g2", type=Fraction, default=Fraction(0))
-    p.add_argument("--g3", type=Fraction, default=Fraction(0))
+    p.add_argument("--g2", type=_fraction, default=Fraction(0))
+    p.add_argument("--g3", type=_fraction, default=Fraction(0))
     p.add_argument("--xmin", type=float, default=-2.0)
     p.add_argument("--xmax", type=float, default=2.0)
     p.add_argument("--ymin", type=float, default=-3.0)

@@ -31,6 +31,8 @@ class GradedRingPresentation:
     relations: tuple | None = None
 
     def __post_init__(self):
+        if self.nvars < 1:
+            raise ValueError(f"need at least 1 variable, got nvars = {self.nvars}")
         degs = tuple(int(d) for d in self.relation_degrees)
         if any(d <= 0 for d in degs):
             raise ValueError("relation degrees must be positive")

@@ -206,15 +206,18 @@ class Polynomial:
 
     def evaluate_array(self, coords):
         """Float value at coordinates that may be numpy arrays (broadcast); rational
-        coefficients enter as floats, so real input gives the complex path's real part."""
-        total = 0
+        coefficients enter as floats, so real input gives the complex path's real part.
+        Unit coefficients add no factor, the zero polynomial gives 0.0, and the
+        coordinates of variables no term uses are never read (they may be None)."""
+        total = None
         for m, c in self.iter_terms():
-            v = complex(c) if isinstance(c, GaussianRational) else float(c)
+            v = None if c == 1 else complex(c) if isinstance(c, GaussianRational) else float(c)
             for x, e in zip(coords, m):
                 if e:
-                    v = v * _powu(x, e)
-            total = total + v
-        return total
+                    v = _powu(x, e) if v is None else v * _powu(x, e)
+            v = 1.0 if v is None else v
+            total = v if total is None else total + v
+        return 0.0 if total is None else total
 
     def dehomogenize(self, i: int) -> "Polynomial":
         """Set X_i = 1 and drop that variable (affine chart alpha_i != 0)."""

@@ -81,6 +81,25 @@ def test_curve_points_empty_window(capsys):
     assert rows == []
 
 
+@pytest.mark.parametrize("resolution", ["0", "1"])
+def test_curve_points_needs_two_nodes_per_axis(resolution, capsys):
+    # fewer than 2 grid nodes per axis would print a header with no points
+    assert main(["curve-points", "--g2", "4", "--g3", "0", "--resolution", resolution]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--resolution" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify-cubic", "--g2", "1/0", "--g3", "0"],
+    ["curve-points", "--g2", "4", "--g3", "3/0"],
+])
+def test_zero_denominator_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
 
 def _scalar_curve_scan(f, xs, ys):
     """Reference route: one Polynomial.evaluate call per point and a plain
@@ -222,6 +241,12 @@ def test_hilbert_rejects_empty_range(capsys):
     assert main(["hilbert", "--nvars", "3", "--m", "5..2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "5..2" in captured.err
+
+
+def test_hilbert_rejects_zero_variables(capsys):
+    assert main(["hilbert", "--nvars", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "nvars = 0" in captured.err
 
 
 # -- weierstrass-embed --------------------------------------------------------------------

@@ -77,6 +77,9 @@ def test_validation():
         GradedRingPresentation(2, (2, 2, 2))
     with pytest.raises(ValueError):
         GradedRingPresentation(3, (2,), (X(0),))  # degree mismatch
+    for nvars in (0, -1):  # the message names the variable count
+        with pytest.raises(ValueError, match=f"nvars = {nvars}"):
+            GradedRingPresentation(nvars)
 
 
 def test_graded_basis_examples():

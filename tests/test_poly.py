@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -77,6 +78,13 @@ def test_float_evaluation_matches_exact():
     exact = f.evaluate((Fraction(1, 2), Fraction(2), Fraction(3)))
     approx = f.evaluate((0.5 + 0j, 2.0, 3.0))
     assert abs(complex(approx) - float(exact)) < 1e-12
+    # evaluate_array: the zero polynomial is 0.0; a unit coefficient adds no
+    # factor, so a lone -0.0 coordinate keeps its sign
+    assert Polynomial.zero(3).evaluate_array((0.5, 2.0, 3.0)) == 0.0
+    assert Polynomial.constant(3, 1).evaluate_array((0.5, 2.0, 3.0)) == 1.0
+    assert math.copysign(1.0, X(0).evaluate_array((-0.0, 2.0, 3.0))) == -1.0
+    assert (X(0) * X(1) + X(2)).evaluate_array((0.1, 0.3, 0.7)) == 0.1 * 0.3 + 0.7
+    assert (2 * X(1)).evaluate_array((None, 1.5, None)) == 3.0  # unused: never read
 
 
 def test_dehomogenize():
