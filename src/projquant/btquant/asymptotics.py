@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import SmoothFunction, poisson_function
-from .operators import _level_basis, op_norm, toeplitz
+from .operators import OperatorMatrix, _assemble, _level_basis, _toeplitz_of, op_norm, toeplitz
 from .quadrature import QuadratureRule, build_quadrature
 from .sections import SectionBasis
 
@@ -75,13 +75,30 @@ def norm_asymptotics(f: SmoothFunction, m_list,
 def dirac_residual(f: SmoothFunction, g: SmoothFunction, m: int,
                    quad: QuadratureRule | None = None,
                    basis: SectionBasis | None = None) -> float:
-    """|| m i [T_f, T_g] - T_{{f,g}} || at level m."""
+    """|| m i [T_f, T_g] - T_{{f,g}} || at level m.
+
+    For real node values of f and g, f_z = conj(f_zbar), so the bracket is
+    -2 (1+|z|^2)^2 Im(f_zbar conj(g_zbar)) from two derivatives, and with
+    T_f, T_g Hermitian the commutator is C - C^H for C = T_f T_g: the
+    residual is Hermitian by construction.  Complex values take the full
+    bracket and both products.
+    """
     b = _level_basis(m, quad, basis)
-    tf = toeplitz(f, m, basis=b)
-    tg = toeplitz(g, m, basis=b)
-    tb = toeplitz(poisson_function(f, g), m, basis=b)
-    comm = tf @ tg - tg @ tf
-    return op_norm(m * 1j * comm - tb)
+    z = b.quad.nodes
+    fv, gv = f(z), g(z)
+    tf, tg = _toeplitz_of(b, fv), _toeplitz_of(b, gv)
+    if not (tf.hermitian and tg.hermitian):
+        tb = toeplitz(poisson_function(f, g), m, basis=b)
+        return op_norm(m * 1j * (tf @ tg - tg @ tf) - tb)
+    w = f.d_zbar(z)
+    w *= np.conj(g.d_zbar(z))
+    bracket = np.square(1.0 + np.abs(z) ** 2)
+    bracket *= -2.0 * w.imag
+    c = tf.mat @ tg.mat
+    comm = c - c.conj().T
+    comm *= m * 1j
+    comm -= _assemble(b, bracket)
+    return op_norm(OperatorMatrix(m, comm, hermitian=True))
 
 
 def product_residual(f: SmoothFunction, g: SmoothFunction, m: int,
@@ -89,11 +106,9 @@ def product_residual(f: SmoothFunction, g: SmoothFunction, m: int,
                      basis: SectionBasis | None = None) -> float:
     """|| T_f T_g - T_{f g} || at level m."""
     b = _level_basis(m, quad, basis)
-    tf = toeplitz(f, m, basis=b)
-    tg = toeplitz(g, m, basis=b)
-    fg = SmoothFunction(name=f"{f.name}*{g.name}", fn=lambda z: f(z) * g(z))
-    tfg = toeplitz(fg, m, basis=b)
-    return op_norm(tf @ tg - tfg)
+    z = b.quad.nodes
+    fv, gv = f(z), g(z)
+    return op_norm(_toeplitz_of(b, fv) @ _toeplitz_of(b, gv) - _toeplitz_of(b, fv * gv))
 
 
 def dirac_table(f, g, m_list, quad=None) -> ConvergenceTable:

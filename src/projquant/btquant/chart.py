@@ -154,7 +154,11 @@ def chart_change_residual(samples: int = 32) -> float:
 
 
 def _h(z):
-    return 1.0 / (1.0 + np.abs(z) ** 2)
+    """(1 + |z|^2)^-1 in one node-sized array, bit for bit 1 / (1 + |z|^2)."""
+    h = np.abs(z, out=np.empty(np.shape(z)))
+    np.square(h, out=h)
+    h += 1.0
+    return np.reciprocal(h, out=h)
 
 
 #: the coordinates x1, x2, x3 of the unit sphere over chart points z, h = _h(z)

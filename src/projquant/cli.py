@@ -109,6 +109,11 @@ def cmd_curve_points(args, config: RunConfig) -> int:
         f = projgeo.weierstrass_cubic(args.g2, args.g3)
     if args.resolution < 2:
         raise UsageError(f"--resolution must be >= 2 grid nodes per axis, got {args.resolution}")
+    for axis, lo, hi in (("x", args.xmin, args.xmax), ("y", args.ymin, args.ymax)):
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise UsageError(f"the {axis} window needs finite bounds, got [{lo}, {hi}]")
+        if lo == hi:
+            raise UsageError(f"the {axis} window is empty: --{axis}min = --{axis}max = {lo}")
     affine = f.dehomogenize(2)  # plot plane is the chart X2 = 1
 
     def val(x, y):

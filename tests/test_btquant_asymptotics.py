@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from projquant.btquant import (
+    build_quadrature,
     dirac_residual,
     dirac_table,
     doubling_levels,
@@ -134,6 +135,28 @@ def test_rotated_frame_from_family_fields(family):
     # {y1, y2} = 2 y3 cyclically, as for the coordinates themselves
     for a, b in ((0, 1), (1, 2), (2, 0)):
         assert abs(dirac_residual(y[a], y[b], m) - 4.0 * m / (m + 2) ** 2) <= 1e-12
+
+
+def _complex_valued(f):
+    """f with complex node values: the residuals then take the full
+    poisson_function route and both commutator products."""
+    return SmoothFunction(f"{f.name}+0j", fn=lambda z: f.fn(z).astype(complex),
+                          at_infinity=f.at_infinity, dz=f.dz, dzbar=f.dzbar, lap=f.lap)
+
+
+@pytest.mark.parametrize("m", [4, 16, 64])
+def test_dirac_real_route_matches_poisson_route(family, m):
+    y = _z_rotated_frame(family, 0.7)
+    pairs = [(y[a], y[b]) for a, b in ((0, 1), (1, 2), (2, 0))]
+    names = ("x1", "x2", "x3", "x3sq", "x1x2")
+    pairs += [(family[a], family[b]) for a in names for b in names if a < b]
+    quad = build_quadrature(m)
+    for f, g in pairs:
+        real = dirac_residual(f, g, m, quad=quad)
+        full = dirac_residual(_complex_valued(f), _complex_valued(g), m, quad=quad)
+        assert abs(real - full) <= 1e-13 * max(1.0, full)
+        assert abs(product_residual(f, g, m, quad=quad)
+                   - product_residual(_complex_valued(f), _complex_valued(g), m, quad=quad)) <= 1e-13
 
 
 # -- product residual -----------------------------------------------------------------

@@ -16,7 +16,7 @@ from projquant.btquant import (
     tuynman_residual,
 )
 from projquant.btquant.chart import SmoothFunction
-from projquant.btquant.operators import _assemble
+from projquant.btquant.operators import OperatorMatrix, _assemble
 from projquant.coordring import GradedRingPresentation, hilbert_function
 
 
@@ -111,10 +111,49 @@ def test_spin_model_at_large_levels(family, m):
 
 
 def test_hermiticity_for_real_functions(family, quad64):
+    # real node values fill the D < 0 modes by conjugation: exactly Hermitian
     for name in ("x1", "x2", "x3", "x3sq", "x1x2"):
         for m in (4, 16, 64):
             T = toeplitz(family[name], m, quad=quad64)
-            assert T.hermiticity_defect() < 1e-10
+            assert T.hermitian
+            assert T.hermiticity_defect() == 0.0
+
+
+@pytest.mark.parametrize("m, radial, angular", [
+    (8, None, None), (33, None, None), (64, None, None),
+    # coarse rules with A <= 2m: D mod A passes A/2 and aliases
+    (16, 12, 20), (16, 12, 21), (16, 12, 9), (5, 4, 3), (1, 3, 2)])
+def test_real_half_spectrum_matches_full_route(family, m, radial, angular):
+    # real values through the half-spectrum route against the same values
+    # cast to complex through the full inverse FFT
+    quad = build_quadrature(m, radial=radial, angular=angular)
+    b = SectionBasis.build(m, quad)
+    rng = np.random.default_rng(m)
+    cases = [f(quad.nodes) for f in family.values()] + [rng.standard_normal(quad.nodes.size)]
+    for values in cases:
+        half, full = _assemble(b, values), _assemble(b, values.astype(complex))
+        assert np.max(np.abs(half - full)) <= 1e-14 * np.max(np.abs(full))
+        assert np.max(np.abs(half - half.conj().T)) == 0.0
+
+
+def test_hermitian_flag_follows_structure(family, quad64):
+    m = 8
+    t1, t3 = toeplitz(family["x1"], m, quad=quad64), toeplitz(family["x3"], m, quad=quad64)
+    assert (t1 + t3).hermitian and (t1 - t3).hermitian and (2.5 * t1).hermitian
+    assert not (t1 @ t3).hermitian and not (1j * t1).hermitian
+    assert not (t1 + 1j * t3).hermitian
+    assert not OperatorMatrix(m, t1.mat).hermitian  # never inferred from entries
+    assert abs(op_norm(t1 @ t3) - np.linalg.norm((t1 @ t3).mat, 2)) < 1e-14
+
+
+def test_complex_symbol_has_no_flag(family, quad64):
+    # a complex-valued symbol keeps the full route, and its norm the SVD
+    x1, x2 = family["x1"], family["x2"]
+    f = SmoothFunction("x1+ix2", fn=lambda z: x1.fn(z) + 1j * x2.fn(z))
+    for m in (4, 16):
+        T = toeplitz(f, m, quad=quad64)
+        assert not T.hermitian
+        assert op_norm(T) == np.linalg.norm(T.mat, 2)
 
 
 def test_positivity(family, quad64):
@@ -158,9 +197,10 @@ def test_op_norm_against_svd(family, quad64):
 
 
 def test_op_norm_diagonal_cases():
-    from projquant.btquant.operators import OperatorMatrix
     d = OperatorMatrix(2, np.diag([0.5, -2.0, 1.0]).astype(complex))
     assert abs(op_norm(d) - 2.0) < 1e-12
+    # the most negative eigenvalue sets the norm of a Hermitian operator
+    assert op_norm(OperatorMatrix(2, d.mat, hermitian=True)) == 2.0
     eye = OperatorMatrix(2, np.eye(3, dtype=complex))
     assert abs(op_norm(eye) - 1.0) < 1e-12
 

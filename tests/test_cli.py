@@ -89,6 +89,30 @@ def test_curve_points_needs_two_nodes_per_axis(resolution, capsys):
     assert captured.out == "" and "--resolution" in captured.err
 
 
+@pytest.mark.parametrize("bounds, axis", [
+    (["--xmin", "1", "--xmax", "1"], "x"),
+    (["--ymin", "-0.5", "--ymax", "-0.5"], "y"),
+    (["--xmin", "nan"], "x"),
+    (["--xmax", "inf"], "x"),
+    (["--ymin", "inf"], "y"),
+    (["--ymax=-inf"], "y"),
+])
+def test_curve_points_rejects_degenerate_windows(bounds, axis, capsys):
+    # equal bounds give no grid cell and repeat each crossing once per
+    # collapsed grid line; a non-finite bound gives nan rows
+    assert main(["curve-points", "--g2", "4", "--g3", "0", "--resolution", "5", *bounds]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"the {axis} window" in captured.err
+
+
+def test_curve_points_reversed_window_is_valid(capsys):
+    code, out = run_cli(capsys, "curve-points", "--g2", "4", "--g3", "0",
+                        "--xmin", "2", "--xmax", "-2", "--resolution", "41")
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert rows and all(-2.0 <= float(x) <= 2.0 for x, _ in rows)
+
+
 @pytest.mark.parametrize("argv", [
     ["classify-cubic", "--g2", "1/0", "--g3", "0"],
     ["curve-points", "--g2", "4", "--g3", "3/0"],
