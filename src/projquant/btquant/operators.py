@@ -85,18 +85,17 @@ def _assemble(b: SectionBasis, values: np.ndarray) -> np.ndarray:
     sum as the dense pairing, regrouped.  D and s have the same parity, and
     one real matrix product per parity gives mu for all of its (s, D).
 
-    Real values (a real dtype) have M_(-D) = conj(M_D), so a real FFT gives
-    the modes and the product runs over D >= 0 only; mu_(-D) = conj(mu_D)
+    Real values (a real dtype) have M_(-D) = conj(M_D), so a real-input FFT
+    gives the modes and the product runs over D >= 0 only; mu_(-D) = conj(mu_D)
     fills the rest, and since pair_scale is symmetric the matrix is exactly
     Hermitian.
     """
     m, n = b.m, b.dim
     R, A = b.quad.radial_count, b.quad.angular_count
     real = np.isrealobj(values)
-    if real:  # the inverse-FFT modes 0..A/2; mode k > A/2 is conj(mode A - k)
-        modes = np.fft.ihfft(np.asarray(values, dtype=float).reshape(R, A), axis=1)
-    else:
-        modes = np.fft.ifft(np.asarray(values, dtype=complex).reshape(R, A), axis=1)
+    # for real values ihfft gives the inverse-FFT modes 0..A/2; mode k > A/2
+    # is conj(mode A - k)
+    modes = (np.fft.ihfft if real else np.fft.ifft)(np.reshape(values, (R, A)), axis=1)
     modes *= b.radial_weights[:, None]
     out = np.empty((n, n), dtype=complex)
     for p in (0, 1):
