@@ -91,11 +91,13 @@ class QuadratureRule:
         return complex(np.sum(self.weights * values))
 
     def is_exact_for(self, m: int, extra_degree: int = 4) -> bool:
-        """Whether level-m matrix elements (plus the given slack in both the
-        radial polynomial degree and the angular harmonic index) are inside
-        the rule's exactness range."""
+        """Whether the rule integrates the level-m matrix elements of a symbol
+        of degree extra_degree in x1, x2, x3 exactly.  The radial factor is a
+        polynomial of degree m + d in t, exact when 2R - 1 >= m + d; the
+        angular factor is e^(i(k-j)theta) times the symbol's modes, of index
+        at most m + d, exact when A >= m + d + 1."""
         radial_ok = 2 * self.radial_count - 1 >= m + extra_degree
-        angular_ok = self.angular_count >= 2 * m + extra_degree
+        angular_ok = self.angular_count >= m + extra_degree + 1
         return radial_ok and angular_ok
 
 

@@ -23,8 +23,6 @@ from .projgeo import ProjPoint, _float_matrix_rank, format_point
 
 ANTIHERMITIAN_TOL = 1e-12
 K_ORBIT_TOL = 1e-8
-#: the orbit search samples mu at this many s in [-RAY_LOG_T, RAY_LOG_T], t = e^s
-RAY_LOG_T, RAY_SAMPLES = 14.0, 60
 
 
 class InexactGeneratorsError(TypeError):
@@ -115,19 +113,25 @@ def moment_map(action: LinearAction, x) -> np.ndarray:
     makes the numerator purely imaginary, so the value is real, and the
     |x|^2 denominator makes it representative-independent.
     """
-    v = _coords(x)
-    nrm2 = float(np.real(np.vdot(v, v)))
-    out = np.empty(len(action.generators))
-    for j, g in enumerate(action.generators):
-        val = np.vdot(v, g @ v) / (2j * math.pi * nrm2)
-        out[j] = float(np.real(val))
-    return out
+    return _moment_rows(action, _coords(x)[None, :])[0]
+
+
+def _moment_rows(action: LinearAction, V: np.ndarray) -> np.ndarray:
+    """moment_map of each row v of V, shape (rows, generators):
+    Im(v* A_j v) / (2 pi |v|^2).  Elementwise products and row sums only, so
+    a row's value does not depend on the rows stacked with it."""
+    Av = np.add.reduce(np.array(action.generators) * V[:, None, None, :], axis=-1)
+    num = np.add.reduce(V.conj()[:, None, :] * Av, axis=-1)
+    nrm2 = np.add.reduce(V.real * V.real + V.imag * V.imag, axis=1)
+    return num.imag / (2.0 * math.pi * nrm2[:, None])
 
 
 def zero_level(action: LinearAction, points, tol: float) -> list:
     """The sampled zero level of the moment map: ||mu(x)|| <= tol."""
-    return [p for p in points
-            if float(np.linalg.norm(moment_map(action, p))) <= tol]
+    points = list(points)
+    V = np.array([_coords(p) for p in points]).reshape(len(points), action.n + 1)
+    mu = np.linalg.norm(_moment_rows(action, V), axis=1)
+    return [p for p, r in zip(points, mu) if r <= tol]
 
 
 def _derivation(F: Polynomial, matrix_rows) -> Polynomial:
@@ -257,11 +261,11 @@ def orbit_meets_zero_level(action: LinearAction, x, tol: float = 1e-9):
     """For a diagonal one-parameter action: does the closure of the
     complexified orbit of x meet the zero level of the moment map?
 
-    Along t = e^s the single moment component is monotone in s (it is the
-    logarithmic derivative of a log-convex function), so a sign change plus
-    a safeguarded root search decides the question; both t -> 0 and
-    t -> infinity limit points are also inspected.  Returns (met, witness)
-    with the witness a ProjPoint or None.
+    Along t = e^s the single moment component is increasing in s (it is the
+    logarithmic derivative of a log-convex function), so it has a root
+    exactly when the support weights have both signs, found by a safeguarded
+    root search; both t -> 0 and t -> infinity limit points are also
+    inspected.  Returns (met, witness) with the witness a ProjPoint or None.
     """
     weights, v = _one_param_weights(action), _coords(x)
     return _witness(weights, v, _orbit_search(weights, v[None, :], tol)[0])
@@ -277,26 +281,32 @@ def _one_param_weights(action: LinearAction) -> tuple:
 def _orbit_search(weights, V: np.ndarray, tol: float) -> np.ndarray:
     """Where the orbit closure of each row v of V meets the zero level: -inf or
     inf for the t -> 0 or t -> infinity limit (mu = extremal weight on the
-    support / 2 pi; '0' first), s for e^(s w) . v, nan when it does not.  The
-    first grid hit wins, else the first sign change, narrowed in lockstep by
-    Newton steps (mu' = Var_p(w) / pi; the midpoint when a step leaves the
-    bracket) for at most 200 evaluations."""
+    support / 2 pi; '0' first), s for e^(s w) . v, nan when it does not.
+    Rows with support weights w_lo < 0 < w_hi have one root.  Newton steps
+    (mu' = Var_p(w) / pi; the midpoint when a step leaves the bracket) narrow
+    them in lockstep, for at most 200 evaluations, from the root of the two
+    extremal weight classes (P = sum of |v_j|^2 over a class; exact when the
+    nonzero support weights take two values).  The bracket: for s >= 0 the
+    numerator sum w_j |v_j|^2 e^(2 s w_j) has positive part at least
+    w_hi P_hi e^(2 s w_hi) and negative part at most its size N_- at s = 0,
+    so mu >= 0 at s_hi = max(0, ln(N_- / (w_hi P_hi)) / (2 w_hi)); s_lo
+    likewise from N_+ and |w_lo| P_lo."""
     w = np.array(weights, dtype=float)
     log_a = 2.0 * np.log(np.abs(V))  # -inf off the support
     w_lo, w_hi = _extremal_weights(weights, V)
     s = np.full(len(V), np.nan)
     s[np.abs(w_hi) / (2.0 * math.pi) <= tol] = np.inf
     s[np.abs(w_lo) / (2.0 * math.pi) <= tol] = -np.inf
-    ss = np.linspace(-RAY_LOG_T, RAY_LOG_T, RAY_SAMPLES)
-    vals = _ray_moment_map(log_a[:, None, :], ss[:, None], w)[0]
-    hit, todo = np.abs(vals) <= tol, np.isnan(s)  # not decided by a limit
-    found = todo & hit.any(axis=1)
-    s[found] = ss[hit[found].argmax(axis=1)]
-    sign_change = vals[:, :-1] * vals[:, 1:] < 0
-    rows = np.flatnonzero(todo & ~found & sign_change.any(axis=1))
-    k = sign_change[rows].argmax(axis=1)  # first bracket only
-    lo, hi, log_a = ss[k], ss[k + 1], log_a[rows]
-    x, evals = 0.5 * (lo + hi), 0
+    rows = np.flatnonzero(np.isnan(s) & (w_lo < 0) & (w_hi > 0))
+    log_a, w_lo, w_hi = log_a[rows], w_lo[rows], w_hi[rows]
+    log_wa = np.log(np.abs(w)) + log_a  # log |w_j| |v_j|^2
+    # log w_hi P_hi, log |w_lo| P_lo, log N_+ and log N_-
+    extremal, sides = w == np.array([w_hi, w_lo])[..., None], np.array([w > 0, w < 0])[:, None]
+    (top, bottom), (n_plus, n_minus) = (_log_sum(np.where(m, log_wa, -np.inf))
+                                        for m in (extremal, sides))
+    lo = np.minimum(0.0, (n_plus - bottom) / (2.0 * w_lo))
+    hi = np.maximum(0.0, (n_minus - top) / (2.0 * w_hi))
+    x, evals = np.clip((bottom - top) / (2.0 * (w_hi - w_lo)), lo, hi), 0
     while len(rows) and evals < 200:
         evals += 1
         mu, slope = _ray_moment_map(log_a, x[:, None], w)
@@ -319,6 +329,12 @@ def _extremal_weights(weights, V: np.ndarray):
     return np.fmin.reduce(w_live, axis=1), np.fmax.reduce(w_live, axis=1)
 
 
+def _log_sum(e: np.ndarray) -> np.ndarray:
+    """log sum exp over the last axis, for rows with a finite entry."""
+    top = np.maximum.reduce(e, axis=-1, keepdims=True)
+    return top[..., 0] + np.log(np.add.reduce(np.exp(e - top), axis=-1))
+
+
 def _ray_moment_map(log_a: np.ndarray, s, w: np.ndarray):
     """mu at e^(s w) . v and d mu / ds over the last axis: sum w_j p_j / (2 pi
     sum p_j) and Var_p(w) / pi, p_j = |v_j|^2 e^(2 s w_j) (log |v_j|^2 given),
@@ -335,9 +351,16 @@ def _witness(weights, v: np.ndarray, s: float):
     """(met, witness) for the row v of _orbit_search and its result s."""
     if np.isnan(s):
         return False, None
-    if np.isinf(s):
-        return True, one_param_limit(weights, v, "0" if s < 0 else "inf")
-    return True, ProjPoint(tuple(v * np.exp(s * np.array(weights, dtype=float))))
+    return True, ProjPoint(tuple(_witness_rows(weights, v[None, :], np.array([s]))[0]))
+
+
+def _witness_rows(weights, V: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Each row v of V where _orbit_search met the zero level: e^(s w) . v for
+    finite s, the t -> 0 or t -> infinity limit for s = -inf or inf; rows with
+    s = nan come back unchanged."""
+    to_zero, to_inf = _limits(weights, V)
+    moved = V * np.exp(np.where(np.isfinite(s), s, 0.0)[:, None] * np.array(weights, dtype=float))
+    return np.where((s == -np.inf)[:, None], to_zero, np.where((s == np.inf)[:, None], to_inf, moved))
 
 
 def is_stable(action: LinearAction, x, inv: InvariantSet,
@@ -366,33 +389,41 @@ def k_orbit_equivalent(action: LinearAction, p: ProjPoint, q: ProjPoint,
     pattern, their moduli agree up to one overall scale, and the phase
     profile differs by phi + theta * w_j for some phases phi, theta.
     """
-    return _k_orbit_match(_one_param_weights(action), p.to_complex()[None, :],
-                          q.to_complex(), tol)
+    V = np.array([p.to_complex(), q.to_complex()])
+    return bool(_k_orbit_matrix(_one_param_weights(action), V, tol)[0, 1])
 
 
-def _k_orbit_match(weights, reps: np.ndarray, v: np.ndarray, tol: float) -> bool:
-    """Whether the point v is k_orbit_equivalent to some row of reps, in
-    array ops."""
-    idx = np.flatnonzero(v)
-    u = reps[np.all((reps != 0) == (v != 0), axis=1)][:, idx]
-    ru, rv = np.abs(u), np.abs(v[idx])
-    u = u[np.max(np.abs(rv - rv[0] / ru[:, :1] * ru), axis=1) <= tol * np.max(rv)]
-    w = np.array([weights[j] for j in idx], dtype=float)
-    if len(u) == 0 or len(idx) == 1 or np.ptp(w) == 0:
-        return len(u) > 0
-    alpha = np.angle(v[idx] / u)
-    # alpha_j = phi + theta w_j (mod 2 pi): solve from the extremal pair,
-    # trying each branch of the 2-pi ambiguity, then verify all entries
-    j_hi, j_lo = int(np.argmax(w)), int(np.argmin(w))
-    span = w[j_hi] - w[j_lo]
-    base = (alpha[:, j_hi] - alpha[:, j_lo]) / span
-    for branch in range(int(span)):
-        theta = (base + 2.0 * math.pi * branch / span)[:, None]
-        phi = alpha[:, j_lo:j_lo + 1] - theta * w[j_lo]
-        resid = np.angle(np.exp(1j * (alpha - (phi + theta * w))))
-        if np.any(np.max(np.abs(resid), axis=1) <= tol):
-            return True
-    return False
+def _k_orbit_matrix(weights, V: np.ndarray, tol: float) -> np.ndarray:
+    """M[i, j]: row j of V is k_orbit_equivalent to row i.  Rows with
+    different zero patterns never match.  Within a pattern, the moduli of
+    row i scaled to row j's first support coordinate must agree with row j's
+    to tol * max |v_j|, and the phases arg(v_j / v_i) on the support must be
+    phi + theta w (mod 2 pi)."""
+    M = np.zeros((len(V), len(V)), dtype=bool)
+    patterns, group = np.unique(V != 0, axis=0, return_inverse=True)
+    for g, live in enumerate(patterns):
+        rows = np.flatnonzero(group == g)
+        U = V[rows][:, live]
+        R = np.abs(U)
+        scaled = R[None, :, :1] / R[:, None, :1] * R[:, None, :]  # [i, j, l]
+        match = np.max(np.abs(R[None] - scaled), axis=2) <= tol * np.max(R, axis=1)
+        w = np.array(weights, dtype=float)[live]
+        if np.ptp(w) > 0:
+            # alpha_l = phi + theta w_l (mod 2 pi): solve from the extremal
+            # pair, trying each branch of the 2-pi ambiguity, then verify all
+            alpha = np.angle(U[None, :, :] / U[:, None, :])
+            j_hi, j_lo = int(np.argmax(w)), int(np.argmin(w))
+            span = w[j_hi] - w[j_lo]
+            base = (alpha[..., j_hi] - alpha[..., j_lo]) / span
+            phase = np.zeros_like(match)
+            for branch in range(int(span)):
+                theta = (base + 2.0 * math.pi * branch / span)[..., None]
+                phi = alpha[..., j_lo:j_lo + 1] - theta * w[j_lo]
+                resid = np.angle(np.exp(1j * (alpha - (phi + theta * w))))
+                phase |= np.max(np.abs(resid), axis=2) <= tol
+            match &= phase
+        M[np.ix_(rows, rows)] = match
+    return M
 
 
 def count_k_orbit_classes(action: LinearAction, points,
@@ -400,17 +431,18 @@ def count_k_orbit_classes(action: LinearAction, points,
     """Number of K-orbit equivalence classes among the given points."""
     weights = _one_param_weights(action)
     V = np.array([p.to_complex() for p in points], dtype=complex).reshape(-1, action.n + 1)
-    return _class_count(V, lambda reps, v: _k_orbit_match(weights, reps, v, tol))
+    return _greedy_count(_k_orbit_matrix(weights, V, tol))
 
 
-def _class_count(rows: np.ndarray, same) -> int:
-    """Greedy class count: a row opens a class unless same(reps, row) puts
-    it in the class of one of the representatives so far (rows of reps)."""
-    reps = rows[:0]
-    for row in rows:
-        if not same(reps, row):
-            reps = np.vstack([reps, row])
-    return len(reps)
+def _greedy_count(M: np.ndarray) -> int:
+    """Greedy class count over a match matrix: row j opens a class unless
+    M[i, j] holds for a row i that opened one before it."""
+    covered, count = np.zeros(len(M), dtype=bool), 0
+    for j in range(len(M)):
+        if not covered[j]:
+            covered |= M[j]
+            count += 1
+    return count
 
 
 def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
@@ -434,27 +466,26 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
         }
     rng = np.random.default_rng(seed)
     n = action.n + 1
-    points = [ProjPoint(tuple(rng.normal(size=n) + 1j * rng.normal(size=n)))
-              for _ in range(max(0, n_samples - 2 * n))]
-    for j in range(n):  # include every coordinate fixed point
-        points.append(ProjPoint(tuple(1.0 if i == j else 0.0 for i in range(n))))
-    while len(points) < n_samples:
-        points.append(ProjPoint(tuple(rng.normal(size=n) + 1j * rng.normal(size=n))))
+    head = _rays(rng, max(0, n_samples - 2 * n), n)
+    tail = _rays(rng, max(0, n_samples - len(head) - n), n)  # after every coordinate fixed point
+    fixed = [ProjPoint(tuple(1.0 if i == j else 0.0 for i in range(n))) for j in range(n)]
+    points = [ProjPoint(tuple(x)) for x in head] + fixed + [ProjPoint(tuple(x)) for x in tail]
+    V = np.concatenate([head, np.eye(n), tail])
 
-    V = np.array([p.to_complex() for p in points])
     semi = np.any(_invariant_moduli(inv, V) > 1e-12, axis=1)
     met = ~np.isnan(_orbit_search(weights, V, max(tol, 1e-10)))
     mismatches = int(np.count_nonzero(semi != met))
-    mus = [moment_map(action, p) for p in points]
+    mus = _moment_rows(action, V)
     limits = [[format_point(ProjPoint(row)) for row in lim] for lim in _limits(weights, V)]
-    rows = [{"point": format_point(p), "semistable": bool(a), "orbit_meets_zero_level": bool(b),
-             "mu": [float(c) for c in mu], "limit_t_to_0": l0, "limit_t_to_inf": linf}
-            for p, a, b, mu, l0, linf in zip(points, semi, met, mus, *limits)]
+    rows = [{"point": format_point(p), "semistable": a, "orbit_meets_zero_level": b,
+             "mu": mu, "limit_t_to_0": l0, "limit_t_to_inf": linf}
+            for p, a, b, mu, l0, linf in zip(points, semi.tolist(), met.tolist(), mus.tolist(),
+                                              *limits)]
 
-    zl = [p for p, mu in zip(points, mus) if float(np.linalg.norm(mu)) <= 1e-7]
+    zl = np.linalg.norm(mus, axis=1) <= 1e-7
     zl_phases = _zero_level_samples(action, rng, count=64)
-    zl_moduli = _invariant_moduli(
-        inv, np.array([p.to_complex() for p in zl + zl_phases]).reshape(-1, n))
+    phase_V = np.array([p.to_complex() for p in zl_phases]).reshape(-1, n)
+    zl_moduli = _invariant_moduli(inv, np.concatenate([V[zl], phase_V]))
     zero_all_semistable = bool(np.all(np.any(zl_moduli > 1e-12, axis=1)))
     classes = count_k_orbit_classes(action, zl_phases) if zl_phases else 0
     inv_classes = _invariant_value_classes(inv, zl_phases) if zl_phases else 0
@@ -463,7 +494,7 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
         "samples": rows,
         "equivalence_holds": mismatches == 0,
         "mismatches": mismatches,
-        "zero_level_sampled": len(zl),
+        "zero_level_sampled": int(np.count_nonzero(zl)),
         "zero_level_all_semistable": zero_all_semistable,
         "quotient_classes": classes,
         "invariant_value_classes": inv_classes,
@@ -478,7 +509,7 @@ def _invariant_value_classes(inv: InvariantSet, points, tol: float = 1e-6) -> in
     so the number of distinct value vectors lower-bounds the fiber count of
     the invariant-theory quotient on the sampled set."""
     vectors = _invariant_moduli(inv, np.array([p.to_complex() for p in points]))
-    return _class_count(vectors, lambda reps, vec: np.any(np.max(np.abs(reps - vec), axis=1) <= tol))
+    return _greedy_count(np.max(np.abs(vectors[:, None] - vectors[None]), axis=2) <= tol)
 
 
 def _zero_level_samples(action: LinearAction, rng, count: int = 64) -> list:
@@ -489,10 +520,16 @@ def _zero_level_samples(action: LinearAction, rng, count: int = 64) -> list:
     while len(out) < count and tries < 50 * count:
         block = min(count - len(out), 50 * count - tries)
         tries += block
-        ri = rng.normal(size=(block, 2, n))
-        X = ri[:, 0] + 1j * ri[:, 1]
-        for x, s in zip(X, _orbit_search(weights, X, 1e-12)):
-            met, witness = _witness(weights, x, s)
-            if met and float(np.linalg.norm(moment_map(action, witness))) <= 1e-10:
-                out.append(witness)
+        X = _rays(rng, block, n)
+        s = _orbit_search(weights, X, 1e-12)
+        W = _witness_rows(weights, X, s)
+        keep = ~np.isnan(s) & (np.linalg.norm(_moment_rows(action, W), axis=1) <= 1e-10)
+        out += [ProjPoint(tuple(x)) for x in W[keep]]
     return out
+
+
+def _rays(rng, count: int, n: int) -> np.ndarray:
+    """count random points of C^n, real and imaginary parts standard normal,
+    drawn as count (re, im) pairs of n normals from one stream."""
+    ri = rng.normal(size=(count, 2, n))
+    return ri[:, 0] + 1j * ri[:, 1]

@@ -4,7 +4,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from projquant.btquant import build_quadrature
+from projquant.btquant import build_quadrature, geom_quant, toeplitz
 from projquant.btquant.chart import hermitian_weight
 from projquant.btquant.quadrature import gauss_legendre
 from projquant.btquant.sections import SectionBasis, gram_entry_closed_form
@@ -149,6 +149,37 @@ def test_default_rule_exactness_flag(quad64):
     assert quad64.is_exact_for(64)
     coarse = build_quadrature(8, radial=3, angular=10)
     assert not coarse.is_exact_for(8)
+
+
+#: degree in x1, x2, x3 of each standard_family symbol
+FAMILY_DEGREES = {"one": 0, "x1": 1, "x2": 1, "x3": 1, "x3sq": 2, "x1x2": 2}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_exactness_flag_follows_the_derived_bound(family, quad16, d):
+    # the minimal rule 2R - 1 >= m + d, A >= m + d + 1 reproduces the default
+    # rule's matrices of every family symbol of degree <= d; one radius or
+    # one angle fewer moves the Toeplitz matrices, and the flag says so
+    m = 16
+    names = [name for name, deg in FAMILY_DEGREES.items() if deg <= d]
+
+    def matrices(quad):
+        basis = SectionBasis.build(m, quad)
+        return [(toeplitz(family[n], m, basis=basis).mat, geom_quant(family[n], m, basis=basis).mat)
+                for n in names]
+
+    ref = matrices(quad16)
+    R, A = (m + d + 2) // 2, m + d + 1
+    minimal = build_quadrature(m, radial=R, angular=A)
+    assert minimal.is_exact_for(m, d)
+    for (t, g), (t_ref, g_ref) in zip(matrices(minimal), ref):
+        assert np.max(np.abs(t - t_ref)) < 1e-13
+        assert np.max(np.abs(g - g_ref)) < 1e-13
+    for radial, angular in ((R - 1, A), (R, A - 1)):
+        smaller = build_quadrature(m, radial=radial, angular=angular)
+        assert not smaller.is_exact_for(m, d)
+        moved = max(np.max(np.abs(t - t_ref)) for (t, _), (t_ref, _) in zip(matrices(smaller), ref))
+        assert moved > 1e-7
 
 
 def test_integrate_constant(quad16):

@@ -1,11 +1,13 @@
 import cmath
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from projquant import gitquot
 from projquant.gaussrat import GaussianRational
 from projquant.poly import Polynomial
 from projquant.projgeo import ProjPoint, format_point
@@ -89,6 +91,31 @@ def test_moment_map_is_real_and_equivariant():
         vals, vecs = np.linalg.eig(A * t)
         moved = (vecs @ np.diag(np.exp(vals)) @ np.linalg.inv(vecs)) @ x
         assert np.max(np.abs(moment_map(HYPERBOLIC, moved) - base)) < 1e-10
+
+
+def test_moment_rows_match_closed_form_and_vdot():
+    from projquant.gitquot import _moment_rows
+
+    rng = np.random.default_rng(8)
+    V = rng.normal(size=(60, 4)) + 1j * rng.normal(size=(60, 4))
+    V[rng.random((60, 4)) < 0.3] = 0.0
+    V[~V.any(axis=1), 0] = 1.0
+    # diagonal: sum w_j |v_j|^2 / (2 pi |v|^2)
+    w = np.array([-2.0, 1.0, 3.0, 0.0])
+    p = np.abs(V) ** 2
+    closed = (p @ w) / (2 * math.pi * p.sum(axis=1))
+    assert np.max(np.abs(_moment_rows(LinearAction.from_weights(w), V)[:, 0] - closed)) <= 1e-15
+    # two non-diagonal anti-hermitian generators: a per-row vdot, and each row
+    # alone through moment_map gives the same bits as in the stack
+    B = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+    action = LinearAction(n=3, generators=tuple(0.5 * (b - b.conj().T) for b in B))
+    mu = _moment_rows(action, V)
+    assert mu.shape == (60, 2)
+    for v, row in zip(V, mu):
+        want = [np.real(np.vdot(v, g @ v) / (2j * math.pi * np.vdot(v, v).real))
+                for g in action.generators]
+        assert np.max(np.abs(row - want)) <= 1e-15
+        assert np.array_equal(moment_map(action, v), row)
 
 
 def test_moment_map_rejects_zero_vector():
@@ -228,24 +255,25 @@ def test_orbit_search_rejects_nondiagonal():
 
 
 
-def _points(n):
-    """A point with a random support, moduli in [0.1, 10] and random phases."""
+def _points(n, moduli=st.floats(0.1, 10.0)):
+    """A point with a random support, moduli in [0.1, 10] (or as given) and
+    random phases."""
     live = st.lists(st.booleans(), min_size=n, max_size=n).filter(any)
-    mods = st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)
+    mods = st.lists(moduli, min_size=n, max_size=n)
     phases = st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n)
     return st.tuples(live, mods, phases).map(lambda c: np.array(
         [m * cmath.exp(1j * a) if on else 0.0 for on, m, a in zip(*c)]))
 
 
 @st.composite
-def weighted_points(draw, rows=None):
+def weighted_points(draw, rows=None, moduli=st.floats(0.1, 10.0)):
     """Weights in [-3, 3] on 2-4 coordinates and a point, or a stack of 1
     to `rows` points."""
     n = draw(st.integers(2, 4))
     weights = tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
     if rows is None:
-        return weights, draw(_points(n))
-    return weights, np.array(draw(st.lists(_points(n), min_size=1, max_size=rows)))
+        return weights, draw(_points(n, moduli))
+    return weights, np.array(draw(st.lists(_points(n, moduli), min_size=1, max_size=rows)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -264,6 +292,33 @@ def test_orbit_search_properties(case, lam):
     else:
         assert witness is None
     assert orbit_meets_zero_level(action, lam * x, tol=1e-9)[0] == met
+
+
+@pytest.mark.parametrize("weights, x", [
+    ((-1, 1), (1.0, 1e-13)), ((-1, 1), (1e-13, 1.0)), ((-1, 2), (1.0, 1e-19)),
+    ((-2, 1, 3), (1.0, 1e-30, 1e-40))])
+def test_orbit_search_at_extreme_modulus_ratios(weights, x):
+    # the roots lie far outside |s| <= 14, s = ln(1e26) / 4 for the first
+    action = LinearAction.from_weights(weights)
+    met, witness = orbit_meets_zero_level(action, np.array(x, dtype=complex), tol=1e-9)
+    assert met
+    assert abs(moment_map(action, witness)[0]) <= 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_points(moduli=st.floats(-100.0, 100.0).map(lambda e: 10.0 ** e)))
+def test_orbit_search_over_wide_moduli(case):
+    # moduli log-uniform in [1e-100, 1e100]: the verdict is the weight-hull
+    # test, found before the 200-evaluation cap
+    weights, x = case
+    action = LinearAction.from_weights(weights)
+    on_support = [w for w, c in zip(weights, x) if c != 0]
+    with mock.patch.object(gitquot, "_ray_moment_map", wraps=gitquot._ray_moment_map) as evals:
+        met, witness = orbit_meets_zero_level(action, x, tol=1e-9)
+    assert met == (min(on_support) <= 0 <= max(on_support))
+    assert evals.call_count < 200
+    if met:
+        assert abs(moment_map(action, witness)[0]) <= 1e-9
 
 
 @settings(max_examples=200, deadline=None)
@@ -379,23 +434,29 @@ def test_quotient_of_hyperbolic_zero_level_is_a_point():
 
 
 def test_k_orbit_classes_against_pairwise_greedy():
-    action = LinearAction.from_weights((-1, 1, 1))
-    rng = np.random.default_rng(3)
-    moduli = [(math.sqrt(2), 1.0, 1.0), (math.sqrt(5), 1.0, 2.0), (1.0, 1.0, 0.0),
-              (1.0, 0.0, 1.0)]
-    points = []
-    for _ in range(6):
-        for r in moduli:
-            phi, theta = rng.uniform(0, 2 * np.pi, 2)  # a K-orbit and projective move
-            phases = np.exp(1j * (phi + theta * np.array([-1.0, 1.0, 1.0])))
-            points.append(pt(*(2.0 * np.array(r) * phases)))
-    points.append(pt(math.sqrt(2), 1.0, 1j))  # same moduli, a phase profile of its own
-    points.append(pt(*points[0].coords[:2], 0.0))  # agrees with points[0] on its support
-    reps = []
-    for p in points:
-        if not any(k_orbit_equivalent(action, r, p) for r in reps):
-            reps.append(p)
-    assert count_k_orbit_classes(action, points) == len(reps) == 6
+    cases = [
+        ((-1, 1, 1), [(math.sqrt(2), 1.0, 1.0), (math.sqrt(5), 1.0, 2.0), (1.0, 1.0, 0.0),
+                      (1.0, 0.0, 1.0)]),
+        # three support patterns; theta is read off the extremal pair only up
+        # to 2 pi / 5 on the full support and 2 pi / 3 on (x0, x1)
+        ((-2, 1, 3), [(math.sqrt(2), 1.0, 1.0), (math.sqrt(3), math.sqrt(3), 1.0),
+                      (math.sqrt(3), 0.0, math.sqrt(2)), (1.0, math.sqrt(2), 0.0)])]
+    for weights, moduli in cases:
+        action = LinearAction.from_weights(weights)
+        rng = np.random.default_rng(3)
+        points = []
+        for _ in range(6):
+            for r in moduli:
+                phi, theta = rng.uniform(0, 2 * np.pi, 2)  # a K-orbit and projective move
+                phases = np.exp(1j * (phi + theta * np.array(weights, dtype=float)))
+                points.append(pt(*(2.0 * np.array(r) * phases)))
+        points.append(pt(math.sqrt(2), 1.0, 1j))  # same moduli, a phase profile of its own
+        points.append(pt(*points[0].coords[:2], 0.0))  # agrees with points[0] on its support
+        reps = []
+        for p in points:
+            if not any(k_orbit_equivalent(action, r, p) for r in reps):
+                reps.append(p)
+        assert count_k_orbit_classes(action, points) == len(reps) == 6
     gen = np.array([[0, 1.0, 0], [-1.0, 0, 0], [0, 0, 0]], dtype=complex)
     with pytest.raises(NotDiagonalError):
         count_k_orbit_classes(LinearAction(n=2, generators=(gen,), weights=(0, 0, 0)), [])
