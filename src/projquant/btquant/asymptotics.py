@@ -92,8 +92,8 @@ def dirac_residual(f: SmoothFunction, g: SmoothFunction, m: int,
         return op_norm(m * 1j * (tf @ tg - tg @ tf) - tb)
     w = f.d_zbar(z)
     w *= np.conj(g.d_zbar(z))
-    bracket = np.square(1.0 + np.abs(z) ** 2)
-    bracket *= -2.0 * w.imag
+    scale = -2.0 * np.square(1.0 + b.quad.radii ** 2)  # (1 + |z|^2)^2 is constant per radius
+    bracket = w.imag.reshape(scale.size, -1) * scale[:, None]
     c = tf.mat @ tg.mat
     comm = c - c.conj().T
     comm *= m * 1j

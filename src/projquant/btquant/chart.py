@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from ..poly import Polynomial, parse_polynomial
+from .quadrature import bundle_weight, memoized_rule
 
 
 def hermitian_weight(z, m: int):
@@ -154,11 +155,12 @@ def chart_change_residual(samples: int = 32) -> float:
 
 
 def _h(z):
-    """(1 + |z|^2)^-1 in one node-sized array, bit for bit 1 / (1 + |z|^2)."""
-    h = np.abs(z, out=np.empty(np.shape(z)))
-    np.square(h, out=h)
-    h += 1.0
-    return np.reciprocal(h, out=h)
+    """(1 + |z|^2)^-1, bit for bit 1 / (1 + |z|^2).  The nodes of the rule
+    build_quadrature keeps are read-only and owned by it, so for exactly
+    that array the rule's stored h is returned; any other array, a copy of
+    those nodes included, is computed fresh."""
+    rule = memoized_rule()
+    return rule.h if rule is not None and z is rule.nodes else bundle_weight(z)
 
 
 #: the coordinates x1, x2, x3 of the unit sphere over chart points z, h = _h(z)
@@ -166,15 +168,21 @@ _COORDINATES = (lambda z, h: 2.0 * z.real * h, lambda z, h: 2.0 * z.imag * h,
                 lambda z, h: 2.0 * h - 1.0)
 
 
-def _coordinate_derivative(i: int, z, h, bar: bool):
-    """d x_i / dz (bar: d x_i / dzbar) in one complex array: h - (z + zbar) w h^2,
-    -+i h + i (z - zbar) w h^2 and -2 w h^2 with w = zbar (bar: z)."""
-    out = z.copy() if bar else np.conj(z)
-    out *= 2.0 * (z.real, z.imag)[i] if i < 2 else -2.0
-    out *= h ** 2
+def _coordinate_derivative(i: int, z, h2, bar: bool):
+    """d x_i / dzbar (bar) in closed form, h2 = _h(z)^2: h2 (1 - z^2),
+    i h2 (1 + z^2) and -2 z h2; d x_i / dz is its conjugate (x_i is real)."""
+    out = np.empty_like(z)
     if i < 2:
-        np.subtract(h if i == 0 else (1j if bar else -1j) * h, out, out=out)
-    return out
+        np.square(z, out=out)
+        if i == 0:
+            np.subtract(1.0, out, out=out)
+        else:
+            out += 1.0
+            out *= 1j
+    else:
+        np.multiply(z, -2.0, out=out)
+    out *= h2
+    return out if bar else np.conjugate(out, out=out)
 
 
 def _sphere_laplacian(p: Polynomial) -> Polynomial:
@@ -206,8 +214,9 @@ def _derivative(gradient, z, bar: bool):
     if not gradient:
         return np.zeros(z.shape, dtype=complex)
     h, out = _h(z), None
+    h2 = np.square(h)
     for i, p_i in gradient:
-        term = _coordinate_derivative(i, z, h, bar)
+        term = _coordinate_derivative(i, z, h2, bar)
         if p_i is not None:
             term *= _evaluate(p_i, z, h)
         out = term if out is None else out + term

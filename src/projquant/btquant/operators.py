@@ -14,6 +14,12 @@ construction and flagged so; op_norm then takes eigvalsh instead of an SVD.
 Memory is O(R A + n^2): the basis holds the (2m+1) x R table, 17 MB at
 m = 1024, and the n x n scales.
 
+Every routine here takes its basis from sections.level_basis, so a level's
+basis is built once per rule and the rule from build_quadrature once per
+process (see quadrature.py): operators at one level, or on one shared rule,
+pay for assembly alone.  What stays memoized is the last rule with its node
+geometry and kept bases, about 93 MB at m = 1024.
+
 The level-m geometric-quantization operator uses the Hamiltonian field of f
 taken with respect to m*omega (the symplectic form whose prequantum bundle
 the level-m power is); with the divergence-form Laplacian of chart.py this
@@ -30,7 +36,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .chart import SmoothFunction, shifted_by_laplacian
 from .quadrature import QuadratureRule, build_quadrature
-from .sections import SectionBasis
+from .sections import SectionBasis, level_basis
 
 
 @dataclass(frozen=True)
@@ -139,9 +145,9 @@ def _radial_product(table: np.ndarray, modes: np.ndarray, columns: np.ndarray,
 
 def _level_basis(m: int, quad: QuadratureRule | None,
                  basis: SectionBasis | None) -> SectionBasis:
-    """The given basis, which must be of level m, or a new one on quad."""
+    """The given basis, which must be of level m, or the level-m basis on quad."""
     if basis is None:
-        return SectionBasis.build(m, quad)
+        return level_basis(m, quad)
     if basis.m != m:
         raise ValueError(f"section basis of level {basis.m} given for level {m}")
     return basis
@@ -175,10 +181,14 @@ def geom_quant(f: SmoothFunction, m: int, quad: QuadratureRule | None = None,
     if m < 1:
         raise ValueError("geometric quantization needs level m >= 1")
     b = _level_basis(m, quad, basis)
-    z = b.quad.nodes
-    factor = 1.0 + np.abs(z) ** 2
-    xz_level = -1j * factor ** 2 * f.d_zbar(z) / m
-    mat = 1j * _assemble(b, f(z)) + m * _assemble(b, xz_level * np.conj(z) / factor)
+    z, shape = b.quad.nodes, (b.quad.radial_count, b.quad.angular_count)
+    factor = (1.0 + b.quad.radii ** 2)[:, None]  # 1 + |z|^2 on each radius
+    xz_level = f.d_zbar(z).reshape(shape) * (-1j / m * factor ** 2)
+    w = np.conj(z).reshape(shape)
+    w *= xz_level
+    w /= factor
+    mat = 1j * _assemble(b, f(z))
+    mat += m * _assemble(b, w)
     k = np.arange(1, m + 1)
     mat[:, 1:] -= _assemble(b, xz_level)[:, :-1] * np.sqrt(k * (m - k + 1))
     return OperatorMatrix(m, mat)
@@ -204,7 +214,7 @@ def tuynman_residual(f: SmoothFunction, m: int,
     The identity is exact on the sphere; the residual measures quadrature
     and rounding error only and does not decrease with m past that floor.
     """
-    b = SectionBasis.build(m, quad)
+    b = level_basis(m, quad)
     q = geom_quant(f, m, basis=b)
     t = toeplitz(shifted_by_laplacian(f, m), m, basis=b)
     return op_norm(q - 1j * t)

@@ -6,12 +6,23 @@ so a Gauss-Legendre rule in t crossed with a uniform angular rule integrates
 every z^j zbar^k (1+|z|^2)^(-m-2) appearing in section inner products
 exactly: the angular factor is a pure harmonic and the radial factor is a
 polynomial in t of degree at most m.
+
+A process keeps one rule: build_quadrature returns the rule it built last
+whenever the same radial and angular counts are asked for again, so the
+callers working through one level, or sharing one rule over several, all
+get the same object.  That rule keeps its node geometry (the radii and
+h1 = (1+|z|^2)^-1 at the nodes) and the section bases built on it
+(sections.level_basis), all as read-only arrays.  The bases a rule keeps
+hold at most as many bytes as its nodes and weights (or are a single
+basis), so what is kept is at most about twice the rule itself.  At
+m = 1024 that is about 93 MB: 51 MB of nodes and weights, 17 MB of h1 and
+the 25 MB level-1024 basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -74,14 +85,42 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
+def bundle_weight(z) -> np.ndarray:
+    """h1(z) = (1 + |z|^2)^-1, the metric weight of the degree-1 bundle, in
+    one array of z's shape; bit for bit 1 / (1 + |z|^2)."""
+    h = np.abs(z, out=np.empty(np.shape(z)))
+    np.square(h, out=h)
+    h += 1.0
+    return np.reciprocal(h, out=h)
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a, marked read-only."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes z and positive weights w with sum(w) = 2*pi to rounding."""
+    """Nodes z and positive weights w with sum(w) = 2*pi to rounding.  The
+    nodes run over the angles fastest: node i * A + j is r_i e^(2 pi i j / A)."""
 
     nodes: np.ndarray
     weights: np.ndarray
     radial_count: int
     angular_count: int
+    #: section bases built on this rule, by level (see sections.level_basis)
+    bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def radii(self) -> np.ndarray:
+        """(R,) the radius r_i of each ring of nodes, read-only."""
+        return read_only(np.abs(self.nodes[::self.angular_count]))
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """h1 = (1+|z|^2)^-1 at every node, read-only."""
+        return read_only(bundle_weight(self.nodes))
 
     def total_mass(self) -> float:
         return float(np.sum(self.weights))
@@ -101,14 +140,25 @@ class QuadratureRule:
         return radial_ok and angular_ok
 
 
+#: the rule build_quadrature returned last, if any
+_last: list[QuadratureRule] = []
+
+
+def memoized_rule() -> QuadratureRule | None:
+    """The one rule build_quadrature keeps, or None before the first call."""
+    return _last[0] if _last else None
+
+
 def build_quadrature(m_max: int, radial: int | None = None,
                      angular: int | None = None) -> QuadratureRule:
-    """Build the product rule for levels up to m_max.
+    """The product rule for levels up to m_max.
 
     Explicit radial/angular counts override the defaults; callers doing so
     own the exactness budget (deliberately coarse rules are how the
     refinement diagnostics work).  The total-mass identity is checked
-    unconditionally.
+    unconditionally.  The rule's nodes and weights are read-only, and the
+    rule is kept until a rule of other counts is asked for: asking for the
+    same counts again returns the same object.
     """
     if m_max < 1:
         raise ValueError("m_max must be positive")
@@ -116,13 +166,19 @@ def build_quadrature(m_max: int, radial: int | None = None,
     A = default_angular(m_max) if angular is None else int(angular)
     if R < 1 or A < 2:
         raise ValueError("rule too small")
+    rule = memoized_rule()
+    if rule is not None and (rule.radial_count, rule.angular_count) == (R, A):
+        return rule
     t, v = gauss_legendre(R)
     r = np.sqrt((1.0 + t) / (1.0 - t))
     theta = 2.0 * np.pi * np.arange(A) / A
-    z = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
+    z = np.empty(R * A, dtype=complex)
+    np.multiply(r[:, None], np.exp(1j * theta)[None, :], out=z.reshape(R, A))
     w = np.repeat(np.pi * v / A, A)
-    rule = QuadratureRule(nodes=z, weights=w, radial_count=R, angular_count=A)
+    rule = QuadratureRule(nodes=read_only(z), weights=read_only(w),
+                          radial_count=R, angular_count=A)
     if abs(rule.total_mass() - TOTAL_MASS) > 1e-10:
         raise InsufficientResolutionError(
             f"total mass {rule.total_mass()!r} misses 2*pi")
+    _last[:] = [rule]
     return rule

@@ -11,6 +11,9 @@ on j and k only through s = j + k and the constants, so the basis stores the
 radial table r^s (1+r^2)^(-m) for s = 0..2m, each row divided by its maximum
 over the radii, and the matching scales c_j c_k max_r r^(j+k) (1+r^2)^(-m).
 Everything is evaluated in log space so that nothing overflows at large m.
+
+level_basis is where every operator finds its basis: the level-m basis on a
+rule is built once, with read-only arrays, and kept on the rule.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from math import factorial, pi
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .quadrature import InsufficientResolutionError, QuadratureRule, build_quadrature
+from .quadrature import InsufficientResolutionError, QuadratureRule, build_quadrature, read_only
 
 #: Normalized radial-table entries below this are stored as zero.  Dropping
 #: them moves a matrix entry by at most 1e-250 * (m+1) * max|g|: the scale of
@@ -42,10 +45,6 @@ def gram_entry_closed_form(j: int, k: int, m: int) -> float:
     return 2.0 * pi * factorial(k) * factorial(m - k) / factorial(m + 1)
 
 
-def _radii(quad: QuadratureRule) -> np.ndarray:
-    return np.abs(quad.nodes.reshape(quad.radial_count, quad.angular_count)[:, 0])
-
-
 @dataclass(frozen=True)
 class SectionBasis:
     """Orthonormal basis data of H^0(P^1, L^m) on a product quadrature rule."""
@@ -62,7 +61,7 @@ class SectionBasis:
         if m < 0:
             raise ValueError("level must be nonnegative")
         quad = quad if quad is not None else build_quadrature(max(m, 1))
-        r = _radii(quad)
+        r = quad.radii
         k = np.arange(m + 1)
         # log C(m, k) as a cumulative sum of log((m-k+1)/k)
         log_binom = np.concatenate(([0.0], np.cumsum(np.log((m - k[1:] + 1) / k[1:]))))
@@ -80,17 +79,39 @@ class SectionBasis:
             raise InsufficientResolutionError(
                 f"level-{m} section kernel is not finite on this rule")
         return cls(m=m, quad=quad,
-                   radial_weights=quad.weights.reshape(r.size, -1).sum(axis=1),
-                   log_c=log_c, radial_table=table, pair_scale=scale)
+                   radial_weights=read_only(quad.weights.reshape(r.size, -1).sum(axis=1)),
+                   log_c=read_only(log_c), radial_table=read_only(table),
+                   pair_scale=read_only(scale))
 
     @property
     def dim(self) -> int:
         return self.m + 1
 
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.radial_weights, self.log_c,
+                                      self.radial_table, self.pair_scale))
+
     @cached_property
     def profiles(self) -> np.ndarray:
-        """(R, m+1) radial profiles P[i, k] = c_k r_i^k (1+r_i^2)^(-m/2)."""
-        r = _radii(self.quad)
+        """(R, m+1) radial profiles P[i, k] = c_k r_i^k (1+r_i^2)^(-m/2), read-only."""
+        r = self.quad.radii
         k = np.arange(self.dim)
-        return np.exp(self.log_c + k * np.log(r)[:, None]
-                      - 0.5 * self.m * np.log1p(r * r)[:, None])
+        return read_only(np.exp(self.log_c + k * np.log(r)[:, None]
+                                - 0.5 * self.m * np.log1p(r * r)[:, None]))
+
+
+def level_basis(m: int, quad: QuadratureRule | None = None) -> SectionBasis:
+    """The level-m basis on quad (default: build_quadrature(max(m, 1))),
+    built by SectionBasis.build the first time and kept on the rule.  The
+    kept bases hold at most as many bytes as the rule's nodes and weights:
+    a basis that would pass that budget clears the others first."""
+    quad = quad if quad is not None else build_quadrature(max(m, 1))
+    kept = quad.bases
+    if m not in kept:
+        basis = SectionBasis.build(m, quad)
+        budget = quad.nodes.nbytes + quad.weights.nbytes
+        if sum(b.nbytes for b in kept.values()) + basis.nbytes > budget:
+            kept.clear()
+        kept[m] = basis
+    return kept[m]

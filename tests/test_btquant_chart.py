@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from projquant.btquant import (
     poisson_function,
     tuynman_residual,
 )
+from projquant.gaussrat import GaussianRational
+from projquant.poly import parse_polynomial
 
 RNG = np.random.default_rng(42)
 GRID = RNG.normal(size=100) + 1j * RNG.normal(size=100)
@@ -37,6 +41,41 @@ def test_analytic_gradients_match_finite_differences(family):
         dz, dzbar = _central_differences(f.fn, GRID)
         assert np.max(np.abs(f.d_z(GRID) - dz)) < 1e-6
         assert np.max(np.abs(f.d_zbar(GRID) - dzbar)) < 1e-6
+
+
+#: each symbol as N(x, y) / (1 + x^2 + y^2)^k in the chart z = x + iy
+_X, _Y = parse_polynomial("X0", 2), parse_polynomial("X1", 2)
+_D = parse_polynomial("1 + X0^2 + X1^2", 2)
+_N3 = parse_polynomial("1 - X0^2 - X1^2", 2)
+_QUOTIENTS = {"x1": (2 * _X, 1), "x2": (2 * _Y, 1), "x3": (_N3, 1),
+              "x1x2": (4 * _X * _Y, 2), "x3sq": (_N3 * _N3, 2)}
+
+
+def _exact_chart_derivatives(name, x, y):
+    """(d/dz, d/dzbar) at the rational point x + iy, from the exact real
+    partials of N / D^k by the quotient rule."""
+    n, k = _QUOTIENTS[name]
+    d = _D.evaluate((x, y))
+    fx, fy = ((n.partial(i).evaluate((x, y)) * d
+               - k * n.evaluate((x, y)) * _D.partial(i).evaluate((x, y))) / d ** (k + 1)
+              for i in range(2))
+    return GaussianRational(fx / 2, -fy / 2), GaussianRational(fx / 2, fy / 2)
+
+
+def test_closed_form_derivatives_match_exact_values(family):
+    # dyadic points are exact in floating point, so the float derivatives
+    # must agree with the exact ones to rounding, a few ulps
+    points = [(Fraction(1, 2), Fraction(3, 4)), (Fraction(-3, 2), Fraction(1, 8)),
+              (Fraction(5, 4), Fraction(-7, 4)), (Fraction(3), Fraction(5, 2)),
+              (Fraction(-1, 4), Fraction(-1, 16))]
+    z = np.array([complex(x, y) for x, y in points])
+    eps = np.finfo(float).eps
+    for name in _QUOTIENTS:
+        f = family[name]
+        got = f.d_z(z), f.d_zbar(z)
+        for j, (x, y) in enumerate(points):
+            for value, exact in zip((g[j] for g in got), _exact_chart_derivatives(name, x, y)):
+                assert abs(value - complex(exact)) <= 4 * eps * abs(complex(exact))
 
 
 def test_family_bounded_on_sphere(family):

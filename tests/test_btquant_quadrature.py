@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from projquant.btquant import build_quadrature, geom_quant, toeplitz
-from projquant.btquant.chart import hermitian_weight
+from projquant.btquant.chart import _h, hermitian_weight
 from projquant.btquant.quadrature import gauss_legendre
-from projquant.btquant.sections import SectionBasis, gram_entry_closed_form
+from projquant.btquant.sections import SectionBasis, gram_entry_closed_form, level_basis
 
 
 @lru_cache(maxsize=4)
@@ -97,6 +97,42 @@ def test_gauss_legendre_is_shared_and_read_only():
     for a in (t, v):
         with pytest.raises(ValueError):
             a[0] = 0.0
+
+
+def test_rule_is_memoized_and_read_only():
+    rule = build_quadrature(20)
+    assert build_quadrature(20) is rule
+    assert build_quadrature(14, radial=26, angular=48) is rule  # the same counts
+    basis = level_basis(20)
+    assert basis.quad is rule and level_basis(20, rule) is basis
+    for a in (rule.nodes, rule.weights, basis.radial_table, basis.pair_scale):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+        with pytest.raises(ValueError):
+            a *= 2.0
+    assert build_quadrature(21) is not rule
+    assert build_quadrature(20) is not rule  # only the last rule is kept
+
+
+def test_kept_bases_stay_within_the_rule_budget():
+    rule = build_quadrature(8, radial=40, angular=8)
+    budget = rule.nodes.nbytes + rule.weights.nbytes
+    b2, b3 = level_basis(2, rule), level_basis(3, rule)
+    assert level_basis(2, rule) is b2 and b2.nbytes + b3.nbytes <= budget
+    big = level_basis(20, rule)  # over the budget on its own: kept alone
+    assert big.nbytes > budget and list(rule.bases) == [20]
+    assert level_basis(3, rule) is not b3 and list(rule.bases) == [3]
+
+
+def test_h_of_a_writable_node_copy_is_fresh():
+    rule = build_quadrature(12)
+    assert _h(rule.nodes) is rule.h
+    z = rule.nodes.copy()
+    assert np.array_equal(_h(z), rule.h) and _h(z) is not rule.h
+    z *= 2.0
+    assert np.array_equal(_h(z), 1.0 / (1.0 + np.abs(z) ** 2))
+    z[:] = 0.0
+    assert np.all(_h(z) == 1.0)
 
 
 def test_total_mass(quad64):
