@@ -21,7 +21,7 @@ from .quadrature import (
     default_angular,
     default_radial,
 )
-from .sections import SectionBasis, gram_entry_closed_form, level_basis
+from .sections import SectionBasis, gram_entry_closed_form
 from .operators import (
     OperatorMatrix,
     ToeplitzFamily,

@@ -14,11 +14,11 @@ construction and flagged so; op_norm then takes eigvalsh instead of an SVD.
 Memory is O(R A + n^2): the basis holds the (2m+1) x R table, 17 MB at
 m = 1024, and the n x n scales.
 
-Every routine here takes its basis from sections.level_basis, so a level's
-basis is built once per rule and the rule from build_quadrature once per
-process (see quadrature.py): operators at one level, or on one shared rule,
-pay for assembly alone.  What stays memoized is the last rule with its node
-geometry and kept bases, about 93 MB at m = 1024.
+Every routine here takes its basis from sections.level_basis, which keeps
+the last basis built on a rule, and its rule from build_quadrature, which
+keeps the last rule (see quadrature.py): successive operators at one level
+pay for assembly alone.  What stays memoized is that rule with its node
+geometry and basis, about 93 MB at m = 1024.
 
 The level-m geometric-quantization operator uses the Hamiltonian field of f
 taken with respect to m*omega (the symplectic form whose prequantum bundle

@@ -11,20 +11,22 @@ A process keeps one rule: build_quadrature returns the rule it built last
 whenever the same radial and angular counts are asked for again, so the
 callers working through one level, or sharing one rule over several, all
 get the same object.  That rule keeps its node geometry (the radii and
-h1 = (1+|z|^2)^-1 at the nodes) and the section bases built on it
-(sections.level_basis), all as read-only arrays.  The bases a rule keeps
-hold at most as many bytes as its nodes and weights (or are a single
-basis), so what is kept is at most about twice the rule itself.  At
-m = 1024 that is about 93 MB: 51 MB of nodes and weights, 17 MB of h1 and
-the 25 MB level-1024 basis.
+h1 = (1+|z|^2)^-1 at the nodes) and the last section basis built on it
+(sections.level_basis), all as read-only arrays.  At m = 1024 that is
+about 93 MB: 51 MB of nodes and weights, 17 MB of h1 and the 25 MB
+level-1024 basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .sections import SectionBasis
 
 TOTAL_MASS = 2.0 * np.pi
 MEMO_SIZES = 32  # Gauss-Legendre rule sizes kept per process
@@ -109,8 +111,8 @@ class QuadratureRule:
     weights: np.ndarray
     radial_count: int
     angular_count: int
-    #: section bases built on this rule, by level (see sections.level_basis)
-    bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: the section basis built on this rule last (see sections.level_basis)
+    basis: SectionBasis | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def radii(self) -> np.ndarray:

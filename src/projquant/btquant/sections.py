@@ -13,7 +13,8 @@ over the radii, and the matching scales c_j c_k max_r r^(j+k) (1+r^2)^(-m).
 Everything is evaluated in log space so that nothing overflows at large m.
 
 level_basis is where every operator finds its basis: the level-m basis on a
-rule is built once, with read-only arrays, and kept on the rule.
+rule is built with read-only arrays and kept on the rule until a basis of
+another level is asked for there.
 """
 
 from __future__ import annotations
@@ -87,11 +88,6 @@ class SectionBasis:
     def dim(self) -> int:
         return self.m + 1
 
-    @property
-    def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.radial_weights, self.log_c,
-                                      self.radial_table, self.pair_scale))
-
     @cached_property
     def profiles(self) -> np.ndarray:
         """(R, m+1) radial profiles P[i, k] = c_k r_i^k (1+r_i^2)^(-m/2), read-only."""
@@ -102,16 +98,11 @@ class SectionBasis:
 
 
 def level_basis(m: int, quad: QuadratureRule | None = None) -> SectionBasis:
-    """The level-m basis on quad (default: build_quadrature(max(m, 1))),
-    built by SectionBasis.build the first time and kept on the rule.  The
-    kept bases hold at most as many bytes as the rule's nodes and weights:
-    a basis that would pass that budget clears the others first."""
+    """The level-m basis on quad (default: build_quadrature(max(m, 1))).  The
+    rule keeps the basis built on it last, so every operator at one level
+    shares one SectionBasis.build."""
     quad = quad if quad is not None else build_quadrature(max(m, 1))
-    kept = quad.bases
-    if m not in kept:
-        basis = SectionBasis.build(m, quad)
-        budget = quad.nodes.nbytes + quad.weights.nbytes
-        if sum(b.nbytes for b in kept.values()) + basis.nbytes > budget:
-            kept.clear()
-        kept[m] = basis
-    return kept[m]
+    if quad.basis is None or quad.basis.m != m:
+        # the rule is frozen; its basis slot is set here and nowhere else
+        object.__setattr__(quad, "basis", SectionBasis.build(m, quad))
+    return quad.basis

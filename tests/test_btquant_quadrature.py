@@ -110,18 +110,10 @@ def test_rule_is_memoized_and_read_only():
             a[0] = 0.0
         with pytest.raises(ValueError):
             a *= 2.0
+    lower = level_basis(19, rule)  # the rule keeps its last basis only
+    assert rule.basis is lower and level_basis(20, rule) is not basis
     assert build_quadrature(21) is not rule
     assert build_quadrature(20) is not rule  # only the last rule is kept
-
-
-def test_kept_bases_stay_within_the_rule_budget():
-    rule = build_quadrature(8, radial=40, angular=8)
-    budget = rule.nodes.nbytes + rule.weights.nbytes
-    b2, b3 = level_basis(2, rule), level_basis(3, rule)
-    assert level_basis(2, rule) is b2 and b2.nbytes + b3.nbytes <= budget
-    big = level_basis(20, rule)  # over the budget on its own: kept alone
-    assert big.nbytes > budget and list(rule.bases) == [20]
-    assert level_basis(3, rule) is not b3 and list(rule.bases) == [3]
 
 
 def test_h_of_a_writable_node_copy_is_fresh():
