@@ -11,7 +11,6 @@ from .chart import (
     omega_density,
     poisson,
     poisson_function,
-    shifted_by_laplacian,
     standard_family,
 )
 from .quadrature import (

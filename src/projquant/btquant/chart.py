@@ -114,12 +114,6 @@ def poisson_function(f: SmoothFunction, g: SmoothFunction) -> SmoothFunction:
     return SmoothFunction(name=f"{{{f.name},{g.name}}}", fn=lambda z: poisson(f, g, z))
 
 
-def shifted_by_laplacian(f: SmoothFunction, m: int) -> SmoothFunction:
-    """The combination f - (1/2m) Delta f entering the Tuynman identity."""
-    return SmoothFunction(name=f"{f.name}-lap/{2 * m}",
-                          fn=lambda z: f(z) - f.laplacian_values(z) / (2.0 * m))
-
-
 def curvature_residual(grid_halfwidth: float = 3.0, grid_points: int = 61,
                        step: float = 1e-3, metric_power: int = 1) -> float:
     """Quantum-condition check: max |(-d^2/dz dzbar) log h1^p + i^2 * p * omega_dz|.

@@ -49,23 +49,51 @@ class InsufficientResolutionError(RuntimeError):
     pass
 
 
+#: the first five positive zeros of the Bessel function J0
+_J0_ZEROS = (2.404825557695773, 5.520078110286311, 8.653727912911012,
+             11.79153443901428, 14.93091770848779)
+
+
+def _bessel_j0_zeros(count: int) -> np.ndarray:
+    """The first count positive zeros of J0: the table, then McMahon's
+    expansion in a = 1/(8b), b = (k - 1/4) pi (below 5e-13 relative)."""
+    b = (np.arange(1, count + 1) - 0.25) * np.pi
+    a = 1.0 / (8.0 * b)
+    a2 = a * a
+    j = b + a * (1 - a2 * (124 / 3 - a2 * (120928 / 15 - a2 * (
+        401743168 / 105 - a2 * 1071187749376 / 315))))
+    j[:5] = _J0_ZEROS[:count]
+    return j
+
+
 @lru_cache(maxsize=MEMO_SIZES)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1]: Newton steps
-    on the three-term recurrence from Tricomi's asymptotic nodes (Hale &
-    Townsend, SIAM J. Sci. Comput. 35, 2013) for the half t <= 0, mirrored.
+    on the three-term recurrence for the half t <= 0, mirrored (Hale &
+    Townsend, SIAM J. Sci. Comput. 35, 2013).  The start is Tricomi's
+    asymptotic node in the interior and, where psi = j_(0,k) / (n + 1/2)
+    < 0.8, Olver's Bessel-zero asymptotics t = -cos(psi + (psi cot psi - 1)
+    / (8 psi (n + 1/2)^2)) next to t = -1.
     The unknown is u = 1 + t and the recurrence runs on S_j = P_j + P_(j-1):
     both keep their relative accuracy next to t = -1, where the weight is
-    most sensitive to the node.  The weights 2 / ((1-t^2) P_n'^2) of the last
-    pass are carried to first order along its step (below 1e-8 relative).
+    most sensitive to the node.  Passes stop once no step exceeds 1e-9 of
+    1 - t^2: one pass for n >= 70, two for 4 <= n < 70, three for n = 2, 3.
+    The weights 2 / ((1-t^2) P_n'^2) of the last pass are carried to first
+    order along its step.
     Each size is built once per process and shared: the arrays are read-only.
     """
-    theta = np.pi * (4 * np.arange(1, (n + 1) // 2 + 1) - 1) / (4 * n + 2)
+    half, rho = (n + 1) // 2, n + 0.5
+    theta = np.pi * (4 * np.arange(1, half + 1) - 1) / (4 * n + 2)
     u = 1.0 - np.cos(theta) * (1 - (n - 1) / (8 * n ** 3)
                                - (39 - 28 / np.sin(theta) ** 2) / (384 * n ** 4))
+    psi = _bessel_j0_zeros(half) / rho
+    near = psi < 0.8
+    psi = psi[near]
+    theta = psi + (psi / np.tan(psi) - 1.0) / (8.0 * psi * rho ** 2)
+    u[near] = 2.0 * np.sin(theta / 2) ** 2  # 1 - cos(theta) without cancellation
     u[n // 2:] = 1.0  # the middle node of an odd rule
     tmp = np.empty_like(u)
-    for _ in range(8):  # three passes from Tricomi's nodes
+    for _ in range(8):
         p, s = np.ones_like(u), u.copy()
         for j in range(2, n + 1):  # S_j = ((2j-1) u P_(j-1) - (j-1) S_(j-1)) / j
             np.subtract(s, p, out=p)
@@ -78,7 +106,7 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         dp = n * (p - t * p_n) / one_minus_t2
         step = p_n / dp
         u -= step
-        if np.max(np.abs(step) / one_minus_t2) <= 1e-8:
+        if np.max(np.abs(step) / one_minus_t2) <= 1e-9:
             break
     w = 2.0 / (one_minus_t2 * dp * dp) * (1.0 + 2.0 * t * step / one_minus_t2)
     t = np.concatenate((u - 1.0, 1.0 - u[:n // 2][::-1]))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .gaussrat import GaussianRational, I_UNIT
 from .poly import Polynomial
-from .projgeo import ProjPoint, _float_matrix_rank, format_point
+from .projgeo import ProjPoint, _float_matrix_rank
 
 ANTIHERMITIAN_TOL = 1e-12
 K_ORBIT_TOL = 1e-8
@@ -468,16 +468,15 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
     n = action.n + 1
     head = _rays(rng, max(0, n_samples - 2 * n), n)
     tail = _rays(rng, max(0, n_samples - len(head) - n), n)  # after every coordinate fixed point
-    fixed = [ProjPoint(tuple(1.0 if i == j else 0.0 for i in range(n))) for j in range(n)]
-    points = [ProjPoint(tuple(x)) for x in head] + fixed + [ProjPoint(tuple(x)) for x in tail]
     V = np.concatenate([head, np.eye(n), tail])
 
     semi = np.any(_invariant_moduli(inv, V) > 1e-12, axis=1)
     met = ~np.isnan(_orbit_search(weights, V, max(tol, 1e-10)))
     mismatches = int(np.count_nonzero(semi != met))
     mus = _moment_rows(action, V)
-    limits = [[format_point(ProjPoint(row)) for row in lim] for lim in _limits(weights, V)]
-    rows = [{"point": format_point(p), "semistable": a, "orbit_meets_zero_level": b,
+    points = _format_rows(V)
+    limits = map(_format_rows, _limits(weights, V))
+    rows = [{"point": p, "semistable": a, "orbit_meets_zero_level": b,
              "mu": mu, "limit_t_to_0": l0, "limit_t_to_inf": linf}
             for p, a, b, mu, l0, linf in zip(points, semi.tolist(), met.tolist(), mus.tolist(),
                                               *limits)]
@@ -500,6 +499,14 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
         "invariant_value_classes": inv_classes,
         "quotient_matches_invariants": classes == inv_classes,
     }
+
+
+def _format_rows(V: np.ndarray) -> list[str]:
+    """format_point of each row of V, without building the points: each
+    coordinate is repr of its real part when its imaginary part is 0, as
+    projgeo._format_coord writes a complex float."""
+    return ["(" + " : ".join(repr(c.real) if c.imag == 0 else repr(c) for c in row) + ")"
+            for row in V.tolist()]
 
 
 def _invariant_value_classes(inv: InvariantSet, points, tol: float = 1e-6) -> int:

@@ -27,10 +27,12 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .projgeo import ProjPoint
+if TYPE_CHECKING:
+    from .projgeo import ProjPoint
 
 #: default truncation N of the lattice-sum oracle functions
 DEFAULT_CUTOFF = 60
@@ -293,6 +295,8 @@ def embed(L: Lattice, z: complex) -> ProjPoint:
     The image lies on X1^2 X2 - 4 X0^3 + g2 X0 X2^2 + g3 X2^3 = 0 within a
     tolerance governed by ode_residual.
     """
+    from .projgeo import ProjPoint
+
     if L.distance_to_lattice(z) <= POLE_GUARD:
         return ProjPoint((0.0, 1.0, 0.0))
     return ProjPoint((wp(L, z), wp_prime(L, z), 1.0))

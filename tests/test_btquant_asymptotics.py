@@ -9,6 +9,7 @@ from projquant.btquant import (
     dirac_table,
     doubling_levels,
     fit_loglog_slope,
+    geom_quant,
     norm_asymptotics,
     product_residual,
     product_table,
@@ -135,6 +136,23 @@ def test_rotated_frame_from_family_fields(family):
     # {y1, y2} = 2 y3 cyclically, as for the coordinates themselves
     for a, b in ((0, 1), (1, 2), (2, 0)):
         assert abs(dirac_residual(y[a], y[b], m) - 4.0 * m / (m + 2) ** 2) <= 1e-12
+
+
+def _tuynman_by_definition(f, m):
+    """||Q_f - i T_{f - Delta f / 2m}|| from geom_quant and toeplitz, the
+    shifted symbol given by its values only."""
+    shifted = SmoothFunction(f"{f.name}-lap/{2 * m}",
+                             fn=lambda z: f(z) - f.laplacian_values(z) / (2.0 * m))
+    return op_norm(geom_quant(f, m) - 1j * toeplitz(shifted, m))
+
+
+@pytest.mark.parametrize("m", [4, 16, 64])
+def test_tuynman_residual_matches_its_definition(family, m):
+    # the residual is formed from the terms that differ; the i T_f both
+    # sides share cancels to rounding only
+    symbols = [family[name] for name in ("x1", "x3", "x3sq", "x1x2")]
+    for f in symbols + [_z_rotated_frame(family, 0.7)[0]]:
+        assert abs(tuynman_residual(f, m) - _tuynman_by_definition(f, m)) <= 1e-14
 
 
 def _complex_valued(f):

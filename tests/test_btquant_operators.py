@@ -16,7 +16,8 @@ from projquant.btquant import (
     tuynman_residual,
 )
 from projquant.btquant.chart import SmoothFunction
-from projquant.btquant.operators import OperatorMatrix, _assemble
+from projquant.btquant.operators import OperatorMatrix, _assemble, _covariant_part
+from projquant.btquant.sections import level_basis
 from projquant.coordring import GradedRingPresentation, hilbert_function
 
 
@@ -256,6 +257,15 @@ def test_tuynman_residual_is_quadrature_limited(family):
             res_f = tuynman_residual(family[name], m, quad=quad_f)
             assert res_c >= 2.0 * res_f
             assert res_c > 1e-8  # the coarse rule is genuinely inexact
+
+
+@pytest.mark.parametrize("m", [4, 16, 64])
+def test_geom_quant_is_i_toeplitz_plus_covariant_part(family, quad64, m):
+    b = level_basis(m, quad64)
+    for name in ("x1", "x2", "x3", "x3sq", "x1x2"):
+        f = family[name]
+        rest = geom_quant(f, m, basis=b).mat - 1j * toeplitz(f, m, basis=b).mat
+        assert np.max(np.abs(rest - _covariant_part(b, f))) <= 1e-15
 
 
 def test_geom_quant_rejects_level_zero(family):

@@ -529,7 +529,7 @@ print(json.dumps([rc, sorted(sys.modules)]))
     (["hilbert", "--nvars", "3", "--degrees", "3", "--m", "0..10"], 0, {"numpy"}),
     (["hilbert", "--bogus-flag"], 2, {"numpy"}),
     (["weierstrass-embed", "--tau", "2j", "--samples", "5"], 0,
-     {"projquant.btquant", "projquant.gitquot"}),
+     {"projquant.btquant", "projquant.gitquot", "projquant.projgeo"}),
 ])
 def test_commands_import_only_what_they_use(argv, code, absent):
     proc = subprocess.run([sys.executable, "-c", _CHILD_MODULES, *argv],
