@@ -4,11 +4,6 @@ quantum bundle."""
 from .chart import (
     GradientUnavailableError,
     SmoothFunction,
-    chart_change_residual,
-    curvature_residual,
-    hamiltonian_vf,
-    hermitian_weight,
-    omega_density,
     poisson,
     poisson_function,
     standard_family,
@@ -17,17 +12,13 @@ from .quadrature import (
     InsufficientResolutionError,
     QuadratureRule,
     build_quadrature,
-    default_angular,
-    default_radial,
 )
-from .sections import SectionBasis, gram_entry_closed_form
+from .sections import SectionBasis
 from .operators import (
     OperatorMatrix,
-    ToeplitzFamily,
     geom_quant,
     op_norm,
     toeplitz,
-    total_toeplitz,
     tuynman_residual,
 )
 from .asymptotics import (

@@ -8,14 +8,16 @@ Conventions, fixed once for the whole package:
   mass 2*pi, so the bundle's curvature integral is 1;
 * Hamiltonian vector field of f: the dz-component is
   X^z = -i (1+|z|^2)^2 d f / d zbar, its conjugate is the dzbar-component
-  for real f;
+  for real f (operators._covariant_part forms X^z where it uses it);
 * Poisson bracket {f,g} = i (1+|z|^2)^2 (f_zbar g_z - f_z g_zbar);
 * Laplace-Beltrami operator (divergence of the gradient, negative
   spectrum): Delta f = 2 (1+|z|^2)^2 d^2 f / dz dzbar.
 
 With these choices {x1,x2} = 2 x3 cyclically and Delta x_i = -4 x_i for the
 ambient coordinate functions of the unit sphere; regression tests pin both
-constants.
+constants.  The curvature of the level-p weight, -d^2 log h1^p / dz dzbar =
+p (1+|z|^2)^-2, is p times the dz dzbar density of omega: the prequantum
+condition, which the acceptance suite checks exactly in rational arithmetic.
 """
 
 from __future__ import annotations
@@ -27,16 +29,6 @@ import numpy as np
 
 from ..poly import Polynomial, parse_polynomial
 from .quadrature import bundle_weight, memoized_rule
-
-
-def hermitian_weight(z, m: int):
-    """Metric weight of the level-m bundle in the chart: (1+|z|^2)^-m."""
-    return (1.0 + np.abs(z) ** 2) ** (-m)
-
-
-def omega_density(z):
-    """Scalar density of omega against dx dy."""
-    return 2.0 * (1.0 + np.abs(z) ** 2) ** (-2.0)
 
 
 class GradientUnavailableError(RuntimeError):
@@ -91,17 +83,6 @@ class SmoothFunction:
         return float(max(np.max(np.abs(self.fn(z))), abs(self.at_infinity)))
 
 
-def hamiltonian_vf(f: SmoothFunction, z):
-    """Components (X^z, X^zbar) of the Hamiltonian field of f at z."""
-    z = np.asarray(z, dtype=complex)
-    if np.any(~np.isfinite(z)):
-        raise GradientUnavailableError("chart gradient unavailable at infinity")
-    factor = (1.0 + np.abs(z) ** 2) ** 2
-    xz = -1j * factor * f.d_zbar(z)
-    xzbar = 1j * factor * f.d_z(z)
-    return xz, xzbar
-
-
 def poisson(f: SmoothFunction, g: SmoothFunction, z):
     """Pointwise Poisson bracket {f,g} at chart points z."""
     z = np.asarray(z, dtype=complex)
@@ -112,40 +93,6 @@ def poisson(f: SmoothFunction, g: SmoothFunction, z):
 def poisson_function(f: SmoothFunction, g: SmoothFunction) -> SmoothFunction:
     """{f,g} packaged as a SmoothFunction (values only)."""
     return SmoothFunction(name=f"{{{f.name},{g.name}}}", fn=lambda z: poisson(f, g, z))
-
-
-def curvature_residual(grid_halfwidth: float = 3.0, grid_points: int = 61,
-                       step: float = 1e-3, metric_power: int = 1) -> float:
-    """Quantum-condition check: max |(-d^2/dz dzbar) log h1^p + i^2 * p * omega_dz|.
-
-    Finite differences of -log(1+|z|^2)^-p are compared against p times the
-    dz-dzbar density of omega, i.e. p*(1+|z|^2)^-2; the identity is the
-    curvature equation of the level-p bundle.
-    """
-    xs = np.linspace(-grid_halfwidth, grid_halfwidth, grid_points)
-    z = (xs[:, None] + 1j * xs[None, :]).ravel()
-
-    def logh(u):
-        return -metric_power * np.log1p(np.abs(u) ** 2)
-
-    lap4 = (logh(z + step) + logh(z - step) + logh(z + 1j * step)
-            + logh(z - 1j * step) - 4.0 * logh(z)) / step ** 2
-    dz_dzbar = lap4 / 4.0
-    target = metric_power * (1.0 + np.abs(z) ** 2) ** (-2.0)
-    return float(np.max(np.abs(-dz_dzbar - target)))
-
-
-def chart_change_residual(samples: int = 32) -> float:
-    """Consistency of the curvature density under z -> 1/z at overlap points.
-
-    The density transforms with |dz'/dz|^2 = |z|^-4; both charts must give
-    the same value after the change of variables.
-    """
-    rng = np.linspace(0.5, 2.0, samples)
-    z = rng * np.exp(1j * np.linspace(0.1, 6.0, samples))
-    here = (1.0 + np.abs(z) ** 2) ** (-2.0)
-    there = (1.0 + np.abs(1.0 / z) ** 2) ** (-2.0) * np.abs(z) ** (-4.0)
-    return float(np.max(np.abs(here - there)))
 
 
 def _h(z):

@@ -1,6 +1,6 @@
 """Quantization operators on the section spaces: multiplication-and-project
-(Toeplitz), the covariant-derivative operator of geometric quantization, the
-operator norm, and the graded family acting on the whole coordinate ring.
+(Toeplitz), the covariant-derivative operator of geometric quantization and
+the operator norm.
 
 Matrices are assembled in the closed-form orthonormal basis of sections.py
 with one angular FFT per radius and, for each parity of k - j, one real
@@ -38,7 +38,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .chart import SmoothFunction
-from .quadrature import QuadratureRule, build_quadrature
+from .quadrature import QuadratureRule
 from .sections import SectionBasis, level_basis
 
 
@@ -232,46 +232,3 @@ def tuynman_residual(f: SmoothFunction, m: int,
     mat = _covariant_part(b, f)
     mat += (0.5j / m) * _assemble(b, f.laplacian_values(b.quad.nodes))
     return op_norm(mat)
-
-
-@dataclass(frozen=True)
-class ToeplitzFamily:
-    """The graded family (T_f at every level up to m_max), block diagonal on
-    the direct sum of the section spaces, i.e. on the truncated coordinate
-    ring of the image of P^1."""
-
-    function_name: str
-    levels: tuple
-    blocks: tuple  # OperatorMatrix per level, aligned with `levels`
-
-    def block(self, m: int) -> OperatorMatrix:
-        try:
-            return self.blocks[self.levels.index(m)]
-        except ValueError:
-            raise KeyError(f"no block at level {m}") from None
-
-    def graded_dim(self, m: int) -> int:
-        return self.block(m).dim
-
-    def apply(self, graded_vector: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-        """Apply block-by-block to a vector given as {level: coefficients}.
-
-        Grading is preserved: the output is supported on the same levels.
-        """
-        out = {}
-        for m, v in graded_vector.items():
-            blk = self.block(m)
-            v = np.asarray(v, dtype=complex)
-            if v.shape != (blk.dim,):
-                raise ValueError(f"level-{m} component has wrong length")
-            out[m] = blk.mat @ v
-        return out
-
-
-def total_toeplitz(f: SmoothFunction, m_max: int,
-                   quad: QuadratureRule | None = None) -> ToeplitzFamily:
-    """Build T_f on every level 1..m_max over one shared quadrature rule."""
-    quad = quad if quad is not None else build_quadrature(m_max)
-    levels = tuple(range(1, m_max + 1))
-    blocks = tuple(toeplitz(f, m, quad=quad) for m in levels)
-    return ToeplitzFamily(function_name=f.name, levels=levels, blocks=blocks)

@@ -20,8 +20,7 @@ another level is asked for there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from math import factorial, pi
+from math import pi
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,13 +36,6 @@ from .quadrature import InsufficientResolutionError, QuadratureRule, build_quadr
 #: rounding can see.  The entries it zeroes would otherwise reach the matrix
 #: product as subnormals, which run it several times slower.
 TABLE_FLUSH = 1e-250
-
-
-def gram_entry_closed_form(j: int, k: int, m: int) -> float:
-    """<z^j, z^k> at level m: zero off the diagonal, Beta integral on it."""
-    if j != k:
-        return 0.0
-    return 2.0 * pi * factorial(k) * factorial(m - k) / factorial(m + 1)
 
 
 @dataclass(frozen=True)
@@ -87,14 +79,6 @@ class SectionBasis:
     @property
     def dim(self) -> int:
         return self.m + 1
-
-    @cached_property
-    def profiles(self) -> np.ndarray:
-        """(R, m+1) radial profiles P[i, k] = c_k r_i^k (1+r_i^2)^(-m/2), read-only."""
-        r = self.quad.radii
-        k = np.arange(self.dim)
-        return read_only(np.exp(self.log_c + k * np.log(r)[:, None]
-                                - 0.5 * self.m * np.log1p(r * r)[:, None]))
 
 
 def level_basis(m: int, quad: QuadratureRule | None = None) -> SectionBasis:

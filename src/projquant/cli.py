@@ -232,16 +232,21 @@ def _weight_invariants(action):
     return gitquot.InvariantSet.certified([Polynomial.monomial(len(weights), a) for a in kept], action)
 
 
+def _test_function(family: dict, name: str):
+    """family[name]; an unknown name is a usage error that lists the choices."""
+    try:
+        return family[name]
+    except KeyError:
+        raise UsageError(f"unknown test function {name!r}; choose from {sorted(family)}") from None
+
+
 def cmd_bt_converge(args, config: RunConfig) -> int:
     from .btquant import (build_quadrature, dirac_table, doubling_levels, norm_asymptotics,
                           product_table, standard_family, tuynman_residual)
 
     family = standard_family()
-    try:
-        f = family[args.f]
-        g = family[args.g] if args.g else None
-    except KeyError as exc:
-        raise UsageError(f"unknown test function {exc}; choose from {sorted(family)}")
+    f = _test_function(family, args.f)
+    g = _test_function(family, args.g) if args.g else None
     if g is None and args.check in ("dirac", "c1"):
         raise UsageError(f"--g is required for the {args.check} check")
     levels = doubling_levels(args.m_min, args.m_max)
@@ -293,10 +298,11 @@ def cmd_tuynman_check(args, config: RunConfig) -> int:
     from .btquant import build_quadrature, standard_family, tuynman_residual
 
     family = standard_family()
+    functions = [(name, _test_function(family, name)) for name in args.f.split(",")]
     levels = [int(m) for m in args.m.split(",")]
     quads = {m: build_quadrature(m) for m in levels}
-    rows = [(name, m, tuynman_residual(family[name], m, quad=quads[m]))
-            for name in args.f.split(",") for m in levels]
+    rows = [(name, m, tuynman_residual(f, m, quad=quads[m]))
+            for name, f in functions for m in levels]
     worst = max(res for (_, _, res) in rows)
     ok = worst <= 1e-6
     trailer = [f"# max_residual = {worst!r}", f"# pass = {ok}"]

@@ -158,32 +158,10 @@ def infinitesimal_invariance(F: Polynomial, action: LinearAction) -> bool:
     if action.exact_generators is None:
         raise InexactGeneratorsError(
             "exact generators required for a certified invariance check; "
-            "use infinitesimal_invariance_numeric for a non-certified verdict")
+            "this action carries floating-point generators only")
     if F.nvars != action.n + 1:
         raise ValueError("polynomial/action dimension mismatch")
     return all(_derivation(F, gen).is_zero for gen in action.exact_generators)
-
-
-def infinitesimal_invariance_numeric(F: Polynomial, action: LinearAction,
-                                     tol: float = 1e-8, samples: int = 40,
-                                     seed: int = 0) -> bool:
-    """Non-certified fallback: check F(exp(tA) x) = F(x) on random samples."""
-    rng = np.random.default_rng(seed)
-    n = action.n + 1
-    for _ in range(samples):
-        x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        base = F.evaluate(x)
-        for g in action.generators:
-            t = rng.uniform(-1.0, 1.0)
-            moved = _expm(g * t) @ x
-            if abs(F.evaluate(moved) - base) > tol * max(1.0, abs(base)):
-                return False
-    return True
-
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eig(a)
-    return vecs @ np.diag(np.exp(vals)) @ np.linalg.inv(vecs)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ certify that the generators generate the full vanishing ideal.
 from __future__ import annotations
 
 import enum
-import json
 import re as _re
 import warnings
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .gaussrat import GaussianRational, exact_rank, is_exact_scalar
-from .poly import Polynomial, format_polynomial
+from .poly import Polynomial
 
 if TYPE_CHECKING:
     import numpy as np  # the float helpers import it when called
@@ -404,35 +403,3 @@ def parse_point(text: str) -> ProjPoint:
         else:
             coords.append(float(tok))
     return ProjPoint(coords)
-
-
-def variety_to_json(V: VarietyPresentation) -> dict:
-    return {
-        "generators": [format_polynomial(g) for g in V.generators],
-        "dim": V.claimed_dim,
-    }
-
-
-def singularity_report(V: VarietyPresentation, points, r: int | None = None) -> dict:
-    """JSON-ready singularity report for a list of points on V."""
-    r_eff = V.claimed_dim if r is None else r
-    report = dict(variety_to_json(V))
-    report["dim"] = r_eff
-    report["points"] = []
-    report["verdicts"] = []
-    for p in points:
-        report["points"].append(format_point(p))
-        try:
-            rk = rank_at(V, p)
-            report["verdicts"].append({
-                "rank": rk,
-                "singular": rk < V.ambient_dim - r_eff,
-            })
-        except PointNotOnVarietyError:
-            report["verdicts"].append({"rank": None, "singular": None,
-                                       "error": "not on variety"})
-    return report
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)

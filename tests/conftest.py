@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from projquant.btquant import build_quadrature, standard_family
@@ -17,3 +18,22 @@ def quad64():
 @pytest.fixture(scope="session")
 def quad16():
     return build_quadrature(16)
+
+
+def profiles(basis) -> np.ndarray:
+    """(R, m+1) radial profiles P[i, k] = c_k r_i^k (1+r_i^2)^(-m/2) of a
+    SectionBasis, from its log c_k in log space: the dense reference that the
+    regrouped assembly and the basis tests compare against."""
+    r = basis.quad.radii
+    k = np.arange(basis.dim)
+    return np.exp(basis.log_c + k * np.log(r)[:, None] - 0.5 * basis.m * np.log1p(r * r)[:, None])
+
+
+def section_values(basis) -> np.ndarray:
+    """(m+1, nodes) weighted sections s_k (1+|z|^2)^(-m/2) at every node of
+    the basis's rule, rebuilt from the radial profiles."""
+    quad = basis.quad
+    theta = np.angle(quad.nodes.reshape(quad.radial_count, quad.angular_count)[0])
+    k = np.arange(basis.dim)
+    values = profiles(basis).T[:, :, None] * np.exp(1j * k[:, None, None] * theta)
+    return values.reshape(basis.dim, -1)

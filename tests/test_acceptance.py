@@ -20,8 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from projquant.btquant import (
+    SectionBasis,
     build_quadrature,
-    curvature_residual,
     dirac_table,
     fit_loglog_slope,
     norm_asymptotics,
@@ -177,11 +177,33 @@ def test_tuynman_identity():
            failures)
 
 
+#: rational values of u = |z|^2 at which the curvature identity is checked
+CURVATURE_GRID = [F(0), F(1, 1000), F(1, 3), F(1, 2), F(1), F(2), F(7, 3), F(10), F(1000)]
+
+
+def _radial_curvature(p: int, u: Fraction) -> Fraction:
+    """-d^2 F / dz dzbar for F = log h1^p = -log g, g = (1 + u)^p, at u = |z|^2.
+
+    For a radial F the operator is F'(u) + u F''(u), and F' = -g'/g,
+    F'' = (g'^2 - g g'') / g^2 are exact rationals: g and its derivatives are
+    expanded as polynomials in u and evaluated in Fraction arithmetic.
+    """
+    g = (Polynomial.constant(1, 1) + Polynomial.variable(1, 0)) ** p
+    g1 = g.partial(0)
+    g0, d1, d2 = (q.evaluate((u,)) for q in (g, g1, g1.partial(0)))
+    return -(-d1 / g0 + u * (d1 ** 2 - g0 * d2) / g0 ** 2)
+
+
 def test_prequantum_curvature_condition():
+    # the curvature of h1^p is p times the dz dzbar density (1+u)^-2 of omega,
+    # exactly, for the levels p = 1..4
     failures = []
-    res = curvature_residual(grid_halfwidth=3.0, grid_points=61, step=1e-3)
-    if res > 1e-5:
-        failures.append(f"curvature residual {res}")
+    for p in range(1, 5):
+        for u in CURVATURE_GRID:
+            curvature = _radial_curvature(p, u)
+            density = p * (1 + u) ** -2
+            if not (isinstance(curvature, Fraction) and curvature == density):
+                failures.append(f"p={p} u={u}: curvature {curvature!r} != {density!r}")
     quad = build_quadrature(16)
     mass_defect = abs(quad.total_mass() / (2 * math.pi) - 1.0)
     if mass_defect > 1e-8:
@@ -322,6 +344,12 @@ def test_coordinate_ring_dimensions():
     cubic_ring = GradedRingPresentation(3, (3,))
     if hilbert_polynomial_degree(cubic_ring) != 1 or variety_dim(cubic_ring) != 1:
         failures.append("plane cubic dimension")
+    # the quantum Hilbert space at level m is the degree-m piece of the
+    # coordinate ring of P^1: dim H^0(L^m) = h_{K[P^1]}(m) = m + 1
+    p1_ring = GradedRingPresentation.full_ring(2)
+    for m in range(1, 9):
+        if SectionBasis.build(m).dim != hilbert_function(p1_ring, m):
+            failures.append(f"level-{m} section space vs degree-{m} piece of K[P^1]")
     report("graded dimensions vs brute-force monomial counting", failures)
 
 

@@ -6,10 +6,6 @@ import pytest
 from projquant.btquant import (
     GradientUnavailableError,
     SmoothFunction,
-    chart_change_residual,
-    curvature_residual,
-    hamiltonian_vf,
-    omega_density,
     poisson,
     poisson_function,
     tuynman_residual,
@@ -113,46 +109,6 @@ def test_values_only_function_has_no_derivatives(family):
         tuynman_residual(bare, 4)
 
 
-def test_hamiltonian_field_of_constant_vanishes(family):
-    xz, xzbar = hamiltonian_vf(family["one"], GRID)
-    assert np.max(np.abs(xz)) == 0.0
-    assert np.max(np.abs(xzbar)) == 0.0
-
-
-def test_hamiltonian_field_of_height_is_rotation(family):
-    # X^z = 2 i z: rotation about the poles, fixed points z = 0 and infinity
-    xz, xzbar = hamiltonian_vf(family["x3"], GRID)
-    assert np.max(np.abs(xz - 2j * GRID)) < 1e-12
-    assert np.max(np.abs(xzbar + 2j * np.conj(GRID))) < 1e-12
-    xz0, _ = hamiltonian_vf(family["x3"], np.array([0.0 + 0j]))
-    assert abs(xz0[0]) == 0.0
-
-
-def test_hamiltonian_field_linearity(family):
-    f, g = family["x1"], family["x2"]
-    combo = SmoothFunction(name="combo", fn=lambda z: 2 * f.fn(z) - 3 * g.fn(z),
-                           dz=lambda z: 2 * f.dz(z) - 3 * g.dz(z),
-                           dzbar=lambda z: 2 * f.dzbar(z) - 3 * g.dzbar(z))
-    a = hamiltonian_vf(combo, GRID)[0]
-    b = 2 * hamiltonian_vf(f, GRID)[0] - 3 * hamiltonian_vf(g, GRID)[0]
-    assert np.max(np.abs(a - b)) < 1e-12
-
-
-def test_hamiltonian_field_contracts_form_to_df(family):
-    # omega(X_f, .) = df: check both dz and dzbar components on a grid
-    f = family["x1x2"]
-    z = GRID
-    lam = (1.0 + np.abs(z) ** 2) ** (-2.0)
-    xz, xzbar = hamiltonian_vf(f, z)
-    assert np.max(np.abs(1j * lam * xz - f.d_zbar(z))) < 1e-8
-    assert np.max(np.abs(-1j * lam * xzbar - f.d_z(z))) < 1e-8
-
-
-def test_gradient_unavailable_at_infinity(family):
-    with pytest.raises(GradientUnavailableError):
-        hamiltonian_vf(family["x3"], np.array([np.inf + 0j]))
-
-
 def test_poisson_antisymmetry_and_self_bracket(family):
     f, g = family["x1"], family["x3"]
     assert np.max(np.abs(poisson(f, f, GRID))) < 1e-12
@@ -233,28 +189,3 @@ def test_laplacian_additivity(family):
                            lap=lambda z: f.lap(z) + g.lap(z))
     assert np.max(np.abs(combo.laplacian_values(GRID)
                          - f.laplacian_values(GRID) - g.laplacian_values(GRID))) < 1e-12
-
-
-def test_curvature_identity():
-    assert curvature_residual() <= 1e-5
-
-
-def test_curvature_scales_with_metric_power():
-    # squaring the metric weight doubles the curvature density
-    base = curvature_residual(metric_power=1)
-    doubled = curvature_residual(metric_power=2)
-    assert doubled <= 2 * base + 1e-9
-
-
-def test_chart_change_consistency():
-    assert chart_change_residual() < 1e-12
-
-
-def test_omega_density_total_mass():
-    # polar integration of the density recovers 2*pi (analytic tail beyond R)
-    R = 300.0
-    r = np.linspace(0, R, 400001)
-    vals = omega_density(r) * 2 * np.pi * r
-    trap = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
-    mass = trap(vals, r) + 2 * np.pi / (1 + R ** 2)
-    assert abs(mass - 2 * np.pi) < 1e-6

@@ -12,13 +12,13 @@ from projquant.btquant import (
     op_norm,
     product_residual,
     toeplitz,
-    total_toeplitz,
     tuynman_residual,
 )
 from projquant.btquant.chart import SmoothFunction
 from projquant.btquant.operators import OperatorMatrix, _assemble, _covariant_part
 from projquant.btquant.sections import level_basis
-from projquant.coordring import GradedRingPresentation, hilbert_function
+
+from conftest import profiles, section_values
 
 
 def spin_matrices(m: int):
@@ -287,41 +287,12 @@ def test_basis_of_another_level_is_rejected(family):
     assert abs(dirac_residual(f, g, 8, basis=SectionBasis.build(8)) - 0.32) < 1e-12
 
 
-# -- graded family ---------------------------------------------------------------
-
-def test_total_toeplitz_identity(family):
-    fam = total_toeplitz(family["one"], 6)
-    for m in fam.levels:
-        assert np.max(np.abs(fam.block(m).mat - np.eye(m + 1))) < 1e-10
-
-
-def test_total_toeplitz_graded_dims_match_hilbert(family):
-    fam = total_toeplitz(family["x3"], 8)
-    ring = GradedRingPresentation.full_ring(2)  # K[P^1]
-    for m in fam.levels:
-        assert fam.graded_dim(m) == hilbert_function(ring, m) == m + 1
-
-
-def test_total_toeplitz_preserves_grading(family):
-    fam = total_toeplitz(family["x1"], 5)
-    vec = {3: np.ones(4, dtype=complex)}
-    out = fam.apply(vec)
-    assert set(out) == {3}
-    assert out[3].shape == (4,)
-    with pytest.raises(ValueError):
-        fam.apply({3: np.ones(5)})
-    with pytest.raises(KeyError):
-        fam.block(99)
-
-
 def test_section_basis_values_shape(quad16):
     b = SectionBasis.build(5, quad16)
-    assert b.profiles.shape == (quad16.radial_count, 6)
+    assert profiles(b).shape == (quad16.radial_count, 6)
     assert b.dim == 6
     # rebuild the weighted section values and integrate conj(s_j) s_k
-    theta = np.angle(quad16.nodes.reshape(quad16.radial_count, -1)[0])
-    k = np.arange(6)
-    values = (b.profiles.T[:, :, None] * np.exp(1j * k[:, None, None] * theta)).reshape(6, -1)
+    values = section_values(b)
     assert values.shape == (6, quad16.nodes.size)
     gram = (values.conj() * quad16.weights) @ values.T
     assert np.max(np.abs(gram - np.eye(6))) < 1e-12
@@ -329,12 +300,9 @@ def test_section_basis_values_shape(quad16):
 
 def _dense_pairing(b, values):
     """<s_j, g s_k> as the plain quadrature sum over every node, with the
-    weighted sections rebuilt from the radial profiles as above."""
-    quad = b.quad
-    theta = np.angle(quad.nodes.reshape(quad.radial_count, -1)[0])
-    k = np.arange(b.dim)
-    s = (b.profiles.T[:, :, None] * np.exp(1j * k[:, None, None] * theta)).reshape(b.dim, -1)
-    return (s.conj() * quad.weights * values) @ s.T
+    weighted sections rebuilt from the radial profiles."""
+    s = section_values(b)
+    return (s.conj() * b.quad.weights * values) @ s.T
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 8, 31, 32, 64])

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from projquant.btquant import build_quadrature, geom_quant, toeplitz
-from projquant.btquant.chart import _h, hermitian_weight
-from projquant.btquant.quadrature import gauss_legendre
-from projquant.btquant.sections import SectionBasis, gram_entry_closed_form, level_basis
+from projquant.btquant.chart import _h
+from projquant.btquant.quadrature import bundle_weight, gauss_legendre
+from projquant.btquant.sections import SectionBasis, level_basis
+
+from conftest import profiles, section_values
 
 
 @lru_cache(maxsize=4)
@@ -134,31 +136,25 @@ def test_total_mass(quad64):
 def test_angular_orthogonality(quad64):
     z = quad64.nodes
     m = 10
-    hm = hermitian_weight(z, m)
+    hm = bundle_weight(z) ** m
     for j, k in [(0, 1), (2, 5), (1, 9), (0, 10)]:
         val = np.sum(quad64.weights * hm * np.conj(z) ** j * z ** k)
         assert abs(val) < 1e-12
-
-
-def _section_values(basis, quad):
-    """s_k (1+|z|^2)^(-m/2) at every node, rebuilt from the radial profiles."""
-    theta = np.angle(quad.nodes.reshape(quad.radial_count, quad.angular_count)[0])
-    k = np.arange(basis.dim)
-    vals = basis.profiles.T[:, :, None] * np.exp(1j * k[:, None, None] * theta)
-    return vals.reshape(basis.dim, -1)
 
 
 def test_gram_matches_beta_oracle(quad64):
     r = np.abs(quad64.nodes.reshape(quad64.radial_count, -1)[:, 0])
     for m in (3, 8, 16):
         basis = SectionBasis.build(m, quad64)
-        s = _section_values(basis, quad64)
+        s = section_values(basis)
         gram = (s.conj() * quad64.weights) @ s.T
         assert np.max(np.abs(gram - np.eye(m + 1))) < 1e-12
+        P = profiles(basis)
         for k in range(m + 1):
-            c = basis.profiles[:, k] / (r ** k * (1 + r ** 2) ** (-m / 2))
+            c = P[:, k] / (r ** k * (1 + r ** 2) ** (-m / 2))
             assert np.max(np.abs(c - c[0])) < 1e-12 * c[0]
-            assert abs(c[0] ** 2 * gram_entry_closed_form(k, k, m) - 1) < 1e-12
+            # <z^k, z^k> = 4 pi int_0^inf r^(2k+1) (1+r^2)^(-m-2) dr
+            assert abs(c[0] ** 2 * 4 * math.pi * beta_closed_form(k, m) - 1) < 1e-12
             assert abs(c[0] ** 2 * 4 * math.pi * radial_moment_oracle(k, m) - 1) < 1e-10
 
 
@@ -167,9 +163,10 @@ def test_section_profiles_finite_at_large_level():
     # log-space profiles must stay finite and normalized
     m = 1024
     basis = SectionBasis.build(m)
-    assert basis.profiles.shape == (basis.quad.radial_count, m + 1)
-    assert np.all(np.isfinite(basis.profiles))
-    norms = basis.radial_weights @ basis.profiles ** 2
+    P = profiles(basis)
+    assert P.shape == (basis.quad.radial_count, m + 1)
+    assert np.all(np.isfinite(P))
+    norms = basis.radial_weights @ P ** 2
     assert np.max(np.abs(norms - 1.0)) < 1e-10
 
 

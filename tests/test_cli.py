@@ -474,9 +474,18 @@ def test_bt_converge_single_level_has_no_slope(capsys, check, pair, slope_key):
 
 
 def test_unknown_function_rejected(capsys):
-    code = main(["bt-converge", "--check", "norm", "--f", "nope"])
-    assert code == 2
-    assert main(["tuynman-check", "--f", "x1,nope", "--m", "2"]) == 2
+    # both commands look the names up the same way: exit 2, an error naming
+    # the bad name and the family, nothing on stdout
+    choices = "choose from ['one', 'x1', 'x1x2', 'x2', 'x3', 'x3sq']"
+    for argv, name in [(["bt-converge", "--check", "norm", "--f", "nope"], "'nope'"),
+                       (["bt-converge", "--check", "dirac", "--f", "x1", "--g", "nope"], "'nope'"),
+                       (["tuynman-check", "--f", "x1,nope", "--m", "2"], "'nope'"),
+                       (["tuynman-check", "--f", "nope"], "'nope'"),
+                       (["tuynman-check", "--f", ","], "''")]:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown test function {name}; {choices}\n"
 
 
 @pytest.mark.parametrize("exc", [np.linalg.LinAlgError("SVD did not converge"),
@@ -573,6 +582,16 @@ PUBLIC = {
 }
 SUBMODULES = ["btquant", "coordring", "gaussrat", "gitquot", "poly", "projgeo", "weierstrass"]
 
+# the btquant package's exports: its submodules and the names they define
+BTQUANT_ALL = [
+    "ConvergenceTable", "GradientUnavailableError", "InsufficientResolutionError",
+    "OperatorMatrix", "QuadratureRule", "SectionBasis", "SmoothFunction", "asymptotics",
+    "build_quadrature", "chart", "dirac_residual", "dirac_table", "doubling_levels",
+    "fit_loglog_slope", "geom_quant", "norm_asymptotics", "op_norm", "operators",
+    "poisson", "poisson_function", "product_residual", "product_table", "quadrature",
+    "sections", "standard_family", "toeplitz", "tuynman_residual",
+]
+
 
 def test_public_surface():
     import importlib
@@ -593,6 +612,7 @@ def test_public_surface():
         assert star[name] is want, name
     with pytest.raises(AttributeError):
         projquant.no_such_name
+    assert projquant.btquant.__all__ == BTQUANT_ALL
 
 
 def test_one_process_runs_commands_like_separate_processes(capsys):

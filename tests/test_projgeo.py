@@ -20,7 +20,6 @@ from projquant.projgeo import (
     jacobian,
     parse_point,
     rank_at,
-    singularity_report,
     veronese_quadric,
     veronese_square,
     weierstrass_cubic,
@@ -305,17 +304,6 @@ def test_point_round_trip():
     assert parse_point(projgeo.format_point(p)).coords == p.coords
     q = parse_point("(0.5 : 1.0 : 0.0)")
     assert isinstance(q.coords[0], float)
-
-
-def test_singularity_report_shape():
-    V = VarietyPresentation([X(0) * X(1)], claimed_dim=1)
-    rep = singularity_report(V, [pt(0, 0, 1), pt(1, 0, 0), pt(1, 1, 1)])
-    assert rep["generators"] == ["X0*X1"]
-    assert rep["dim"] == 1
-    assert rep["verdicts"][0] == {"rank": 0, "singular": True}
-    assert rep["verdicts"][1]["singular"] is False
-    assert rep["verdicts"][2]["error"] == "not on variety"
-    projgeo.report_to_json(rep)  # must serialize
 
 
 def test_proportional_to():
