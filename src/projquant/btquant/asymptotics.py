@@ -3,6 +3,7 @@ saturation, the product residual and the commutator/Poisson (Dirac) residual.
 The Dirac residual is also the star product's first-order check: the
 antisymmetric part m (T_f T_g - T_{fg}) - m (T_g T_f - T_{gf}) - T_{-i{f,g}}
 is -i (m i [T_f, T_g] - T_{{f,g}}), so it has the Dirac residual's norm.
+Every level m is taken on the rule quad, by default its own build_quadrature(m).
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import SmoothFunction, poisson_function
-from .operators import OperatorMatrix, _assemble, _level_basis, _toeplitz_of, op_norm, toeplitz
-from .quadrature import QuadratureRule, build_quadrature
-from .sections import SectionBasis
+from .operators import OperatorMatrix, _assemble, _toeplitz_of, op_norm, toeplitz
+from .quadrature import QuadratureRule
+from .sections import level_basis
 
 
 def doubling_levels(m_min: int, m_max: int) -> list[int]:
@@ -51,10 +52,6 @@ class ConvergenceTable:
         return list(zip(self.levels, self.values))
 
 
-def _shared_quad(levels, quad):
-    return quad if quad is not None else build_quadrature(max(levels))
-
-
 def norm_asymptotics(f: SmoothFunction, m_list,
                      quad: QuadratureRule | None = None) -> dict:
     """Per-level operator norms of T_f against the sup norm of f.
@@ -62,7 +59,6 @@ def norm_asymptotics(f: SmoothFunction, m_list,
     Returns rows (m, norm, gap) with gap = sup|f| - norm, plus the log-log
     slope of the gap (the saturation rate of the norm from below).
     """
-    quad = _shared_quad(m_list, quad)
     sup = f.sup_norm()
     rows = []
     for m in m_list:
@@ -73,8 +69,7 @@ def norm_asymptotics(f: SmoothFunction, m_list,
 
 
 def dirac_residual(f: SmoothFunction, g: SmoothFunction, m: int,
-                   quad: QuadratureRule | None = None,
-                   basis: SectionBasis | None = None) -> float:
+                   quad: QuadratureRule | None = None) -> float:
     """|| m i [T_f, T_g] - T_{{f,g}} || at level m.
 
     For real node values of f and g, f_z = conj(f_zbar), so the bracket is
@@ -83,12 +78,12 @@ def dirac_residual(f: SmoothFunction, g: SmoothFunction, m: int,
     residual is Hermitian by construction.  Complex values take the full
     bracket and both products.
     """
-    b = _level_basis(m, quad, basis)
+    b = level_basis(m, quad)
     z = b.quad.nodes
     fv, gv = f(z), g(z)
     tf, tg = _toeplitz_of(b, fv), _toeplitz_of(b, gv)
     if not (tf.hermitian and tg.hermitian):
-        tb = toeplitz(poisson_function(f, g), m, basis=b)
+        tb = _toeplitz_of(b, poisson_function(f, g)(z))
         return op_norm(m * 1j * (tf @ tg - tg @ tf) - tb)
     w = f.d_zbar(z)
     w *= np.conj(g.d_zbar(z))
@@ -102,22 +97,19 @@ def dirac_residual(f: SmoothFunction, g: SmoothFunction, m: int,
 
 
 def product_residual(f: SmoothFunction, g: SmoothFunction, m: int,
-                     quad: QuadratureRule | None = None,
-                     basis: SectionBasis | None = None) -> float:
+                     quad: QuadratureRule | None = None) -> float:
     """|| T_f T_g - T_{f g} || at level m."""
-    b = _level_basis(m, quad, basis)
+    b = level_basis(m, quad)
     z = b.quad.nodes
     fv, gv = f(z), g(z)
     return op_norm(_toeplitz_of(b, fv) @ _toeplitz_of(b, gv) - _toeplitz_of(b, fv * gv))
 
 
 def dirac_table(f, g, m_list, quad=None) -> ConvergenceTable:
-    quad = _shared_quad(m_list, quad)
     vals = tuple(dirac_residual(f, g, m, quad=quad) for m in m_list)
     return ConvergenceTable(tuple(m_list), vals, fit_loglog_slope(m_list, vals))
 
 
 def product_table(f, g, m_list, quad=None) -> ConvergenceTable:
-    quad = _shared_quad(m_list, quad)
     vals = tuple(product_residual(f, g, m, quad=quad) for m in m_list)
     return ConvergenceTable(tuple(m_list), vals, fit_loglog_slope(m_list, vals))

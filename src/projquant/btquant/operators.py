@@ -14,11 +14,11 @@ construction and flagged so; op_norm then takes eigvalsh instead of an SVD.
 Memory is O(R A + n^2): the basis holds the (2m+1) x R table, 17 MB at
 m = 1024, and the n x n scales.
 
-Every routine here takes its basis from sections.level_basis, which keeps
-the last basis built on a rule, and its rule from build_quadrature, which
-keeps the last rule (see quadrature.py): successive operators at one level
-pay for assembly alone.  What stays memoized is that rule with its node
-geometry and basis, about 93 MB at m = 1024.
+A level is given by m and its rule quad alone (default: the level's own
+build_quadrature(m)); every routine here finds its basis through
+sections.level_basis, which keeps the last basis built on a rule, and
+build_quadrature keeps the last rule (see quadrature.py): successive
+operators at one level pay for assembly alone.
 
 The level-m geometric-quantization operator uses the Hamiltonian field of f
 taken with respect to m*omega (the symplectic form whose prequantum bundle
@@ -146,21 +146,14 @@ def _radial_product(table: np.ndarray, modes: np.ndarray, columns: np.ndarray,
     return product.view(complex)
 
 
-def _level_basis(m: int, quad: QuadratureRule | None,
-                 basis: SectionBasis | None) -> SectionBasis:
-    """The given basis, which must be of level m, or the level-m basis on quad."""
-    if basis is None:
-        return level_basis(m, quad)
-    if basis.m != m:
-        raise ValueError(f"section basis of level {basis.m} given for level {m}")
-    return basis
-
-
 def toeplitz(f: SmoothFunction, m: int, quad: QuadratureRule | None = None,
              basis: SectionBasis | None = None) -> OperatorMatrix:
     """Compress multiplication by f onto the holomorphic sections: the
-    matrix <s_j, f s_k> in the orthonormal section basis."""
-    b = _level_basis(m, quad, basis)
+    matrix <s_j, f s_k> in the orthonormal section basis (the given level-m
+    basis, else the one on quad)."""
+    if basis is not None and basis.m != m:
+        raise ValueError(f"section basis of level {basis.m} given for level {m}")
+    b = basis if basis is not None else level_basis(m, quad)
     return _toeplitz_of(b, f(b.quad.nodes))
 
 
@@ -170,13 +163,12 @@ def _toeplitz_of(b: SectionBasis, values: np.ndarray) -> OperatorMatrix:
     return OperatorMatrix(b.m, _assemble(b, values), np.isrealobj(values))
 
 
-def geom_quant(f: SmoothFunction, m: int, quad: QuadratureRule | None = None,
-               basis: SectionBasis | None = None) -> OperatorMatrix:
+def geom_quant(f: SmoothFunction, m: int, quad: QuadratureRule | None = None) -> OperatorMatrix:
     """Project the prequantum operator -nabla_{X_f} + i f onto H^0: the
     matrix i T_f + D_f, D_f from _covariant_part."""
     if m < 1:
         raise ValueError("geometric quantization needs level m >= 1")
-    b = _level_basis(m, quad, basis)
+    b = level_basis(m, quad)
     mat = 1j * _assemble(b, f(b.quad.nodes))
     mat += _covariant_part(b, f)
     return OperatorMatrix(m, mat)

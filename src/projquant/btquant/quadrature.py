@@ -7,20 +7,19 @@ every z^j zbar^k (1+|z|^2)^(-m-2) appearing in section inner products
 exactly: the angular factor is a pure harmonic and the radial factor is a
 polynomial in t of degree at most m.
 
-A process keeps one rule: build_quadrature returns the rule it built last
-whenever the same radial and angular counts are asked for again, so the
-callers working through one level, or sharing one rule over several, all
-get the same object.  That rule keeps its node geometry (the radii and
-h1 = (1+|z|^2)^-1 at the nodes) and the last section basis built on it
-(sections.level_basis), all as read-only arrays.  At m = 1024 that is
-about 93 MB: 51 MB of nodes and weights, 17 MB of h1 and the 25 MB
-level-1024 basis.
+A process keeps one rule, the handle every operator at a level works on:
+build_quadrature returns the rule it built last whenever the same radial
+and angular counts are asked for again.  That rule keeps its node geometry
+(the radii and h1 = (1+|z|^2)^-1 at the nodes) and the last section basis
+built on it (sections.level_basis), all as read-only arrays; nothing else
+is kept.  At m = 1024 that is about 93 MB: 51 MB of nodes and weights,
+17 MB of h1 and the 25 MB level-1024 basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -29,7 +28,6 @@ if TYPE_CHECKING:
     from .sections import SectionBasis
 
 TOTAL_MASS = 2.0 * np.pi
-MEMO_SIZES = 32  # Gauss-Legendre rule sizes kept per process
 
 #: default rule sizes for level cap m_max; generous margins keep every
 #: integrand of the shipped function family inside the exactness budget
@@ -66,7 +64,6 @@ def _bessel_j0_zeros(count: int) -> np.ndarray:
     return j
 
 
-@lru_cache(maxsize=MEMO_SIZES)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1]: Newton steps
     on the three-term recurrence for the half t <= 0, mirrored (Hale &
@@ -80,7 +77,6 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     1 - t^2: one pass for n >= 70, two for 4 <= n < 70, three for n = 2, 3.
     The weights 2 / ((1-t^2) P_n'^2) of the last pass are carried to first
     order along its step.
-    Each size is built once per process and shared: the arrays are read-only.
     """
     half, rho = (n + 1) // 2, n + 0.5
     theta = np.pi * (4 * np.arange(1, half + 1) - 1) / (4 * n + 2)
@@ -111,7 +107,6 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     w = 2.0 / (one_minus_t2 * dp * dp) * (1.0 + 2.0 * t * step / one_minus_t2)
     t = np.concatenate((u - 1.0, 1.0 - u[:n // 2][::-1]))
     w = np.concatenate((w, w[:n // 2][::-1]))
-    t.flags.writeable = w.flags.writeable = False
     return t, w
 
 

@@ -45,7 +45,6 @@ class SectionBasis:
     m: int
     quad: QuadratureRule
     radial_weights: np.ndarray  # (R,) weight of each radius, summed over angles
-    log_c: np.ndarray           # (m+1,) log c_k
     radial_table: np.ndarray    # (2m+1, R) r_i^s (1+r_i^2)^(-m) / max_i, flushed
     pair_scale: np.ndarray      # (m+1, m+1) c_j c_k max_i r_i^(j+k) (1+r_i^2)^(-m)
 
@@ -73,8 +72,7 @@ class SectionBasis:
                 f"level-{m} section kernel is not finite on this rule")
         return cls(m=m, quad=quad,
                    radial_weights=read_only(quad.weights.reshape(r.size, -1).sum(axis=1)),
-                   log_c=read_only(log_c), radial_table=read_only(table),
-                   pair_scale=read_only(scale))
+                   radial_table=read_only(table), pair_scale=read_only(scale))
 
     @property
     def dim(self) -> int:

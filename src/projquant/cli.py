@@ -58,18 +58,55 @@ def _json_report(config: RunConfig, payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _argument(expected: str):
+    """Turn parse(text) into an argparse type: a ValueError it raises becomes
+    a usage error naming the flag (argparse adds it), what was expected and
+    the offending text."""
+    def wrap(parse):
+        def parse_argument(text: str):
+            try:
+                return parse(text)
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+        return parse_argument
+    return wrap
+
+
+@_argument("a rational number such as 3/4")
 def _fraction(text: str) -> Fraction:
-    """A rational argument such as 3/4; a zero denominator is a usage error."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
 
 
+@_argument("a positive integer")
 def _positive_int(text: str) -> int:
     if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+        raise ValueError(text)
     return int(text)
+
+
+@_argument("comma-separated integers such as -1,1")
+def _integers(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(","))
+
+
+@_argument("comma-separated levels >= 1 such as 2,4,8")
+def _levels(text: str) -> tuple[int, ...]:
+    levels = tuple(int(part) for part in text.split(","))
+    if min(levels) < 1:
+        raise ValueError(text)
+    return levels
+
+
+@_argument("a degree or a range lo..hi with lo <= hi")
+def _degree_range(text: str) -> range:
+    lo, sep, hi = text.partition("..")
+    lo, hi = int(lo), int(hi if sep else lo)
+    if lo > hi:
+        raise ValueError(text)
+    return range(lo, hi + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -174,35 +211,23 @@ def cmd_weierstrass_embed(args, config: RunConfig) -> int:
 def cmd_hilbert(args, config: RunConfig) -> int:
     from . import coordring
 
-    degrees = tuple(int(d) for d in args.degrees.split(",")) if args.degrees else ()
-    ring = coordring.GradedRingPresentation(args.nvars, degrees)
-    lo, hi = _parse_range(args.m)
-    rows = [(m, coordring.hilbert_function(ring, m)) for m in range(lo, hi + 1)]
+    ring = coordring.GradedRingPresentation(args.nvars, args.degrees)
+    rows = [(m, coordring.hilbert_function(ring, m)) for m in args.m]
     dim = coordring.variety_dim(ring)
     trailer = [f"# variety_dim = {dim}"]
     _write(_csv(config, ["m", "dim"], rows, trailer), args.out)
     return PASS
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
-    lo = int(lo)
-    hi = int(hi) if sep else lo
-    if lo > hi:
-        raise UsageError(f"empty degree range {text!r}: {lo} > {hi}")
-    return lo, hi
-
-
 def cmd_moment_map(args, config: RunConfig) -> int:
     from . import gitquot
 
-    weights = tuple(int(w) for w in args.weights.split(","))
-    action = gitquot.LinearAction.from_weights(weights)
+    action = gitquot.LinearAction.from_weights(args.weights)
     inv = _weight_invariants(action)
     report = gitquot.kirwan_correspondence_check(
         action, inv, n_samples=args.samples, tol=config.zero_level_tol, seed=config.seed)
     ok = report.get("equivalence_holds")
-    payload = {"weights": list(weights), "report": report,
+    payload = {"weights": list(args.weights), "report": report,
                "invariants": [str(F) for F in (inv.polys if inv else ())]}
     _write(_json_report(config, payload), args.out)
     if ok is None:
@@ -295,14 +320,13 @@ def cmd_bt_converge(args, config: RunConfig) -> int:
 
 
 def cmd_tuynman_check(args, config: RunConfig) -> int:
-    from .btquant import build_quadrature, standard_family, tuynman_residual
+    from .btquant import standard_family, tuynman_residual
 
     family = standard_family()
-    functions = [(name, _test_function(family, name)) for name in args.f.split(",")]
-    levels = [int(m) for m in args.m.split(",")]
-    quads = {m: build_quadrature(m) for m in levels}
-    rows = [(name, m, tuynman_residual(f, m, quad=quads[m]))
-            for name, f in functions for m in levels]
+    functions = [(name, _test_function(family, name)) for name in args.f]
+    # levels outermost: the process keeps one rule, so each is built once
+    res = {(name, m): tuynman_residual(f, m) for m in args.m for name, f in functions}
+    rows = [(name, m, res[name, m]) for name, _ in functions for m in args.m]
     worst = max(res for (_, _, res) in rows)
     ok = worst <= 1e-6
     trailer = [f"# max_residual = {worst!r}", f"# pass = {ok}"]
@@ -354,14 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="graded dimensions of a coordinate ring")
     p.add_argument("--nvars", type=int, required=True)
-    p.add_argument("--degrees", default="",
-                   help="comma-separated relation degrees (empty: full ring)")
-    p.add_argument("--m", default="0..10", help="degree or lo..hi range")
+    p.add_argument("--degrees", type=_integers, default=(),
+                   help="comma-separated relation degrees (omit for the full ring)")
+    p.add_argument("--m", type=_degree_range, default="0..10", help="degree or lo..hi range")
     p.add_argument("--out")
     p.set_defaults(handler=cmd_hilbert)
 
     p = sub.add_parser("moment-map", help="moment map / stability report")
-    p.add_argument("--weights", required=True, help="comma-separated integers")
+    p.add_argument("--weights", type=_integers, required=True, help="comma-separated integers")
     p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--out")
     p.set_defaults(handler=cmd_moment_map)
@@ -377,8 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_bt_converge)
 
     p = sub.add_parser("tuynman-check", help="geometric-quantization identity check")
-    p.add_argument("--f", default="x1,x3", help="comma-separated function names")
-    p.add_argument("--m", default="2,4,8,16", help="comma-separated levels")
+    p.add_argument("--f", type=functools.partial(str.split, sep=","), default="x1,x3",
+                   help="comma-separated function names")
+    p.add_argument("--m", type=_levels, default="2,4,8,16", help="comma-separated levels")
     p.add_argument("--out")
     p.set_defaults(handler=cmd_tuynman_check)
 

@@ -1,7 +1,7 @@
 """Run configuration shared by the command-line tools.
 
-The config file format is flat TOML-style "key = value" lines (ints,
-floats, booleans and bare/quoted strings; '#' starts a comment).  Every
+The config file format is flat "key = value" lines, '#' starting a comment;
+each value is read as the type its key declares in RunConfig.  Every
 output artifact embeds the configuration it was produced with, so runs are
 reproducible byte for byte.
 """
@@ -21,8 +21,10 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.zero_level_tol <= 0:
-            raise ValueError("zero_level_tol must be positive")
+        if not 0 < self.zero_level_tol < float("inf"):
+            raise ValueError("zero_level_tol must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -32,29 +34,13 @@ class RunConfig:
         return [f"# {k} = {v}" for k, v in sorted(self.to_dict().items())]
 
 
-def _parse_value(text: str):
-    text = text.strip()
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
 def load_config(path: str | None) -> RunConfig:
-    """Read a key = value file into a RunConfig; unknown keys are an error."""
+    """Read a key = value file into a RunConfig.  An unknown key, a value not
+    of its key's type (float or int: no quotes, no true/false) or out of its
+    range is an error naming the file, line and key."""
     if path is None:
         return RunConfig()
-    known = {f.name for f in fields(RunConfig)}
+    types = {f.name: {"float": float, "int": int}[f.type] for f in fields(RunConfig)}
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -63,11 +49,18 @@ def load_config(path: str | None) -> RunConfig:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = line.split("=", 1)
-            key = key.strip()
-            if key not in known:
+            key, text = (part.strip() for part in line.split("=", 1))
+            if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _parse_value(val)
+            try:
+                values[key] = types[key](text)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} must be of type "
+                                 f"{types[key].__name__}, got {text}") from None
+            try:
+                RunConfig(**{key: values[key]})  # the key's own range check
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}, got {text}") from None
     return RunConfig(**values)
 
 

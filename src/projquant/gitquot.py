@@ -406,9 +406,10 @@ def _k_orbit_matrix(weights, V: np.ndarray, tol: float) -> np.ndarray:
 
 def count_k_orbit_classes(action: LinearAction, points,
                           tol: float = K_ORBIT_TOL) -> int:
-    """Number of K-orbit equivalence classes among the given points."""
+    """Number of K-orbit equivalence classes among the given points
+    (ProjPoints or coordinate rows)."""
     weights = _one_param_weights(action)
-    V = np.array([p.to_complex() for p in points], dtype=complex).reshape(-1, action.n + 1)
+    V = np.array([_coords(p) for p in points], dtype=complex).reshape(-1, action.n + 1)
     return _greedy_count(_k_orbit_matrix(weights, V, tol))
 
 
@@ -461,11 +462,10 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
 
     zl = np.linalg.norm(mus, axis=1) <= 1e-7
     zl_phases = _zero_level_samples(action, rng, count=64)
-    phase_V = np.array([p.to_complex() for p in zl_phases]).reshape(-1, n)
-    zl_moduli = _invariant_moduli(inv, np.concatenate([V[zl], phase_V]))
+    zl_moduli = _invariant_moduli(inv, np.concatenate([V[zl], zl_phases]))
     zero_all_semistable = bool(np.all(np.any(zl_moduli > 1e-12, axis=1)))
-    classes = count_k_orbit_classes(action, zl_phases) if zl_phases else 0
-    inv_classes = _invariant_value_classes(inv, zl_phases) if zl_phases else 0
+    classes = count_k_orbit_classes(action, zl_phases) if len(zl_phases) else 0
+    inv_classes = _invariant_value_classes(inv, zl_phases) if len(zl_phases) else 0
     return {
         "n_samples": len(points),
         "samples": rows,
@@ -487,21 +487,23 @@ def _format_rows(V: np.ndarray) -> list[str]:
             for row in V.tolist()]
 
 
-def _invariant_value_classes(inv: InvariantSet, points, tol: float = 1e-6) -> int:
-    """Classify points by the scale-normalized moduli of the invariants.
+def _invariant_value_classes(inv: InvariantSet, V: np.ndarray, tol: float = 1e-6) -> int:
+    """Classify the points, the rows of V, by the scale-normalized moduli of
+    the invariants.
 
     |F(x)| / ||x||^deg F is constant on K-orbits and on projective classes,
     so the number of distinct value vectors lower-bounds the fiber count of
     the invariant-theory quotient on the sampled set."""
-    vectors = _invariant_moduli(inv, np.array([p.to_complex() for p in points]))
+    vectors = _invariant_moduli(inv, V)
     return _greedy_count(np.max(np.abs(vectors[:, None] - vectors[None]), axis=2) <= tol)
 
 
-def _zero_level_samples(action: LinearAction, rng, count: int = 64) -> list:
+def _zero_level_samples(action: LinearAction, rng, count: int = 64) -> np.ndarray:
     """Deterministic points on the moment zero level of a diagonal one-parameter
-    action, found by the orbit search along random rays (drawn in blocks)."""
+    action, found by the orbit search along random rays (drawn in blocks): the
+    rows of an (N, n+1) array, N <= count."""
     weights, n = action.weights, action.n + 1
-    out, tries = [], 0
+    out, tries = np.empty((0, n), dtype=complex), 0
     while len(out) < count and tries < 50 * count:
         block = min(count - len(out), 50 * count - tries)
         tries += block
@@ -509,7 +511,7 @@ def _zero_level_samples(action: LinearAction, rng, count: int = 64) -> list:
         s = _orbit_search(weights, X, 1e-12)
         W = _witness_rows(weights, X, s)
         keep = ~np.isnan(s) & (np.linalg.norm(_moment_rows(action, W), axis=1) <= 1e-10)
-        out += [ProjPoint(tuple(x)) for x in W[keep]]
+        out = np.concatenate([out, W[keep]])
     return out
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,11 +24,13 @@ def quad16():
 
 def profiles(basis) -> np.ndarray:
     """(R, m+1) radial profiles P[i, k] = c_k r_i^k (1+r_i^2)^(-m/2) of a
-    SectionBasis, from its log c_k in log space: the dense reference that the
-    regrouped assembly and the basis tests compare against."""
-    r = basis.quad.radii
+    SectionBasis, in log space with log c_k from the exact binomials: the
+    dense reference that the regrouped assembly and the basis tests compare
+    against."""
+    r, m = basis.quad.radii, basis.m
     k = np.arange(basis.dim)
-    return np.exp(basis.log_c + k * np.log(r)[:, None] - 0.5 * basis.m * np.log1p(r * r)[:, None])
+    log_c = 0.5 * (np.array([math.log((m + 1) * math.comb(m, j)) for j in k]) - math.log(2 * math.pi))
+    return np.exp(log_c + k * np.log(r)[:, None] - 0.5 * m * np.log1p(r * r)[:, None])
 
 
 def section_values(basis) -> np.ndarray:

@@ -262,7 +262,9 @@ def test_hilbert_full_ring(capsys):
 
 def test_hilbert_rejects_empty_range(capsys):
     # lo > hi would print a table with no rows
-    assert main(["hilbert", "--nvars", "3", "--m", "5..2"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["hilbert", "--nvars", "3", "--m", "5..2"])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "5..2" in captured.err
 
@@ -702,3 +704,48 @@ def test_output_dir_env_override(tmp_path, monkeypatch, capsys):
 def test_runconfig_validation():
     with pytest.raises(ValueError):
         RunConfig(zero_level_tol=0)
+    with pytest.raises(ValueError):
+        RunConfig(seed=-1)
+
+
+# a config value read by its key's type (float or int), and a flag value read
+# by its argparse type: each bad one is a usage error naming the key (with the
+# file and line) or the flag, and the offending text
+BAD_CONFIG_LINES = ["zero_level_tol = abc", 'zero_level_tol = "1e-9"', "zero_level_tol = true",
+                    "zero_level_tol = nan", "seed = true", "seed = 1.5", 'seed = "7"', "seed = -3"]
+BAD_FLAGS = [
+    (["moment-map", "--weights=a,1"], "--weights", "'a,1'"),
+    (["moment-map", "--weights="], "--weights", "''"),
+    (["hilbert", "--nvars", "3", "--degrees", "a"], "--degrees", "'a'"),
+    (["hilbert", "--nvars", "3", "--degrees", "3,"], "--degrees", "'3,'"),
+    (["hilbert", "--nvars", "3", "--m", "x"], "--m", "'x'"),
+    (["hilbert", "--nvars", "3", "--m", "0..y"], "--m", "'0..y'"),
+    (["tuynman-check", "--m", "0"], "--m", "'0'"),
+    (["tuynman-check", "--m=-2"], "--m", "'-2'"),
+    (["tuynman-check", "--m", "2,0"], "--m", "'2,0'"),
+    (["tuynman-check", "--m", "x"], "--m", "'x'"),
+    (["tuynman-check", "--m", "2,"], "--m", "'2,'"),
+    (["weierstrass-embed", "--tau", "2j", "--samples", "x"], "--samples", "'x'"),
+    (["classify-cubic", "--g2", "x", "--g3", "0"], "--g2", "'x'"),
+]
+
+
+@pytest.mark.parametrize("line, argv, name, text", [
+    *[(line, ["moment-map", "--weights=-1,1", "--samples", "5"], *line.split(" = "))
+      for line in BAD_CONFIG_LINES],
+    *[(None, argv, name, text) for argv, name, text in BAD_FLAGS],
+], ids=[*BAD_CONFIG_LINES, *(" ".join(argv) for argv, _, _ in BAD_FLAGS)])
+def test_bad_value_is_a_usage_error(tmp_path, capsys, line, argv, name, text):
+    if line is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# run\n{line}\n")
+        argv = ["--config", str(cfg), *argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    err = captured.err.splitlines()[-1]
+    assert name in err and text in err
+    if line is not None:
+        assert f"{cfg}:2: " in err
+    assert "Traceback" not in captured.err and "invalid" not in err and " _" not in err

@@ -517,10 +517,11 @@ def test_invariant_value_classes_against_pairwise_greedy():
         # line: the first two join the base's class, the last two a new one
         points.append(pt(*base))
         points += [pt(*(base + c * tol / rate * step)) for c in (0.5, 0.9, 1.5, 2.0)]
-    got = _invariant_value_classes(inv, points, tol)
+    got = _invariant_value_classes(inv, np.array([p.to_complex() for p in points]), tol)
     assert got == _greedy_value_classes(inv, points, tol) == 12
     rng.shuffle(points)
-    assert _invariant_value_classes(inv, points, tol) == _greedy_value_classes(inv, points, tol)
+    assert (_invariant_value_classes(inv, np.array([p.to_complex() for p in points]), tol)
+            == _greedy_value_classes(inv, points, tol))
 
 
 @pytest.mark.parametrize("weights, count", [((-1, 1, 1), 64), ((0, 1), 8), ((1, 2), 3)])
@@ -537,9 +538,9 @@ def test_zero_level_samples_follow_single_ray_draws(weights, count):
         met, witness = orbit_meets_zero_level(action, x, tol=1e-12)
         if met and abs(moment_map(action, witness)[0]) <= 1e-10:
             want.append(witness)
-    assert len(got) == len(want) == (0 if weights == (1, 2) else count)
+    assert got.shape == (len(want), len(weights)) and len(want) == (0 if weights == (1, 2) else count)
     for p, q in zip(got, want):
-        assert np.allclose(p.to_complex(), q.to_complex(), rtol=1e-12, atol=0.0)
+        assert np.allclose(p, q.to_complex(), rtol=1e-12, atol=0.0)
     assert rng.normal() == ref.normal()  # the same number of draws
 
 
@@ -571,7 +572,7 @@ def test_zero_level_samples_stop_at_last_accepted_ray():
     assert fake.sizes == [5, 2, 1] and len(fake.rays) == 6
     want = [orbit_meets_zero_level(LinearAction.from_weights((-1, 1)), x, tol=1e-12)[1]
             for x in good]
-    assert [p.coords for p in got] == [q.coords for q in want]
+    assert got.tolist() == [list(q.coords) for q in want]
 
 
 def test_orbit_search_reports_the_t_to_0_limit_first():
