@@ -150,10 +150,6 @@ class QuadratureRule:
     def total_mass(self) -> float:
         return float(np.sum(self.weights))
 
-    def integrate(self, values: np.ndarray) -> complex:
-        """Integral of a function given by its values at the nodes."""
-        return complex(np.sum(self.weights * values))
-
     def is_exact_for(self, m: int, extra_degree: int = 4) -> bool:
         """Whether the rule integrates the level-m matrix elements of a symbol
         of degree extra_degree in x1, x2, x3 exactly.  The radial factor is a

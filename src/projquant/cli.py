@@ -257,12 +257,14 @@ def _weight_invariants(action):
     return gitquot.InvariantSet.certified([Polynomial.monomial(len(weights), a) for a in kept], action)
 
 
-def _test_function(family: dict, name: str):
-    """family[name]; an unknown name is a usage error that lists the choices."""
+def _test_function(family: dict, name: str, flag: str):
+    """family[name]; an unknown name is a usage error that names the flag and
+    lists the choices."""
     try:
         return family[name]
     except KeyError:
-        raise UsageError(f"unknown test function {name!r}; choose from {sorted(family)}") from None
+        raise UsageError(f"unknown test function {name!r} for {flag}; "
+                         f"choose from {sorted(family)}") from None
 
 
 def cmd_bt_converge(args, config: RunConfig) -> int:
@@ -270,10 +272,12 @@ def cmd_bt_converge(args, config: RunConfig) -> int:
                           product_table, standard_family, tuynman_residual)
 
     family = standard_family()
-    f = _test_function(family, args.f)
-    g = _test_function(family, args.g) if args.g else None
+    f = _test_function(family, args.f, "--f")
+    g = _test_function(family, args.g, "--g") if args.g else None
     if g is None and args.check in ("dirac", "c1"):
         raise UsageError(f"--g is required for the {args.check} check")
+    if args.m_min > args.m_max:
+        raise UsageError(f"--m-min {args.m_min} is above --m-max {args.m_max}")
     levels = doubling_levels(args.m_min, args.m_max)
     quad = build_quadrature(max(levels))
 
@@ -323,7 +327,7 @@ def cmd_tuynman_check(args, config: RunConfig) -> int:
     from .btquant import standard_family, tuynman_residual
 
     family = standard_family()
-    functions = [(name, _test_function(family, name)) for name in args.f]
+    functions = [(name, _test_function(family, name, "--f")) for name in args.f]
     # levels outermost: the process keeps one rule, so each is built once
     res = {(name, m): tuynman_residual(f, m) for m in args.m for name, f in functions}
     rows = [(name, m, res[name, m]) for name, _ in functions for m in args.m]
@@ -395,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["norm", "dirac", "product", "tuynman", "c1"])
     p.add_argument("--f", required=True, help="test function name (e.g. x3)")
     p.add_argument("--g", help="second test function where applicable")
-    p.add_argument("--m-min", type=int, default=4)
-    p.add_argument("--m-max", type=int, default=64)
+    p.add_argument("--m-min", type=_positive_int, default=4)
+    p.add_argument("--m-max", type=_positive_int, default=64)
     p.add_argument("--out")
     p.set_defaults(handler=cmd_bt_converge)
 

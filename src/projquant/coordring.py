@@ -3,7 +3,8 @@
 The ring K[X_0..X_n]/(f_1,..,f_s) is represented by the degrees of its
 relations.  For a regular sequence the dimension of each graded piece comes
 from Koszul inclusion-exclusion over subsets of relations, and the Krull
-dimension is one more than the degree of the eventual Hilbert polynomial.
+dimension is nvars - s, one more than the degree of the eventual Hilbert
+polynomial.
 Dimensions use exact integer arithmetic throughout.
 """
 
@@ -78,34 +79,17 @@ def hilbert_function(R: GradedRingPresentation, m: int) -> int:
     return total
 
 
-def hilbert_values(R: GradedRingPresentation, degrees) -> list[int]:
-    return [hilbert_function(R, m) for m in degrees]
-
-
 def hilbert_polynomial_degree(R: GradedRingPresentation) -> int:
-    """Degree of the Hilbert polynomial (-1 when eventually zero).
-
-    Computed honestly from the integer sequence: past m = sum(d_i) the
-    Hilbert function agrees with its polynomial, so successive finite
-    differences terminate at zero after degree+1 steps.
-    """
-    n = R.nvars - 1
-    base = sum(R.relation_degrees) + 1
-    span = n + 3
-    vals = [hilbert_function(R, base + j) for j in range(span + 1)]
-    deg = -1
-    seq = vals
-    while any(seq):
-        deg += 1
-        seq = [b - a for a, b in zip(seq, seq[1:])]
-        if not seq:
-            raise RuntimeError("difference table exhausted; sequence not polynomial?")
-    return deg
+    """Degree of the Hilbert polynomial (-1 when eventually zero): each
+    relation of a regular sequence cuts the degree nvars - 1 of the full ring
+    by one."""
+    return krull_dim(R) - 1
 
 
 def krull_dim(R: GradedRingPresentation) -> int:
-    """Krull dimension of the graded ring: Hilbert polynomial degree + 1."""
-    return hilbert_polynomial_degree(R) + 1
+    """Krull dimension of the graded ring, nvars - s for a regular sequence
+    of s relations: Hilbert polynomial degree + 1."""
+    return R.nvars - len(R.relation_degrees)
 
 
 def variety_dim(R: GradedRingPresentation) -> int:

@@ -2,8 +2,8 @@
 
 Plain rationals are ``fractions.Fraction`` (arbitrary-precision, always
 reduced, positive denominator).  :class:`GaussianRational` extends them to
-a + b*i so that anti-hermitian group generators and complex points can be
-handled without any floating arithmetic.
+a + b*i so that complex points and polynomial coefficients can be handled
+without any floating arithmetic.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
-"""Linear group actions on P^n: moment maps, invariants, stability, and the
-desk-scale verification of the symplectic/GIT correspondence.
+"""The circle acting diagonally on P^n: moment maps, invariants, stability,
+and the desk-scale verification of the symplectic/GIT correspondence.
 
-The compact group acts unitarily through a basis of anti-hermitian
-generators.  The moment map divides by the squared coordinate norm so its
-value is independent of the chosen representative (the numerator is
-quadratic in the coordinates).  Semistability verdicts are always relative
-to a supplied, exactly certified invariant set; the toolkit never claims to
+An action is its integer weight vector w: t . x = (t^w0 x0 : ... : t^wn xn),
+with generator i*diag(w).  For such an action the Hilbert-Mumford criterion
+reads stability off the weights on the support of a point, so orbit
+dimensions, limits and invariance certificates are exact integer tests.  The
+moment map divides by the squared coordinate norm so its value is
+independent of the chosen representative (the numerator is quadratic in
+the coordinates).  Semistability verdicts are always relative to a
+supplied, exactly certified invariant set; the toolkit never claims to
 enumerate the invariant ring.
 """
 
@@ -13,88 +16,38 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .gaussrat import GaussianRational, I_UNIT
 from .poly import Polynomial
-from .projgeo import ProjPoint, _float_matrix_rank
+from .projgeo import ProjPoint
 
-ANTIHERMITIAN_TOL = 1e-12
 K_ORBIT_TOL = 1e-8
-
-
-class InexactGeneratorsError(TypeError):
-    pass
 
 
 class EmptyInvariantSetError(ValueError):
     pass
 
 
-class NotDiagonalError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class LinearAction:
-    """Action of a compact group on C^(n+1) by a basis of its Lie algebra.
+    """The circle U(1) acting on C^(n+1) by the generator i*diag(weights)."""
 
-    generators: complex (n+1)x(n+1) anti-hermitian matrices (images of the
-    Lie-algebra basis).  exact_generators optionally carries the same
-    matrices with GaussianRational entries for certified polynomial
-    invariance checks.  weights describes a diagonal one-parameter subgroup
-    when the action has one.
-    """
-
-    n: int
-    generators: tuple
-    exact_generators: tuple | None = None
-    weights: tuple | None = None
-
-    def __post_init__(self):
-        gens = tuple(np.asarray(g, dtype=complex) for g in self.generators)
-        for g in gens:
-            if g.shape != (self.n + 1, self.n + 1):
-                raise ValueError("generator of wrong shape")
-            if np.max(np.abs(g + g.conj().T)) > ANTIHERMITIAN_TOL:
-                raise ValueError("generator is not anti-hermitian")
-        object.__setattr__(self, "generators", gens)
-        if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+    weights: tuple
 
     @classmethod
     def from_weights(cls, weights) -> "LinearAction":
-        """Diagonal U(1) subgroup with generator i*diag(weights)."""
-        weights = tuple(int(w) for w in weights)
-        n = len(weights) - 1
-        gen = np.diag([1j * w for w in weights])
-        exact = tuple(tuple(I_UNIT * w if i == j else GaussianRational(0)
-                            for j, w in enumerate(weights))
-                      for i in range(n + 1))
-        return cls(n=n, generators=(gen,), exact_generators=(exact,),
-                   weights=weights)
+        return cls(tuple(int(w) for w in weights))
 
-    @classmethod
-    def trivial(cls, n: int) -> "LinearAction":
-        gen = np.zeros((n + 1, n + 1), dtype=complex)
-        exact = tuple(tuple(GaussianRational(0) for _ in range(n + 1))
-                      for _ in range(n + 1))
-        return cls(n=n, generators=(gen,), exact_generators=(exact,),
-                   weights=(0,) * (n + 1))
+    @property
+    def n(self) -> int:
+        return len(self.weights) - 1
 
     @property
     def k_dim(self) -> int:
-        """Real dimension of the compact group = complex dimension of its
-        complexification; the rank of the generator set."""
-        flat = [np.concatenate([g.real.ravel(), g.imag.ravel()]) for g in self.generators]
-        return _float_matrix_rank(flat, max(map(np.linalg.norm, self.generators), default=0.0))
-
-    @cached_property
-    def is_diagonal(self) -> bool:
-        return all(np.max(np.abs(g - np.diag(np.diag(g)))) == 0.0
-                   for g in self.generators)
+        """Real dimension of the acting group: 1, or 0 when every weight is 0
+        and the circle acts trivially."""
+        return int(any(self.weights))
 
 
 def _coords(x) -> np.ndarray:
@@ -107,23 +60,23 @@ def _coords(x) -> np.ndarray:
 
 
 def moment_map(action: LinearAction, x) -> np.ndarray:
-    """Moment-map value at x, one real component per generator.
-
-    Component j is (x* A_j x) / (2 pi i |x|^2); anti-hermiticity of A_j
-    makes the numerator purely imaginary, so the value is real, and the
-    |x|^2 denominator makes it representative-independent.
+    """Moment-map value at x, one real component:
+    (x* A x) / (2 pi i |x|^2) = sum w_j |x_j|^2 / (2 pi |x|^2) for the
+    generator A = i*diag(w); the |x|^2 denominator makes it
+    representative-independent.
     """
     return _moment_rows(action, _coords(x)[None, :])[0]
 
 
 def _moment_rows(action: LinearAction, V: np.ndarray) -> np.ndarray:
-    """moment_map of each row v of V, shape (rows, generators):
-    Im(v* A_j v) / (2 pi |v|^2).  Elementwise products and row sums only, so
-    a row's value does not depend on the rows stacked with it."""
-    Av = np.add.reduce(np.array(action.generators) * V[:, None, None, :], axis=-1)
-    num = np.add.reduce(V.conj()[:, None, :] * Av, axis=-1)
+    """moment_map of each row v of V, shape (rows, 1):
+    Im(sum conj(v_j) (i w_j v_j)) / (2 pi |v|^2).  Elementwise products and
+    row sums only, so a row's value does not depend on the rows stacked with
+    it."""
+    gen = np.array([1j * w for w in action.weights], dtype=complex)
+    num = np.add.reduce(V.conj() * (gen * V), axis=-1)
     nrm2 = np.add.reduce(V.real * V.real + V.imag * V.imag, axis=1)
-    return num.imag / (2.0 * math.pi * nrm2[:, None])
+    return (num.imag / (2.0 * math.pi * nrm2))[:, None]
 
 
 def zero_level(action: LinearAction, points, tol: float) -> list:
@@ -134,34 +87,14 @@ def zero_level(action: LinearAction, points, tol: float) -> list:
     return [p for p, r in zip(points, mu) if r <= tol]
 
 
-def _derivation(F: Polynomial, matrix_rows) -> Polynomial:
-    """Derivative of F along the linear field x -> M x, exactly."""
-    n = F.nvars
-    out = Polynomial.zero(n)
-    for i in range(n):
-        dF = F.partial(i)
-        if dF.is_zero:
-            continue
-        for j in range(n):
-            c = matrix_rows[i][j]
-            if c == 0:
-                continue
-            out = out + dF * Polynomial.variable(n, j) * c
-    return out
-
-
 def infinitesimal_invariance(F: Polynomial, action: LinearAction) -> bool:
-    """Certify G-invariance of F: the derivation of F along every generator
-    A_j vanishes as a polynomial, checked in exact arithmetic.  The
-    derivation is complex-linear in the matrix, so this covers i*A_j and the
-    whole complexified algebra too."""
-    if action.exact_generators is None:
-        raise InexactGeneratorsError(
-            "exact generators required for a certified invariance check; "
-            "this action carries floating-point generators only")
+    """Certify invariance of F under the action, exactly: every term X^a of F
+    has weight a . w = 0.  Differentiating along the generator i*diag(w)
+    multiplies X^a by i (a . w), so this is the vanishing of the derivation of
+    F, and it covers the whole complexified group."""
     if F.nvars != action.n + 1:
         raise ValueError("polynomial/action dimension mismatch")
-    return all(_derivation(F, gen).is_zero for gen in action.exact_generators)
+    return all(sum(e * w for e, w in zip(mono, action.weights)) == 0 for mono in F.terms)
 
 
 @dataclass(frozen=True)
@@ -205,16 +138,9 @@ def _invariant_moduli(inv: InvariantSet, V: np.ndarray) -> np.ndarray:
 
 def orbit_dim(action: LinearAction, x) -> int:
     """Complex dimension of the orbit of the complexified group through x:
-    rank of the generator directions A_j x taken modulo the line C x, each
-    at most max ||A_j|| ||x|| in size."""
-    v = _coords(x)
-    nrm2 = np.real(np.vdot(v, v))
-    rows = []
-    for g in action.generators:
-        w = g @ v
-        rows.append(w - (np.vdot(v, w) / nrm2) * v)
-    scale = max(map(np.linalg.norm, action.generators), default=0.0) * math.sqrt(nrm2)
-    return _float_matrix_rank(rows, scale)
+    1 when the support of x carries two distinct weights, 0 when x is a
+    fixed point."""
+    return int(len({w for w, c in zip(action.weights, _coords(x)) if c != 0}) > 1)
 
 
 def one_param_limit(weights, x, direction: str) -> ProjPoint:
@@ -236,8 +162,8 @@ def _limits(weights, V: np.ndarray):
 
 
 def orbit_meets_zero_level(action: LinearAction, x, tol: float = 1e-9):
-    """For a diagonal one-parameter action: does the closure of the
-    complexified orbit of x meet the zero level of the moment map?
+    """Does the closure of the complexified orbit of x meet the zero level of
+    the moment map?
 
     Along t = e^s the single moment component is increasing in s (it is the
     logarithmic derivative of a log-convex function), so it has a root
@@ -245,14 +171,8 @@ def orbit_meets_zero_level(action: LinearAction, x, tol: float = 1e-9):
     root search; both t -> 0 and t -> infinity limit points are also
     inspected.  Returns (met, witness) with the witness a ProjPoint or None.
     """
-    weights, v = _one_param_weights(action), _coords(x)
-    return _witness(weights, v, _orbit_search(weights, v[None, :], tol)[0])
-
-
-def _one_param_weights(action: LinearAction) -> tuple:
-    if not action.is_diagonal or action.weights is None or len(action.generators) != 1:
-        raise NotDiagonalError("implemented for diagonal one-parameter actions only")
-    return action.weights
+    v = _coords(x)
+    return _witness(action.weights, v, _orbit_search(action.weights, v[None, :], tol)[0])
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -343,32 +263,30 @@ def _witness_rows(weights, V: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def is_stable(action: LinearAction, x, inv: InvariantSet,
               tol: float = 0.0) -> bool:
-    """Stability for the shipped diagonal examples: full-dimensional orbit,
-    semistable, and a closedness surrogate for one-parameter diagonal
-    actions: both one-parameter limits leave the semistable locus (so the
-    orbit is closed within it).  Neither limit can lie on the orbit itself:
-    the support of a semistable point with a one-dimensional orbit carries
-    two weights (one weight w != 0 makes every invariant vanish, w = 0 fixes
-    the point), so each limit drops a coordinate.  General closedness is not
-    decided here."""
+    """Stability: full-dimensional orbit, semistable, and a closedness
+    surrogate: both one-parameter limits leave the semistable locus (so the
+    orbit is closed within it; a trivial action has no limits to leave).
+    Neither limit can lie on the orbit itself: the support of a semistable
+    point with a one-dimensional orbit carries two weights (one weight
+    w != 0 makes every invariant vanish, w = 0 fixes the point), so each
+    limit drops a coordinate.  General closedness is not decided here."""
     if not semistable(x, inv, tol) or orbit_dim(action, x) != action.k_dim:
         return False
-    if action.is_diagonal and action.weights is not None and action.k_dim == 1:
-        return not any(semistable(one_param_limit(action.weights, x, direction), inv, tol)
-                       for direction in ("0", "inf"))
-    return True
+    return action.k_dim == 0 or not any(
+        semistable(one_param_limit(action.weights, x, direction), inv, tol)
+        for direction in ("0", "inf"))
 
 
 def k_orbit_equivalent(action: LinearAction, p: ProjPoint, q: ProjPoint,
                        tol: float = K_ORBIT_TOL) -> bool:
     """Equivalence of zero-level points under K times projective scaling.
 
-    For a diagonal one-parameter action: q ~ p iff they share a zero
-    pattern, their moduli agree up to one overall scale, and the phase
-    profile differs by phi + theta * w_j for some phases phi, theta.
+    q ~ p iff they share a zero pattern, their moduli agree up to one
+    overall scale, and the phase profile differs by phi + theta * w_j for
+    some phases phi, theta.
     """
     V = np.array([p.to_complex(), q.to_complex()])
-    return bool(_k_orbit_matrix(_one_param_weights(action), V, tol)[0, 1])
+    return bool(_k_orbit_matrix(action.weights, V, tol)[0, 1])
 
 
 def _k_orbit_matrix(weights, V: np.ndarray, tol: float) -> np.ndarray:
@@ -408,9 +326,8 @@ def count_k_orbit_classes(action: LinearAction, points,
                           tol: float = K_ORBIT_TOL) -> int:
     """Number of K-orbit equivalence classes among the given points
     (ProjPoints or coordinate rows)."""
-    weights = _one_param_weights(action)
     V = np.array([_coords(p) for p in points], dtype=complex).reshape(-1, action.n + 1)
-    return _greedy_count(_k_orbit_matrix(weights, V, tol))
+    return _greedy_count(_k_orbit_matrix(action.weights, V, tol))
 
 
 def _greedy_count(M: np.ndarray) -> int:
@@ -433,9 +350,9 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
     invariants) is compared with whether the orbit closure meets the zero
     level; the zero level must consist of semistable points only; finally
     the zero-level samples are grouped into K-orbit classes and the class
-    count reported.  Diagonal one-parameter actions only.
+    count reported.
     """
-    weights = _one_param_weights(action)
+    weights = action.weights
     if inv is None or not inv.polys:
         return {
             "n_samples": 0,
@@ -499,9 +416,9 @@ def _invariant_value_classes(inv: InvariantSet, V: np.ndarray, tol: float = 1e-6
 
 
 def _zero_level_samples(action: LinearAction, rng, count: int = 64) -> np.ndarray:
-    """Deterministic points on the moment zero level of a diagonal one-parameter
-    action, found by the orbit search along random rays (drawn in blocks): the
-    rows of an (N, n+1) array, N <= count."""
+    """Deterministic points on the moment zero level, found by the orbit
+    search along random rays (drawn in blocks): the rows of an (N, n+1)
+    array, N <= count."""
     weights, n = action.weights, action.n + 1
     out, tries = np.empty((0, n), dtype=complex), 0
     while len(out) < count and tries < 50 * count:

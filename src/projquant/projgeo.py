@@ -72,17 +72,6 @@ class ProjPoint:
 
         return float(np.linalg.norm(self.to_complex()))
 
-    def proportional_to(self, other: "ProjPoint", tol: float = 1e-10) -> bool:
-        """Projective equality: all 2x2 minors a_i b_j - a_j b_i vanish."""
-        import numpy as np
-
-        a, b = self.to_complex(), other.to_complex()
-        if len(a) != len(b):
-            return False
-        minors = np.outer(a, b) - np.outer(b, a)
-        scale = np.linalg.norm(a) * np.linalg.norm(b)
-        return bool(np.max(np.abs(minors)) <= tol * scale)
-
     def __repr__(self):
         return f"ProjPoint({format_point(self)})"
 

@@ -197,11 +197,6 @@ def test_exactness_flag_follows_the_derived_bound(family, quad16, d):
         assert moved > 1e-7
 
 
-def test_integrate_constant(quad16):
-    ones = np.ones_like(quad16.nodes, dtype=complex)
-    assert abs(quad16.integrate(ones) - 2 * math.pi) < 1e-10
-
-
 def test_bad_parameters_rejected():
     with pytest.raises(ValueError):
         build_quadrature(0)

@@ -479,15 +479,16 @@ def test_unknown_function_rejected(capsys):
     # both commands look the names up the same way: exit 2, an error naming
     # the bad name and the family, nothing on stdout
     choices = "choose from ['one', 'x1', 'x1x2', 'x2', 'x3', 'x3sq']"
-    for argv, name in [(["bt-converge", "--check", "norm", "--f", "nope"], "'nope'"),
-                       (["bt-converge", "--check", "dirac", "--f", "x1", "--g", "nope"], "'nope'"),
-                       (["tuynman-check", "--f", "x1,nope", "--m", "2"], "'nope'"),
-                       (["tuynman-check", "--f", "nope"], "'nope'"),
-                       (["tuynman-check", "--f", ","], "''")]:
+    for argv, name, flag in [(["bt-converge", "--check", "norm", "--f", "nope"], "'nope'", "f"),
+                             (["bt-converge", "--check", "dirac", "--f", "x1", "--g", "nope"],
+                              "'nope'", "g"),
+                             (["tuynman-check", "--f", "x1,nope", "--m", "2"], "'nope'", "f"),
+                             (["tuynman-check", "--f", "nope"], "'nope'", "f"),
+                             (["tuynman-check", "--f", ","], "''", "f")]:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: unknown test function {name}; {choices}\n"
+        assert captured.err == f"error: unknown test function {name} for --{flag}; {choices}\n"
 
 
 @pytest.mark.parametrize("exc", [np.linalg.LinAlgError("SVD did not converge"),
@@ -709,8 +710,9 @@ def test_runconfig_validation():
 
 
 # a config value read by its key's type (float or int), and a flag value read
-# by its argparse type: each bad one is a usage error naming the key (with the
-# file and line) or the flag, and the offending text
+# by its argparse type or checked by its command: each bad one is a usage
+# error naming the key (with the file and line) or the flag, and the
+# offending text
 BAD_CONFIG_LINES = ["zero_level_tol = abc", 'zero_level_tol = "1e-9"', "zero_level_tol = true",
                     "zero_level_tol = nan", "seed = true", "seed = 1.5", 'seed = "7"', "seed = -3"]
 BAD_FLAGS = [
@@ -727,6 +729,12 @@ BAD_FLAGS = [
     (["tuynman-check", "--m", "2,"], "--m", "'2,'"),
     (["weierstrass-embed", "--tau", "2j", "--samples", "x"], "--samples", "'x'"),
     (["classify-cubic", "--g2", "x", "--g3", "0"], "--g2", "'x'"),
+    (["bt-converge", "--check", "norm", "--f", "x3", "--m-min", "0"], "--m-min", "'0'"),
+    (["bt-converge", "--check", "norm", "--f", "x3", "--m-max=-4"], "--m-max", "'-4'"),
+    (["bt-converge", "--check", "norm", "--f", "x3", "--m-min", "8", "--m-max", "4"],
+     "--m-min 8", "--m-max 4"),
+    (["bt-converge", "--check", "norm", "--f", "nope"], "--f", "'nope'"),
+    (["bt-converge", "--check", "dirac", "--f", "x1", "--g", "nope"], "--g", "'nope'"),
 ]
 
 
@@ -740,10 +748,12 @@ def test_bad_value_is_a_usage_error(tmp_path, capsys, line, argv, name, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"# run\n{line}\n")
         argv = ["--config", str(cfg), *argv]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
+    try:  # argparse exits on a flag its type rejects; main returns on a UsageError
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
-    assert exc.value.code == 2 and captured.out == ""
+    assert code == 2 and captured.out == ""
     err = captured.err.splitlines()[-1]
     assert name in err and text in err
     if line is not None:

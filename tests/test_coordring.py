@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import comb
 
@@ -9,7 +10,6 @@ from projquant.coordring import (
     graded_basis_hypersurface,
     hilbert_function,
     hilbert_polynomial_degree,
-    hilbert_values,
     krull_dim,
     variety_dim,
 )
@@ -33,7 +33,7 @@ def test_full_ring_binomials():
 
 def test_plane_cubic_dimensions():
     R = GradedRingPresentation(3, (3,))
-    assert hilbert_values(R, range(5)) == [1, 3, 6, 9, 12]
+    assert [hilbert_function(R, m) for m in range(5)] == [1, 3, 6, 9, 12]
     for m in range(2, 15):
         assert hilbert_function(R, m) == 3 * m
 
@@ -68,6 +68,28 @@ def test_hilbert_polynomial_degree_eventually_zero():
     R = GradedRingPresentation(1, (4,))
     assert hilbert_polynomial_degree(R) == -1
     assert krull_dim(R) == 0
+
+
+def _difference_degree(R):
+    """Degree of the Hilbert polynomial from the integer sequence: past
+    m = sum(d_i) the Hilbert function is its polynomial, of degree below
+    nvars, so nvars + 1 finite differences of nvars + 1 values end at zero."""
+    base = sum(R.relation_degrees) + 1
+    seq = [hilbert_function(R, base + j) for j in range(R.nvars + 1)]
+    deg = -1
+    while any(seq):
+        deg += 1
+        seq = [b - a for a, b in zip(seq, seq[1:])]
+    return deg
+
+
+def test_closed_form_dimensions_match_finite_differences():
+    for nvars in range(1, 7):
+        for s in range(nvars + 1):
+            for degrees in itertools.combinations_with_replacement(range(1, 5), s):
+                R = GradedRingPresentation(nvars, degrees)
+                assert hilbert_polynomial_degree(R) == _difference_degree(R) == nvars - 1 - s
+                assert krull_dim(R) == nvars - s
 
 
 def test_validation():

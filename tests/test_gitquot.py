@@ -1,22 +1,21 @@
 import cmath
+import itertools
 import math
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from projquant import gitquot
 from projquant.gaussrat import GaussianRational
-from projquant.poly import Polynomial
-from projquant.projgeo import ProjPoint, format_point
+from projquant.poly import Polynomial, monomials_of_degree
+from projquant.projgeo import ProjPoint, _float_matrix_rank, format_point
 from projquant.gitquot import (
     EmptyInvariantSetError,
-    InexactGeneratorsError,
     InvariantSet,
     LinearAction,
-    NotDiagonalError,
     count_k_orbit_classes,
     infinitesimal_invariance,
     is_stable,
@@ -36,7 +35,7 @@ X1 = Polynomial.variable(2, 1)
 
 HYPERBOLIC = LinearAction.from_weights((-1, 1))
 EQUAL = LinearAction.from_weights((1, 1))
-TRIVIAL = LinearAction.trivial(1)
+TRIVIAL = LinearAction.from_weights((0, 0))
 INV = InvariantSet.certified([X0 * X1], HYPERBOLIC)
 
 
@@ -44,18 +43,12 @@ def pt(*coords):
     return ProjPoint(tuple(coords))
 
 
+def generator(action):
+    """The anti-Hermitian generator i*diag(w) of the action, as a matrix."""
+    return np.diag(1j * np.array(action.weights, dtype=float))
+
+
 # -- action construction ------------------------------------------------------
-
-def test_generators_are_antihermitian():
-    for action in (HYPERBOLIC, EQUAL, TRIVIAL):
-        for g in action.generators:
-            assert np.max(np.abs(g + g.conj().T)) < 1e-12
-
-
-def test_non_antihermitian_rejected():
-    with pytest.raises(ValueError):
-        LinearAction(n=1, generators=(np.array([[1.0, 0], [0, 1.0]]),))
-
 
 def test_group_dimensions():
     assert HYPERBOLIC.k_dim == 1
@@ -82,7 +75,7 @@ def test_moment_map_scale_invariance():
 
 def test_moment_map_is_real_and_equivariant():
     rng = np.random.default_rng(5)
-    A = HYPERBOLIC.generators[0]
+    A = generator(HYPERBOLIC)
     for _ in range(20):
         x = rng.normal(size=2) + 1j * rng.normal(size=2)
         base = moment_map(HYPERBOLIC, x)
@@ -103,17 +96,15 @@ def test_moment_rows_match_closed_form_and_vdot():
     w = np.array([-2.0, 1.0, 3.0, 0.0])
     p = np.abs(V) ** 2
     closed = (p @ w) / (2 * math.pi * p.sum(axis=1))
-    assert np.max(np.abs(_moment_rows(LinearAction.from_weights(w), V)[:, 0] - closed)) <= 1e-15
-    # two non-diagonal anti-hermitian generators: a per-row vdot, and each row
-    # alone through moment_map gives the same bits as in the stack
-    B = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
-    action = LinearAction(n=3, generators=tuple(0.5 * (b - b.conj().T) for b in B))
+    action = LinearAction.from_weights(w)
     mu = _moment_rows(action, V)
-    assert mu.shape == (60, 2)
+    assert mu.shape == (60, 1)
+    assert np.max(np.abs(mu[:, 0] - closed)) <= 1e-15
+    # a per-row vdot with the generator matrix, and each row alone through
+    # moment_map gives the same bits as in the stack
     for v, row in zip(V, mu):
-        want = [np.real(np.vdot(v, g @ v) / (2j * math.pi * np.vdot(v, v).real))
-                for g in action.generators]
-        assert np.max(np.abs(row - want)) <= 1e-15
+        want = np.real(np.vdot(v, generator(action) @ v) / (2j * math.pi * np.vdot(v, v).real))
+        assert abs(row[0] - want) <= 1e-15
         assert np.array_equal(moment_map(action, v), row)
 
 
@@ -142,12 +133,6 @@ def test_invariance_certificates():
     assert infinitesimal_invariance(X0 ** 3 + X0 * X1 ** 2, TRIVIAL)
 
 
-def test_invariance_requires_exact_generators():
-    bare = LinearAction(n=1, generators=(np.diag([-1j, 1j]),))
-    with pytest.raises(InexactGeneratorsError):
-        infinitesimal_invariance(X0 * X1, bare)
-
-
 def test_certified_set_rejects_non_invariants():
     with pytest.raises(ValueError):
         InvariantSet.certified([X0 ** 2], HYPERBOLIC)
@@ -158,7 +143,7 @@ def test_certified_set_rejects_non_invariants():
 def test_invariance_integral_cross_check():
     # exp(tA)-flow invariance on random samples, for the certified invariant
     rng = np.random.default_rng(1)
-    A = HYPERBOLIC.generators[0]
+    A = generator(HYPERBOLIC)
     F_poly = X0 * X1
     for _ in range(20):
         x = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -166,6 +151,62 @@ def test_invariance_integral_cross_check():
         vals, vecs = np.linalg.eig(A * t)
         moved = (vecs @ np.diag(np.exp(vals)) @ np.linalg.inv(vecs)) @ x
         assert abs(F_poly.evaluate(moved) - F_poly.evaluate(x)) < 1e-8
+
+
+@st.composite
+def weighted_polynomials(draw):
+    """Weights in [-3, 3] on 2-4 coordinates and a polynomial of degree <= 2
+    with 1-4 terms, half the time drawn from the invariant monomials only."""
+    n = draw(st.integers(2, 4))
+    weights = tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    pool = [a for d in range(3) for a in monomials_of_degree(n, d)]
+    if draw(st.booleans()):
+        pool = [a for a in pool if sum(e * w for e, w in zip(a, weights)) == 0]
+    terms = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(-5, 5).filter(bool)),
+                          min_size=1, max_size=4))
+    return weights, Polynomial(n, {a: 0 for a, _ in terms} | dict(terms))
+
+
+def _scaled(F, weights, t, x):
+    """F(t^w . x) in Fraction arithmetic."""
+    return F.evaluate([Fraction(t) ** w * c for w, c in zip(weights, x)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_polynomials(),
+       st.lists(st.fractions(-9, 9, max_denominator=9), min_size=4, max_size=4))
+def test_invariance_certificate_is_exact_invariance(case, point):
+    # F(t^w . x) - F(x) has degree <= 2 in each variable, so it is the zero
+    # polynomial iff it vanishes on the grid {1, 2, 3}^n (a nonzero one of
+    # degree <= d in each variable cannot vanish on a product of (d+1)-sets)
+    weights, F = case
+    certified = infinitesimal_invariance(F, LinearAction.from_weights(weights))
+    grid = list(itertools.product(range(1, 4), repeat=len(weights)))
+    for t in (2, 3):
+        assert certified == all(_scaled(F, weights, t, x) == F.evaluate(x) for x in grid)
+        if certified:  # and at a random rational point
+            x = point[:len(weights)]
+            assert _scaled(F, weights, t, x) == F.evaluate(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=2, max_size=4), st.data())
+def test_certificate_fails_with_one_weight_sign_flipped(weights, data):
+    # a term X^a with a_j > 0 changes weight by -2 a_j w_j when w_j flips sign
+    from projquant.cli import _weight_invariants
+
+    action = LinearAction.from_weights(weights)
+    inv = _weight_invariants(action)
+    assume(inv is not None)
+    F = data.draw(st.sampled_from(inv.polys))
+    moved = [j for j, w in enumerate(weights) if w and any(a[j] for a in F.terms)]
+    assume(moved)
+    j = data.draw(st.sampled_from(moved))
+    flipped = LinearAction.from_weights([-w if k == j else w for k, w in enumerate(weights)])
+    assert infinitesimal_invariance(F, action)
+    assert not infinitesimal_invariance(F, flipped)
+    with pytest.raises(ValueError, match="not invariant"):
+        InvariantSet.certified([F], flipped)
 
 
 # -- semistability ---------------------------------------------------------------------
@@ -221,6 +262,40 @@ def test_orbit_dim_bounded_by_group_dim():
         assert orbit_dim(HYPERBOLIC, x) <= HYPERBOLIC.k_dim
 
 
+def _points(n, moduli=st.floats(0.1, 10.0)):
+    """A point with a random support, moduli in [0.1, 10] (or as given) and
+    random phases."""
+    live = st.lists(st.booleans(), min_size=n, max_size=n).filter(any)
+    mods = st.lists(moduli, min_size=n, max_size=n)
+    phases = st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n)
+    return st.tuples(live, mods, phases).map(lambda c: np.array(
+        [m * cmath.exp(1j * a) if on else 0.0 for on, m, a in zip(*c)]))
+
+
+@st.composite
+def weighted_points(draw, rows=None, moduli=st.floats(0.1, 10.0)):
+    """Weights in [-3, 3] on 2-4 coordinates and a point, or a stack of 1
+    to `rows` points."""
+    n = draw(st.integers(2, 4))
+    weights = tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    if rows is None:
+        return weights, draw(_points(n, moduli))
+    return weights, np.array(draw(st.lists(_points(n, moduli), min_size=1, max_size=rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_points())
+def test_orbit_dim_matches_the_svd_rank(case):
+    # the float route: rank of the generator direction A x taken modulo the
+    # line C x, its singular values counted against ||A|| ||x||
+    weights, x = case
+    action = LinearAction.from_weights(weights)
+    A = generator(action)
+    nrm2 = np.vdot(x, x).real
+    row = A @ x - (np.vdot(x, A @ x) / nrm2) * x
+    assert orbit_dim(action, x) == _float_matrix_rank([row], np.linalg.norm(A) * math.sqrt(nrm2))
+
+
 def test_one_param_limits():
     assert one_param_limit((-1, 1), pt(1.0, 1.0), "0").coords == (1.0, 0.0)
     assert one_param_limit((-1, 1), pt(1.0, 1.0), "inf").coords == (0.0, 1.0)
@@ -242,34 +317,6 @@ def test_orbit_meets_zero_level():
         met, _ = orbit_meets_zero_level(HYPERBOLIC, fixed, tol=1e-10)
         assert not met
 
-
-def test_orbit_search_rejects_nondiagonal():
-    gen = np.array([[0, 1.0], [-1.0, 0]], dtype=complex)  # real rotation
-    action = LinearAction(n=1, generators=(gen,), weights=None)
-    with pytest.raises(NotDiagonalError):
-        orbit_meets_zero_level(action, pt(1.0, 1.0))
-
-
-
-def _points(n, moduli=st.floats(0.1, 10.0)):
-    """A point with a random support, moduli in [0.1, 10] (or as given) and
-    random phases."""
-    live = st.lists(st.booleans(), min_size=n, max_size=n).filter(any)
-    mods = st.lists(moduli, min_size=n, max_size=n)
-    phases = st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n)
-    return st.tuples(live, mods, phases).map(lambda c: np.array(
-        [m * cmath.exp(1j * a) if on else 0.0 for on, m, a in zip(*c)]))
-
-
-@st.composite
-def weighted_points(draw, rows=None, moduli=st.floats(0.1, 10.0)):
-    """Weights in [-3, 3] on 2-4 coordinates and a point, or a stack of 1
-    to `rows` points."""
-    n = draw(st.integers(2, 4))
-    weights = tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
-    if rows is None:
-        return weights, draw(_points(n, moduli))
-    return weights, np.array(draw(st.lists(_points(n, moduli), min_size=1, max_size=rows)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -453,9 +500,6 @@ def test_k_orbit_classes_against_pairwise_greedy():
             if not any(k_orbit_equivalent(action, r, p) for r in reps):
                 reps.append(p)
         assert count_k_orbit_classes(action, points) == len(reps) == 6
-    gen = np.array([[0, 1.0, 0], [-1.0, 0, 0], [0, 0, 0]], dtype=complex)
-    with pytest.raises(NotDiagonalError):
-        count_k_orbit_classes(LinearAction(n=2, generators=(gen,), weights=(0, 0, 0)), [])
 
 # -- the correspondence check --------------------------------------------------------------
 

@@ -306,15 +306,6 @@ def test_point_round_trip():
     assert isinstance(q.coords[0], float)
 
 
-def test_proportional_to():
-    p = ProjPoint((1.0, 2.0, -3.0))
-    assert p.proportional_to(ProjPoint((2.0, 4.0, -6.0)))
-    assert p.proportional_to(ProjPoint(((1 + 1j), (2 + 2j), (-3 - 3j))))
-    assert not p.proportional_to(ProjPoint((1.0, 2.0, -3.0001)))
-    assert not p.proportional_to(ProjPoint((1.0, 0.0, 0.0)))
-    assert not p.proportional_to(ProjPoint((1.0, 2.0)))
-
-
 def test_gaussian_rational_points():
     i = GaussianRational(0, 1)
     V = VarietyPresentation([X(0) ** 2 + X(1) ** 2], claimed_dim=1)
