@@ -21,15 +21,13 @@ from .poly import Polynomial, mono_divides, monomials_of_degree
 class GradedRingPresentation:
     """K[P^n] modulo relations of the given degrees (s = 0: the full ring).
 
-    When explicit relation polynomials are supplied their degrees must match
-    relation_degrees; regularity of the sequence is the caller's assertion,
-    validated here only for the principal case s <= 1 (any single nonzero
-    relation is regular).
+    Only the degrees are kept: the dimensions depend on nothing else.
+    Regularity of the sequence is the caller's assertion; it always holds
+    for the principal case s <= 1 (any single nonzero relation is regular).
     """
 
     nvars: int
     relation_degrees: tuple = ()
-    relations: tuple | None = None
 
     def __post_init__(self):
         if self.nvars < 1:
@@ -40,16 +38,6 @@ class GradedRingPresentation:
         if len(degs) > self.nvars:
             raise ValueError("more relations than variables cannot be a regular sequence")
         object.__setattr__(self, "relation_degrees", degs)
-        if self.relations is not None:
-            rels = tuple(self.relations)
-            if len(rels) != len(degs):
-                raise ValueError("relations and relation_degrees differ in length")
-            for f, d in zip(rels, degs):
-                if f.is_zero or not f.is_homogeneous() or f.degree() != d:
-                    raise ValueError(f"relation {f} is not homogeneous of degree {d}")
-                if f.nvars != self.nvars:
-                    raise ValueError("relation over wrong variable count")
-            object.__setattr__(self, "relations", rels)
 
     @classmethod
     def full_ring(cls, nvars: int) -> "GradedRingPresentation":
@@ -57,7 +45,9 @@ class GradedRingPresentation:
 
     @classmethod
     def hypersurface(cls, f: Polynomial) -> "GradedRingPresentation":
-        return cls(f.nvars, (f.degree(),), (f,))
+        if f.is_zero or not f.is_homogeneous():
+            raise ValueError(f"relation {f} is not a nonzero homogeneous polynomial")
+        return cls(f.nvars, (f.degree(),))
 
 
 def hilbert_function(R: GradedRingPresentation, m: int) -> int:

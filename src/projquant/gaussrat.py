@@ -1,17 +1,16 @@
 """Exact scalars: Gaussian rationals and fraction-free rank computation.
 
-Plain rationals are ``fractions.Fraction`` (arbitrary-precision, always
-reduced, positive denominator).  :class:`GaussianRational` extends them to
-a + b*i so that complex points and polynomial coefficients can be handled
-without any floating arithmetic.
+Exact values lie in Q(i).  A real one is a ``fractions.Fraction`` (or an
+int): :class:`GaussianRational` holds a + b*i only for b != 0, and building
+one with b = 0, directly or as the result of arithmetic, gives the Fraction
+a instead.  So no caller lifts rationals before arithmetic or demotes
+results after it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-Exact = "Fraction | GaussianRational"
 
 
 def _as_fraction(x):
@@ -22,98 +21,91 @@ def _as_fraction(x):
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def _parts(x):
+    """(real, imag) of an exact scalar, read as int and Fraction offer them."""
+    if not is_exact_scalar(x):
+        raise TypeError(f"not an exact scalar: {x!r}")
+    return x.real, x.imag
+
+
 class GaussianRational:
-    """Exact complex number a + b*i with rational a, b."""
+    """Exact complex number a + b*i with rational a and nonzero rational b.
 
-    __slots__ = ("re", "im")
+    ``GaussianRational(a, 0)`` is the Fraction a.  Like int and Fraction it
+    has ``.real`` and ``.imag``.
+    """
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+    __slots__ = ("real", "imag")
+
+    def __new__(cls, real=0, imag=0):
+        real, imag = _as_fraction(real), _as_fraction(imag)
+        if imag == 0:
+            return real
+        self = object.__new__(cls)
+        object.__setattr__(self, "real", real)
+        object.__setattr__(self, "imag", imag)
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("GaussianRational is immutable")
 
-    # -- conversions ---------------------------------------------------
-    @classmethod
-    def of(cls, x) -> "GaussianRational":
-        """Coerce an int, Fraction or GaussianRational."""
-        if isinstance(x, GaussianRational):
-            return x
-        return cls(_as_fraction(x))
-
     def __complex__(self):
-        return float(self.re) + 1j * float(self.im)
+        return float(self.real) + 1j * float(self.imag)
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
-        o = GaussianRational.of(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        re, im = _parts(other)
+        return GaussianRational(self.real + re, self.imag + im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational(-self.real, -self.imag)
 
     def __sub__(self, other):
-        return self + (-GaussianRational.of(other))
+        re, im = _parts(other)
+        return GaussianRational(self.real - re, self.imag - im)
 
     def __rsub__(self, other):
-        return GaussianRational.of(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        o = GaussianRational.of(other)
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        re, im = _parts(other)
+        return GaussianRational(self.real * re - self.imag * im,
+                                self.real * im + self.imag * re)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = GaussianRational.of(other)
-        n = o.norm_sq()
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        c = self * o.conjugate()
-        return GaussianRational(c.re / n, c.im / n)
+        re, im = _parts(other)
+        n = re * re + im * im
+        return GaussianRational((self.real * re + self.imag * im) / n,
+                                (self.imag * re - self.real * im) / n)
 
     def __rtruediv__(self, other):
-        return GaussianRational.of(other) / self
+        return other * self.conjugate() / self.norm_sq()
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return GaussianRational(self.real, -self.imag)
 
     def norm_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return self.real * self.real + self.imag * self.imag
 
     # -- predicates ----------------------------------------------------
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
     def __eq__(self, other):
-        try:
-            o = GaussianRational.of(other)
-        except TypeError:
+        if not is_exact_scalar(other):
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.real == other.real and self.imag == other.imag
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        return hash((self.real, self.imag))
 
     def __repr__(self):
-        if self.im == 0:
-            return f"GaussianRational({self.re})"
-        return f"GaussianRational({self.re}, {self.im})"
+        return f"GaussianRational({self.real}, {self.imag})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        sign = "+" if self.im >= 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}i)"
-
-
-I_UNIT = GaussianRational(0, 1)
+        sign = "+" if self.imag >= 0 else "-"
+        return f"({self.real}{sign}{abs(self.imag)}i)"
 
 
 def is_exact_scalar(x) -> bool:
@@ -122,9 +114,8 @@ def is_exact_scalar(x) -> bool:
 
 def _scale_row_integral(row):
     """Clear denominators so Bareiss pivots stay (Gaussian-)integral."""
-    row = [GaussianRational.of(x) for x in row]
-    lcm = math.lcm(*(f.denominator for g in row for f in (g.re, g.im)))
-    return [g * lcm for g in row]
+    lcm = math.lcm(*(part.denominator for x in row for part in (x.real, x.imag)))
+    return [x * lcm for x in row]
 
 
 def exact_rank(rows) -> int:
@@ -133,7 +124,7 @@ def exact_rank(rows) -> int:
     Rows may contain ints, Fractions or GaussianRationals.  Each row is
     scaled to integral entries first; the Bareiss recurrence then divides
     exactly at every step, so intermediate entries never grow into deep
-    fraction trees.
+    fraction trees.  Rational rows stay rational throughout.
     """
     m = [_scale_row_integral(r) for r in rows]
     if not m or not m[0]:
@@ -141,7 +132,7 @@ def exact_rank(rows) -> int:
     nrows, ncols = len(m), len(m[0])
     rank = 0
     row = 0
-    prev = GaussianRational(1)
+    prev = Fraction(1)  # a Fraction, so that int / int never gives a float
     for col in range(ncols):
         piv = next((i for i in range(row, nrows) if m[i][col]), None)
         if piv is None:
@@ -150,7 +141,6 @@ def exact_rank(rows) -> int:
         for i in range(row + 1, nrows):
             for j in range(col + 1, ncols):
                 m[i][j] = (m[row][col] * m[i][j] - m[i][col] * m[row][j]) / prev
-            m[i][col] = GaussianRational(0)
         prev = m[row][col]
         rank += 1
         row += 1

@@ -37,6 +37,10 @@ class LinearAction:
 
     @classmethod
     def from_weights(cls, weights) -> "LinearAction":
+        weights = tuple(weights)
+        bad = [w for w in weights if int(w) != w]
+        if bad:
+            raise ValueError(f"weights must be integers, got {bad[0]!r}")
         return cls(tuple(int(w) for w in weights))
 
     @property

@@ -1,9 +1,11 @@
 """Multivariate polynomials with exact coefficients.
 
-Coefficients are ``Fraction`` or :class:`~projquant.gaussrat.GaussianRational`;
-exponent vectors are tuples.  Terms iterate in graded-lexicographic order
-(total degree first, then X0 > X1 > ...), which fixes serialization, leading
-monomials and the single-divisor division algorithm deterministically.
+Coefficients lie in Q(i): a real one is a ``Fraction``, any other a
+:class:`~projquant.gaussrat.GaussianRational`, and arithmetic whose result
+has imaginary part 0 returns a Fraction.  Exponent vectors are tuples.
+Terms iterate in graded-lexicographic order (total degree first, then
+X0 > X1 > ...), which fixes serialization, leading monomials and the
+single-divisor division algorithm deterministically.
 """
 
 from __future__ import annotations
@@ -43,11 +45,9 @@ def mono_divides(a, b) -> bool:
 
 
 def _coerce_coeff(c):
-    if isinstance(c, (int, Fraction)):
-        return Fraction(c)
-    if isinstance(c, GaussianRational):
-        return c if c.im != 0 else c.re
-    raise TypeError(f"polynomial coefficients must be exact, got {type(c).__name__}")
+    if not is_exact_scalar(c):
+        raise TypeError(f"polynomial coefficients must be exact, got {type(c).__name__}")
+    return Fraction(c) if isinstance(c, int) else c
 
 
 class Polynomial:
@@ -194,14 +194,13 @@ class Polynomial:
         if len(coords) != self.nvars:
             raise ValueError(f"expected {self.nvars} coordinates, got {len(coords)}")
         if all(is_exact_scalar(c) for c in coords):
-            total = GaussianRational(0)
-            for m, c in self.iter_terms():
-                v = GaussianRational.of(c)
+            total = Fraction(0)
+            for m, c in self.terms.items():
                 for x, e in zip(coords, m):
                     if e:
-                        v = v * _powu(x, e)
-                total = total + v
-            return total if total.im != 0 else total.re
+                        c = c * _powu(x, e)
+                total = total + c
+            return total
         return complex(self.evaluate_array([complex(x) for x in coords]))
 
     def evaluate_array(self, coords):
@@ -246,7 +245,7 @@ class Polynomial:
                 break
             factor = Polynomial.monomial(
                 self.nvars, tuple(a - b for a, b in zip(target, lm)),
-                _div_coeff(r.terms[target], lc))
+                r.terms[target] / lc)
             q = q + factor
             r = r - factor * g
         return q, r
@@ -266,12 +265,6 @@ def _powu(x, e: int):
         if e & 1:
             out = x if out is None else out * x
     return out
-
-
-def _div_coeff(a, b):
-    if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
-        return GaussianRational.of(a) / GaussianRational.of(b)
-    return Fraction(a) / Fraction(b)
 
 
 def divides(g: Polynomial, f: Polynomial) -> bool:

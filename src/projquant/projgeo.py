@@ -48,7 +48,7 @@ class ProjPoint:
         coords = tuple(coords)
         if not coords:
             raise ValueError("empty coordinate tuple")
-        if all(_scalar_is_zero(c) for c in coords):
+        if all(c == 0 for c in coords):
             raise ValueError("projective point needs a nonzero coordinate")
         object.__setattr__(self, "coords", coords)
 
@@ -74,10 +74,6 @@ class ProjPoint:
 
     def __repr__(self):
         return f"ProjPoint({format_point(self)})"
-
-
-def _scalar_is_zero(c):
-    return c == 0 if is_exact_scalar(c) else complex(c) == 0
 
 
 @dataclass(frozen=True)
@@ -261,9 +257,7 @@ class CubicClass(enum.Enum):
 def discriminant(g2, g3):
     """g2^3 - 27*g3^2, exact when both inputs are exact."""
     if is_exact_scalar(g2) and is_exact_scalar(g3):
-        a, b = GaussianRational.of(g2), GaussianRational.of(g3)
-        d = a * a * a - 27 * b * b
-        return d if d.im != 0 else d.re
+        return g2 * g2 * g2 - 27 * g3 * g3
     g2, g3 = complex(g2), complex(g3)
     return g2 ** 3 - 27 * g3 ** 2
 
@@ -310,8 +304,6 @@ def _exactify(c):
     if is_exact_scalar(c):
         return c
     z = complex(c)
-    if z.imag == 0.0:
-        return Fraction(z.real)
     return GaussianRational(Fraction(z.real), Fraction(z.imag))
 
 
@@ -329,24 +321,15 @@ def weierstrass_cubic_singular_points(g2, g3):
         return []
     if g2 == 0:
         return [ProjPoint((Fraction(0), Fraction(0), Fraction(1)))]
-    x = GaussianRational.of(-3) * GaussianRational.of(g3) / (2 * GaussianRational.of(g2))
-    x = x if x.im != 0 else x.re
-    return [ProjPoint((x, Fraction(0), Fraction(1)))]
+    return [ProjPoint((Fraction(-3, 2) * g3 / g2, Fraction(0), Fraction(1)))]
 
 
 def veronese_square(p: ProjPoint) -> ProjPoint:
     """Degree-2 Veronese image of P^1 in P^2: (a:b) -> (a^2 : ab : b^2)."""
     if len(p) != 2:
         raise ValueError("veronese_square expects a point of P^1")
-    a, b = p.coords
-    if is_exact_scalar(a) and is_exact_scalar(b):
-        ga, gb = GaussianRational.of(a), GaussianRational.of(b)
-        coords = (ga * ga, ga * gb, gb * gb)
-        coords = tuple(c if c.im != 0 else c.re for c in coords)
-    else:
-        a, b = complex(a), complex(b)
-        coords = (a * a, a * b, b * b)
-    return ProjPoint(coords)
+    a, b = p.coords if p.is_exact else map(complex, p.coords)
+    return ProjPoint((a * a, a * b, b * b))
 
 
 def veronese_quadric() -> Polynomial:
@@ -366,9 +349,7 @@ def format_point(p: ProjPoint) -> str:
 
 
 def _format_coord(c):
-    if isinstance(c, (int, Fraction)):
-        return str(c)
-    if isinstance(c, GaussianRational):
+    if is_exact_scalar(c):
         return str(c)
     z = complex(c)
     if z.imag == 0:

@@ -97,11 +97,17 @@ def test_validation():
         GradedRingPresentation(3, (0,))
     with pytest.raises(ValueError):
         GradedRingPresentation(2, (2, 2, 2))
-    with pytest.raises(ValueError):
-        GradedRingPresentation(3, (2,), (X(0),))  # degree mismatch
     for nvars in (0, -1):  # the message names the variable count
         with pytest.raises(ValueError, match=f"nvars = {nvars}"):
             GradedRingPresentation(nvars)
+
+
+def test_hypersurface_rejects_a_zero_or_inhomogeneous_relation():
+    for f in (X(0) ** 2 + X(1), Polynomial.zero(3)):
+        with pytest.raises(ValueError, match="nonzero homogeneous"):
+            GradedRingPresentation.hypersurface(f)
+    R = GradedRingPresentation.hypersurface(X(0) ** 2 - X(1) * X(2))
+    assert R.relation_degrees == (2,)
 
 
 def test_graded_basis_examples():

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projquant.gaussrat import GaussianRational, I_UNIT, exact_rank
+from projquant.gaussrat import GaussianRational, exact_rank
+
+I_UNIT = GaussianRational(0, 1)
 
 
 def test_arithmetic_field_axioms():
@@ -74,8 +77,9 @@ def test_exact_rank_zero_and_empty():
 
 
 def _fraction_rank(rows):
-    """Rank by plain Gauss-Jordan elimination over Fraction."""
-    m = [[Fraction(x) for x in r] for r in rows]
+    """Rank by plain Gauss-Jordan elimination over Q(i); ints enter as
+    Fractions, so that no quotient is a float."""
+    m = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
     rank = 0
     for col in range(len(m[0]) if m else 0):
         piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
@@ -106,3 +110,66 @@ def low_rank_rational_matrices(draw):
 @given(low_rank_rational_matrices())
 def test_exact_rank_against_fraction_elimination(m):
     assert exact_rank(m) == _fraction_rank(m)
+
+
+# -- the number type: a value with zero imaginary part is a Fraction -----------
+
+_rationals = st.fractions(min_value=-8, max_value=8, max_denominator=9)
+# GaussianRational(re, 0) is itself drawn: it is the Fraction re
+_gaussians = st.builds(GaussianRational, _rationals, _rationals)
+_exact_scalars = st.one_of(st.integers(-8, 8), _rationals, _gaussians)
+
+_OPS = {operator.add: lambda p, q, r, s: q + s,
+        operator.sub: lambda p, q, r, s: q - s,
+        operator.mul: lambda p, q, r, s: p * s + q * r,
+        operator.truediv: lambda p, q, r, s: q * r - p * s}  # times |r + si|^2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gaussians, _exact_scalars, st.sampled_from(sorted(_OPS, key=lambda op: op.__name__)))
+def test_arithmetic_gives_a_fraction_exactly_when_the_imaginary_part_is_zero(x, y, op):
+    for a, b in ((x, y), (y, x)):
+        if op is operator.truediv and b == 0:
+            continue
+        got = op(a, b)
+        real = _OPS[op](Fraction(a.real), Fraction(a.imag), Fraction(b.real), Fraction(b.imag)) == 0
+        assert type(got) is (Fraction if real else GaussianRational)
+        want = op(complex(a), complex(b))
+        assert abs(complex(got) - want) <= 1e-12 * (1 + abs(want))
+
+
+@given(_rationals, _rationals)
+def test_zero_imaginary_part_gives_the_fraction_with_its_hash(x, y):
+    assert type(GaussianRational(x, 0)) is Fraction
+    assert GaussianRational(x, 0) == x
+    z = GaussianRational(x, y) - y * I_UNIT  # real, reached through a Gaussian
+    assert type(z) is Fraction and z == x and hash(z) == hash(x)
+    assert len({GaussianRational(x), x, Fraction(x)}) == 1
+    if y:
+        w = GaussianRational(x, y)
+        assert w == x + y * I_UNIT and hash(w) == hash(x + y * I_UNIT)
+
+
+def test_exact_rank_of_int_entries_stays_exact():
+    assert exact_rank([[1, 2], [2, 4]]) == 1
+    # with int / int quotients the elimination would run in floats, and
+    # rounding would leave a nonzero third pivot
+    r0, r1 = [3, 9, 4], [807952, 2317639275, 14572021873632519]
+    assert exact_rank([r0, r1, [9 * a + 6 * b for a, b in zip(r0, r1)]]) == 2
+
+
+@st.composite
+def mixed_rank_deficient_rows(draw):
+    """Rows of ints, Fractions and GaussianRationals, with one row a multiple
+    of another, so that the rank is below the row count."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    m = draw(st.lists(st.lists(_exact_scalars, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    k, c = draw(st.integers(0, rows - 1)), draw(_exact_scalars)
+    return m + [[c * x for x in m[k]]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_rank_deficient_rows())
+def test_exact_rank_of_mixed_rows_against_gauss_jordan(m):
+    assert exact_rank(m) == _fraction_rank(m) <= len(m) - 1

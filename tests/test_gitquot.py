@@ -108,6 +108,13 @@ def test_moment_rows_match_closed_form_and_vdot():
         assert np.array_equal(moment_map(action, v), row)
 
 
+@pytest.mark.parametrize("weights, bad", [((1.5, -1.9), "1.5"), ((-1, "2"), "'2'")])
+def test_from_weights_rejects_non_integral_weights(weights, bad):
+    with pytest.raises(ValueError, match=f"got {bad}$"):
+        LinearAction.from_weights(weights)
+    assert LinearAction.from_weights((2.0, -1)).weights == (2, -1)
+
+
 def test_moment_map_rejects_zero_vector():
     with pytest.raises(ValueError):
         moment_map(HYPERBOLIC, np.zeros(2, dtype=complex))

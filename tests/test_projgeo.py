@@ -14,6 +14,7 @@ from projquant.projgeo import (
     VarietyPresentation,
     cubic_classify,
     dehomogenize,
+    discriminant,
     evaluate,
     is_on_variety,
     is_singular_point,
@@ -276,6 +277,57 @@ def test_classification_matches_exact_singular_search():
         for p in pts:
             assert is_on_variety(V, p)
             assert is_singular_point(V, p)
+
+
+# the acceptance suite's twenty-case rational corpus, and a Gaussian node
+# (g2, g3) = (3 t^2, t^3) at t = 1 + i, whose singular point is (-1/2 - i/2 : 0 : 1)
+CUBIC_CASES = [(F(0), F(0)), (F(3), F(1)), (F(4), F(0)), (F(0), F(1)),
+               (F(-3), F(1)), (F(12), F(-8)), (F(27), F(27)), (F(3, 4), F(1, 8)),
+               (F(1), F(2)), (F(-1), F(-1)), (F(48), F(-64)), (F(75), F(125)),
+               (F(2), F(3)), (F(-12), F(8)), (F(6, 5), F(2, 5)), (F(9), F(-3)),
+               (F(300), F(1000)), (F(1, 9), F(1, 27)), (F(-27), F(81)), (F(108), F(216)),
+               (GaussianRational(0, 6), GaussianRational(-2, 2))]
+
+
+def _cmul(*pairs):
+    """Product of complex numbers given as (re, im) pairs of Fractions."""
+    re, im = F(1), F(0)
+    for a, b in pairs:
+        re, im = re * a - im * b, re * b + im * a
+    return re, im
+
+
+def _ccomb(*terms):
+    """Sum of c * z over (c, (re, im)) terms with rational c."""
+    return (sum(c * z[0] for c, z in terms), sum(c * z[1] for c, z in terms))
+
+
+def _assert_exact(value, want):
+    """value equals the pair want, and is a Fraction exactly when it is real."""
+    assert (F(value.real), F(value.imag)) == want
+    assert type(value) is (F if want[1] == 0 else GaussianRational)
+
+
+@pytest.mark.parametrize("g2, g3", CUBIC_CASES)
+def test_exact_results_are_fractions_exactly_when_real(g2, g3):
+    a, b = (F(g2.real), F(g2.imag)), (F(g3.real), F(g3.imag))
+    d = _ccomb((1, _cmul(a, a, a)), (-27, _cmul(b, b)))
+    _assert_exact(discriminant(g2, g3), d)
+    pts = weierstrass_cubic_singular_points(g2, g3)
+    if d != (0, 0):
+        assert pts == []
+    else:
+        (p,) = pts
+        n = a[0] * a[0] + a[1] * a[1]
+        x = (0, 0) if n == 0 else _ccomb((F(-3, 2) / n, _cmul(b, (a[0], -a[1]))))
+        for c, want in zip(p.coords, (x, (0, 0), (1, 0))):
+            _assert_exact(c, want)
+    for c, want in zip(veronese_square(ProjPoint((F(1), g2))).coords,
+                       ((1, 0), a, _cmul(a, a))):
+        _assert_exact(c, want)
+    value = weierstrass_cubic(g2, g3).evaluate((g2, g3, F(1)))
+    _assert_exact(value, _ccomb((1, _cmul(b, b)), (-4, _cmul(a, a, a)),
+                                (1, _cmul(a, a)), (1, b)))
 
 
 # -- veronese -------------------------------------------------------------------
