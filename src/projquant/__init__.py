@@ -12,9 +12,8 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "gaussrat": ("GaussianRational", "exact_rank"),
     "poly": ("Polynomial", "divides", "format_polynomial", "parse_polynomial"),
-    "projgeo": ("CubicClass", "JacobiMatrix", "PointNotOnVarietyError", "ProjPoint",
-                "VarietyPresentation", "cubic_classify", "dehomogenize", "evaluate",
-                "is_on_variety", "is_singular_point", "jacobian", "rank_at",
+    "projgeo": ("CubicClass", "PointNotOnVarietyError", "ProjPoint", "VarietyPresentation",
+                "cubic_classify", "is_on_variety", "is_singular_point", "jacobian", "rank_at",
                 "veronese_square", "zariski_tangent_dim"),
     "coordring": ("GradedRingPresentation", "graded_basis_hypersurface",
                   "hilbert_function", "krull_dim", "variety_dim"),

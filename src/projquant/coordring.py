@@ -69,13 +69,6 @@ def hilbert_function(R: GradedRingPresentation, m: int) -> int:
     return total
 
 
-def hilbert_polynomial_degree(R: GradedRingPresentation) -> int:
-    """Degree of the Hilbert polynomial (-1 when eventually zero): each
-    relation of a regular sequence cuts the degree nvars - 1 of the full ring
-    by one."""
-    return krull_dim(R) - 1
-
-
 def krull_dim(R: GradedRingPresentation) -> int:
     """Krull dimension of the graded ring, nvars - s for a regular sequence
     of s relations: Hilbert polynomial degree + 1."""
@@ -83,7 +76,8 @@ def krull_dim(R: GradedRingPresentation) -> int:
 
 
 def variety_dim(R: GradedRingPresentation) -> int:
-    """Dimension of the projective zero set: dim of the ring minus one."""
+    """Dimension of the projective zero set: dim of the ring minus one, the
+    degree of the Hilbert polynomial (-1 when it is eventually zero)."""
     return krull_dim(R) - 1
 
 

@@ -49,6 +49,9 @@ class GaussianRational:
     def __setattr__(self, *_):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through __new__
+        return (GaussianRational, (self.real, self.imag))
+
     def __complex__(self):
         return float(self.real) + 1j * float(self.imag)
 

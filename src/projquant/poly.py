@@ -313,7 +313,8 @@ def format_polynomial(p: Polynomial) -> str:
 
 
 def parse_polynomial(text: str, nvars: int | None = None) -> Polynomial:
-    """Parse the textual format back into a Polynomial (exact round-trip).
+    """Parse the textual format back into a Polynomial: an exact round-trip
+    for rational coefficients (a Gaussian coefficient's text is rejected).
 
     Accepts optional '*' separators and '^' powers, e.g. "1/2*X0^2 X1 - X2^3".
     When nvars is omitted it is inferred from the largest variable index.

@@ -10,9 +10,8 @@ certify that the generators generate the full vanishing ideal.
 from __future__ import annotations
 
 import enum
-import re as _re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -67,11 +66,6 @@ class ProjPoint:
 
         return np.array([complex(c) for c in self.coords])
 
-    def norm(self) -> float:
-        import numpy as np
-
-        return float(np.linalg.norm(self.to_complex()))
-
     def __repr__(self):
         return f"ProjPoint({format_point(self)})"
 
@@ -80,37 +74,28 @@ class ProjPoint:
 class VarietyPresentation:
     """Zero set of finitely many homogeneous polynomials in P^n.
 
-    Zero generators are accepted but dropped (with a warning flag) so they
+    Zero generators are accepted but dropped (with a warning) so they
     cannot distort rank or membership logic.
     """
 
     generators: tuple
     claimed_dim: int | None = None
-    dropped_zero_generators: bool = field(default=False, compare=False)
 
-    def __init__(self, generators, claimed_dim=None):
-        gens = list(generators)
+    def __post_init__(self):
+        gens = tuple(self.generators)
         if not gens:
             raise ValueError("need at least one generator")
-        nvars = gens[0].nvars
-        kept = []
-        dropped = False
         for g in gens:
-            if g.nvars != nvars:
+            if g.nvars != gens[0].nvars:
                 raise ValueError("generators over different variable counts")
-            if g.is_zero:
-                dropped = True
-                continue
-            if not g.is_homogeneous():
+            if not g.is_zero and not g.is_homogeneous():
                 raise ValueError(f"generator is not homogeneous: {g}")
-            kept.append(g)
-        if dropped:
+        kept = tuple(g for g in gens if not g.is_zero)
+        if len(kept) < len(gens):
             warnings.warn("zero generator dropped from variety presentation")
         if not kept:
             raise ValueError("all generators were zero")
-        object.__setattr__(self, "generators", tuple(kept))
-        object.__setattr__(self, "claimed_dim", claimed_dim)
-        object.__setattr__(self, "dropped_zero_generators", dropped)
+        object.__setattr__(self, "generators", kept)
 
     @property
     def nvars(self) -> int:
@@ -122,49 +107,49 @@ class VarietyPresentation:
         return self.nvars - 1
 
 
-@dataclass(frozen=True)
-class JacobiMatrix:
-    """Formal matrix of partial derivatives d f_l / d X_i."""
+def _size(coords, affine: bool) -> float:
+    """Float size of a point: ||p|| for projective coordinates, and
+    max(1, ||x||) for affine ones, whose polynomials have terms of lower
+    degree that a point near the origin does not make small."""
+    import numpy as np
 
-    rows: tuple  # tuple of tuples of Polynomial
-
-    def shape(self):
-        return (len(self.rows), len(self.rows[0]))
-
-    def evaluate(self, coords):
-        return [[p.evaluate(coords) for p in row] for row in self.rows]
+    return max(int(affine), float(np.linalg.norm([complex(c) for c in coords])))
 
 
-def evaluate(f: Polynomial, p: ProjPoint):
-    """Value of f at the given representative.
+def _vanishes(gens, coords, tol: float, affine: bool) -> bool:
+    """Whether every generator vanishes at the coordinates: exactly for exact
+    coordinates, else |g(x)| <= tol * size^deg(g), with deg(g) at least 1
+    for an affine point (see _size)."""
+    if all(is_exact_scalar(c) for c in coords):
+        return all(g.evaluate(coords) == 0 for g in gens)
+    size = _size(coords, affine)
+    return all(abs(g.evaluate(coords)) <= tol * size ** max(g.degree(), int(affine))
+               for g in gens)
 
-    Only a zero value is representative-independent; use
-    :func:`is_on_variety` for projective membership.
-    """
-    if f.nvars != len(p):
-        raise ValueError(f"polynomial in {f.nvars} variables vs point in {len(p)}")
-    return f.evaluate(p.coords)
+
+def _jacobian_rank(gens, coords, affine: bool) -> int:
+    """Rank of the Jacobi matrix of the generators at the coordinates: exact
+    elimination for exact coordinates, else singular values counted against
+    the partials' size bound at the point's size (see _size)."""
+    values = [[g.partial(i).evaluate(coords) for i in range(len(coords))] for g in gens]
+    if all(is_exact_scalar(c) for c in coords):
+        return exact_rank(values)
+    return _float_matrix_rank(values, _derivative_bound(gens, _size(coords, affine)))
 
 
 def is_on_variety(V: VarietyPresentation, p: ProjPoint, tol: float = 0.0) -> bool:
     """Scale-invariant membership test |f(p)| <= tol * ||p||^deg(f).
 
-    With exact coordinates and tol = 0 the test is exact.
+    With exact coordinates and tol = 0 the test is exact; a nonzero tol
+    asks for the float test, so the point enters as complex values.
     """
-    if p.is_exact and tol == 0:
-        return all(evaluate(g, p) == 0 for g in V.generators)
-    norm = p.norm()
-    vec = p.to_complex()
-    for g in V.generators:
-        val = g.evaluate(vec)
-        if abs(val) > tol * norm ** g.degree():
-            return False
-    return True
+    return _vanishes(V.generators, p.coords if tol == 0 else p.to_complex(), tol,
+                     affine=False)
 
 
-def jacobian(V: VarietyPresentation) -> JacobiMatrix:
-    rows = tuple(tuple(g.partial(i) for i in range(V.nvars)) for g in V.generators)
-    return JacobiMatrix(rows)
+def jacobian(V: VarietyPresentation) -> tuple:
+    """Rows of partial derivatives d f_l / d X_i, one per generator."""
+    return tuple(tuple(g.partial(i) for i in range(V.nvars)) for g in V.generators)
 
 
 def _float_matrix_rank(values, scale: float) -> int:
@@ -190,13 +175,9 @@ def _derivative_bound(gens, norm: float) -> float:
 def rank_at(V: VarietyPresentation, p: ProjPoint,
             membership_tol: float = MEMBERSHIP_TOL) -> int:
     """Rank of the Jacobi matrix at a point of the variety."""
-    tol = 0.0 if p.is_exact else membership_tol
-    if not is_on_variety(V, p, tol):
+    if not is_on_variety(V, p, 0.0 if p.is_exact else membership_tol):
         raise PointNotOnVarietyError(f"{format_point(p)} is not on the variety")
-    values = jacobian(V).evaluate(p.coords)
-    if p.is_exact:
-        return exact_rank(values)
-    return _float_matrix_rank(values, _derivative_bound(V.generators, p.norm()))
+    return _jacobian_rank(V.generators, p.coords, affine=False)
 
 
 def is_singular_point(V: VarietyPresentation, p: ProjPoint,
@@ -222,30 +203,12 @@ def zariski_tangent_dim(gens, point, membership_tol: float = MEMBERSHIP_TOL) -> 
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         raise ValueError("need at least one nonzero generator")
-    n = gens[0].nvars
     point = tuple(point)
-    if len(point) != n:
+    if len(point) != gens[0].nvars:
         raise ValueError("point dimension mismatch")
-    exact = all(is_exact_scalar(c) for c in point)
-    if exact:
-        off = [g for g in gens if g.evaluate(point) != 0]
-    else:
-        import numpy as np
-
-        scale = max(1.0, float(np.linalg.norm([abs(complex(c)) for c in point])))
-        off = [g for g in gens
-               if abs(complex(g.evaluate(point))) > membership_tol * scale ** max(g.degree(), 1)]
-    if off:
+    if not _vanishes(gens, point, membership_tol, affine=True):
         raise PointNotOnVarietyError("point is not a common zero")
-    values = [[g.partial(i).evaluate(point) for i in range(n)] for g in gens]
-    if exact:
-        return n - exact_rank(values)
-    return n - _float_matrix_rank(values, _derivative_bound(gens, scale))
-
-
-def dehomogenize(f: Polynomial, i: int) -> Polynomial:
-    """Restriction of f to the affine chart X_i = 1."""
-    return f.dehomogenize(i)
+    return len(point) - _jacobian_rank(gens, point, affine=True)
 
 
 class CubicClass(enum.Enum):
@@ -332,17 +295,9 @@ def veronese_square(p: ProjPoint) -> ProjPoint:
     return ProjPoint((a * a, a * b, b * b))
 
 
-def veronese_quadric() -> Polynomial:
-    """Relation X1^2 - X0 X2 satisfied by every veronese_square image."""
-    return Polynomial(3, {(0, 2, 0): 1, (1, 0, 1): -1})
-
-
 # ---------------------------------------------------------------------------
 # text and JSON interfaces
 # ---------------------------------------------------------------------------
-
-_POINT_ENTRY = _re.compile(r"^\s*(-?\d+(?:/\d+)?|-?\d*\.\d+(?:[eE][+-]?\d+)?)\s*$")
-
 
 def format_point(p: ProjPoint) -> str:
     return "(" + " : ".join(_format_coord(c) for c in p.coords) + ")"
@@ -355,21 +310,3 @@ def _format_coord(c):
     if z.imag == 0:
         return repr(z.real)
     return repr(z)
-
-
-def parse_point(text: str) -> ProjPoint:
-    """Parse "(a0 : a1 : ... : an)" with rational or decimal entries."""
-    body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-    coords = []
-    for chunk in body.split(":"):
-        m = _POINT_ENTRY.match(chunk)
-        if not m:
-            raise ValueError(f"cannot parse coordinate {chunk!r}")
-        tok = m.group(1)
-        if "/" in tok or ("." not in tok and "e" not in tok.lower()):
-            coords.append(Fraction(tok))
-        else:
-            coords.append(float(tok))
-    return ProjPoint(coords)

@@ -33,10 +33,10 @@ from projquant.btquant import (
     tuynman_residual,
 )
 from projquant.cli import main as cli_main
+from projquant.gaussrat import exact_rank
 from projquant.coordring import (
     GradedRingPresentation,
     hilbert_function,
-    hilbert_polynomial_degree,
     variety_dim,
 )
 from projquant.gitquot import (
@@ -342,7 +342,7 @@ def test_coordinate_ring_dimensions():
             if hilbert_function(R, m) != expected:
                 failures.append(f"{f} at m={m}")
     cubic_ring = GradedRingPresentation(3, (3,))
-    if hilbert_polynomial_degree(cubic_ring) != 1 or variety_dim(cubic_ring) != 1:
+    if variety_dim(cubic_ring) != 1:
         failures.append("plane cubic dimension")
     # the quantum Hilbert space at level m is the degree-m piece of the
     # coordinate ring of P^1: dim H^0(L^m) = h_{K[P^1]}(m) = m + 1
@@ -351,6 +351,32 @@ def test_coordinate_ring_dimensions():
         if SectionBasis.build(m).dim != hilbert_function(p1_ring, m):
             failures.append(f"level-{m} section space vs degree-{m} piece of K[P^1]")
     report("graded dimensions vs brute-force monomial counting", failures)
+
+
+def test_singular_cubic_ring_is_its_forms_on_the_curve():
+    # the paper's claim on singular curves: the degree-m piece of the
+    # coordinate ring K[X, Y, Z]/(f) is the space of degree-m forms restricted
+    # to the curve.  A nonzero such form meets the cubic in at most 3m points
+    # (Bezout), so its values at 3m + 5 distinct points of the curve are not
+    # all zero, and the rank of the monomials' values is that space's
+    # dimension: exact, with no tolerance.
+    failures = []
+    curves = [  # rational parametrizations (x(t), y(t)) of y^2 = 4x^3 - g2 x - g3
+        (CubicClass.NODAL, F(12), F(-8), lambda t: (t * t - 2, 2 * t * (t * t - 3))),
+        (CubicClass.CUSPIDAL, F(0), F(0), lambda t: (t * t, 2 * t ** 3)),
+    ]
+    for kind, g2, g3, curve in curves:
+        if cubic_classify(g2, g3) is not kind:
+            failures.append(f"({g2}, {g3}) is not {kind.value}")
+        ring = GradedRingPresentation.hypersurface(weierstrass_cubic(g2, g3))
+        for m in range(6):
+            points = [curve(F((-1) ** k * (k + 1), 2)) for k in range(3 * m + 5)]
+            values = [[x ** a * y ** b for a, b, _ in monomials_of_degree(3, m)]
+                      for x, y in points]
+            if exact_rank(values) != hilbert_function(ring, m):
+                failures.append(f"{kind.value} cubic at m={m}: rank {exact_rank(values)} "
+                                f"vs h(m) = {hilbert_function(ring, m)}")
+    report("singular cubics: coordinate ring = forms on the curve", failures)
 
 
 def test_symplectic_git_correspondence():

@@ -574,9 +574,8 @@ def test_bare_import_loads_no_submodule():
 PUBLIC = {
     "gaussrat": ["GaussianRational", "exact_rank"],
     "poly": ["Polynomial", "divides", "format_polynomial", "parse_polynomial"],
-    "projgeo": ["CubicClass", "JacobiMatrix", "PointNotOnVarietyError", "ProjPoint",
-                "VarietyPresentation", "cubic_classify", "dehomogenize", "evaluate",
-                "is_on_variety", "is_singular_point", "jacobian", "rank_at",
+    "projgeo": ["CubicClass", "PointNotOnVarietyError", "ProjPoint", "VarietyPresentation",
+                "cubic_classify", "is_on_variety", "is_singular_point", "jacobian", "rank_at",
                 "veronese_square", "zariski_tangent_dim"],
     "coordring": ["GradedRingPresentation", "graded_basis_hypersurface",
                   "hilbert_function", "krull_dim", "variety_dim"],
@@ -605,7 +604,7 @@ def test_public_surface():
     exec("from projquant import *", star)
     owners = [(name, mod) for mod, names in PUBLIC.items() for name in names]
     owners += [(mod, None) for mod in SUBMODULES]
-    assert len(owners) == 40
+    assert len(owners) == 37
     for name, mod in owners:
         want = importlib.import_module(f"projquant.{name if mod is None else mod}")
         if mod is not None:

@@ -9,7 +9,6 @@ from projquant.coordring import (
     GradedRingPresentation,
     graded_basis_hypersurface,
     hilbert_function,
-    hilbert_polynomial_degree,
     krull_dim,
     variety_dim,
 )
@@ -66,7 +65,7 @@ def test_krull_dimensions():
 def test_hilbert_polynomial_degree_eventually_zero():
     # one variable modulo one relation: Artinian, polynomial part is zero
     R = GradedRingPresentation(1, (4,))
-    assert hilbert_polynomial_degree(R) == -1
+    assert variety_dim(R) == -1
     assert krull_dim(R) == 0
 
 
@@ -88,7 +87,7 @@ def test_closed_form_dimensions_match_finite_differences():
         for s in range(nvars + 1):
             for degrees in itertools.combinations_with_replacement(range(1, 5), s):
                 R = GradedRingPresentation(nvars, degrees)
-                assert hilbert_polynomial_degree(R) == _difference_degree(R) == nvars - 1 - s
+                assert variety_dim(R) == _difference_degree(R) == nvars - 1 - s
                 assert krull_dim(R) == nvars - s
 
 
@@ -173,5 +172,4 @@ def test_cross_module_cubic_dimension():
     # the plane cubic's Hilbert polynomial has degree 1, so the curve is a
     # 1-dimensional variety: the claimed_dim used by the singularity tests
     R = GradedRingPresentation(3, (3,))
-    assert hilbert_polynomial_degree(R) == 1
     assert variety_dim(R) == 1

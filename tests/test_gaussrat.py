@@ -1,4 +1,6 @@
+import copy
 import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -40,6 +42,15 @@ def test_division_by_zero_raises():
 def test_complex_conversion():
     a = GaussianRational(Fraction(1, 4), Fraction(-3, 2))
     assert complex(a) == 0.25 - 1.5j
+
+
+@pytest.mark.parametrize("dup", [copy.copy, copy.deepcopy,
+                                 lambda z: pickle.loads(pickle.dumps(z))])
+def test_copy_and_pickle_round_trip(dup):
+    a = GaussianRational(1, 2)
+    b = dup(a)
+    assert type(b) is GaussianRational and (b.real, b.imag) == (1, 2)
+    assert b == a and hash(b) == hash(a)
 
 
 def _random_exact_matrix(rng, rows, cols, rank):

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from projquant.gaussrat import GaussianRational
 from projquant.poly import (
     Polynomial,
     divides,
@@ -185,6 +186,12 @@ def test_parse_rejects_garbage():
         parse_polynomial("X0 + ???")
     with pytest.raises(ValueError):
         parse_polynomial("X5", nvars=2)
+    # the round-trip covers rational coefficients only: the text
+    # "(1+2i)*X0 - 1/3*X1" that format_polynomial writes does not parse
+    gaussian = X(0, 2) * GaussianRational(1, 2) - Fraction(1, 3) * X(1, 2)
+    assert format_polynomial(gaussian) == "(1+2i)*X0 - 1/3*X1"
+    with pytest.raises(ValueError):
+        parse_polynomial(format_polynomial(gaussian))
 
 
 def test_exhaustive_small_products_divide():
