@@ -11,7 +11,7 @@ from importlib import import_module as _import_module
 #: defining submodule -> the names re-exported from it
 _EXPORTS = {
     "gaussrat": ("GaussianRational", "exact_rank"),
-    "poly": ("Polynomial", "divides", "format_polynomial", "parse_polynomial"),
+    "poly": ("Polynomial", "format_polynomial", "parse_polynomial"),
     "projgeo": ("CubicClass", "PointNotOnVarietyError", "ProjPoint", "VarietyPresentation",
                 "cubic_classify", "is_on_variety", "is_singular_point", "jacobian", "rank_at",
                 "veronese_square", "zariski_tangent_dim"),

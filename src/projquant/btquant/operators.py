@@ -16,7 +16,7 @@ m = 1024, and the n x n scales.
 
 A level is given by m and its rule quad alone (default: the level's own
 build_quadrature(m)); every routine here finds its basis through
-sections.level_basis, which keeps the last basis built on a rule, and
+sections.level_basis, which keeps the last basis it built, and
 build_quadrature keeps the last rule (see quadrature.py): successive
 operators at one level pay for assembly alone.
 

@@ -10,22 +10,18 @@ polynomial in t of degree at most m.
 A process keeps one rule, the handle every operator at a level works on:
 build_quadrature returns the rule it built last whenever the same radial
 and angular counts are asked for again.  That rule keeps its node geometry
-(the radii and h1 = (1+|z|^2)^-1 at the nodes) and the last section basis
-built on it (sections.level_basis), all as read-only arrays; nothing else
-is kept.  At m = 1024 that is about 93 MB: 51 MB of nodes and weights,
-17 MB of h1 and the 25 MB level-1024 basis.
+(the radii and h1 = (1+|z|^2)^-1 at the nodes) and sections.level_basis
+keeps the last section basis, all as read-only arrays; nothing else is
+kept.  At m = 1024 that is about 93 MB: 51 MB of nodes and weights, 17 MB
+of h1 and the 25 MB level-1024 basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .sections import SectionBasis
 
 TOTAL_MASS = 2.0 * np.pi
 
@@ -134,8 +130,6 @@ class QuadratureRule:
     weights: np.ndarray
     radial_count: int
     angular_count: int
-    #: the section basis built on this rule last (see sections.level_basis)
-    basis: SectionBasis | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def radii(self) -> np.ndarray:

@@ -13,8 +13,8 @@ over the radii, and the matching scales c_j c_k max_r r^(j+k) (1+r^2)^(-m).
 Everything is evaluated in log space so that nothing overflows at large m.
 
 level_basis is where every operator finds its basis: the level-m basis on a
-rule is built with read-only arrays and kept on the rule until a basis of
-another level is asked for there.
+rule is built with read-only arrays and kept until a basis of another level
+or on another rule is asked for.
 """
 
 from __future__ import annotations
@@ -79,12 +79,18 @@ class SectionBasis:
         return self.m + 1
 
 
+#: the basis level_basis returned last, if any
+_last: SectionBasis | None = None
+
+
 def level_basis(m: int, quad: QuadratureRule | None = None) -> SectionBasis:
     """The level-m basis on quad (default: build_quadrature(max(m, 1))).  The
-    rule keeps the basis built on it last, so every operator at one level
+    basis returned last is kept, so every operator at one level on one rule
     shares one SectionBasis.build."""
+    global _last
     quad = quad if quad is not None else build_quadrature(max(m, 1))
-    if quad.basis is None or quad.basis.m != m:
-        # the rule is frozen; its basis slot is set here and nowhere else
-        object.__setattr__(quad, "basis", SectionBasis.build(m, quad))
-    return quad.basis
+    basis = _last  # read once, so the basis checked is the one returned
+    if basis is None or basis.m != m or basis.quad is not quad:
+        _last = basis = None  # the old basis and its rule go before the new one is built
+        basis = _last = SectionBasis.build(m, quad)
+    return basis

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .poly import Polynomial, mono_divides, monomials_of_degree
+from .poly import Polynomial, monomials_of_degree
 
 
 @dataclass(frozen=True)
@@ -94,4 +94,4 @@ def graded_basis_hypersurface(f: Polynomial, m: int) -> list[tuple]:
         raise ValueError("relation must be homogeneous")
     lm = f.leading_monomial()
     return [mono for mono in monomials_of_degree(f.nvars, m)
-            if not mono_divides(lm, mono)]
+            if not all(a <= b for a, b in zip(lm, mono))]

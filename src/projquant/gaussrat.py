@@ -21,13 +21,6 @@ def _as_fraction(x):
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def _parts(x):
-    """(real, imag) of an exact scalar, read as int and Fraction offer them."""
-    if not is_exact_scalar(x):
-        raise TypeError(f"not an exact scalar: {x!r}")
-    return x.real, x.imag
-
-
 class GaussianRational:
     """Exact complex number a + b*i with rational a and nonzero rational b.
 
@@ -56,9 +49,12 @@ class GaussianRational:
         return float(self.real) + 1j * float(self.imag)
 
     # -- arithmetic ----------------------------------------------------
+    # an operand that is not an exact scalar gets its own reflected method,
+    # so a Polynomial scales or shifts by a Gaussian rational from either side
     def __add__(self, other):
-        re, im = _parts(other)
-        return GaussianRational(self.real + re, self.imag + im)
+        if not is_exact_scalar(other):
+            return NotImplemented
+        return GaussianRational(self.real + other.real, self.imag + other.imag)
 
     __radd__ = __add__
 
@@ -66,21 +62,25 @@ class GaussianRational:
         return GaussianRational(-self.real, -self.imag)
 
     def __sub__(self, other):
-        re, im = _parts(other)
-        return GaussianRational(self.real - re, self.imag - im)
+        if not is_exact_scalar(other):
+            return NotImplemented
+        return GaussianRational(self.real - other.real, self.imag - other.imag)
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
-        re, im = _parts(other)
-        return GaussianRational(self.real * re - self.imag * im,
-                                self.real * im + self.imag * re)
+        if not is_exact_scalar(other):
+            return NotImplemented
+        return GaussianRational(self.real * other.real - self.imag * other.imag,
+                                self.real * other.imag + self.imag * other.real)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        re, im = _parts(other)
+        if not is_exact_scalar(other):
+            return NotImplemented
+        re, im = other.real, other.imag
         n = re * re + im * im
         return GaussianRational((self.real * re + self.imag * im) / n,
                                 (self.imag * re - self.real * im) / n)

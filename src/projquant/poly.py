@@ -4,8 +4,8 @@ Coefficients lie in Q(i): a real one is a ``Fraction``, any other a
 :class:`~projquant.gaussrat.GaussianRational`, and arithmetic whose result
 has imaginary part 0 returns a Fraction.  Exponent vectors are tuples.
 Terms iterate in graded-lexicographic order (total degree first, then
-X0 > X1 > ...), which fixes serialization, leading monomials and the
-single-divisor division algorithm deterministically.
+X0 > X1 > ...), which fixes serialization and leading monomials
+deterministically.
 """
 
 from __future__ import annotations
@@ -37,11 +37,6 @@ def monomials_of_degree(nvars: int, degree: int):
         monos.append(tuple(expts))
     monos.sort(key=grlex_key, reverse=True)
     return monos
-
-
-def mono_divides(a, b) -> bool:
-    """True when monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
 
 
 def _coerce_coeff(c):
@@ -112,9 +107,6 @@ class Polynomial:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=grlex_key)
-
-    def leading_coefficient(self):
-        return self.terms[self.leading_monomial()]
 
     # -- arithmetic --------------------------------------------------------
     def _check_compatible(self, other):
@@ -228,28 +220,6 @@ class Polynomial:
             terms[mono] = terms.get(mono, 0) + c
         return Polynomial(self.nvars - 1, terms)
 
-    # -- division ------------------------------------------------------------
-    def divmod_single(self, g: "Polynomial"):
-        """Divide by a single divisor: self = q*g + r, no term of r divisible
-        by the leading monomial of g (graded lex)."""
-        self._check_compatible(g)
-        if g.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        lm, lc = g.leading_monomial(), g.leading_coefficient()
-        q = Polynomial.zero(self.nvars)
-        r = self
-        while not r.is_zero:
-            target = next((m for m in sorted(r.terms, key=grlex_key, reverse=True)
-                           if mono_divides(lm, m)), None)
-            if target is None:
-                break
-            factor = Polynomial.monomial(
-                self.nvars, tuple(a - b for a, b in zip(target, lm)),
-                r.terms[target] / lc)
-            q = q + factor
-            r = r - factor * g
-        return q, r
-
     def __str__(self):
         return format_polynomial(self)
 
@@ -267,24 +237,15 @@ def _powu(x, e: int):
     return out
 
 
-def divides(g: Polynomial, f: Polynomial) -> bool:
-    """Exact single-divisor divisibility: f = q*g for some polynomial q.
-
-    A principal ideal's generator is its own Groebner basis, so remainder
-    zero is equivalent to membership in (g).
-    """
-    if g.is_zero:
-        raise ZeroDivisionError("divisor must be nonzero")
-    _, r = f.divmod_single(g)
-    return r.is_zero
-
-
 # ---------------------------------------------------------------------------
 # text format: "c * X0^a0 X1^a1 ..." terms joined by +/-, rationals as p/q
 # ---------------------------------------------------------------------------
 
-_TOKEN = _re.compile(r"\s*(?:(?P<sign>[+-])|(?P<rat>\d+(?:/\d+)?)|(?P<var>[Xx](?P<idx>\d+))"
-                     r"(?:\^(?P<exp>\d+))?|(?P<mul>\*))")
+#: one factor: a rational p or p/q, or a variable Xi or Xi^e (x for X allowed)
+_FACTOR = _re.compile(r"(\d+(?:/\d+)?)|[Xx](\d+)(?:\^(\d+))?")
+#: one term: its signs (and stray '*'), then its factors with optional '*'
+#: between them; whitespace may precede every token
+_TERM = _re.compile(rf"((?:\s*[+*-])*)((?:\s*(?:{_FACTOR.pattern}|\*))*)")
 
 
 def format_polynomial(p: Polynomial) -> str:
@@ -319,50 +280,31 @@ def parse_polynomial(text: str, nvars: int | None = None) -> Polynomial:
     Accepts optional '*' separators and '^' powers, e.g. "1/2*X0^2 X1 - X2^3".
     When nvars is omitted it is inferred from the largest variable index.
     """
-    pos = 0
-    terms = []
-    sign, coeff, mono = 1, None, {}
-
-    def flush():
-        nonlocal sign, coeff, mono
-        if coeff is None and not mono:
-            return
-        c = Fraction(coeff) if coeff is not None else Fraction(1)
-        terms.append((sign * c, dict(mono)))
-        sign, coeff, mono = 1, None, {}
-
-    started_term = False
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ValueError(f"cannot parse polynomial at: {text[pos:]!r}")
-            break
-        pos = m.end()
-        if m.group("sign"):
-            if started_term:
-                flush()
-            started_term = False
-            if m.group("sign") == "-":
-                sign = -sign
-        elif m.group("rat"):
-            val = Fraction(m.group("rat"))
-            coeff = val if coeff is None else coeff * val
-            started_term = True
-        elif m.group("var"):
-            idx = int(m.group("idx"))
-            exp = int(m.group("exp") or 1)
-            mono[idx] = mono.get(idx, 0) + exp
-            started_term = True
-    flush()
+    terms, pos = [], 0  # (coefficient, {variable index: exponent})
+    while (m := _TERM.match(text, pos)).end() > pos:
+        pos, signs, body = m.end(), m[1], m[2]
+        if not body:  # signs with no factor after them add no term
+            continue
+        coeff, powers = Fraction(-1 if signs.count("-") % 2 else 1), {}
+        for rat, idx, exp in _FACTOR.findall(body):
+            if not rat:
+                powers[int(idx)] = powers.get(int(idx), 0) + int(exp or 1)
+                continue
+            try:
+                coeff *= Fraction(rat)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in coefficient {rat!r}") from None
+        terms.append((coeff, powers))
+    if text[pos:].strip():
+        raise ValueError(f"cannot parse polynomial at: {text[pos:]!r}")
     if not terms:
         raise ValueError("empty polynomial text")
-    max_idx = max((max(m, default=-1) for _, m in terms), default=-1)
+    max_idx = max((max(powers, default=-1) for _, powers in terms), default=-1)
     n = nvars if nvars is not None else max_idx + 1
     if max_idx >= n:
         raise ValueError(f"variable X{max_idx} exceeds nvars={n}")
     acc = {}
-    for c, m in terms:
-        mono = tuple(m.get(i, 0) for i in range(n))
+    for c, powers in terms:
+        mono = tuple(powers.get(i, 0) for i in range(n))
         acc[mono] = acc.get(mono, 0) + c
     return Polynomial(n, acc)

@@ -66,14 +66,23 @@ class Lattice:
 
     def reduce(self, z):
         """Translate z (a number or an array) into the cell centered at 0."""
-        z = np.asarray(z, dtype=complex)
-        z = z - np.round(z.imag / self.tau.imag) * self.tau
-        return (z - np.round(z.real))[()]
+        return _to_cell(np.asarray(z, dtype=complex), self.tau)[()]
 
     def distance_to_lattice(self, z):
-        near = np.array([0, 1, -1, self.tau, -self.tau, 1 + self.tau, -1 - self.tau,
-                         1 - self.tau, -1 + self.tau])
-        return np.min(np.abs(np.asarray(self.reduce(z))[..., None] - near), axis=-1)
+        """Distance from z (a number or an array) to the lattice.  It is taken
+        in the reduced basis Z + Z tau = lam (Z + Z tau'), where the nearest
+        point to the centred cell is one of the nine around it; in a skewed
+        tau cell it need not be."""
+        t, lam = self.reduction[:2]
+        w = _to_cell(np.asarray(z, dtype=complex) / lam, t)
+        near = np.array([0, 1, -1, t, -t, 1 + t, -1 - t, 1 - t, -1 + t])
+        return (np.min(np.abs(w[..., None] - near), axis=-1) * abs(lam))[()]
+
+
+def _to_cell(w, t):
+    """w translated by Z + Z t into |Re w| <= 1/2, |Im w| <= Im(t) / 2."""
+    w = w - np.round(w.imag / t.imag) * t
+    return w - np.round(w.real)
 
 
 @dataclass(frozen=True)
@@ -238,9 +247,7 @@ def _u_series(L: Lattice, z):
     """
     _check_off_lattice(L, z)
     t, lam, q, N = L.reduction
-    w = np.atleast_1d(z) / lam
-    w = w - np.round(w.imag / t.imag) * t
-    w = w - np.round(w.real)
+    w = _to_cell(np.atleast_1d(z) / lam, t)
     odd = (w.imag < 0) | ((w.imag == 0) & (w.real < 0))
     w = np.where(odd, -w, w)
     qn = q ** np.arange(N).reshape((-1,) + (1,) * w.ndim)  # q'^(n-1)

@@ -103,9 +103,11 @@ def test_rule_is_memoized_and_read_only():
             a[0] = 0.0
         with pytest.raises(ValueError):
             a *= 2.0
-    lower = level_basis(19, rule)  # the rule keeps its last basis only
-    assert rule.basis is lower and level_basis(20, rule) is not basis
-    assert build_quadrature(21) is not rule
+    lower = level_basis(19, rule)  # only the last basis is kept
+    assert level_basis(19, rule) is lower and level_basis(20, rule) is not basis
+    assert not hasattr(rule, "basis")  # the rule holds no basis: it stays as built
+    other = build_quadrature(21)
+    assert other is not rule and level_basis(20, other).quad is other
     assert build_quadrature(20) is not rule  # only the last rule is kept
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from projquant.gaussrat import GaussianRational, exact_rank
+from projquant.poly import Polynomial
 
 I_UNIT = GaussianRational(0, 1)
 
@@ -32,6 +33,20 @@ def test_mixed_ops_with_ints_and_fractions():
     assert 2 * a == GaussianRational(2, 2)
     assert a + Fraction(1, 2) == GaussianRational(Fraction(3, 2), 1)
     assert (a - 1) == I_UNIT
+
+
+def test_other_operands_get_their_reflected_method():
+    # a Polynomial takes the Gaussian rational from either side; a float,
+    # which has no exact value, is still refused
+    a, x0 = GaussianRational(1, 2), Polynomial.variable(3, 0)
+    assert a * x0 == x0 * a == Polynomial(3, {(1, 0, 0): a})
+    assert a + x0 == x0 + a
+    assert a - x0 == -(x0 - a)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(a, 0.5)
+        with pytest.raises(TypeError):
+            op(0.5, a)
 
 
 def test_division_by_zero_raises():

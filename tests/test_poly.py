@@ -1,7 +1,7 @@
 import math
 import random
+import re
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from projquant.gaussrat import GaussianRational
 from projquant.poly import (
     Polynomial,
-    divides,
     format_polynomial,
     grlex_key,
     monomials_of_degree,
@@ -105,69 +104,6 @@ def test_dehomogenize_chart_identity():
         f.evaluate(p) / Fraction(5) ** 3
 
 
-def test_division_single_divisor():
-    g = X(1) ** 2 - X(0) * X(2)
-    f = g * (X(0) + X(1))
-    q, r = f.divmod_single(g)
-    assert r.is_zero and q == X(0) + X(1)
-    q2, r2 = (f + X(2) ** 3).divmod_single(g)
-    assert q2 * g + r2 == f + X(2) ** 3
-    assert not r2.is_zero
-
-
-@pytest.mark.parametrize("g,f,expected", [
-    (X(0), X(0) ** 2, True),
-    (X(0) ** 2, X(0), False),
-    (X(1) ** 2 - X(0) * X(2), (X(1) ** 2 - X(0) * X(2)) * (X(0) + X(1)), True),
-])
-def test_divides_examples(g, f, expected):
-    assert divides(g, f) is expected
-
-
-def _divides_bruteforce(g, f):
-    """Oracle: solve f = q*g for q by linear algebra over the rationals."""
-    if f.is_zero:
-        return True
-    dq = f.degree() - g.degree()
-    if dq < 0:
-        return False
-    qmonos = [m for d in range(dq + 1) for m in monomials_of_degree(f.nvars, d)]
-    fmonos = sorted({tuple(a + b for a, b in zip(mq, mg))
-                     for mq in qmonos for mg in g.terms} | set(f.terms))
-    rows = {m: i for i, m in enumerate(fmonos)}
-    # build the linear system column by column and solve by elimination
-    mat = [[Fraction(0)] * len(qmonos) + [Fraction(0)] for _ in fmonos]
-    for j, mq in enumerate(qmonos):
-        for mg, cg in g.terms.items():
-            mono = tuple(a + b for a, b in zip(mq, mg))
-            mat[rows[mono]][j] += cg
-    for m, c in f.terms.items():
-        mat[rows[m]][-1] = c
-    # gaussian elimination; consistent iff no row reduces to (0..0 | nonzero)
-    r = 0
-    for c in range(len(qmonos)):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c] / mat[r][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-    return all(row[-1] == 0 for row in mat[r:])
-
-
-def test_divides_matches_bruteforce_solver():
-    rng = random.Random(5)
-    gens = [X(0), X(1) ** 2 - X(0) * X(2), X(0) + X(2), X(0) * X(1) - X(2) ** 2]
-    for _ in range(15):
-        g = gens[rng.randrange(len(gens))]
-        extra = gens[rng.randrange(len(gens))]
-        f = g * extra if rng.random() < 0.5 else g * extra + X(1) ** (extra.degree() + g.degree())
-        assert divides(g, f) == _divides_bruteforce(g, f)
-
-
 def test_parse_format_round_trip():
     cases = [
         "X0^2 + X1^2",
@@ -194,12 +130,39 @@ def test_parse_rejects_garbage():
         parse_polynomial(format_polynomial(gaussian))
 
 
-def test_exhaustive_small_products_divide():
-    # every product of two linear forms in 2 vars must divide correctly
-    lin = [Polynomial(2, {(1, 0): a, (0, 1): b})
-           for a, b in product([-1, 1, 2], repeat=2)]
-    for g, h in product(lin, repeat=2):
-        assert divides(g, g * h)
+# signs compound and a dangling one adds nothing, '*' is optional anywhere,
+# juxtaposed factors multiply, x is X, and the variable count is one past
+# the largest index read
+X0_ALONE = Polynomial.variable(1, 0)  # X0 in one variable
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("*+0/1", Polynomial.zero(0)),
+    ("- -X0", X0_ALONE),
+    ("+-X0", -X0_ALONE),
+    ("2 3 X0", 6 * X0_ALONE),
+    ("X0 2", 2 * X0_ALONE),
+    ("X0 X0", X0_ALONE ** 2),
+    ("x1", X(1, 2)),
+    ("X0 +", X0_ALONE),
+    ("X0^0", Polynomial.constant(1, 1)),
+    ("4/6 X1", Fraction(2, 3) * X(1, 2)),
+])
+def test_parse_edge_cases(text, expected):
+    assert parse_polynomial(text) == expected
+
+
+@pytest.mark.parametrize("text, message", [
+    ("*", "empty polynomial text"),
+    ("**", "empty polynomial text"),
+    ("", "empty polynomial text"),
+    ("   ", "empty polynomial text"),
+    ("X0 ?", "cannot parse polynomial at: ' ?'"),
+    ("1/0*X0", "zero denominator in coefficient '1/0'"),
+])
+def test_parse_edge_case_errors(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_polynomial(text)
 
 
 @st.composite

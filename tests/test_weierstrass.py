@@ -61,6 +61,28 @@ def test_reduce_and_distance():
     assert L.distance_to_lattice(0.5 + 1j) > 0.4
 
 
+def _distance_by_enumeration(tau, z):
+    """min |z - a - b tau| over the lattice.  |z| bounds it, so only rows
+    with |b| Im(tau) <= |Im z| + |z| can hold a nearer point, and in row b
+    the nearest a is round(Re(z - b tau)) or one of its neighbours."""
+    rows = int((abs(z.imag) + abs(z)) / tau.imag) + 1
+    row = z - np.arange(-rows, rows + 1) * tau
+    a = np.round(row.real)[:, None] + np.array([-1, 0, 1])
+    return np.min(np.abs(row[:, None] - a))
+
+
+def test_distance_to_lattice_on_skewed_lattices():
+    # in a skewed tau cell the nearest lattice point can lie outside the
+    # nine around the cell: here it is -3 + tau, not 0 or 1
+    assert abs(Lattice(3.5 + 0.01j).distance_to_lattice(0.5 + 0.0049j) - 0.0051) < 1e-12
+    rng = np.random.default_rng(24)
+    for _ in range(300):
+        tau = complex(rng.uniform(-12, 12), rng.uniform(1e-3, 3.2))
+        z = rng.uniform(-3, 3, 5) + 1j * rng.uniform(-3, 3, 5)
+        exact = np.array([_distance_by_enumeration(tau, w) for w in z])
+        assert np.all(np.abs(Lattice(tau).distance_to_lattice(z) - exact) <= 1e-9 * exact)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-0.5, 2.0), st.floats(0.01, 2.0), st.floats(-0.49, 0.49),
        st.floats(-0.49, 0.49), st.integers(-20, 20), st.integers(-20, 20))
