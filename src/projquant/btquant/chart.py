@@ -28,7 +28,8 @@ from typing import Callable
 import numpy as np
 
 from ..poly import Polynomial, parse_polynomial
-from .quadrature import bundle_weight, memoized_rule
+from . import sections
+from .quadrature import bundle_weight
 
 
 class GradientUnavailableError(RuntimeError):
@@ -97,11 +98,11 @@ def poisson_function(f: SmoothFunction, g: SmoothFunction) -> SmoothFunction:
 
 def _h(z):
     """(1 + |z|^2)^-1, bit for bit 1 / (1 + |z|^2).  The nodes of the rule
-    build_quadrature keeps are read-only and owned by it, so for exactly
-    that array the rule's stored h is returned; any other array, a copy of
-    those nodes included, is computed fresh."""
-    rule = memoized_rule()
-    return rule.h if rule is not None and z is rule.nodes else bundle_weight(z)
+    of the basis sections.level_basis keeps are read-only and owned by it,
+    so for exactly that array the rule's stored h is returned; any other
+    array, a copy of those nodes included, is computed fresh."""
+    basis = sections._last
+    return basis.quad.h if basis is not None and z is basis.quad.nodes else bundle_weight(z)
 
 
 #: the coordinates x1, x2, x3 of the unit sphere over chart points z, h = _h(z)

@@ -16,9 +16,8 @@ m = 1024, and the n x n scales.
 
 A level is given by m and its rule quad alone (default: the level's own
 build_quadrature(m)); every routine here finds its basis through
-sections.level_basis, which keeps the last basis it built, and
-build_quadrature keeps the last rule (see quadrature.py): successive
-operators at one level pay for assembly alone.
+sections.level_basis, which keeps the last basis it built and its rule:
+successive operators at one level pay for assembly alone.
 
 The level-m geometric-quantization operator uses the Hamiltonian field of f
 taken with respect to m*omega (the symplectic form whose prequantum bundle

@@ -7,13 +7,12 @@ every z^j zbar^k (1+|z|^2)^(-m-2) appearing in section inner products
 exactly: the angular factor is a pure harmonic and the radial factor is a
 polynomial in t of degree at most m.
 
-A process keeps one rule, the handle every operator at a level works on:
-build_quadrature returns the rule it built last whenever the same radial
-and angular counts are asked for again.  That rule keeps its node geometry
-(the radii and h1 = (1+|z|^2)^-1 at the nodes) and sections.level_basis
-keeps the last section basis, all as read-only arrays; nothing else is
-kept.  At m = 1024 that is about 93 MB: 51 MB of nodes and weights, 17 MB
-of h1 and the 25 MB level-1024 basis.
+build_quadrature is a plain constructor and this module keeps nothing.  A
+rule computes its node geometry (the radii and h1 = (1+|z|^2)^-1 at the
+nodes) once, as read-only arrays; what a process keeps is the one section
+basis sections.level_basis returned last, and with it its rule.  At
+m = 1024 that is about 93 MB: 51 MB of nodes and weights, 17 MB of h1 and
+the 25 MB level-1024 basis.
 """
 
 from __future__ import annotations
@@ -155,15 +154,6 @@ class QuadratureRule:
         return radial_ok and angular_ok
 
 
-#: the rule build_quadrature returned last, if any
-_last: list[QuadratureRule] = []
-
-
-def memoized_rule() -> QuadratureRule | None:
-    """The one rule build_quadrature keeps, or None before the first call."""
-    return _last[0] if _last else None
-
-
 def build_quadrature(m_max: int, radial: int | None = None,
                      angular: int | None = None) -> QuadratureRule:
     """The product rule for levels up to m_max.
@@ -171,9 +161,8 @@ def build_quadrature(m_max: int, radial: int | None = None,
     Explicit radial/angular counts override the defaults; callers doing so
     own the exactness budget (deliberately coarse rules are how the
     refinement diagnostics work).  The total-mass identity is checked
-    unconditionally.  The rule's nodes and weights are read-only, and the
-    rule is kept until a rule of other counts is asked for: asking for the
-    same counts again returns the same object.
+    unconditionally.  The rule's nodes and weights are read-only; each call
+    builds a new rule.
     """
     if m_max < 1:
         raise ValueError("m_max must be positive")
@@ -181,9 +170,6 @@ def build_quadrature(m_max: int, radial: int | None = None,
     A = default_angular(m_max) if angular is None else int(angular)
     if R < 1 or A < 2:
         raise ValueError("rule too small")
-    rule = memoized_rule()
-    if rule is not None and (rule.radial_count, rule.angular_count) == (R, A):
-        return rule
     t, v = gauss_legendre(R)
     r = np.sqrt((1.0 + t) / (1.0 - t))
     theta = 2.0 * np.pi * np.arange(A) / A
@@ -195,5 +181,4 @@ def build_quadrature(m_max: int, radial: int | None = None,
     if abs(rule.total_mass() - TOTAL_MASS) > 1e-10:
         raise InsufficientResolutionError(
             f"total mass {rule.total_mass()!r} misses 2*pi")
-    _last[:] = [rule]
     return rule

@@ -13,8 +13,9 @@ over the radii, and the matching scales c_j c_k max_r r^(j+k) (1+r^2)^(-m).
 Everything is evaluated in log space so that nothing overflows at large m.
 
 level_basis is where every operator finds its basis: the level-m basis on a
-rule is built with read-only arrays and kept until a basis of another level
-or on another rule is asked for.
+rule is built with read-only arrays and kept, with its rule, until a basis
+of another level or on another rule is asked for.  It is the one thing a
+process keeps between calls.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from math import pi
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .quadrature import InsufficientResolutionError, QuadratureRule, build_quadrature, read_only
+from .quadrature import (InsufficientResolutionError, QuadratureRule, build_quadrature,
+                         default_angular, default_radial, read_only)
 
 #: Normalized radial-table entries below this are stored as zero.  Dropping
 #: them moves a matrix entry by at most 1e-250 * (m+1) * max|g|: the scale of
@@ -85,12 +87,17 @@ _last: SectionBasis | None = None
 
 def level_basis(m: int, quad: QuadratureRule | None = None) -> SectionBasis:
     """The level-m basis on quad (default: build_quadrature(max(m, 1))).  The
-    basis returned last is kept, so every operator at one level on one rule
-    shares one SectionBasis.build."""
+    basis returned last is kept and returned again for level m on its rule:
+    given as quad, or, with no quad, when the kept rule has the level's
+    default counts.  So every operator at one level on one rule shares one
+    SectionBasis.build."""
     global _last
-    quad = quad if quad is not None else build_quadrature(max(m, 1))
     basis = _last  # read once, so the basis checked is the one returned
+    if quad is None and basis is not None:
+        n, kept = max(m, 1), basis.quad
+        if (kept.radial_count, kept.angular_count) == (default_radial(n), default_angular(n)):
+            quad = kept  # the rule build_quadrature(n) would build
     if basis is None or basis.m != m or basis.quad is not quad:
-        _last = basis = None  # the old basis and its rule go before the new one is built
+        _last = basis = None  # the old basis (and its rule, unless reused) goes first
         basis = _last = SectionBasis.build(m, quad)
     return basis

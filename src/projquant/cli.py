@@ -225,7 +225,7 @@ def cmd_moment_map(args, config: RunConfig) -> int:
     action = gitquot.LinearAction.from_weights(args.weights)
     inv = _weight_invariants(action)
     report = gitquot.kirwan_correspondence_check(
-        action, inv, n_samples=args.samples, tol=config.zero_level_tol, seed=config.seed)
+        action, inv, n_samples=args.samples, seed=config.seed)
     ok = report.get("equivalence_holds")
     payload = {"weights": list(args.weights), "report": report,
                "invariants": [str(F) for F in (inv.polys if inv else ())]}

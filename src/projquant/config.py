@@ -1,7 +1,7 @@
 """Run configuration shared by the command-line tools.
 
 The config file format is flat "key = value" lines, '#' starting a comment;
-each value is read as the type its key declares in RunConfig.  Every
+each value is read as an int, the type of every RunConfig key.  Every
 output artifact embeds the configuration it was produced with, so runs are
 reproducible byte for byte.
 """
@@ -17,12 +17,9 @@ OUTPUT_DIR_ENV = "PROJQUANT_OUTDIR"
 
 @dataclass
 class RunConfig:
-    zero_level_tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.zero_level_tol < float("inf"):
-            raise ValueError("zero_level_tol must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -35,12 +32,12 @@ class RunConfig:
 
 
 def load_config(path: str | None) -> RunConfig:
-    """Read a key = value file into a RunConfig.  An unknown key, a value not
-    of its key's type (float or int: no quotes, no true/false) or out of its
-    range is an error naming the file, line and key."""
+    """Read a key = value file into a RunConfig.  An unknown key, a value
+    that is not an int (no quotes, no true/false) or out of its key's range
+    is an error naming the file, line and key."""
     if path is None:
         return RunConfig()
-    types = {f.name: {"float": float, "int": int}[f.type] for f in fields(RunConfig)}
+    keys = {f.name for f in fields(RunConfig)}
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -50,13 +47,13 @@ def load_config(path: str | None) -> RunConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, text = (part.strip() for part in line.split("=", 1))
-            if key not in types:
+            if key not in keys:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = types[key](text)
+                values[key] = int(text)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: {key} must be of type "
-                                 f"{types[key].__name__}, got {text}") from None
+                raise ValueError(f"{path}:{lineno}: {key} must be of type int, "
+                                 f"got {text}") from None
             try:
                 RunConfig(**{key: values[key]})  # the key's own range check
             except ValueError as exc:

@@ -40,10 +40,6 @@ class GradedRingPresentation:
         object.__setattr__(self, "relation_degrees", degs)
 
     @classmethod
-    def full_ring(cls, nvars: int) -> "GradedRingPresentation":
-        return cls(nvars)
-
-    @classmethod
     def hypersurface(cls, f: Polynomial) -> "GradedRingPresentation":
         if f.is_zero or not f.is_homogeneous():
             raise ValueError(f"relation {f} is not a nonzero homogeneous polynomial")

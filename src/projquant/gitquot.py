@@ -103,10 +103,9 @@ def infinitesimal_invariance(F: Polynomial, action: LinearAction) -> bool:
 
 @dataclass(frozen=True)
 class InvariantSet:
-    """Nonconstant homogeneous polynomials with exact invariance certificates."""
+    """Nonconstant homogeneous polynomials, each certified invariant exactly."""
 
     polys: tuple
-    certificates: tuple
 
     @classmethod
     def certified(cls, polys, action: LinearAction) -> "InvariantSet":
@@ -116,11 +115,10 @@ class InvariantSet:
                 raise ValueError("invariants must be nonconstant")
             if not F.is_homogeneous():
                 raise ValueError("invariants must be homogeneous")
-        certs = tuple(infinitesimal_invariance(F, action) for F in polys)
-        if not all(certs):
-            bad = [str(F) for F, ok in zip(polys, certs) if not ok]
+        bad = [str(F) for F in polys if not infinitesimal_invariance(F, action)]
+        if bad:
             raise ValueError(f"not invariant under the action: {bad}")
-        return cls(polys=polys, certificates=certs)
+        return cls(polys=polys)
 
 
 def semistable(x, inv: InvariantSet, tol: float = 0.0) -> bool:
@@ -173,7 +171,9 @@ def orbit_meets_zero_level(action: LinearAction, x, tol: float = 1e-9):
     logarithmic derivative of a log-convex function), so it has a root
     exactly when the support weights have both signs, found by a safeguarded
     root search; both t -> 0 and t -> infinity limit points are also
-    inspected.  Returns (met, witness) with the witness a ProjPoint or None.
+    inspected, exactly.  Returns (met, witness) with the witness a ProjPoint
+    or None; tol bounds |mu| at a witness found by the search and decides no
+    verdict.
     """
     v = _coords(x)
     return _witness(action.weights, v, _orbit_search(action.weights, v[None, :], tol)[0])
@@ -183,7 +183,8 @@ def orbit_meets_zero_level(action: LinearAction, x, tol: float = 1e-9):
 def _orbit_search(weights, V: np.ndarray, tol: float) -> np.ndarray:
     """Where the orbit closure of each row v of V meets the zero level: -inf or
     inf for the t -> 0 or t -> infinity limit (mu = extremal weight on the
-    support / 2 pi; '0' first), s for e^(s w) . v, nan when it does not.
+    support / 2 pi, zero exactly when that weight is; '0' first), s for
+    e^(s w) . v with |mu| <= tol there, nan when it does not.
     Rows with support weights w_lo < 0 < w_hi have one root.  Newton steps
     (mu' = Var_p(w) / pi; the midpoint when a step leaves the bracket) narrow
     them in lockstep, for at most 200 evaluations, from the root of the two
@@ -197,8 +198,8 @@ def _orbit_search(weights, V: np.ndarray, tol: float) -> np.ndarray:
     log_a = 2.0 * np.log(np.abs(V))  # -inf off the support
     w_lo, w_hi = _extremal_weights(weights, V)
     s = np.full(len(V), np.nan)
-    s[np.abs(w_hi) / (2.0 * math.pi) <= tol] = np.inf
-    s[np.abs(w_lo) / (2.0 * math.pi) <= tol] = -np.inf
+    s[w_hi == 0] = np.inf
+    s[w_lo == 0] = -np.inf
     rows = np.flatnonzero(np.isnan(s) & (w_lo < 0) & (w_hi > 0))
     log_a, w_lo, w_hi = log_a[rows], w_lo[rows], w_hi[rows]
     log_wa = np.log(np.abs(w)) + log_a  # log |w_j| |v_j|^2
@@ -346,15 +347,17 @@ def _greedy_count(M: np.ndarray) -> int:
 
 
 def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
-                                n_samples: int = 200, tol: float = 1e-9,
-                                seed: int = 0) -> dict:
+                                n_samples: int = 200, seed: int = 0) -> dict:
     """Sample-based check of the semistable/zero-level correspondence.
 
     For each sampled point the semistability verdict (from the certified
     invariants) is compared with whether the orbit closure meets the zero
-    level; the zero level must consist of semistable points only; finally
-    the zero-level samples are grouped into K-orbit classes and the class
-    count reported.
+    level, read off the moment map's limits: along the orbit mu runs
+    monotonically between w_lo / 2 pi and w_hi / 2 pi, the extremal weights
+    on the support, so the closure meets 0 exactly when w_lo <= 0 <= w_hi.
+    The zero level must consist of semistable points only; finally the
+    zero-level samples are grouped into K-orbit classes and the class count
+    reported.
     """
     weights = action.weights
     if inv is None or not inv.polys:
@@ -371,7 +374,8 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
     V = np.concatenate([head, np.eye(n), tail])
 
     semi = np.any(_invariant_moduli(inv, V) > 1e-12, axis=1)
-    met = ~np.isnan(_orbit_search(weights, V, max(tol, 1e-10)))
+    w_lo, w_hi = _extremal_weights(weights, V)
+    met = (w_lo <= 0) & (w_hi >= 0)
     mismatches = int(np.count_nonzero(semi != met))
     mus = _moment_rows(action, V)
     points = _format_rows(V)

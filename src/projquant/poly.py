@@ -273,12 +273,12 @@ def format_polynomial(p: Polynomial) -> str:
     return " ".join(parts)
 
 
-def parse_polynomial(text: str, nvars: int | None = None) -> Polynomial:
+def parse_polynomial(text: str, nvars: int) -> Polynomial:
     """Parse the textual format back into a Polynomial: an exact round-trip
     for rational coefficients (a Gaussian coefficient's text is rejected).
 
-    Accepts optional '*' separators and '^' powers, e.g. "1/2*X0^2 X1 - X2^3".
-    When nvars is omitted it is inferred from the largest variable index.
+    Accepts optional '*' separators and '^' powers, e.g. "1/2*X0^2 X1 - X2^3",
+    in the variables X0 .. X(nvars-1).
     """
     terms, pos = [], 0  # (coefficient, {variable index: exponent})
     while (m := _TERM.match(text, pos)).end() > pos:
@@ -300,11 +300,10 @@ def parse_polynomial(text: str, nvars: int | None = None) -> Polynomial:
     if not terms:
         raise ValueError("empty polynomial text")
     max_idx = max((max(powers, default=-1) for _, powers in terms), default=-1)
-    n = nvars if nvars is not None else max_idx + 1
-    if max_idx >= n:
-        raise ValueError(f"variable X{max_idx} exceeds nvars={n}")
+    if max_idx >= nvars:
+        raise ValueError(f"variable X{max_idx} exceeds nvars={nvars}")
     acc = {}
     for c, powers in terms:
-        mono = tuple(powers.get(i, 0) for i in range(n))
+        mono = tuple(powers.get(i, 0) for i in range(nvars))
         acc[mono] = acc.get(mono, 0) + c
-    return Polynomial(n, acc)
+    return Polynomial(nvars, acc)

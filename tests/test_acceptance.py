@@ -346,7 +346,7 @@ def test_coordinate_ring_dimensions():
         failures.append("plane cubic dimension")
     # the quantum Hilbert space at level m is the degree-m piece of the
     # coordinate ring of P^1: dim H^0(L^m) = h_{K[P^1]}(m) = m + 1
-    p1_ring = GradedRingPresentation.full_ring(2)
+    p1_ring = GradedRingPresentation(2)
     for m in range(1, 9):
         if SectionBasis.build(m).dim != hilbert_function(p1_ring, m):
             failures.append(f"level-{m} section space vs degree-{m} piece of K[P^1]")
@@ -387,8 +387,7 @@ def test_symplectic_git_correspondence():
     if not infinitesimal_invariance(X0 * X1, action):
         failures.append("invariance certificate")
     inv = InvariantSet.certified([X0 * X1], action)
-    report_data = kirwan_correspondence_check(action, inv, n_samples=200,
-                                              tol=1e-9, seed=0)
+    report_data = kirwan_correspondence_check(action, inv, n_samples=200, seed=0)
     if report_data["n_samples"] != 200:
         failures.append("sample count")
     if not report_data["equivalence_holds"]:

@@ -93,33 +93,45 @@ def test_gauss_legendre_nodes_match_numpy():
 
 
 def test_rule_is_memoized_and_read_only():
-    rule = build_quadrature(20)
-    assert build_quadrature(20) is rule
-    assert build_quadrature(14, radial=26, angular=48) is rule  # the same counts
+    # the process keeps one level: the basis level_basis returned last, and its rule
     basis = level_basis(20)
-    assert basis.quad is rule and level_basis(20, rule) is basis
+    rule = basis.quad
+    assert level_basis(20) is basis
     for a in (rule.nodes, rule.weights, basis.radial_table, basis.pair_scale):
         with pytest.raises(ValueError):
             a[0] = 0.0
         with pytest.raises(ValueError):
             a *= 2.0
-    lower = level_basis(19, rule)  # only the last basis is kept
-    assert level_basis(19, rule) is lower and level_basis(20, rule) is not basis
     assert not hasattr(rule, "basis")  # the rule holds no basis: it stays as built
-    other = build_quadrature(21)
-    assert other is not rule and level_basis(20, other).quad is other
-    assert build_quadrature(20) is not rule  # only the last rule is kept
+    fresh = build_quadrature(20)  # a plain constructor: a new rule on each call
+    assert fresh is not rule and build_quadrature(20) is not fresh
+    on_fresh = level_basis(20, fresh)  # an explicit rule is looked up by identity
+    assert on_fresh is not basis and on_fresh.quad is fresh
+    assert level_basis(20, fresh) is on_fresh
+    assert level_basis(20) is on_fresh  # no rule given: fresh has level 20's counts
+    assert level_basis(20, build_quadrature(20)) is not on_fresh
+    lower = level_basis(19, fresh)  # only the last basis is kept
+    assert level_basis(19, fresh) is lower and level_basis(20, fresh) is not on_fresh
+    coarse = build_quadrature(20, radial=30)  # not level 20's default counts
+    on_coarse = level_basis(20, coarse)
+    assert level_basis(20, coarse) is on_coarse
+    default = level_basis(20)
+    assert default.quad is not coarse and default.quad.radial_count == 26
 
 
 def test_h_of_a_writable_node_copy_is_fresh():
-    rule = build_quadrature(12)
-    assert _h(rule.nodes) is rule.h
+    rule = level_basis(12).quad
+    assert _h(rule.nodes) is rule.h  # the kept level's rule
+    other = build_quadrature(12)  # the same nodes in an array of its own
+    assert np.array_equal(_h(other.nodes), rule.h) and _h(other.nodes) is not other.h
     z = rule.nodes.copy()
     assert np.array_equal(_h(z), rule.h) and _h(z) is not rule.h
     z *= 2.0
     assert np.array_equal(_h(z), 1.0 / (1.0 + np.abs(z) ** 2))
     z[:] = 0.0
     assert np.all(_h(z) == 1.0)
+    level_basis(11)  # another level is kept now
+    assert _h(rule.nodes) is not rule.h and np.array_equal(_h(rule.nodes), rule.h)
 
 
 def test_total_mass(quad64):

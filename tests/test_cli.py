@@ -376,29 +376,13 @@ def test_moment_map_report(capsys):
     assert payload["invariants"] == ["X0*X1"]
 
 
-def test_moment_map_tolerance_only_from_config(tmp_path, capsys, monkeypatch):
-    # zero_level_tol is set only by the config, which the JSON echoes
+def test_moment_map_tolerance_only_from_config(capsys):
+    # the orbit verdicts are read off the moment map's limits: no flag sets a
+    # tolerance for them (nor does the config, see the dead keys below)
     with pytest.raises(SystemExit) as exc:
         main(["moment-map", "--weights=-1,1", "--tol", "1e-3"])
     assert exc.value.code == 2
     assert "--tol" in capsys.readouterr().err
-    from projquant import gitquot
-
-    seen = []
-    check = gitquot.kirwan_correspondence_check
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs["tol"])
-        return check(*args, **kwargs)
-
-    monkeypatch.setattr(gitquot, "kirwan_correspondence_check", spy)
-    cfg = tmp_path / "tol.cfg"
-    cfg.write_text("zero_level_tol = 0.001\n")
-    code, out = run_cli(capsys, "--config", str(cfg), "moment-map",
-                        "--weights=-1,1", "--samples", "20")
-    assert code == 0
-    assert seen == [1e-3]
-    assert json.loads(out)["config"]["zero_level_tol"] == 1e-3
 
 
 def test_moment_map_no_invariants(capsys):
@@ -648,13 +632,13 @@ def test_one_process_runs_commands_like_separate_processes(capsys):
 
 def test_config_file_round_trip(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("zero_level_tol = 1e-07\nseed = 3  # comment\n")
+    cfg.write_text("seed = 3  # comment\n")
     parsed = load_config(str(cfg))
-    assert parsed.zero_level_tol == 1e-07 and parsed.seed == 3
+    assert parsed == RunConfig(seed=3)
     code, out = run_cli(capsys, "--config", str(cfg), "hilbert",
                         "--nvars", "2", "--m", "0..2")
     assert code == 0
-    assert "# zero_level_tol = 1e-07" in comments(out)
+    assert comments(out)[0] == "# seed = 3"
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -665,11 +649,14 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["power_tol", "rank_rtol", "membership_tol",
-                                 "lattice_cutoff", "quad_radial", "quad_angular"])
+                                 "lattice_cutoff", "quad_radial", "quad_angular",
+                                 "zero_level_tol"])
 def test_dead_tolerances_are_not_config_keys(tmp_path, capsys, key):
     # nothing reads these tolerances (nor the torus series cutoff, which is
     # derived per lattice, nor the BT rule sizes, which are derived from the
-    # level cap), so the config neither accepts nor echoes them
+    # level cap, nor a zero-level tolerance, since the orbit verdicts are
+    # read off the moment map's limits), so the config neither accepts nor
+    # echoes them
     cfg = tmp_path / "old.cfg"
     cfg.write_text(f"{key} = 1e-9\n")
     with pytest.raises(SystemExit) as exc:
@@ -707,17 +694,14 @@ def test_output_dir_env_override(tmp_path, monkeypatch, capsys):
 
 def test_runconfig_validation():
     with pytest.raises(ValueError):
-        RunConfig(zero_level_tol=0)
-    with pytest.raises(ValueError):
         RunConfig(seed=-1)
+    assert RunConfig(seed=0).to_dict() == {"seed": 0}
 
 
-# a config value read by its key's type (float or int), and a flag value read
-# by its argparse type or checked by its command: each bad one is a usage
-# error naming the key (with the file and line) or the flag, and the
-# offending text
-BAD_CONFIG_LINES = ["zero_level_tol = abc", 'zero_level_tol = "1e-9"', "zero_level_tol = true",
-                    "zero_level_tol = nan", "seed = true", "seed = 1.5", 'seed = "7"', "seed = -3"]
+# a config value read as an int, and a flag value read by its argparse type
+# or checked by its command: each bad one is a usage error naming the key
+# (with the file and line) or the flag, and the offending text
+BAD_CONFIG_LINES = ["seed = true", "seed = 1.5", 'seed = "7"', "seed = -3"]
 BAD_FLAGS = [
     (["moment-map", "--weights=a,1"], "--weights", "'a,1'"),
     (["moment-map", "--weights="], "--weights", "''"),

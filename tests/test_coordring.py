@@ -18,14 +18,14 @@ X = lambda i, n=3: Polynomial.variable(n, i)
 
 
 def test_full_ring_p1():
-    R = GradedRingPresentation.full_ring(2)
+    R = GradedRingPresentation(2)
     for m in range(0, 20):
         assert hilbert_function(R, m) == m + 1
 
 
 def test_full_ring_binomials():
     for n in range(0, 6):
-        R = GradedRingPresentation.full_ring(n + 1)
+        R = GradedRingPresentation(n + 1)
         for m in range(0, 31):
             assert hilbert_function(R, m) == comb(n + m, n)
 
@@ -54,8 +54,8 @@ def test_pascal_identity():
 
 
 def test_krull_dimensions():
-    assert krull_dim(GradedRingPresentation.full_ring(3)) == 3       # K[P^2]
-    assert variety_dim(GradedRingPresentation.full_ring(3)) == 2
+    assert krull_dim(GradedRingPresentation(3)) == 3       # K[P^2]
+    assert variety_dim(GradedRingPresentation(3)) == 2
     assert krull_dim(GradedRingPresentation(3, (3,))) == 2           # plane cubic
     assert variety_dim(GradedRingPresentation(3, (3,))) == 1
     assert krull_dim(GradedRingPresentation(4, (2,))) == 3           # quadric surface

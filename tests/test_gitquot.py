@@ -227,7 +227,7 @@ def test_semistable_examples():
 
 def test_semistable_needs_invariants():
     with pytest.raises(EmptyInvariantSetError):
-        semistable(pt(F(1), F(1)), InvariantSet(polys=(), certificates=()))
+        semistable(pt(F(1), F(1)), InvariantSet(polys=()))
 
 
 def test_semistable_exact_gaussian_point():
@@ -323,6 +323,8 @@ def test_orbit_meets_zero_level():
     for fixed in (pt(1.0, 0.0), pt(0.0, 1.0)):
         met, _ = orbit_meets_zero_level(HYPERBOLIC, fixed, tol=1e-10)
         assert not met
+    # mu = -1/(2 pi) at this fixed point: tol bounds a witness, not a limit
+    assert orbit_meets_zero_level(HYPERBOLIC, pt(1.0, 0.0), tol=0.5) == (False, None)
 
 
 
@@ -511,8 +513,7 @@ def test_k_orbit_classes_against_pairwise_greedy():
 # -- the correspondence check --------------------------------------------------------------
 
 def test_kirwan_correspondence_hyperbolic():
-    report = kirwan_correspondence_check(HYPERBOLIC, INV, n_samples=200,
-                                         tol=1e-9, seed=0)
+    report = kirwan_correspondence_check(HYPERBOLIC, INV, n_samples=200, seed=0)
     assert report["n_samples"] == 200
     assert report["equivalence_holds"] is True
     assert report["mismatches"] == 0
@@ -639,8 +640,9 @@ def test_orbit_search_reports_the_t_to_0_limit_first():
     assert _orbit_search((-2, 0), np.array([[1.0, 1.0]]), 1e-9)[0] == np.inf
 
 
-def _kirwan_reference(action, inv, n_samples, tol, seed):
-    """kirwan_correspondence_check one point and one ray at a time."""
+def _kirwan_reference(action, inv, n_samples, seed):
+    """kirwan_correspondence_check one point and one ray at a time, each orbit
+    verdict from the root search of orbit_meets_zero_level."""
     rng = np.random.default_rng(seed)
     n = action.n + 1
 
@@ -654,7 +656,7 @@ def _kirwan_reference(action, inv, n_samples, tol, seed):
     rows, mismatches = [], 0
     for p in points:
         ss = semistable(p, inv, tol=1e-12)
-        met, _ = orbit_meets_zero_level(action, p, tol=max(tol, 1e-10))
+        met, _ = orbit_meets_zero_level(action, p, tol=1e-9)
         mismatches += int(ss != met)
         rows.append({"point": format_point(p), "semistable": ss,
                      "orbit_meets_zero_level": met,
@@ -691,8 +693,8 @@ def test_kirwan_check_matches_pointwise_reference(weights, monomials, seed):
     action = LinearAction.from_weights(weights)
     inv = InvariantSet.certified(
         [Polynomial.monomial(len(weights), m) for m in monomials], action)
-    report = kirwan_correspondence_check(action, inv, n_samples=60, tol=1e-9, seed=seed)
-    assert report == _kirwan_reference(action, inv, 60, 1e-9, seed)
+    report = kirwan_correspondence_check(action, inv, n_samples=60, seed=seed)
+    assert report == _kirwan_reference(action, inv, 60, seed)
     assert report["equivalence_holds"] and report["zero_level_all_semistable"]
 
 

@@ -112,27 +112,29 @@ def test_parse_format_round_trip():
         "-X0^3 + X1 X2^2",
     ]
     for text in cases:
-        f = parse_polynomial(text)
+        f = parse_polynomial(text, nvars=3)
         again = parse_polynomial(format_polynomial(f), nvars=f.nvars)
         assert f == again
 
 
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
-        parse_polynomial("X0 + ???")
+        parse_polynomial("X0 + ???", nvars=3)
     with pytest.raises(ValueError):
         parse_polynomial("X5", nvars=2)
+    # refused from the index alone, before any exponent tuple is built
+    with pytest.raises(ValueError, match="^variable X99999999999 exceeds nvars=3$"):
+        parse_polynomial("X99999999999", nvars=3)
     # the round-trip covers rational coefficients only: the text
     # "(1+2i)*X0 - 1/3*X1" that format_polynomial writes does not parse
     gaussian = X(0, 2) * GaussianRational(1, 2) - Fraction(1, 3) * X(1, 2)
     assert format_polynomial(gaussian) == "(1+2i)*X0 - 1/3*X1"
     with pytest.raises(ValueError):
-        parse_polynomial(format_polynomial(gaussian))
+        parse_polynomial(format_polynomial(gaussian), nvars=2)
 
 
 # signs compound and a dangling one adds nothing, '*' is optional anywhere,
-# juxtaposed factors multiply, x is X, and the variable count is one past
-# the largest index read
+# juxtaposed factors multiply, and x is X
 X0_ALONE = Polynomial.variable(1, 0)  # X0 in one variable
 
 
@@ -149,7 +151,7 @@ X0_ALONE = Polynomial.variable(1, 0)  # X0 in one variable
     ("4/6 X1", Fraction(2, 3) * X(1, 2)),
 ])
 def test_parse_edge_cases(text, expected):
-    assert parse_polynomial(text) == expected
+    assert parse_polynomial(text, nvars=expected.nvars) == expected
 
 
 @pytest.mark.parametrize("text, message", [
@@ -162,7 +164,7 @@ def test_parse_edge_cases(text, expected):
 ])
 def test_parse_edge_case_errors(text, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        parse_polynomial(text)
+        parse_polynomial(text, nvars=3)
 
 
 @st.composite
