@@ -6,13 +6,13 @@ Matrices are assembled in the closed-form orthonormal basis of sections.py
 with one angular FFT per radius and, for each parity of k - j, one real
 matrix product of the basis's radial table with the angular modes.  For R
 radii, A angles and n = m + 1 that is an R x A FFT plus about 8 R n^2 flops
-at BLAS-3 speed (8.7 GFLOP at m = 1024, half of them for (s, D) pairs that
-fall outside the matrix).  A real symbol (node values of a real dtype) needs
-only the modes k - j >= 0: a real R x A FFT and about 4 R n^2 flops (4.3
-GFLOP at m = 1024), the rest by conjugation, so its matrix is Hermitian by
-construction and flagged so; op_norm then takes eigvalsh instead of an SVD.
-Memory is O(R A + n^2): the basis holds the (2m+1) x R table, 17 MB at
-m = 1024, and the n x n scales.
+at BLAS-3 speed (4.3 GFLOP at m = 1024, R = 515, half of them for (s, D)
+pairs that fall outside the matrix).  A real symbol (node values of a real
+dtype) needs only the modes k - j >= 0: a real R x A FFT and about 4 R n^2
+flops (2.2 GFLOP at m = 1024), the rest by conjugation, so its matrix is
+Hermitian by construction and flagged so; op_norm then takes eigvalsh, not
+an SVD.  Memory is O(R A + n^2): the basis holds the (2m+1) x R table,
+8.4 MB at m = 1024, and the n x n scales.
 
 A level is given by m and its rule quad alone (default: the level's own
 build_quadrature(m)); every routine here finds its basis through

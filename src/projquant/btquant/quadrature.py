@@ -11,8 +11,8 @@ build_quadrature is a plain constructor and this module keeps nothing.  A
 rule computes its node geometry (the radii and h1 = (1+|z|^2)^-1 at the
 nodes) once, as read-only arrays; what a process keeps is the one section
 basis sections.level_basis returned last, and with it its rule.  At
-m = 1024 that is about 93 MB: 51 MB of nodes and weights, 17 MB of h1 and
-the 25 MB level-1024 basis.
+m = 1024 the default rule has 515 x 1029 nodes, and that is about 34 MB:
+13 MB of nodes and weights, 4 MB of h1 and the 17 MB level-1024 basis.
 """
 
 from __future__ import annotations
@@ -24,18 +24,17 @@ import numpy as np
 
 TOTAL_MASS = 2.0 * np.pi
 
-#: default rule sizes for level cap m_max; generous margins keep every
-#: integrand of the shipped function family inside the exactness budget
-def default_radial(m_max: int) -> int:
-    return m_max + 6
 
-
-def default_angular(m_max: int) -> int:
-    """The smallest 7-smooth count >= 2 m_max + 8, a fast FFT length."""
-    a = 2 * m_max + 8
+def default_counts(m: int, degree: int = 4) -> tuple[int, int]:
+    """The radial and angular counts of build_quadrature(m)'s default rule:
+    R = ceil((m + degree + 1) / 2), the fewest radii that integrate the
+    level-m matrix elements of a symbol of that degree in x1, x2, x3
+    exactly, and A the smallest 7-smooth count >= m + degree + 1, the fewest
+    angles that do, rounded up to a fast FFT length (see is_exact_for)."""
+    a = n = m + degree + 1
     while pow(210, a.bit_length(), a):  # a divides 210^k iff a is 7-smooth
         a += 1
-    return a
+    return (n + 1) // 2, a
 
 
 class InsufficientResolutionError(RuntimeError):
@@ -146,28 +145,31 @@ class QuadratureRule:
     def is_exact_for(self, m: int, extra_degree: int = 4) -> bool:
         """Whether the rule integrates the level-m matrix elements of a symbol
         of degree extra_degree in x1, x2, x3 exactly.  The radial factor is a
-        polynomial of degree m + d in t, exact when 2R - 1 >= m + d; the
-        angular factor is e^(i(k-j)theta) times the symbol's modes, of index
-        at most m + d, exact when A >= m + d + 1."""
-        radial_ok = 2 * self.radial_count - 1 >= m + extra_degree
-        angular_ok = self.angular_count >= m + extra_degree + 1
-        return radial_ok and angular_ok
+        polynomial of degree m + d in t, exact for default_counts' R (2R - 1
+        >= m + d); the angular factor is e^(i(k-j)theta) times the symbol's
+        modes, of index at most m + d, exact when A >= m + d + 1."""
+        radial, _ = default_counts(m, extra_degree)
+        return self.radial_count >= radial and self.angular_count > m + extra_degree
 
 
 def build_quadrature(m_max: int, radial: int | None = None,
                      angular: int | None = None) -> QuadratureRule:
     """The product rule for levels up to m_max.
 
-    Explicit radial/angular counts override the defaults; callers doing so
-    own the exactness budget (deliberately coarse rules are how the
-    refinement diagnostics work).  The total-mass identity is checked
-    unconditionally.  The rule's nodes and weights are read-only; each call
-    builds a new rule.
+    The default counts, default_counts(m_max), are exact at every level
+    <= m_max for symbols of degree <= 4 in x1, x2, x3: the family symbols
+    and the products, Dirac brackets and Tuynman residuals of them that the
+    CLI forms.  For a symbol of higher degree, or not a polynomial, pass
+    explicit radial/angular counts and check is_exact_for (deliberately
+    coarse rules are how the refinement diagnostics work).  The total-mass
+    identity is checked unconditionally; each call builds a new rule, with
+    read-only nodes and weights.
     """
     if m_max < 1:
         raise ValueError("m_max must be positive")
-    R = default_radial(m_max) if radial is None else int(radial)
-    A = default_angular(m_max) if angular is None else int(angular)
+    R, A = default_counts(m_max)
+    R = R if radial is None else int(radial)
+    A = A if angular is None else int(angular)
     if R < 1 or A < 2:
         raise ValueError("rule too small")
     t, v = gauss_legendre(R)

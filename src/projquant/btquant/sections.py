@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .quadrature import (InsufficientResolutionError, QuadratureRule, build_quadrature,
-                         default_angular, default_radial, read_only)
+                         default_counts, read_only)
 
 #: Normalized radial-table entries below this are stored as zero.  Dropping
 #: them moves a matrix entry by at most 1e-250 * (m+1) * max|g|: the scale of
@@ -93,10 +93,9 @@ def level_basis(m: int, quad: QuadratureRule | None = None) -> SectionBasis:
     SectionBasis.build."""
     global _last
     basis = _last  # read once, so the basis checked is the one returned
-    if quad is None and basis is not None:
-        n, kept = max(m, 1), basis.quad
-        if (kept.radial_count, kept.angular_count) == (default_radial(n), default_angular(n)):
-            quad = kept  # the rule build_quadrature(n) would build
+    if quad is None and basis is not None and (
+            basis.quad.radial_count, basis.quad.angular_count) == default_counts(max(m, 1)):
+        quad = basis.quad  # the rule build_quadrature(max(m, 1)) would build
     if basis is None or basis.m != m or basis.quad is not quad:
         _last = basis = None  # the old basis (and its rule, unless reused) goes first
         basis = _last = SectionBasis.build(m, quad)

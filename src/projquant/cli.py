@@ -268,8 +268,8 @@ def _test_function(family: dict, name: str, flag: str):
 
 
 def cmd_bt_converge(args, config: RunConfig) -> int:
-    from .btquant import (build_quadrature, dirac_table, doubling_levels, norm_asymptotics,
-                          product_table, standard_family, tuynman_residual)
+    from .btquant import (dirac_table, doubling_levels, norm_asymptotics, product_table,
+                          standard_family, tuynman_residual)
 
     family = standard_family()
     f = _test_function(family, args.f, "--f")
@@ -279,10 +279,9 @@ def cmd_bt_converge(args, config: RunConfig) -> int:
     if args.m_min > args.m_max:
         raise UsageError(f"--m-min {args.m_min} is above --m-max {args.m_max}")
     levels = doubling_levels(args.m_min, args.m_max)
-    quad = build_quadrature(max(levels))
 
     if args.check == "norm":
-        data = norm_asymptotics(f, levels, quad=quad)
+        data = norm_asymptotics(f, levels)
         rows = [(m, nrm) for (m, nrm, _) in data["rows"]]
         slope = data["gap_slope"]
         bound_ok = all(nrm <= data["sup_norm"] + 1e-8 for (_, nrm) in rows)
@@ -291,7 +290,7 @@ def cmd_bt_converge(args, config: RunConfig) -> int:
                    f"# gap_slope = {slope!r}",
                    f"# upper_bound_ok = {bound_ok}"]
     elif args.check == "dirac":
-        table = dirac_table(f, g, levels, quad=quad)
+        table = dirac_table(f, g, levels)
         rows = table.rows()
         slope_ok = table.slope is not None and abs(table.slope + 1.0) <= 0.3
         ratio = table.values[0] / table.values[-1]
@@ -301,16 +300,16 @@ def cmd_bt_converge(args, config: RunConfig) -> int:
                    f"# first_over_final = {ratio!r}",
                    f"# slope_ok = {slope_ok}", f"# ratio_ok = {ratio_ok}"]
     elif args.check == "product":
-        table = product_table(f, g if g else f, levels, quad=quad)
+        table = product_table(f, g if g else f, levels)
         rows = table.rows()
         ok = table.slope is not None and abs(table.slope + 1.0) <= 0.3
         trailer = [f"# slope = {table.slope!r}"]
     elif args.check == "tuynman":
-        rows = [(m, tuynman_residual(f, m, quad=quad)) for m in levels]
+        rows = [(m, tuynman_residual(f, m)) for m in levels]
         ok = all(v <= 1e-6 for (_, v) in rows)
         trailer = []
     else:  # c1, argparse's fifth choice: the Dirac norm (see btquant.asymptotics)
-        table = dirac_table(f, g, levels, quad=quad)
+        table = dirac_table(f, g, levels)
         rows = table.rows()
         tail = [a for (m, a) in rows if m >= 8]
         monotone = all(b < a for a, b in zip(tail, tail[1:]))

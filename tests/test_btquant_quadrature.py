@@ -4,8 +4,9 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from projquant.btquant import build_quadrature, geom_quant, toeplitz
-from projquant.btquant.chart import _h
+from projquant.btquant import (build_quadrature, dirac_residual, geom_quant, product_residual,
+                               toeplitz, tuynman_residual)
+from projquant.btquant.chart import _h, _on_sphere
 from projquant.btquant.quadrature import bundle_weight, gauss_legendre
 from projquant.btquant.sections import SectionBasis, level_basis
 
@@ -116,7 +117,8 @@ def test_rule_is_memoized_and_read_only():
     on_coarse = level_basis(20, coarse)
     assert level_basis(20, coarse) is on_coarse
     default = level_basis(20)
-    assert default.quad is not coarse and default.quad.radial_count == 26
+    # the derived degree-4 bound: R = ceil((20 + 4 + 1) / 2)
+    assert default.quad is not coarse and default.quad.radial_count == 13
 
 
 def test_h_of_a_writable_node_copy_is_fresh():
@@ -184,20 +186,26 @@ def test_default_rule_exactness_flag(quad64):
 #: degree in x1, x2, x3 of each standard_family symbol
 FAMILY_DEGREES = {"one": 0, "x1": 1, "x2": 1, "x3": 1, "x3sq": 2, "x1x2": 2}
 
+#: symbols of degree 3 and 4 beyond the family, as _on_sphere text, and their
+#: degrees; X0^3 carries the angular modes +-3 that X0*X1*X2 (modes +-2) lacks
+HIGHER_DEGREES = {"X0*X1*X2": 3, "X0^3": 3, "X2^4": 4, "X0^2*X1^2": 4, "X0^3*X2": 4}
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_exactness_flag_follows_the_derived_bound(family, quad16, d):
-    # the minimal rule 2R - 1 >= m + d, A >= m + d + 1 reproduces the default
-    # rule's matrices of every family symbol of degree <= d; one radius or
-    # one angle fewer moves the Toeplitz matrices, and the flag says so
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_exactness_flag_follows_the_derived_bound(family, quad64, d):
+    # the minimal rule 2R - 1 >= m + d, A >= m + d + 1 reproduces a larger
+    # exact rule's matrices of every symbol of degree <= d; one radius or one
+    # angle fewer moves the Toeplitz matrices, and the flag says so.  The
+    # aliasing the smaller rules commit fades with m (about 1e-14 at m = 64
+    # for d = 4), so the level stays at 16
     m = 16
-    names = [name for name, deg in FAMILY_DEGREES.items() if deg <= d]
+    symbols = [family[name] for name, deg in FAMILY_DEGREES.items() if deg <= d]
+    symbols += [_on_sphere(text, text) for text, deg in HIGHER_DEGREES.items() if deg <= d]
 
     def matrices(quad):
-        return [(toeplitz(family[n], m, quad=quad).mat, geom_quant(family[n], m, quad=quad).mat)
-                for n in names]
+        return [(toeplitz(f, m, quad=quad).mat, geom_quant(f, m, quad=quad).mat) for f in symbols]
 
-    ref = matrices(quad16)
+    ref = matrices(quad64)
     R, A = (m + d + 2) // 2, m + d + 1
     minimal = build_quadrature(m, radial=R, angular=A)
     assert minimal.is_exact_for(m, d)
@@ -209,6 +217,31 @@ def test_exactness_flag_follows_the_derived_bound(family, quad16, d):
         assert not smaller.is_exact_for(m, d)
         moved = max(np.max(np.abs(t - t_ref)) for (t, _), (t_ref, _) in zip(matrices(smaller), ref))
         assert moved > 1e-7
+
+
+@pytest.mark.parametrize("m", [4, 16, 64])
+def test_default_rule_reproduces_the_wider_rule(family, m):
+    # the default rule sits at the degree-4 bound; the rule of m + 6 radii and
+    # 2m + 8 angles is exact with room to spare.  Both integrate exactly, so
+    # they differ by rounding alone: each profile carries about m ulps (its
+    # log-space terms), so a Toeplitz entry a few m ulps; geom_quant's D_f is
+    # m times an assembly less sqrt(k (m-k+1)) <= m times another, and each
+    # residual is m times a difference of such products, so those carry m
+    # times that
+    wide = build_quadrature(m, radial=m + 6, angular=2 * m + 8)
+    default = build_quadrature(m)
+    assert default.is_exact_for(m, 4)
+    eps = np.finfo(float).eps
+    for f in family.values():
+        t = toeplitz(f, m, quad=default).mat - toeplitz(f, m, quad=wide).mat
+        assert np.max(np.abs(t)) <= 4 * m * eps
+        q = geom_quant(f, m, quad=default).mat - geom_quant(f, m, quad=wide).mat
+        assert np.max(np.abs(q)) <= 4 * m * m * eps
+    x3sq, x1x2 = family["x3sq"], family["x1x2"]
+    for residual in (lambda quad: dirac_residual(x3sq, x1x2, m, quad=quad),
+                     lambda quad: product_residual(x3sq, x3sq, m, quad=quad),
+                     lambda quad: tuynman_residual(x3sq, m, quad=quad)):
+        assert abs(residual(default) - residual(wide)) <= 4 * m * m * eps
 
 
 def test_bad_parameters_rejected():
