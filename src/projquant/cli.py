@@ -170,14 +170,16 @@ def cmd_curve_points(args, config: RunConfig) -> int:
         hi.append(np.where((a[hit] == 0.0)[:, None], lo[-1], p[:, 1:][hit]))
         fa.append(a[hit])
     lo, hi, fa = (np.concatenate(c) for c in (lo, hi, fa))
-    for _ in range(60):  # all brackets in lockstep
+    for _ in range(60):  # all brackets in lockstep, until a step moves none
         mid = 0.5 * (lo + hi)
         fm = val(mid[:, 0], mid[:, 1])
         stop = fm == 0.0  # an exact zero freezes its bracket at mid
         left = (fa < 0) != (fm < 0)
-        lo = np.where((stop | ~left)[:, None], mid, lo)
-        hi = np.where((stop | left)[:, None], mid, hi)
-        fa = np.where(left, fa, fm)
+        state = (np.where((stop | ~left)[:, None], mid, lo),
+                 np.where((stop | left)[:, None], mid, hi), np.where(left, fa, fm))
+        if all(map(np.array_equal, state, (lo, hi, fa))):
+            break  # a fixed point: every later step would repeat this one
+        lo, hi, fa = state
     pts = sorted(map(tuple, (0.5 * (lo + hi)).tolist()))
     _write(_csv(config, ["x", "y"], pts), args.out)
     return PASS

@@ -83,14 +83,6 @@ def _moment_rows(action: LinearAction, V: np.ndarray) -> np.ndarray:
     return (num.imag / (2.0 * math.pi * nrm2))[:, None]
 
 
-def zero_level(action: LinearAction, points, tol: float) -> list:
-    """The sampled zero level of the moment map: ||mu(x)|| <= tol."""
-    points = list(points)
-    V = np.array([_coords(p) for p in points]).reshape(len(points), action.n + 1)
-    mu = np.linalg.norm(_moment_rows(action, V), axis=1)
-    return [p for p, r in zip(points, mu) if r <= tol]
-
-
 def infinitesimal_invariance(F: Polynomial, action: LinearAction) -> bool:
     """Certify invariance of F under the action, exactly: every term X^a of F
     has weight a . w = 0.  Differentiating along the generator i*diag(w)
@@ -170,59 +162,99 @@ def orbit_meets_zero_level(action: LinearAction, x, tol: float = 1e-9):
     Along t = e^s the single moment component is increasing in s (it is the
     logarithmic derivative of a log-convex function), so it has a root
     exactly when the support weights have both signs, found by a safeguarded
-    root search; both t -> 0 and t -> infinity limit points are also
-    inspected, exactly.  Returns (met, witness) with the witness a ProjPoint
-    or None; tol bounds |mu| at a witness found by the search and decides no
-    verdict.
+    scalar root search (_orbit_root); both t -> 0 and t -> infinity limit
+    points are also inspected, exactly.  Returns (met, witness) with the
+    witness a ProjPoint or None; tol bounds |mu| at a witness found by the
+    search and decides no verdict.
     """
     v = _coords(x)
-    return _witness(action.weights, v, _orbit_search(action.weights, v[None, :], tol)[0])
+    witness = _zero_level_witness(action.weights, v, _log_moduli(v).tolist(), tol)
+    return (False, None) if witness is None else (True, ProjPoint(tuple(witness)))
 
 
-@np.errstate(divide="ignore", invalid="ignore")
-def _orbit_search(weights, V: np.ndarray, tol: float) -> np.ndarray:
-    """Where the orbit closure of each row v of V meets the zero level: -inf or
-    inf for the t -> 0 or t -> infinity limit (mu = extremal weight on the
-    support / 2 pi, zero exactly when that weight is; '0' first), s for
-    e^(s w) . v with |mu| <= tol there, nan when it does not.
-    Rows with support weights w_lo < 0 < w_hi have one root.  Newton steps
-    (mu' = Var_p(w) / pi; the midpoint when a step leaves the bracket) narrow
-    them in lockstep, for at most 200 evaluations, from the root of the two
-    extremal weight classes (P = sum of |v_j|^2 over a class; exact when the
-    nonzero support weights take two values).  The bracket: for s >= 0 the
-    numerator sum w_j |v_j|^2 e^(2 s w_j) has positive part at least
+def _log_moduli(V: np.ndarray) -> np.ndarray:
+    """2 log |v_j| for each entry of V, -inf where it is 0: the squared
+    moduli in log space, which do not underflow at moduli of 1e-200."""
+    return 2.0 * np.log(np.abs(V), out=np.full(V.shape, -np.inf), where=V != 0)
+
+
+def _zero_level_witness(weights, v: np.ndarray, log_a: list, tol: float):
+    """Coordinates where the orbit closure of v (log_a: its _log_moduli)
+    meets the zero level, or None: the t -> 0 or t -> infinity limit for a
+    root at -inf or inf, else e^(s w) . v at the root s, scaled so that its
+    largest coordinate has modulus 1 and no coordinate overflows."""
+    s = _orbit_root(weights, log_a, tol)
+    if math.isnan(s):
+        return None
+    if math.isinf(s):
+        to_zero, to_inf = _limits(weights, v[None, :])
+        return (to_zero if s < 0 else to_inf)[0]
+    e = [a + 2.0 * s * w for w, a in zip(weights, log_a)]
+    top = max(e)
+    return [c / abs(c) * math.exp(0.5 * (x - top)) if c else 0j for c, x in zip(v.tolist(), e)]
+
+
+def _orbit_root(weights, log_a: list, tol: float) -> float:
+    """Where the orbit closure of v (log_a = 2 log |v_j|, -inf off the
+    support) meets the zero level: -inf or inf for the t -> 0 or
+    t -> infinity limit (mu = extremal weight on the support / 2 pi, zero
+    exactly when that weight is; '0' first), s for e^(s w) . v with
+    |mu| <= tol there, nan when it does not.
+    Support weights w_lo < 0 < w_hi give one root.  Newton steps
+    (mu' = Var_p(w) / pi; the midpoint when a step leaves the bracket or the
+    slope is 0) narrow it, for at most 200 evaluations, from the root of the
+    two extremal weight classes (P = sum of |v_j|^2 over a class; exact when
+    the nonzero support weights take two values).  The bracket: for s >= 0
+    the numerator sum w_j |v_j|^2 e^(2 s w_j) has positive part at least
     w_hi P_hi e^(2 s w_hi) and negative part at most its size N_- at s = 0,
     so mu >= 0 at s_hi = max(0, ln(N_- / (w_hi P_hi)) / (2 w_hi)); s_lo
     likewise from N_+ and |w_lo| P_lo."""
-    w = np.array(weights, dtype=float)
-    log_a = 2.0 * np.log(np.abs(V))  # -inf off the support
-    w_lo, w_hi = _extremal_weights(weights, V)
-    s = np.full(len(V), np.nan)
-    s[w_hi == 0] = np.inf
-    s[w_lo == 0] = -np.inf
-    rows = np.flatnonzero(np.isnan(s) & (w_lo < 0) & (w_hi > 0))
-    log_a, w_lo, w_hi = log_a[rows], w_lo[rows], w_hi[rows]
-    log_wa = np.log(np.abs(w)) + log_a  # log |w_j| |v_j|^2
-    # log w_hi P_hi, log |w_lo| P_lo, log N_+ and log N_-
-    extremal, sides = w == np.array([w_hi, w_lo])[..., None], np.array([w > 0, w < 0])[:, None]
-    (top, bottom), (n_plus, n_minus) = (_log_sum(np.where(m, log_wa, -np.inf))
-                                        for m in (extremal, sides))
-    lo = np.minimum(0.0, (n_plus - bottom) / (2.0 * w_lo))
-    hi = np.maximum(0.0, (n_minus - top) / (2.0 * w_hi))
-    x, evals = np.clip((bottom - top) / (2.0 * (w_hi - w_lo)), lo, hi), 0
-    while len(rows) and evals < 200:
-        evals += 1
-        mu, slope = _ray_moment_map(log_a, x[:, None], w)
-        done = np.abs(mu) <= tol
-        if done.any():
-            s[rows[done]] = x[done]
-            rows, log_a, lo, hi, x, mu, slope = (
-                a[~done] for a in (rows, log_a, lo, hi, x, mu, slope))
-        up = mu > 0  # mu increases with s
-        lo, hi = np.where(up, lo, x), np.where(up, x, hi)
-        step = x - mu / slope
-        x = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
-    return s
+    ws, las = zip(*((w, a) for w, a in zip(weights, log_a) if a > -math.inf))
+    w_lo, w_hi = min(ws), max(ws)
+    if w_lo == 0:
+        return -math.inf
+    if w_hi == 0:
+        return math.inf
+    if not w_lo < 0 < w_hi:
+        return math.nan
+    # log w_hi P_hi, log |w_lo| P_lo, log N_+ and log N_- from log |w_j| |v_j|^2
+    terms = [(w, math.log(abs(w)) + a) for w, a in zip(ws, las) if w]
+    top, bottom, n_plus, n_minus = (_log_sum([t for w, t in terms if keep(w)]) for keep in (
+        lambda w: w == w_hi, lambda w: w == w_lo, lambda w: w > 0, lambda w: w < 0))
+    lo = min(0.0, (n_plus - bottom) / (2.0 * w_lo))
+    hi = max(0.0, (n_minus - top) / (2.0 * w_hi))
+    x = min(max((bottom - top) / (2.0 * (w_hi - w_lo)), lo), hi)
+    for _ in range(200):
+        mu, slope = _ray_moment_map(ws, las, x)
+        if abs(mu) <= tol:
+            return x
+        lo, hi = (lo, x) if mu > 0 else (x, hi)  # mu increases with s
+        step = x - mu / slope if slope else lo  # slope 0: no step, the midpoint
+        x = step if lo < step < hi else 0.5 * (lo + hi)
+    return math.nan
+
+
+def _log_sum(terms: list) -> float:
+    """log sum exp of the terms, shifted by their maximum."""
+    big = max(terms)
+    return big + math.log(sum(math.exp(t - big) for t in terms))
+
+
+def _ray_moment_map(weights, log_a, s: float):
+    """mu at e^(s w) . v and d mu / ds: sum w_j p_j / (2 pi sum p_j) and
+    Var_p(w) / pi, p_j = |v_j|^2 e^(2 s w_j) (log_a = 2 log |v_j| given),
+    the exponents shifted by their maximum.  Every evaluation of the orbit
+    search goes through here."""
+    e = [a + 2.0 * s * w for w, a in zip(weights, log_a)]
+    top = max(e)
+    z = m1 = m2 = 0.0
+    for w, x in zip(weights, e):
+        p = math.exp(x - top)
+        z += p
+        m1 += p * w
+        m2 += p * w * w
+    mean = m1 / z
+    return mean / (2.0 * math.pi), (m2 / z - mean * mean) / math.pi
 
 
 def _extremal_weights(weights, V: np.ndarray):
@@ -230,40 +262,6 @@ def _extremal_weights(weights, V: np.ndarray):
     weights whose coordinates survive as t -> 0 and t -> infinity."""
     w_live = np.where(V != 0, np.array(weights, dtype=float), np.nan)
     return np.fmin.reduce(w_live, axis=1), np.fmax.reduce(w_live, axis=1)
-
-
-def _log_sum(e: np.ndarray) -> np.ndarray:
-    """log sum exp over the last axis, for rows with a finite entry."""
-    top = np.maximum.reduce(e, axis=-1, keepdims=True)
-    return top[..., 0] + np.log(np.add.reduce(np.exp(e - top), axis=-1))
-
-
-def _ray_moment_map(log_a: np.ndarray, s, w: np.ndarray):
-    """mu at e^(s w) . v and d mu / ds over the last axis: sum w_j p_j / (2 pi
-    sum p_j) and Var_p(w) / pi, p_j = |v_j|^2 e^(2 s w_j) (log |v_j|^2 given),
-    the exponents shifted by their maximum."""
-    e = log_a + 2.0 * s * w
-    e -= np.maximum.reduce(e, axis=-1, keepdims=True)
-    p = np.exp(e, out=e)
-    z = np.add.reduce(p, axis=-1)
-    mean = (p @ w) / z
-    return mean / (2.0 * math.pi), ((p @ (w * w)) / z - mean * mean) / math.pi
-
-
-def _witness(weights, v: np.ndarray, s: float):
-    """(met, witness) for the row v of _orbit_search and its result s."""
-    if np.isnan(s):
-        return False, None
-    return True, ProjPoint(tuple(_witness_rows(weights, v[None, :], np.array([s]))[0]))
-
-
-def _witness_rows(weights, V: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Each row v of V where _orbit_search met the zero level: e^(s w) . v for
-    finite s, the t -> 0 or t -> infinity limit for s = -inf or inf; rows with
-    s = nan come back unchanged."""
-    to_zero, to_inf = _limits(weights, V)
-    moved = V * np.exp(np.where(np.isfinite(s), s, 0.0)[:, None] * np.array(weights, dtype=float))
-    return np.where((s == -np.inf)[:, None], to_zero, np.where((s == np.inf)[:, None], to_inf, moved))
 
 
 def is_stable(action: LinearAction, x, inv: InvariantSet,
@@ -425,18 +423,18 @@ def _invariant_value_classes(inv: InvariantSet, V: np.ndarray, tol: float = 1e-6
 
 def _zero_level_samples(action: LinearAction, rng, count: int = 64) -> np.ndarray:
     """Deterministic points on the moment zero level, found by the orbit
-    search along random rays (drawn in blocks): the rows of an (N, n+1)
-    array, N <= count."""
+    search along random rays (drawn in blocks, one root per ray): the rows of
+    an (N, n+1) array, N <= count."""
     weights, n = action.weights, action.n + 1
     out, tries = np.empty((0, n), dtype=complex), 0
     while len(out) < count and tries < 50 * count:
         block = min(count - len(out), 50 * count - tries)
         tries += block
         X = _rays(rng, block, n)
-        s = _orbit_search(weights, X, 1e-12)
-        W = _witness_rows(weights, X, s)
-        keep = ~np.isnan(s) & (np.linalg.norm(_moment_rows(action, W), axis=1) <= 1e-10)
-        out = np.concatenate([out, W[keep]])
+        W = np.array([w for v, log_a in zip(X, _log_moduli(X).tolist())
+                      if (w := _zero_level_witness(weights, v, log_a, 1e-12)) is not None],
+                     dtype=complex).reshape(-1, n)
+        out = np.concatenate([out, W[np.abs(_moment_rows(action, W)[:, 0]) <= 1e-10]])
     return out
 
 

@@ -1,22 +1,16 @@
 """Complex tori C/(Z + Z*tau): Eisenstein invariants, the wp function and its
 derivative, and the embedding of the torus into P^2 as a plane cubic.
 
-Two evaluation routes are provided for every quantity:
-
-* ``*_lattice`` functions sum the defining lattice series over the symmetric
-  square truncation max(|m|, |n|) <= N.  They converge like O(1/N^2) and
-  serve as the independent cross-check oracle.
-* The default functions evaluate the same objects through their Fourier
-  (nome) expansions at tau' = (a tau + b) / (c tau + d), the image of tau in
-  the SL2(Z) fundamental domain |Re tau'| <= 1/2, |tau'| >= 1.  With
-  lam = c tau + d the lattices satisfy Z + Z tau = lam (Z + Z tau'), so
-  wp(z; tau) = lam^-2 wp(z / lam; tau'), wp' picks up lam^-3, g2 lam^-4 and
-  g3 lam^-6.  There |q'| = |exp(2 pi i tau')| <= exp(-pi sqrt 3) ~ 4.3e-3,
-  and the number of terms is derived from |q'| so that every truncated tail
-  is below rounding, at any Im(tau) > 0.
-
-Both routes agree within the lattice truncation's own tail bound; tests pin
-this.  Values near a lattice point are rejected with
+Every quantity is evaluated through its Fourier (nome) expansion at
+tau' = (a tau + b) / (c tau + d), the image of tau in the SL2(Z)
+fundamental domain |Re tau'| <= 1/2, |tau'| >= 1.  With lam = c tau + d the
+lattices satisfy Z + Z tau = lam (Z + Z tau'), so
+wp(z; tau) = lam^-2 wp(z / lam; tau'), wp' picks up lam^-3, g2 lam^-4 and
+g3 lam^-6.  There |q'| = |exp(2 pi i tau')| <= exp(-pi sqrt 3) ~ 4.3e-3,
+and the number of terms is derived from |q'| so that every truncated tail
+is below rounding, at any Im(tau) > 0.  The tests check these values
+against the literal truncated lattice sums, within the sums' own tail
+bound.  Values near a lattice point are rejected with
 :class:`LatticePointError` instead of returning infinities.
 """
 
@@ -33,9 +27,6 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .projgeo import ProjPoint
-
-#: default truncation N of the lattice-sum oracle functions
-DEFAULT_CUTOFF = 60
 
 #: points closer than this to a lattice point are treated as poles
 POLE_GUARD = 1e-8
@@ -88,8 +79,7 @@ def _to_cell(w, t):
 @dataclass(frozen=True)
 class EisensteinPair:
     """Lattice invariants g2, g3 with the series length and truncation bound
-    used (the nome route: a closed-form bound; the lattice route: the
-    difference against the N//2 truncation)."""
+    used (for the nome series a closed-form bound on the omitted terms)."""
 
     g2: complex
     g3: complex
@@ -104,60 +94,13 @@ class EisensteinPair:
         return abs(pp ** 2 - 4 * p ** 3 + self.g2 * p + self.g3)
 
 
-# ---------------------------------------------------------------------------
-# direct lattice summation (oracle route)
-# ---------------------------------------------------------------------------
-
-def _lattice_points(L: Lattice, N: int) -> np.ndarray:
-    rng = np.arange(-N, N + 1)
-    m, n = np.meshgrid(rng, rng, indexing="ij")
-    w = m + n * L.tau
-    return w[(m != 0) | (n != 0)]
-
-
-def eisenstein_lattice(L: Lattice, N: int = DEFAULT_CUTOFF) -> EisensteinPair:
-    """g2 = 60 sum' w^-4 and g3 = 140 sum' w^-6 over max(|m|,|n|) <= N.
-
-    The reported tail bound is the difference against the N//2 truncation.
-    """
-    if N < 4:
-        raise ValueError("cutoff too small")
-
-    def sums(cut):
-        w = _lattice_points(L, cut)
-        return 60.0 * np.sum(w ** -4.0), 140.0 * np.sum(w ** -6.0)
-
-    g2, g3 = sums(N)
-    g2h, g3h = sums(N // 2)
-    tail = max(abs(g2 - g2h), abs(g3 - g3h))
-    return EisensteinPair(complex(g2), complex(g3), N, float(tail))
-
-
-def wp_lattice(L: Lattice, z: complex, N: int = DEFAULT_CUTOFF) -> complex:
-    """wp(z) = z^-2 + sum'[(z-w)^-2 - w^-2], symmetric square truncation.
-
-    The +/-w pairing of the truncation cancels the odd error terms, so
-    evenness holds to rounding at any cutoff.
-    """
-    _check_off_lattice(L, z)
-    w = _lattice_points(L, N)
-    return complex(1.0 / z ** 2 + np.sum((z - w) ** -2.0 - w ** -2.0))
-
-
-def wp_prime_lattice(L: Lattice, z: complex, N: int = DEFAULT_CUTOFF) -> complex:
-    """wp'(z) = -2 sum over the whole truncated lattice of (z-w)^-3."""
-    _check_off_lattice(L, z)
-    w = _lattice_points(L, N)
-    return complex(-2.0 * (1.0 / z ** 3 + np.sum((z - w) ** -3.0)))
-
-
 def _check_off_lattice(L: Lattice, z):
     if np.any(L.distance_to_lattice(z) <= POLE_GUARD):
         raise LatticePointError(f"z = {z} is within {POLE_GUARD} of a lattice point")
 
 
 # ---------------------------------------------------------------------------
-# nome-series evaluation on the fundamental domain (default route)
+# nome-series evaluation on the fundamental domain
 # ---------------------------------------------------------------------------
 
 #: zeta(3) and zeta(5): sigma_3(k) <= zeta(3) k^3 and sigma_5(k) <= zeta(5) k^5
@@ -288,12 +231,6 @@ def wp_prime(L: Lattice, z):
 def ode_residual(L: Lattice, z: complex) -> float:
     """|wp'(z)^2 - 4 wp(z)^3 + g2 wp(z) + g3|, for a number or an array z."""
     return eisenstein(L).cubic_residual(wp(L, z), wp_prime(L, z))
-
-
-def ode_residual_lattice(L: Lattice, z: complex, N: int = DEFAULT_CUTOFF) -> float:
-    """Same residual evaluated along the direct lattice-sum route."""
-    return eisenstein_lattice(L, N).cubic_residual(wp_lattice(L, z, N),
-                                                   wp_prime_lattice(L, z, N))
 
 
 def embed(L: Lattice, z: complex) -> ProjPoint:

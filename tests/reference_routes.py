@@ -1,0 +1,74 @@
+"""Independent reference routes that the tests check the program against.
+No command or library call of projquant reaches them.
+
+* The literal lattice sums of the Weierstrass invariants g2, g3 and of wp,
+  wp' over the symmetric square truncation max(|m|, |n|) <= N.  They
+  converge like O(1/N^2); the program's nome route agrees with them within
+  their own tail.
+* The sampled zero level of a circle action's moment map, ||mu(x)|| <= tol.
+"""
+
+import numpy as np
+
+from projquant.gitquot import LinearAction, _coords, _moment_rows
+from projquant.weierstrass import EisensteinPair, Lattice, _check_off_lattice
+
+#: default truncation N of the lattice sums
+DEFAULT_CUTOFF = 60
+
+
+def _lattice_points(L: Lattice, N: int) -> np.ndarray:
+    rng = np.arange(-N, N + 1)
+    m, n = np.meshgrid(rng, rng, indexing="ij")
+    w = m + n * L.tau
+    return w[(m != 0) | (n != 0)]
+
+
+def eisenstein_lattice(L: Lattice, N: int = DEFAULT_CUTOFF) -> EisensteinPair:
+    """g2 = 60 sum' w^-4 and g3 = 140 sum' w^-6 over max(|m|,|n|) <= N.
+
+    The reported tail bound is the difference against the N//2 truncation.
+    """
+    if N < 4:
+        raise ValueError("cutoff too small")
+
+    def sums(cut):
+        w = _lattice_points(L, cut)
+        return 60.0 * np.sum(w ** -4.0), 140.0 * np.sum(w ** -6.0)
+
+    g2, g3 = sums(N)
+    g2h, g3h = sums(N // 2)
+    tail = max(abs(g2 - g2h), abs(g3 - g3h))
+    return EisensteinPair(complex(g2), complex(g3), N, float(tail))
+
+
+def wp_lattice(L: Lattice, z: complex, N: int = DEFAULT_CUTOFF) -> complex:
+    """wp(z) = z^-2 + sum'[(z-w)^-2 - w^-2], symmetric square truncation.
+
+    The +/-w pairing of the truncation cancels the odd error terms, so
+    evenness holds to rounding at any cutoff.
+    """
+    _check_off_lattice(L, z)
+    w = _lattice_points(L, N)
+    return complex(1.0 / z ** 2 + np.sum((z - w) ** -2.0 - w ** -2.0))
+
+
+def wp_prime_lattice(L: Lattice, z: complex, N: int = DEFAULT_CUTOFF) -> complex:
+    """wp'(z) = -2 sum over the whole truncated lattice of (z-w)^-3."""
+    _check_off_lattice(L, z)
+    w = _lattice_points(L, N)
+    return complex(-2.0 * (1.0 / z ** 3 + np.sum((z - w) ** -3.0)))
+
+
+def ode_residual_lattice(L: Lattice, z: complex, N: int = DEFAULT_CUTOFF) -> float:
+    """|wp'^2 - 4 wp^3 + g2 wp + g3| along the lattice sums."""
+    return eisenstein_lattice(L, N).cubic_residual(wp_lattice(L, z, N),
+                                                   wp_prime_lattice(L, z, N))
+
+
+def zero_level(action: LinearAction, points, tol: float) -> list:
+    """The sampled zero level of the moment map: ||mu(x)|| <= tol."""
+    points = list(points)
+    V = np.array([_coords(p) for p in points]).reshape(len(points), action.n + 1)
+    mu = np.linalg.norm(_moment_rows(action, V), axis=1)
+    return [p for p, r in zip(points, mu) if r <= tol]

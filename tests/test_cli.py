@@ -199,6 +199,45 @@ def test_curve_points_match_scalar_scan(capsys, argv, window, want_zeros):
         assert rows == []
 
 
+def _curve_points_steps(capsys, monkeypatch, argv):
+    """The curve-points stdout and the number of bisection steps taken (one
+    evaluate_array call per step, after the one on the grid)."""
+    from projquant.poly import Polynomial
+
+    calls = []
+    real = Polynomial.evaluate_array
+
+    def counting(self, *args):
+        calls.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(Polynomial, "evaluate_array", counting)
+    code, out = run_cli(capsys, "curve-points", *argv)
+    assert code == 0
+    return out, len(calls) - 1
+
+
+def _seeded_curves():
+    rng = np.random.default_rng(27)
+    return [[f"--g2={g2 + Fraction(int(rng.integers(-8, 9)), 40)}",
+             f"--g3={g3 + Fraction(int(rng.integers(-8, 9)), 40)}", "--resolution", "81"]
+            for g2, g3 in ((4, 0), (2, 1), (3, -1))]
+
+
+@pytest.mark.parametrize("argv", [["--g2", "4", "--g3", "0", "--resolution", "201"],
+                                  *_seeded_curves()])
+def test_curve_points_fixed_point_exit_matches_60_steps(capsys, monkeypatch, argv):
+    # a step that moves no bracket is repeated by every later one, so leaving
+    # the loop there prints what all 60 steps print.  The README command's
+    # brackets near y = 0 keep halving in ulps and never stop early.
+    out, steps = _curve_points_steps(capsys, monkeypatch, argv)
+    monkeypatch.setattr(np, "array_equal", lambda *a: False)  # no fixed point seen
+    want, all_steps = _curve_points_steps(capsys, monkeypatch, argv)
+    assert all_steps == 60
+    assert out == want
+    assert steps == 60 if argv[-1] == "201" else steps < 60
+
+
 def test_weierstrass_embed_computes_eisenstein_once(capsys, monkeypatch):
     from projquant import weierstrass
 

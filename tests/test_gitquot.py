@@ -26,8 +26,8 @@ from projquant.gitquot import (
     orbit_dim,
     orbit_meets_zero_level,
     semistable,
-    zero_level,
 )
+from reference_routes import zero_level
 
 F = Fraction
 X0 = Polynomial.variable(2, 0)
@@ -348,9 +348,12 @@ def test_orbit_search_properties(case, lam):
 
 @pytest.mark.parametrize("weights, x", [
     ((-1, 1), (1.0, 1e-13)), ((-1, 1), (1e-13, 1.0)), ((-1, 2), (1.0, 1e-19)),
-    ((-2, 1, 3), (1.0, 1e-30, 1e-40))])
+    ((-2, 1, 3), (1.0, 1e-30, 1e-40)), ((-1, 1, -2), (1e9, 1.0, 1.0)),
+    ((-100, 1), (1e-300, 1e300))])
 def test_orbit_search_at_extreme_modulus_ratios(weights, x):
-    # the roots lie far outside |s| <= 14, s = ln(1e26) / 4 for the first
+    # the roots lie far outside |s| <= 14, s = ln(1e26) / 4 for the first;
+    # at the start of (-1, 1, -2) the slope is exactly 0, so the midpoint
+    # follows; at the root of the last e^(100 s) overflows, the witness not
     action = LinearAction.from_weights(weights)
     met, witness = orbit_meets_zero_level(action, np.array(x, dtype=complex), tol=1e-9)
     assert met
@@ -361,7 +364,8 @@ def test_orbit_search_at_extreme_modulus_ratios(weights, x):
 @given(weighted_points(moduli=st.floats(-100.0, 100.0).map(lambda e: 10.0 ** e)))
 def test_orbit_search_over_wide_moduli(case):
     # moduli log-uniform in [1e-100, 1e100]: the verdict is the weight-hull
-    # test, found before the 200-evaluation cap
+    # test, found before the 200-evaluation cap; a root strictly inside the
+    # orbit is confirmed by at least one evaluation
     weights, x = case
     action = LinearAction.from_weights(weights)
     on_support = [w for w, c in zip(weights, x) if c != 0]
@@ -369,50 +373,56 @@ def test_orbit_search_over_wide_moduli(case):
         met, witness = orbit_meets_zero_level(action, x, tol=1e-9)
     assert met == (min(on_support) <= 0 <= max(on_support))
     assert evals.call_count < 200
+    if min(on_support) < 0 < max(on_support):
+        assert evals.call_count >= 1
     if met:
         assert abs(moment_map(action, witness)[0]) <= 1e-9
 
 
 @settings(max_examples=200, deadline=None)
-@given(weighted_points(rows=8), st.sampled_from([1e-9, 1e-12]))
-def test_orbit_search_batch_matches_rows(case, tol):
-    from projquant.gitquot import _orbit_search, _witness
+@given(weighted_points(rows=8))
+def test_zero_level_samples_are_the_per_point_witnesses(case):
+    # the sampler's rows are, bit for bit, the witnesses that
+    # orbit_meets_zero_level returns for the same rays one at a time; a
+    # witness at a limit is that one-parameter limit
+    from projquant.gitquot import _rays, _zero_level_samples
 
     weights, V = case
     action = LinearAction.from_weights(weights)
-    found = _orbit_search(weights, V, tol)
-    for v, s in zip(V, found):
-        met, witness = orbit_meets_zero_level(action, v, tol=tol)
-        assert met == (not np.isnan(s))
-        if not met:
-            continue
-        batch_witness = _witness(weights, v, s)[1]
-        for p in (witness, batch_witness):
-            assert abs(moment_map(action, p)[0]) <= tol
-        if np.isinf(s):  # a one-parameter limit
-            limit = one_param_limit(weights, v, "0" if s < 0 else "inf")
-            assert batch_witness.coords == witness.coords == limit.coords
+    count = len(V)
+    got = _zero_level_samples(action, _ScriptedNormal(list(V) * 50), count)
+    want = []
+    for x in _rays(_ScriptedNormal(list(V) * 50), 50 * count, len(weights)):
+        if len(want) == count:
+            break
+        met, witness = orbit_meets_zero_level(action, x, tol=1e-12)
+        on_support = [w for w, c in zip(weights, x) if c != 0]
+        if 0 in (min(on_support), max(on_support)):
+            limit = one_param_limit(weights, x, "0" if min(on_support) == 0 else "inf")
+            assert witness.coords == limit.coords
+        if met:
+            assert abs(moment_map(action, witness)[0]) <= 1e-12
+        if met and abs(moment_map(action, witness)[0]) <= 1e-10:
+            want.append(list(witness.coords))
+    assert got.tolist() == want
 
 
 @settings(max_examples=200, deadline=None)
 @given(weighted_points(), st.floats(-14.0, 14.0))
 def test_ray_closed_form_matches_moment_map(case, s):
-    from projquant.gitquot import _ray_moment_map
+    from projquant.gitquot import _log_moduli, _ray_moment_map
 
     weights, x = case
     w = np.array(weights, dtype=float)
     action = LinearAction.from_weights(weights)
-    with np.errstate(divide="ignore"):
-        log_a = 2.0 * np.log(np.abs(x))
+    log_a = _log_moduli(x).tolist()
     direct = moment_map(action, x * np.exp(s * w))[0]
     scale = max(max(abs(w)) / (2 * math.pi), abs(direct))  # |mu| bound
-    on_grid = _ray_moment_map(log_a[None, None, :], np.array([[s], [0.0]]), w)[0]
-    mu, slope = (float(a[0]) for a in _ray_moment_map(log_a[None, :], np.array([[s]]), w))
-    assert abs(on_grid[0, 0] - direct) <= 1e-13 * scale
+    mu, slope = _ray_moment_map(weights, log_a, s)
     assert abs(mu - direct) <= 1e-13 * scale
     # central difference, error O(h^2 |mu'''|) + O(eps |mu| / h)
     h = 1e-5
-    up, down = _ray_moment_map(log_a[None, :], np.array([[s + h], [s - h]]), w)[0]
+    up, down = (_ray_moment_map(weights, log_a, t)[0] for t in (s + h, s - h))
     assert abs(slope - (up - down) / (2 * h)) <= 1e-7 * max(1.0, max(abs(w)) ** 2)
 
 
@@ -630,14 +640,14 @@ def test_zero_level_samples_stop_at_last_accepted_ray():
 def test_orbit_search_reports_the_t_to_0_limit_first():
     # with every support weight 0 both limits lie on the zero level; the
     # t -> 0 limit (-inf) wins, as orbit_meets_zero_level documents
-    from projquant.gitquot import _orbit_search
+    from projquant.gitquot import _log_moduli, _orbit_root
 
     V = np.array([[1.0, 0.0, 0.0], [0.3, -2j, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
-    s = _orbit_search((0, 0, 2), V, 1e-9)
-    assert s[0] == s[1] == -np.inf
-    assert np.isnan(s[2])  # support weight 2 only: mu = 1 / pi
-    assert s[3] == -np.inf  # least support weight 0
-    assert _orbit_search((-2, 0), np.array([[1.0, 1.0]]), 1e-9)[0] == np.inf
+    s = [_orbit_root((0, 0, 2), log_a, 1e-9) for log_a in _log_moduli(V).tolist()]
+    assert s[0] == s[1] == -math.inf
+    assert math.isnan(s[2])  # support weight 2 only: mu = 1 / pi
+    assert s[3] == -math.inf  # least support weight 0
+    assert _orbit_root((-2, 0), _log_moduli(np.array([1.0, 1.0])).tolist(), 1e-9) == math.inf
 
 
 def _kirwan_reference(action, inv, n_samples, seed):

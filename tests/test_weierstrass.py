@@ -13,16 +13,13 @@ from projquant.weierstrass import (
     Lattice,
     LatticePointError,
     eisenstein,
-    eisenstein_lattice,
     embed,
     ode_residual,
-    ode_residual_lattice,
     wp,
-    wp_lattice,
     wp_prime,
-    wp_prime_lattice,
 )
 from projquant.weierstrass import _power_tail
+from reference_routes import eisenstein_lattice, ode_residual_lattice, wp_lattice, wp_prime_lattice
 
 TAU_SQUARE = 1j
 TAU_RECT = 2j
