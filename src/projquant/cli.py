@@ -238,25 +238,27 @@ def cmd_moment_map(args, config: RunConfig) -> int:
 
 
 def _weight_invariants(action):
-    """Certified monomial invariants of a diagonal gitquot.LinearAction, by
-    weight search.
+    """Certified monomial invariants of a diagonal gitquot.LinearAction, read
+    off its weights: X_k for each w_k = 0, then X_i^(w_j/g) X_j^(-w_i/g),
+    g = gcd(w_i, w_j), for each pair w_i < 0 < w_j.  A monomial is nonzero
+    exactly where its support lies in the point's, and a support carries an
+    invariant monomial iff it has a zero weight or weights of both signs, so
+    the set's common zeros are exactly those of the invariant ring.  It need
+    not generate the ring: weights (2,-1,-1) also have X0 X1 X2.
+    Returns None when there are none (all weights of one sign)."""
+    import math
 
-    Monomials X^a with sum(a_i w_i) = 0 and total degree <= 4 are invariant;
-    keeps each that no kept one divides (weights (-1,0,1): X1 and X0 X2).
-    Returns None when there are none (e.g. all weights of one sign)."""
     from . import gitquot
-    from .poly import Polynomial, monomials_of_degree
+    from .poly import Polynomial
 
     weights = action.weights
-    kept = []
-    for deg in range(1, 5):
-        for mono in monomials_of_degree(len(weights), deg):
-            if (sum(e * w for e, w in zip(mono, weights)) == 0
-                    and not any(all(a <= b for a, b in zip(k, mono)) for k in kept)):
-                kept.append(mono)
+    X = [Polynomial.variable(len(weights), k) for k in range(len(weights))]
+    kept = [X[k] for k, w in enumerate(weights) if w == 0]
+    kept += [X[i] ** (wj // math.gcd(wi, wj)) * X[j] ** (-wi // math.gcd(wi, wj))
+             for i, wi in enumerate(weights) for j, wj in enumerate(weights) if wi < 0 < wj]
     if not kept:
         return None
-    return gitquot.InvariantSet.certified([Polynomial.monomial(len(weights), a) for a in kept], action)
+    return gitquot.InvariantSet.certified(kept, action)
 
 
 def _test_function(family: dict, name: str, flag: str):

@@ -22,8 +22,6 @@ import numpy as np
 from .poly import Polynomial
 from .projgeo import ProjPoint
 
-K_ORBIT_TOL = 1e-8
-
 
 class EmptyInvariantSetError(ValueError):
     pass
@@ -280,70 +278,6 @@ def is_stable(action: LinearAction, x, inv: InvariantSet,
         for direction in ("0", "inf"))
 
 
-def k_orbit_equivalent(action: LinearAction, p: ProjPoint, q: ProjPoint,
-                       tol: float = K_ORBIT_TOL) -> bool:
-    """Equivalence of zero-level points under K times projective scaling.
-
-    q ~ p iff they share a zero pattern, their moduli agree up to one
-    overall scale, and the phase profile differs by phi + theta * w_j for
-    some phases phi, theta.
-    """
-    V = np.array([p.to_complex(), q.to_complex()])
-    return bool(_k_orbit_matrix(action.weights, V, tol)[0, 1])
-
-
-def _k_orbit_matrix(weights, V: np.ndarray, tol: float) -> np.ndarray:
-    """M[i, j]: row j of V is k_orbit_equivalent to row i.  Rows with
-    different zero patterns never match.  Within a pattern, the moduli of
-    row i scaled to row j's first support coordinate must agree with row j's
-    to tol * max |v_j|, and the phases arg(v_j / v_i) on the support must be
-    phi + theta w (mod 2 pi)."""
-    M = np.zeros((len(V), len(V)), dtype=bool)
-    patterns, group = np.unique(V != 0, axis=0, return_inverse=True)
-    for g, live in enumerate(patterns):
-        rows = np.flatnonzero(group == g)
-        U = V[rows][:, live]
-        R = np.abs(U)
-        scaled = R[None, :, :1] / R[:, None, :1] * R[:, None, :]  # [i, j, l]
-        match = np.max(np.abs(R[None] - scaled), axis=2) <= tol * np.max(R, axis=1)
-        w = np.array(weights, dtype=float)[live]
-        if np.ptp(w) > 0:
-            # alpha_l = phi + theta w_l (mod 2 pi): solve from the extremal
-            # pair, trying each branch of the 2-pi ambiguity, then verify all
-            alpha = np.angle(U[None, :, :] / U[:, None, :])
-            j_hi, j_lo = int(np.argmax(w)), int(np.argmin(w))
-            span = w[j_hi] - w[j_lo]
-            base = (alpha[..., j_hi] - alpha[..., j_lo]) / span
-            phase = np.zeros_like(match)
-            for branch in range(int(span)):
-                theta = (base + 2.0 * math.pi * branch / span)[..., None]
-                phi = alpha[..., j_lo:j_lo + 1] - theta * w[j_lo]
-                resid = np.angle(np.exp(1j * (alpha - (phi + theta * w))))
-                phase |= np.max(np.abs(resid), axis=2) <= tol
-            match &= phase
-        M[np.ix_(rows, rows)] = match
-    return M
-
-
-def count_k_orbit_classes(action: LinearAction, points,
-                          tol: float = K_ORBIT_TOL) -> int:
-    """Number of K-orbit equivalence classes among the given points
-    (ProjPoints or coordinate rows)."""
-    V = np.array([_coords(p) for p in points], dtype=complex).reshape(-1, action.n + 1)
-    return _greedy_count(_k_orbit_matrix(action.weights, V, tol))
-
-
-def _greedy_count(M: np.ndarray) -> int:
-    """Greedy class count over a match matrix: row j opens a class unless
-    M[i, j] holds for a row i that opened one before it."""
-    covered, count = np.zeros(len(M), dtype=bool), 0
-    for j in range(len(M)):
-        if not covered[j]:
-            covered |= M[j]
-            count += 1
-    return count
-
-
 def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
                                 n_samples: int = 200, seed: int = 0) -> dict:
     """Sample-based check of the semistable/zero-level correspondence.
@@ -353,9 +287,13 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
     level, read off the moment map's limits: along the orbit mu runs
     monotonically between w_lo / 2 pi and w_hi / 2 pi, the extremal weights
     on the support, so the closure meets 0 exactly when w_lo <= 0 <= w_hi.
-    The zero level must consist of semistable points only; finally the
-    zero-level samples are grouped into K-orbit classes and the class count
-    reported.
+    The zero level must consist of semistable points only.  The quotient's
+    complex dimension is read off the weights, not sampled: the zero level
+    mod K is the GIT quotient (Kempf-Ness), n - 1 dimensional when the
+    weights take both signs (full-support points are semistable, with
+    one-dimensional orbits), else the P^(z-1) of the z zero-weight
+    coordinates.  One sign and no zero weight leaves no invariant, and the
+    report stops before.
     """
     weights = action.weights
     if inv is None or not inv.polys:
@@ -387,8 +325,6 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
     zl_phases = _zero_level_samples(action, rng, count=64)
     zl_moduli = _invariant_moduli(inv, np.concatenate([V[zl], zl_phases]))
     zero_all_semistable = bool(np.all(np.any(zl_moduli > 1e-12, axis=1)))
-    classes = count_k_orbit_classes(action, zl_phases) if len(zl_phases) else 0
-    inv_classes = _invariant_value_classes(inv, zl_phases) if len(zl_phases) else 0
     return {
         "n_samples": len(points),
         "samples": rows,
@@ -396,9 +332,7 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
         "mismatches": mismatches,
         "zero_level_sampled": int(np.count_nonzero(zl)),
         "zero_level_all_semistable": zero_all_semistable,
-        "quotient_classes": classes,
-        "invariant_value_classes": inv_classes,
-        "quotient_matches_invariants": classes == inv_classes,
+        "quotient_dim": action.n - 1 if min(weights) < 0 < max(weights) else weights.count(0) - 1,
     }
 
 
@@ -408,17 +342,6 @@ def _format_rows(V: np.ndarray) -> list[str]:
     projgeo._format_coord writes a complex float."""
     return ["(" + " : ".join(repr(c.real) if c.imag == 0 else repr(c) for c in row) + ")"
             for row in V.tolist()]
-
-
-def _invariant_value_classes(inv: InvariantSet, V: np.ndarray, tol: float = 1e-6) -> int:
-    """Classify the points, the rows of V, by the scale-normalized moduli of
-    the invariants.
-
-    |F(x)| / ||x||^deg F is constant on K-orbits and on projective classes,
-    so the number of distinct value vectors lower-bounds the fiber count of
-    the invariant-theory quotient on the sampled set."""
-    vectors = _invariant_moduli(inv, V)
-    return _greedy_count(np.max(np.abs(vectors[:, None] - vectors[None]), axis=2) <= tol)
 
 
 def _zero_level_samples(action: LinearAction, rng, count: int = 64) -> np.ndarray:

@@ -6,7 +6,11 @@ No command or library call of projquant reaches them.
   converge like O(1/N^2); the program's nome route agrees with them within
   their own tail.
 * The sampled zero level of a circle action's moment map, ||mu(x)|| <= tol.
+* The dimension of a circle action's quotient as the growth degree of the
+  number of invariant monomials per degree.
 """
+
+import math
 
 import numpy as np
 
@@ -72,3 +76,29 @@ def zero_level(action: LinearAction, points, tol: float) -> list:
     V = np.array([_coords(p) for p in points]).reshape(len(points), action.n + 1)
     mu = np.linalg.norm(_moment_rows(action, V), axis=1)
     return [p for p, r in zip(points, mu) if r <= tol]
+
+
+def invariant_monomial_counts(weights, D: int) -> list:
+    """h(d) for d = 0..D: the number of monomials X^a of degree d with
+    a . w = 0, from the generating function prod_k 1 / (1 - t s^(w_k)): a
+    table over (degree, weight), each coordinate's factor applied as
+    T[d, s] += T[d - 1, s - w_k] in increasing d."""
+    lo, hi = D * min(0, *weights), D * max(0, *weights)
+    T = np.zeros((D + 1, hi - lo + 1), dtype=np.int64)
+    T[0, -lo] = 1
+    for w in weights:
+        for d in range(1, D + 1):
+            if w >= 0:
+                T[d, w:] += T[d - 1, :T.shape[1] - w]
+            else:
+                T[d, :w] += T[d - 1, -w:]
+    return T[:, -lo].tolist()
+
+
+def invariant_growth_degree(weights, D: int = 80) -> float:
+    """log2(C(2D) / C(D)) - 1 for C(D) = h(0) + ... + h(D).  The invariant
+    monomials span the invariant ring, so h is its Hilbert function, a
+    quasi-polynomial whose degree is the dimension of the quotient Proj;
+    C(D) = c D^(dim + 1) (1 + O(1 / D)), so this tends to that dimension."""
+    h = invariant_monomial_counts(weights, 2 * D)
+    return math.log2(sum(h) / sum(h[:D + 1])) - 1

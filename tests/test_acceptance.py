@@ -394,10 +394,8 @@ def test_symplectic_git_correspondence():
         failures.append(f"{report_data['mismatches']} equivalence mismatches")
     if not report_data["zero_level_all_semistable"]:
         failures.append("zero level not semistable")
-    if report_data["quotient_classes"] != 1:
-        failures.append(f"quotient classes {report_data['quotient_classes']}")
-    if not report_data["quotient_matches_invariants"]:
-        failures.append("orbit classes disagree with invariant classification")
+    if report_data["quotient_dim"] != 0:
+        failures.append(f"quotient dimension {report_data['quotient_dim']}, not a point")
     fixed = [r for r in report_data["samples"]
              if r["point"] in ("(1.0 : 0.0)", "(0.0 : 1.0)")]
     if len(fixed) != 2 or any(r["semistable"] or r["orbit_meets_zero_level"]

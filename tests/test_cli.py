@@ -411,8 +411,19 @@ def test_moment_map_report(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["report"]["equivalence_holds"] is True
-    assert payload["report"]["quotient_classes"] == 1
+    assert payload["report"]["quotient_dim"] == 0
     assert payload["invariants"] == ["X0*X1"]
+
+
+def test_moment_map_invariants_past_degree_4(capsys):
+    # the smallest invariant of (-5, 7) has degree 12; a degree cap of 4
+    # left the report undecided
+    code, out = run_cli(capsys, "moment-map", "--weights=-5,7", "--samples", "20")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["invariants"] == ["X0^7*X1^5"]
+    assert payload["report"]["equivalence_holds"] is True
+    assert payload["report"]["zero_level_all_semistable"] is True
 
 
 def test_moment_map_tolerance_only_from_config(capsys):

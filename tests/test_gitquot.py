@@ -16,10 +16,8 @@ from projquant.gitquot import (
     EmptyInvariantSetError,
     InvariantSet,
     LinearAction,
-    count_k_orbit_classes,
     infinitesimal_invariance,
     is_stable,
-    k_orbit_equivalent,
     kirwan_correspondence_check,
     moment_map,
     one_param_limit,
@@ -27,7 +25,7 @@ from projquant.gitquot import (
     orbit_meets_zero_level,
     semistable,
 )
-from reference_routes import zero_level
+from reference_routes import invariant_growth_degree, zero_level
 
 F = Fraction
 X0 = Polynomial.variable(2, 0)
@@ -474,52 +472,6 @@ def test_weight_invariants_keep_every_generator_of_degree_at_most_4():
     assert semistable(pt(F(1), F(0), F(1)), inv)
 
 
-# -- K-orbit classes ---------------------------------------------------------------------
-
-def test_k_orbit_equivalence_on_zero_level():
-    a = pt(1.0, 1.0)
-    b = pt(np.exp(0.3j), np.exp(-0.9j))  # same moduli, arbitrary phases
-    c = pt(1.0, 2.0)
-    rescaled = pt(2.0 * np.exp(1j), 2.0 * np.exp(1j))  # projective rescaling of a
-    assert k_orbit_equivalent(HYPERBOLIC, a, b)
-    assert not k_orbit_equivalent(HYPERBOLIC, a, c)
-    assert count_k_orbit_classes(HYPERBOLIC, [a, b, rescaled]) == 1
-
-
-def test_quotient_of_hyperbolic_zero_level_is_a_point():
-    rng = np.random.default_rng(0)
-    phases = rng.uniform(0, 2 * np.pi, size=24)
-    pts = [pt(np.exp(1j * a), np.exp(1j * b))
-           for a, b in zip(phases[:12], phases[12:])]
-    assert count_k_orbit_classes(HYPERBOLIC, pts) == 1
-
-
-
-def test_k_orbit_classes_against_pairwise_greedy():
-    cases = [
-        ((-1, 1, 1), [(math.sqrt(2), 1.0, 1.0), (math.sqrt(5), 1.0, 2.0), (1.0, 1.0, 0.0),
-                      (1.0, 0.0, 1.0)]),
-        # three support patterns; theta is read off the extremal pair only up
-        # to 2 pi / 5 on the full support and 2 pi / 3 on (x0, x1)
-        ((-2, 1, 3), [(math.sqrt(2), 1.0, 1.0), (math.sqrt(3), math.sqrt(3), 1.0),
-                      (math.sqrt(3), 0.0, math.sqrt(2)), (1.0, math.sqrt(2), 0.0)])]
-    for weights, moduli in cases:
-        action = LinearAction.from_weights(weights)
-        rng = np.random.default_rng(3)
-        points = []
-        for _ in range(6):
-            for r in moduli:
-                phi, theta = rng.uniform(0, 2 * np.pi, 2)  # a K-orbit and projective move
-                phases = np.exp(1j * (phi + theta * np.array(weights, dtype=float)))
-                points.append(pt(*(2.0 * np.array(r) * phases)))
-        points.append(pt(math.sqrt(2), 1.0, 1j))  # same moduli, a phase profile of its own
-        points.append(pt(*points[0].coords[:2], 0.0))  # agrees with points[0] on its support
-        reps = []
-        for p in points:
-            if not any(k_orbit_equivalent(action, r, p) for r in reps):
-                reps.append(p)
-        assert count_k_orbit_classes(action, points) == len(reps) == 6
-
 # -- the correspondence check --------------------------------------------------------------
 
 def test_kirwan_correspondence_hyperbolic():
@@ -528,9 +480,7 @@ def test_kirwan_correspondence_hyperbolic():
     assert report["equivalence_holds"] is True
     assert report["mismatches"] == 0
     assert report["zero_level_all_semistable"] is True
-    assert report["quotient_classes"] == 1
-    assert report["invariant_value_classes"] == 1
-    assert report["quotient_matches_invariants"] is True
+    assert report["quotient_dim"] == 0
     # the two fixed points are in the sample and fail both sides
     fixed_rows = [r for r in report["samples"]
                   if r["point"] in ("(1.0 : 0.0)", "(0.0 : 1.0)")]
@@ -545,45 +495,50 @@ def test_kirwan_correspondence_hyperbolic():
     assert generic["limit_t_to_inf"].startswith("(0.0 :")
 
 
-def _greedy_value_classes(inv, points, tol=1e-6):
-    """Pairwise greedy reference for _invariant_value_classes: scalar
-    evaluations, each vector compared with one class at a time."""
-    classes = []
-    for p in points:
-        v = p.to_complex()
-        nrm = float(np.linalg.norm(v))
-        vec = [abs(F.evaluate(v)) / nrm ** F.degree() for F in inv.polys]
-        if not any(max(abs(a - b) for a, b in zip(vec, c)) <= tol for c in classes):
-            classes.append(vec)
-    return len(classes)
+def test_quotient_of_hyperbolic_zero_level_is_a_point():
+    # the zero level of (-1, 1) is |x0| = |x1|, and two such points differ
+    # by phases phi + theta w, which solve for any two phases: one K-orbit
+    # up to scale, and the invariant ring C[X0 X1] has one monomial in each
+    # even degree
+    from projquant.gitquot import _zero_level_samples
+
+    report = kirwan_correspondence_check(HYPERBOLIC, INV, n_samples=20, seed=0)
+    assert report["quotient_dim"] == 0
+    moduli = np.abs(_zero_level_samples(HYPERBOLIC, np.random.default_rng(0), count=12))
+    assert len(moduli) == 12 and np.allclose(moduli[:, 0], moduli[:, 1], rtol=1e-12, atol=0.0)
 
 
-def test_invariant_value_classes_against_pairwise_greedy():
-    from projquant.gitquot import _invariant_value_classes
+@pytest.mark.parametrize("weights, dim", [
+    ((-1, 1), 0), ((-1, 2), 0), ((-1, 1, 1), 1), ((-1, 0, 1), 1), ((2, -1, -1), 1), ((0, 1), 0),
+    ((0, 1, 1), 0), ((0, 0, 0), 2), ((-7, -2, 3, 11, 0, 1), 4)])
+def test_quotient_dim_is_the_growth_degree_of_invariant_monomials(weights, dim):
+    # the second route counts the degree-d monomials with a . w = 0 exactly;
+    # an off-by-one dimension lands 0.75 or more away from its estimate
+    from projquant.cli import _weight_invariants
 
-    action = LinearAction.from_weights((-1, 1, 1))
-    y = [Polynomial.variable(3, j) for j in range(3)]
-    inv = InvariantSet.certified([y[0] * y[1], y[0] * y[2]], action)
-    tol = 1e-6
+    action = LinearAction.from_weights(weights)
+    report = kirwan_correspondence_check(action, _weight_invariants(action), n_samples=10)
+    assert report["quotient_dim"] == dim
+    assert abs(invariant_growth_degree(weights) - dim) < 0.25
 
-    def values(x):
-        return np.array([abs(F.evaluate(x)) for F in inv.polys]) / np.linalg.norm(x) ** 2
 
-    rng = np.random.default_rng(11)
-    points = []
-    for _ in range(6):
-        base = rng.normal(size=3) + 1j * rng.normal(size=3)
-        step = rng.normal(size=3)
-        rate = np.max(np.abs(values(base + 1e-4 * step) - values(base))) / 1e-4
-        # sup-norm distances 0.5, 0.9, 1.5 and 2 tol from the base along one
-        # line: the first two join the base's class, the last two a new one
-        points.append(pt(*base))
-        points += [pt(*(base + c * tol / rate * step)) for c in (0.5, 0.9, 1.5, 2.0)]
-    got = _invariant_value_classes(inv, np.array([p.to_complex() for p in points]), tol)
-    assert got == _greedy_value_classes(inv, points, tol) == 12
-    rng.shuffle(points)
-    assert (_invariant_value_classes(inv, np.array([p.to_complex() for p in points]), tol)
-            == _greedy_value_classes(inv, points, tol))
+@pytest.mark.parametrize("weights", [(-5, 7), (-3, 5), (-1, 0, 5), (-2, -1, 3), (-3, -1, 2, 3),
+                                     (-7, -2, 3, 11, 0, 1), (-1, 0, 1), (-1, 1, 1), (2, -1, -1)])
+def test_weight_invariants_decide_every_support(weights):
+    # at the indicator point of a support S a monomial is nonzero exactly
+    # when its support lies in S, so the invariant verdict there is exact;
+    # it must be the orbit verdict w_lo <= 0 <= w_hi on S
+    from projquant.cli import _weight_invariants
+
+    action = LinearAction.from_weights(weights)
+    inv = _weight_invariants(action)
+    n = len(weights)
+    for size in range(1, n + 1):
+        for S in itertools.combinations(range(n), size):
+            x = ProjPoint(tuple(F(int(k in S)) for k in range(n)))
+            met = min(weights[k] for k in S) <= 0 <= max(weights[k] for k in S)
+            assert orbit_meets_zero_level(action, x)[0] == met
+            assert semistable(x, inv) == met, S
 
 
 @pytest.mark.parametrize("weights, count", [((-1, 1, 1), 64), ((0, 1), 8), ((1, 2), 3)])
@@ -652,7 +607,8 @@ def test_orbit_search_reports_the_t_to_0_limit_first():
 
 def _kirwan_reference(action, inv, n_samples, seed):
     """kirwan_correspondence_check one point and one ray at a time, each orbit
-    verdict from the root search of orbit_meets_zero_level."""
+    verdict from the root search of orbit_meets_zero_level, the quotient's
+    dimension from the growth of the invariant monomial count."""
     rng = np.random.default_rng(seed)
     n = action.n + 1
 
@@ -680,8 +636,6 @@ def _kirwan_reference(action, inv, n_samples, seed):
         met, witness = orbit_meets_zero_level(action, draw(), tol=1e-12)
         if met and abs(moment_map(action, witness)[0]) <= 1e-10:
             phases.append(witness)
-    classes = count_k_orbit_classes(action, phases) if phases else 0
-    inv_classes = _greedy_value_classes(inv, phases) if phases else 0
     return {
         "n_samples": len(points),
         "samples": rows,
@@ -689,9 +643,7 @@ def _kirwan_reference(action, inv, n_samples, seed):
         "mismatches": mismatches,
         "zero_level_sampled": len(zl),
         "zero_level_all_semistable": all(semistable(p, inv, tol=1e-12) for p in zl + phases),
-        "quotient_classes": classes,
-        "invariant_value_classes": inv_classes,
-        "quotient_matches_invariants": classes == inv_classes,
+        "quotient_dim": round(invariant_growth_degree(action.weights)),
     }
 
 
