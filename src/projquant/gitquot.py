@@ -113,7 +113,9 @@ class InvariantSet:
 
 def semistable(x, inv: InvariantSet, tol: float = 0.0) -> bool:
     """x is semistable (relative to the supplied invariants) when some
-    nonconstant invariant does not vanish at it; scale-invariant test."""
+    nonconstant invariant does not vanish at it; scale-invariant test.  At a
+    float point, tol bounds (|F(x)| / |x|^deg F)^(1 / deg F), which is on the
+    scale of a coordinate whatever the degree of F."""
     if not inv.polys:
         raise EmptyInvariantSetError("cannot decide semistability from an empty set")
     if isinstance(x, ProjPoint) and x.is_exact and tol == 0.0:
@@ -122,10 +124,24 @@ def semistable(x, inv: InvariantSet, tol: float = 0.0) -> bool:
 
 
 def _invariant_moduli(inv: InvariantSet, V: np.ndarray) -> np.ndarray:
-    """|F(v)| / ||v||^deg F for each row v of V, one column per invariant."""
-    nrm = np.linalg.norm(V, axis=1)
-    return np.stack([np.abs(F.evaluate_array(V.T)) / nrm ** F.degree()
-                     for F in inv.polys], axis=1)
+    """(|F(v)| / ||v||^deg F)^(1 / deg F) for each row v of V, one column per
+    invariant: for a monomial, the weighted geometric mean of |v_k| / ||v||
+    over its variables, so one threshold serves every degree.  Each term's
+    log modulus and phase are sums over u = v / ||v||, and the terms are
+    shifted by the row's largest log modulus before they are summed, so no
+    product of moduli underflows: X0^201 X1^200 at (1e-3 : 1) reads 0.03,
+    not 0."""
+    U = V / np.linalg.norm(V, axis=1)[:, None]
+    log_u, arg_u = _log_moduli(U) / 2.0, np.angle(U)
+    cols = []
+    for F in inv.polys:
+        terms = [(complex(c), sum(e * log_u[:, k] for k, e in enumerate(m) if e),
+                  sum(e * arg_u[:, k] for k, e in enumerate(m) if e)) for m, c in F.iter_terms()]
+        top = np.max([r for _, r, _ in terms], axis=0)
+        top = np.where(top > -np.inf, top, 0.0)  # every term 0: no shift
+        total = sum(c * np.exp(r - top) * np.exp(1j * t) for c, r, t in terms)
+        cols.append(np.exp((top + _log_moduli(total) / 2.0) / F.degree()))
+    return np.stack(cols, axis=1)
 
 
 def orbit_dim(action: LinearAction, x) -> int:
@@ -308,8 +324,9 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
     head = _rays(rng, max(0, n_samples - 2 * n), n)
     tail = _rays(rng, max(0, n_samples - len(head) - n), n)  # after every coordinate fixed point
     V = np.concatenate([head, np.eye(n), tail])
-
-    semi = np.any(_invariant_moduli(inv, V) > 1e-12, axis=1)
+    zl_phases = _zero_level_samples(action, rng, count=64)
+    semi, zl_semi = np.split(np.any(_invariant_moduli(inv, np.concatenate([V, zl_phases])) > 1e-12,
+                                    axis=1), [len(V)])
     w_lo, w_hi = _extremal_weights(weights, V)
     met = (w_lo <= 0) & (w_hi >= 0)
     mismatches = int(np.count_nonzero(semi != met))
@@ -322,9 +339,7 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
                                               *limits)]
 
     zl = np.linalg.norm(mus, axis=1) <= 1e-7
-    zl_phases = _zero_level_samples(action, rng, count=64)
-    zl_moduli = _invariant_moduli(inv, np.concatenate([V[zl], zl_phases]))
-    zero_all_semistable = bool(np.all(np.any(zl_moduli > 1e-12, axis=1)))
+    zero_all_semistable = bool(np.all(semi[zl]) and np.all(zl_semi))
     return {
         "n_samples": len(points),
         "samples": rows,

@@ -415,13 +415,17 @@ def test_moment_map_report(capsys):
     assert payload["invariants"] == ["X0*X1"]
 
 
-def test_moment_map_invariants_past_degree_4(capsys):
-    # the smallest invariant of (-5, 7) has degree 12; a degree cap of 4
-    # left the report undecided
-    code, out = run_cli(capsys, "moment-map", "--weights=-5,7", "--samples", "20")
+@pytest.mark.parametrize("weights, invariant", [("-5,7", "X0^7*X1^5"), ("-9,11", "X0^11*X1^9"),
+                                                ("-40,41", "X0^41*X1^40")])
+def test_moment_map_invariants_past_degree_4(capsys, weights, invariant):
+    # the smallest invariants have degree 12, 20 and 81: a degree cap of 4
+    # left the report undecided, and a semistability threshold that shrank
+    # with the degree read every full-support sample of (-40, 41) unstable
+    code, out = run_cli(capsys, "moment-map", f"--weights={weights}")
     assert code == 0
     payload = json.loads(out)
-    assert payload["invariants"] == ["X0^7*X1^5"]
+    assert payload["invariants"] == [invariant]
+    assert payload["report"]["n_samples"] == 200
     assert payload["report"]["equivalence_holds"] is True
     assert payload["report"]["zero_level_all_semistable"] is True
 

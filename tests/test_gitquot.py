@@ -223,6 +223,26 @@ def test_semistable_examples():
     assert semistable(pt(2.0 + 1j, -0.5), INV, tol=1e-12)
 
 
+@pytest.mark.parametrize("weights, x", [((-1, 1), (0.3j, 1.0)), ((-40, 41), (1e-4, 1.0)),
+                                        ((-200, 201), (1e-3, 1.0 - 2j)), ((-1, 0, 5), (1e-5, 0, 1j))])
+def test_invariant_scale_is_a_weighted_geometric_mean(weights, x):
+    # a monomial reads prod (|x_k| / |x|)^(a_k / d): on the scale of a
+    # coordinate whatever its degree d, so one threshold serves every degree;
+    # X0^201 X1^200 at (1e-3 : 1 - 2i) is below 1e-600 before the root
+    from projquant.cli import _weight_invariants
+    from projquant.gitquot import _invariant_moduli
+
+    inv = _weight_invariants(LinearAction.from_weights(weights))
+    u = np.abs(np.array(x, dtype=complex)) / np.linalg.norm(np.array(x, dtype=complex))
+    want = []
+    for P in inv.polys:
+        (m, _), = P.terms.items()
+        want.append(math.prod(u[k] ** (a / P.degree()) for k, a in enumerate(m)))
+    got = _invariant_moduli(inv, np.array([x], dtype=complex))[0]
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert semistable(pt(*x), inv, tol=1e-12)
+
+
 def test_semistable_needs_invariants():
     with pytest.raises(EmptyInvariantSetError):
         semistable(pt(F(1), F(1)), InvariantSet(polys=()))
@@ -459,17 +479,13 @@ def test_stability_is_hilbert_mumford(weights):
 
 
 def test_weight_invariants_keep_every_generator_of_degree_at_most_4():
-    # for weights (-1, 0, 1) the invariant ring is generated by X1 and X0 X2;
-    # keeping only the lowest degree lost X0 X2, so (1:0:1), whose orbit
-    # closure meets the zero level, was not semistable
+    # for weights (-1, 0, 1) the invariant ring is generated by X1 (the zero
+    # weight) and X0 X2 (the one pair of opposite signs), both of low degree:
+    # the pair set is exactly these two, in that order
     from projquant.cli import _weight_invariants
 
-    action = LinearAction.from_weights((-1, 0, 1))
-    inv = _weight_invariants(action)
-    assert sorted(str(P) for P in inv.polys) == sorted(
-        str(P) for P in (Polynomial.variable(3, 1), Polynomial.monomial(3, (1, 0, 1))))
-    assert orbit_meets_zero_level(action, pt(F(1), F(0), F(1)))
-    assert semistable(pt(F(1), F(0), F(1)), inv)
+    inv = _weight_invariants(LinearAction.from_weights((-1, 0, 1)))
+    assert inv.polys == (Polynomial.variable(3, 1), Polynomial.monomial(3, (1, 0, 1)))
 
 
 # -- the correspondence check --------------------------------------------------------------
@@ -496,16 +512,17 @@ def test_kirwan_correspondence_hyperbolic():
 
 
 def test_quotient_of_hyperbolic_zero_level_is_a_point():
-    # the zero level of (-1, 1) is |x0| = |x1|, and two such points differ
-    # by phases phi + theta w, which solve for any two phases: one K-orbit
-    # up to scale, and the invariant ring C[X0 X1] has one monomial in each
-    # even degree
+    # Kempf-Ness: the quotient is the zero level mod K; points of the zero
+    # level of (-1, 1) are stable, with one-dimensional orbits in the line
+    # P^1, so the quotient has dimension 1 - 1 = 0, as the report states
     from projquant.gitquot import _zero_level_samples
 
     report = kirwan_correspondence_check(HYPERBOLIC, INV, n_samples=20, seed=0)
-    assert report["quotient_dim"] == 0
-    moduli = np.abs(_zero_level_samples(HYPERBOLIC, np.random.default_rng(0), count=12))
-    assert len(moduli) == 12 and np.allclose(moduli[:, 0], moduli[:, 1], rtol=1e-12, atol=0.0)
+    zl = _zero_level_samples(HYPERBOLIC, np.random.default_rng(0), count=12)
+    assert len(zl) == 12
+    for x in zl:
+        assert is_stable(HYPERBOLIC, x, INV, tol=1e-12)
+        assert report["quotient_dim"] == HYPERBOLIC.n - orbit_dim(HYPERBOLIC, x)
 
 
 @pytest.mark.parametrize("weights, dim", [
@@ -539,6 +556,22 @@ def test_weight_invariants_decide_every_support(weights):
             met = min(weights[k] for k in S) <= 0 <= max(weights[k] for k in S)
             assert orbit_meets_zero_level(action, x)[0] == met
             assert semistable(x, inv) == met, S
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("weights", [(-5, 7), (-9, 11), (-40, 41), (-200, 201), (-3, 2, -4, 5)])
+def test_kirwan_check_holds_at_high_invariant_degree(weights, seed):
+    # the largest pair invariants of these weights have degree 9 to 401;
+    # their moduli at Gaussian points must not fall below the fixed threshold
+    # with the degree (at 1e-12 on |F| / |x|^deg, (-40, 41) failed every
+    # sample, and (-9, 11) any sample with |x0|^2 / |x|^2 below 7e-3)
+    from projquant.cli import _weight_invariants
+
+    action = LinearAction.from_weights(weights)
+    report = kirwan_correspondence_check(action, _weight_invariants(action), seed=seed)
+    assert report["n_samples"] == 200
+    assert report["mismatches"] == 0 and report["equivalence_holds"]
+    assert report["zero_level_all_semistable"]
 
 
 @pytest.mark.parametrize("weights, count", [((-1, 1, 1), 64), ((0, 1), 8), ((1, 2), 3)])
