@@ -2,31 +2,16 @@
 (Toeplitz), the covariant-derivative operator of geometric quantization and
 the operator norm.
 
-Matrices are assembled in the closed-form orthonormal basis of sections.py
-with one angular FFT per radius and, for each parity of k - j, one real
-matrix product of the basis's radial table with the angular modes.  For R
-radii, A angles and n = m + 1 that is an R x A FFT plus about 8 R n^2 flops
-at BLAS-3 speed (4.3 GFLOP at m = 1024, R = 515, half of them for (s, D)
-pairs that fall outside the matrix).  A real symbol (node values of a real
-dtype) needs only the modes k - j >= 0: a real R x A FFT and about 4 R n^2
-flops (2.2 GFLOP at m = 1024), the rest by conjugation, so its matrix is
-Hermitian by construction and flagged so; op_norm then takes eigvalsh, not
-an SVD.  Memory is O(R A + n^2): the basis holds the (2m+1) x R table,
-8.4 MB at m = 1024, and the n x n scales.
-
 A level is given by m and its rule quad alone (default: the level's own
 build_quadrature(m)); every routine here finds its basis through
-sections.level_basis, which keeps the last basis it built and its rule:
-successive operators at one level pay for assembly alone.
-
-The level-m geometric-quantization operator uses the Hamiltonian field of f
-taken with respect to m*omega (the symplectic form whose prequantum bundle
-the level-m power is); with the divergence-form Laplacian of chart.py this
-makes the identity Q_f = i T_{f - Delta f / 2m} hold to quadrature accuracy,
-which the regression tests pin at build-determined tolerances.  Q_f is
-assembled as i T_f + D_f, D_f the projected covariant derivative, and the
-Tuynman residual is formed from the terms that differ, D_f + (i/2m) T_{Delta f}:
-the i T_f of both sides is never assembled.
+sections.level_basis, which keeps the last basis it built, its rule and its
+assembly plans: successive operators at one level pay for assembly alone.
+_assemble takes one angular FFT per radius, one real matrix product per
+parity of k - j (about 8 R (m+1)^2 flops for R radii, 4.3 GFLOP at
+m = 1024, R = 515), one gather through the basis's AssemblyPlan and one
+product with the pair scales.  A real symbol (node values of a real dtype)
+needs the modes k - j >= 0 only, half the flops, and its matrix is Hermitian
+by construction and flagged so; op_norm then takes eigvalsh, not an SVD.
 """
 
 from __future__ import annotations
@@ -34,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .chart import SmoothFunction
 from .quadrature import QuadratureRule
@@ -91,58 +75,27 @@ def _assemble(b: SectionBasis, values: np.ndarray) -> np.ndarray:
     radial_table[s, i] with s = j + k.  So entry (j, k) is pair_scale[j, k]
     mu_D(s), mu_D(s) = sum_i radial_table[s, i] M_D(r_i): the same quadrature
     sum as the dense pairing, regrouped.  D and s have the same parity, and
-    one real matrix product per parity gives mu for all of its (s, D).
-
-    Real values (a real dtype) have M_(-D) = conj(M_D), so a real-input FFT
-    gives the modes and the product runs over D >= 0 only; mu_(-D) = conj(mu_D)
-    fills the rest, and since pair_scale is symmetric the matrix is exactly
-    Hermitian.
+    one real matrix product per parity gives mu for all of its (s, D); the
+    plan says which cell each entry reads.  Real values (a real dtype) have
+    M_(-D) = conj(M_D): a real FFT gives the modes and the product runs over
+    D >= 0 only, mu_(-D) = conj(mu_D) filling the rest, so with pair_scale
+    symmetric the matrix is exactly Hermitian.
     """
-    m, n = b.m, b.dim
-    R, A = b.quad.radial_count, b.quad.angular_count
     real = np.isrealobj(values)
-    # for real values ihfft gives the inverse-FFT modes 0..A/2; mode k > A/2
-    # is conj(mode A - k)
-    modes = (np.fft.ihfft if real else np.fft.ifft)(np.reshape(values, (R, A)), axis=1)
+    plan = b.real_plan if real else b.complex_plan
+    modes = (np.fft.ihfft if real else np.fft.ifft)(
+        np.reshape(values, (b.quad.radial_count, b.quad.angular_count)), axis=1)
     modes *= b.radial_weights[:, None]
-    out = np.empty((n, n), dtype=complex)
-    for p in (0, 1):
-        D0 = -m + (m + p) % 2  # the k - j of parity p are D0, D0 + 2, ..., -D0
-        D = np.arange(D0, m + 1, 2)
-        table = b.radial_table[p::2]
-        if real:  # mu_D for D >= 0 from one product, then mu_(-D) = conj(mu_D)
-            neg = np.count_nonzero(D < 0)
-            k = D[neg:] % A
-            past = k > A // 2
-            mu = np.empty((table.shape[0], D.size), dtype=complex)
-            pos = mu[:, neg:]
-            _radial_product(table, modes, np.where(past, A - k, k), out=pos)
-            np.conjugate(pos, out=pos, where=past)
-            np.conjugate(mu[:, :-1 - neg:-1], out=mu[:, :neg])
-        else:
-            mu = _radial_product(table, modes, D % A)
-        # mu[t, e] = mu_D[e](2t + p).  Entry (2J + row, 2K + col) of the block
-        # out[row::2, col::2] has s = 2(J + K) + row + col and
-        # D = 2(K - J) + col - row, so it is element J (nD - 1) + K (nD + 1)
-        # + start of mu: a strided view.
-        nD, item = D.size, mu.itemsize
-        for row in (0, 1):
-            col = (row + p) % 2
-            block = out[row::2, col::2]
-            start = (row + col - p) // 2 * nD + (col - row - D0) // 2
-            view = as_strided(mu.reshape(-1)[start:], block.shape,
-                              ((nD - 1) * item, (nD + 1) * item), writeable=False)
-            np.multiply(view, b.pair_scale[row::2, col::2], out=block)
+    mu = np.empty((b.radial_table.shape[0], plan.columns[0].size), dtype=complex)
+    for p, columns in enumerate(plan.columns):
+        # the complex modes as (re, im) column pairs: one real product
+        np.matmul(b.radial_table[p::2], modes.take(columns, axis=1).view(float),
+                  out=mu[p::2].view(float))
+    out = mu.take(plan.index)
+    if real:
+        np.conjugate(out, out=out, where=plan.conjugate)
+    out *= b.pair_scale
     return out
-
-
-def _radial_product(table: np.ndarray, modes: np.ndarray, columns: np.ndarray,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """table @ modes[:, columns] (into out if given) as one real matrix
-    product, the complex modes taken as (re, im) column pairs."""
-    product = np.matmul(table, modes.take(columns, axis=1).view(float),
-                        out=None if out is None else out.view(float))
-    return product.view(complex)
 
 
 def toeplitz(f: SmoothFunction, m: int, quad: QuadratureRule | None = None,
@@ -165,11 +118,9 @@ def _toeplitz_of(b: SectionBasis, values: np.ndarray) -> OperatorMatrix:
 def geom_quant(f: SmoothFunction, m: int, quad: QuadratureRule | None = None) -> OperatorMatrix:
     """Project the prequantum operator -nabla_{X_f} + i f onto H^0: the
     matrix i T_f + D_f, D_f from _covariant_part."""
-    if m < 1:
-        raise ValueError("geometric quantization needs level m >= 1")
     b = level_basis(m, quad)
-    mat = 1j * _assemble(b, f(b.quad.nodes))
-    mat += _covariant_part(b, f)
+    mat = _covariant_part(b, f)
+    mat += 1j * _assemble(b, f(b.quad.nodes))
     return OperatorMatrix(m, mat)
 
 
@@ -183,6 +134,8 @@ def _covariant_part(b: SectionBasis, f: SmoothFunction) -> np.ndarray:
     m <s_j, X^z zbar/(1+|z|^2) s_k> - sqrt(k (m-k+1)) <s_j, X^z s_{k-1}>.
     """
     m, quad = b.m, b.quad
+    if m < 1:
+        raise ValueError("geometric quantization needs level m >= 1")
     z, shape = quad.nodes, (quad.radial_count, quad.angular_count)
     factor = (1.0 + quad.radii ** 2)[:, None]  # 1 + |z|^2 on each radius
     xz_level = f.d_zbar(z).reshape(shape) * (-1j / m * factor ** 2)
@@ -215,9 +168,9 @@ def tuynman_residual(f: SmoothFunction, m: int,
     Q_f = i T_f + D_f, and both i T_f terms are the same assembly of the
     same node values, so the distance is taken as ||D_f + (i/2m) T_{Delta f}||
     (equal up to rounding): three assemblies, and f itself is never
-    evaluated.  The identity is exact on the sphere; the residual measures
-    quadrature and rounding error only and does not decrease with m past
-    that floor.
+    evaluated.  With X_f the field for m*omega and chart.py's divergence-form
+    Laplacian the identity is exact on the sphere; the residual measures
+    quadrature and rounding error only, not decreasing with m past that floor.
     """
     b = level_basis(m, quad)
     mat = _covariant_part(b, f)

@@ -134,6 +134,12 @@ def test_real_half_spectrum_matches_full_route(family, m, radial, angular):
         half, full = _assemble(b, values), _assemble(b, values.astype(complex))
         assert np.max(np.abs(half - full)) <= 1e-14 * np.max(np.abs(full))
         assert np.max(np.abs(half - half.conj().T)) == 0.0
+        # both routes, folded modes and aliased columns included, are the
+        # plain quadrature sum
+        dense = _dense_pairing(b, values)
+        assert np.max(np.abs(half - dense)) < 1e-13 and np.max(np.abs(full - dense)) < 1e-13
+    values = rng.standard_normal(quad.nodes.size) + 1j * rng.standard_normal(quad.nodes.size)
+    assert np.max(np.abs(_assemble(b, values) - _dense_pairing(b, values))) < 1e-13
 
 
 def test_hermitian_flag_follows_structure(family, quad64):
@@ -268,8 +274,15 @@ def test_geom_quant_is_i_toeplitz_plus_covariant_part(family, quad64, m):
 
 
 def test_geom_quant_rejects_level_zero(family):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs level m >= 1"):
         geom_quant(family["x3"], 0)
+
+
+def test_tuynman_residual_rejects_level_zero(family):
+    # the covariant part both share has no level-0 field: a ValueError, not
+    # a complex division by zero
+    with pytest.raises(ValueError, match="needs level m >= 1"):
+        tuynman_residual(family["x3"], 0)
 
 
 def test_basis_of_another_level_is_rejected(family):
@@ -300,17 +313,18 @@ def _dense_pairing(b, values):
     return (s.conj() * b.quad.weights * values) @ s.T
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 8, 31, 32, 64])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 8, 31, 32, 64, 97])
 def test_assembly_matches_dense_pairing(family, m):
     # the regrouped assembly is the same quadrature sum as the dense pairing:
     # every family function, and the complex node values geom_quant pairs
-    # (the Hamiltonian field X^z, alone and times zbar/(1+|z|^2))
-    quad = build_quadrature(m)
+    # (the Hamiltonian field X^z, alone and times zbar/(1+|z|^2)); level 0
+    # has an empty parity, and 97 is odd with folded modes past A/2
+    quad = build_quadrature(max(m, 1))
     b = SectionBasis.build(m, quad)
     z = quad.nodes
     factor = 1.0 + np.abs(z) ** 2
     for f in family.values():
-        xz = -1j * factor ** 2 * f.d_zbar(z) / m
+        xz = -1j * factor ** 2 * f.d_zbar(z) / max(m, 1)
         for values in (f(z), xz, xz * np.conj(z) / factor):
             assert np.max(np.abs(_assemble(b, values) - _dense_pairing(b, values))) < 1e-13
 

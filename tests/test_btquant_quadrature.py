@@ -1,5 +1,7 @@
 import math
+import re
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,12 +95,23 @@ def test_gauss_legendre_nodes_match_numpy():
         assert np.max(np.abs(t - ref_t)) <= 4.5e-16
 
 
+def _plan_arrays(basis) -> list:
+    """Every array of the basis's real and complex assembly plans."""
+    return [a for plan in (basis.real_plan, basis.complex_plan)
+            for a in (*plan.columns, plan.index, plan.conjugate) if a is not None]
+
+
 def test_rule_is_memoized_and_read_only():
     # the process keeps one level: the basis level_basis returned last, and its rule
     basis = level_basis(20)
     rule = basis.quad
     assert level_basis(20) is basis
-    for a in (rule.nodes, rule.weights, basis.radial_table, basis.pair_scale):
+    plans = (basis.real_plan, basis.complex_plan)  # built on first use, then kept
+    assert basis.real_plan is plans[0] and basis.complex_plan is plans[1]
+    assert plans[1].conjugate is None  # complex values conjugate nothing
+    # a writable plan array on the kept basis would corrupt every later operator
+    for a in (rule.nodes, rule.weights, basis.radial_table, basis.pair_scale,
+              *_plan_arrays(basis)):
         with pytest.raises(ValueError):
             a[0] = 0.0
         with pytest.raises(ValueError):
@@ -119,6 +132,22 @@ def test_rule_is_memoized_and_read_only():
     default = level_basis(20)
     # the derived degree-4 bound: R = ceil((20 + 4 + 1) / 2)
     assert default.quad is not coarse and default.quad.radial_count == 13
+
+
+def test_kept_footprint_at_level_1024_is_the_readme_figure():
+    # what a process keeps for one level: the rule with its node geometry,
+    # the basis, and the assembly plans of real and of complex values
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    stated = re.search(r"about (\d+) MB\s+kept\s+at\s+m\s+=\s+1024", readme)
+    basis = SectionBasis.build(1024)
+    rule = basis.quad
+    kept = [rule.nodes, rule.weights, rule.radii, rule.h]
+    kept += [basis.radial_weights, basis.radial_table, basis.pair_scale]
+    plans = _plan_arrays(basis)
+    total = sum(a.nbytes for a in kept + plans)
+    assert stated is not None and round(total / 1e6) == int(stated.group(1))
+    # the plans stay no larger than the basis they index
+    assert sum(a.nbytes for a in plans) <= sum(a.nbytes for a in kept[4:])
 
 
 def test_h_of_a_writable_node_copy_is_fresh():
