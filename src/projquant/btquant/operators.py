@@ -4,14 +4,14 @@ the operator norm.
 
 A level is given by m and its rule quad alone (default: the level's own
 build_quadrature(m)); every routine here finds its basis through
-sections.level_basis, which keeps the last basis it built, its rule and its
-assembly plans: successive operators at one level pay for assembly alone.
-_assemble takes one angular FFT per radius, one real matrix product per
-parity of k - j (about 8 R (m+1)^2 flops for R radii, 4.3 GFLOP at
-m = 1024, R = 515), one gather through the basis's AssemblyPlan and one
-product with the pair scales.  A real symbol (node values of a real dtype)
-needs the modes k - j >= 0 only, half the flops, and its matrix is Hermitian
-by construction and flagged so; op_norm then takes eigvalsh, not an SVD.
+sections.level_basis, which keeps the last basis it built and its rule:
+successive operators at one level pay for assembly alone.  _assemble takes
+one real FFT over the angles per radius, one real matrix product per parity
+of k - j >= 0 (about 4 R (m+1)^2 flops for R radii, 2.2 GFLOP at m = 1024,
+R = 515), one gather of the cells the basis lists and one product with the
+pair scales.  The matrix of a real symbol is Hermitian by construction and
+flagged so; op_norm then takes eigvalsh, not an SVD.  A complex symbol is
+two real assemblies, T(Re) + i T(Im).
 """
 
 from __future__ import annotations
@@ -74,26 +74,23 @@ def _assemble(b: SectionBasis, values: np.ndarray) -> np.ndarray:
     P[i, j] P[i, k], which the basis factors as pair_scale[j, k] times
     radial_table[s, i] with s = j + k.  So entry (j, k) is pair_scale[j, k]
     mu_D(s), mu_D(s) = sum_i radial_table[s, i] M_D(r_i): the same quadrature
-    sum as the dense pairing, regrouped.  D and s have the same parity, and
-    one real matrix product per parity gives mu for all of its (s, D); the
-    plan says which cell each entry reads.  Real values (a real dtype) have
-    M_(-D) = conj(M_D): a real FFT gives the modes and the product runs over
-    D >= 0 only, mu_(-D) = conj(mu_D) filling the rest, so with pair_scale
-    symmetric the matrix is exactly Hermitian.
+    sum as the dense pairing, regrouped.  Real values have M_(-D) =
+    conj(M_D): a real FFT gives the modes D >= 0, one real matrix product per
+    parity of D and s gives their mu, and the basis says which cell each entry
+    reads, mu_(-D) = conj(mu_D) below the diagonal, so with pair_scale
+    symmetric the matrix is exactly Hermitian.  Complex values are split.
     """
-    real = np.isrealobj(values)
-    plan = b.real_plan if real else b.complex_plan
-    modes = (np.fft.ihfft if real else np.fft.ifft)(
-        np.reshape(values, (b.quad.radial_count, b.quad.angular_count)), axis=1)
+    if np.iscomplexobj(values):  # T(Re) + i T(Im)
+        return _assemble(b, np.real(values)) + 1j * _assemble(b, np.imag(values))
+    modes = np.fft.ihfft(np.reshape(values, (b.quad.radial_count, b.quad.angular_count)), axis=1)
     modes *= b.radial_weights[:, None]
-    mu = np.empty((b.radial_table.shape[0], plan.columns[0].size), dtype=complex)
-    for p, columns in enumerate(plan.columns):
+    mu = np.empty((b.radial_table.shape[0], b.columns.shape[1]), dtype=complex)
+    for p, columns in enumerate(b.columns):
         # the complex modes as (re, im) column pairs: one real product
         np.matmul(b.radial_table[p::2], modes.take(columns, axis=1).view(float),
                   out=mu[p::2].view(float))
-    out = mu.take(plan.index)
-    if real:
-        np.conjugate(out, out=out, where=plan.conjugate)
+    out = mu.take(b.index)
+    np.conjugate(out, out=out, where=b.conjugate)
     out *= b.pair_scale
     return out
 

@@ -10,9 +10,9 @@ polynomial in t of degree at most m.
 build_quadrature is a plain constructor and this module keeps nothing.  A
 rule computes its node geometry (the radii and h1 = (1+|z|^2)^-1 at the
 nodes) once, as read-only arrays; what a process keeps is the one section
-basis sections.level_basis returned last, with its plans and its rule.  At
-m = 1024 the default rule has 515 x 1029 nodes, and that is about 43 MB: 13 MB
-of nodes and weights, 4 MB of h1, the 17 MB basis and 9.5 MB of plans.
+basis sections.level_basis returned last, with its plan and its rule.  At
+m = 1024 the default rule has 515 x 1029 nodes, and that is about 39 MB: 13 MB
+of nodes and weights, 4 MB of h1, the 17 MB basis and its 5.3 MB plan.
 """
 
 from __future__ import annotations

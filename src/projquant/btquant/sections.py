@@ -12,9 +12,8 @@ radial table r^s (1+r^2)^(-m) for s = 0..2m, each row divided by its maximum
 over the radii, and the matching scales c_j c_k max_r r^(j+k) (1+r^2)^(-m).
 Everything is evaluated in log space so that nothing overflows at large m.
 
-Each basis also keeps, built when an operator first needs it, the read-only
-AssemblyPlan of real and of complex node values (int32 indices: 5.3 MB and
-4.2 MB at m = 1024, against the basis's 16.8 MB).
+The basis also says where each Toeplitz matrix entry reads its radial
+product (5.3 MB at m = 1024, against the 16.8 MB of the other fields).
 
 level_basis is where every operator finds its basis: the level-m basis on a
 rule is built with read-only arrays and kept, with its rule, until a basis
@@ -25,7 +24,6 @@ process keeps between calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import pi
 
 import numpy as np
@@ -54,6 +52,12 @@ class SectionBasis:
     radial_weights: np.ndarray  # (R,) weight of each radius, summed over angles
     radial_table: np.ndarray    # (2m+1, R) r_i^s (1+r_i^2)^(-m) / max_i, flushed
     pair_scale: np.ndarray      # (m+1, m+1) c_j c_k max_i r_i^(j+k) (1+r_i^2)^(-m)
+    # radial products mu[s, e] = sum_i radial_table[s, i] M[i, c] of the weighted
+    # modes M of a real FFT over the angles (c <= A/2; mode c > A/2 is
+    # conj(mode A - c)); entry (j, k) reads the cell s = j + k, D = |k - j|
+    columns: np.ndarray         # (2, m//2 + 1) c of D = 2e + parity, folded
+    index: np.ndarray           # (m+1, m+1) int32 cell of each entry in flat mu
+    conjugate: np.ndarray       # (m+1, m+1) bool: below the diagonal xor folded
 
     @classmethod
     def build(cls, m: int, quad: QuadratureRule | None = None) -> "SectionBasis":
@@ -77,55 +81,21 @@ class SectionBasis:
         if not np.all(np.isfinite(scale)):
             raise InsufficientResolutionError(
                 f"level-{m} section kernel is not finite on this rule")
+        angles, width = quad.angular_count, m // 2 + 1
+        columns = (np.arange(2)[:, None] + 2 * np.arange(width)) % angles
+        j = np.arange(m + 1, dtype=np.int32)
+        d = np.abs(j - j[:, None])
+        folded = k % angles > angles // 2
         return cls(m=m, quad=quad,
                    radial_weights=read_only(quad.weights.reshape(r.size, -1).sum(axis=1)),
-                   radial_table=read_only(table), pair_scale=read_only(scale))
+                   radial_table=read_only(table), pair_scale=read_only(scale),
+                   columns=read_only(np.minimum(columns, angles - columns)),
+                   index=read_only((j[:, None] + j) * width + (d >> 1)),  # e = |D| // 2
+                   conjugate=read_only((j[:, None] > j) ^ folded[d]))
 
     @property
     def dim(self) -> int:
         return self.m + 1
-
-    @cached_property
-    def real_plan(self) -> "AssemblyPlan":
-        return AssemblyPlan.build(self.m, self.quad.angular_count, real=True)
-
-    @cached_property
-    def complex_plan(self) -> "AssemblyPlan":
-        return AssemblyPlan.build(self.m, self.quad.angular_count, real=False)
-
-
-@dataclass(frozen=True)
-class AssemblyPlan:
-    """Where each entry of a level-m matrix reads its radial product.
-
-    The product of row s is mu[s, e] = sum_i radial_table[s, i] M[i, c], M
-    the weighted angular modes, c = columns[s % 2][e] the column of mode
-    D = 2e + the least D of parity s, over D in -m..m, or for real values
-    D >= 0 alone, folded into a real FFT's modes 0..A/2 (mode c > A/2 is
-    conj(mode A - c)); the parity with fewer D has one more, unread.  Entry
-    (j, k) is the cell index[j, k] of the flat mu, that of s = j + k and
-    D = k - j (|D| for real values), conjugated where conjugate is set:
-    below the diagonal or folded, not both.
-    """
-
-    columns: tuple[np.ndarray, np.ndarray]  # per parity, the mode column of each D
-    index: np.ndarray             # (m+1, m+1) int32
-    conjugate: np.ndarray | None  # (m+1, m+1) bool; None for complex values
-
-    @classmethod
-    def build(cls, m: int, angles: int, real: bool) -> "AssemblyPlan":
-        width = m // 2 + 1 if real else m + 1
-        first = (0, 1) if real else (-m + m % 2, -m + (m + 1) % 2)
-        columns = [(least + 2 * np.arange(width)) % angles for least in first]
-        j = np.arange(m + 1, dtype=np.int32)
-        d = j - j[:, None]  # k - j
-        conjugate = None
-        if real:
-            columns = [np.where(c > angles // 2, angles - c, c) for c in columns]
-            conjugate = read_only((d < 0) ^ (np.arange(m + 1) % angles > angles // 2)[np.abs(d)])
-        # e = (D - first) / 2, and D - first is even
-        index = (j[:, None] + j) * width + ((np.abs(d) if real else d + m) >> 1)
-        return cls(tuple(read_only(c) for c in columns), read_only(index), conjugate)
 
 
 #: the basis level_basis returned last, if any

@@ -100,6 +100,12 @@ def _levels(text: str) -> tuple[int, ...]:
     return levels
 
 
+@_argument("a finite complex number with positive imaginary part such as 2j")
+def _lattice(text: str):
+    from .weierstrass import Lattice
+    return Lattice(complex(text))
+
+
 @_argument("a degree or a range lo..hi with lo <= hi")
 def _degree_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
@@ -140,6 +146,8 @@ def cmd_curve_points(args, config: RunConfig) -> int:
 
     if args.poly is not None:
         f = parse_polynomial(args.poly, nvars=3)
+        if f.is_zero:
+            raise UsageError(f"--poly is the zero polynomial, zero at every point: {args.poly!r}")
         if not f.is_homogeneous():
             raise UsageError("curve polynomial must be homogeneous in X0, X1, X2")
     else:
@@ -190,7 +198,7 @@ def cmd_weierstrass_embed(args, config: RunConfig) -> int:
 
     from . import weierstrass
 
-    lat = weierstrass.Lattice(complex(args.tau))
+    lat = args.tau
     rng = np.random.default_rng(config.seed)
     zs = np.empty(0, dtype=complex)
     while len(zs) < args.samples:
@@ -377,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_curve_points)
 
     p = sub.add_parser("weierstrass-embed", help="embed a torus into P^2")
-    p.add_argument("--tau", required=True,
+    p.add_argument("--tau", type=_lattice, required=True,
                    help="lattice parameter as a Python complex, e.g. 2j or 0.5+0.866j")
     p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--out")
@@ -440,7 +448,8 @@ def _numeric_failures() -> tuple[type, ...]:
     never imported numpy or btquant cannot raise theirs, so it imports neither."""
     return tuple(getattr(sys.modules[module], name) for module, name in (
         ("numpy.linalg", "LinAlgError"),
-        ("projquant.btquant.quadrature", "InsufficientResolutionError"))
+        ("projquant.btquant.quadrature", "InsufficientResolutionError"),
+        ("projquant.weierstrass", "LatticeScaleError"))
         if module in sys.modules)
 
 

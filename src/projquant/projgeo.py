@@ -25,8 +25,11 @@ if TYPE_CHECKING:
 #: zero (float rank)
 FLOAT_RANK_RTOL = 1e-9
 
-#: default scale-invariant membership tolerance for floating points
+#: scale-invariant membership tolerance for floating points
 MEMBERSHIP_TOL = 1e-8
+
+#: a float cubic's relative discriminant (and |g2|, |g3|) at most this count as 0
+CUBIC_CLASS_TOL = 1e-12
 
 
 class PointNotOnVarietyError(ValueError):
@@ -172,29 +175,22 @@ def _derivative_bound(gens, norm: float) -> float:
                * norm ** (g.degree() - 1) for g in gens)
 
 
-def rank_at(V: VarietyPresentation, p: ProjPoint,
-            membership_tol: float = MEMBERSHIP_TOL) -> int:
+def rank_at(V: VarietyPresentation, p: ProjPoint) -> int:
     """Rank of the Jacobi matrix at a point of the variety."""
-    if not is_on_variety(V, p, 0.0 if p.is_exact else membership_tol):
+    if not is_on_variety(V, p, 0.0 if p.is_exact else MEMBERSHIP_TOL):
         raise PointNotOnVarietyError(f"{format_point(p)} is not on the variety")
     return _jacobian_rank(V.generators, p.coords, affine=False)
 
 
-def is_singular_point(V: VarietyPresentation, p: ProjPoint,
-                      r: int | None = None) -> bool:
-    """Rank test: singular iff rank J(p) < n - r for an r-dimensional variety.
-
-    r defaults to the presentation's claimed_dim and must be supplied one
-    way or the other; the verdict is relative to the given generators.
-    """
-    if r is None:
-        r = V.claimed_dim
-    if r is None:
-        raise ValueError("variety dimension r is required for the singularity test")
-    return rank_at(V, p) < V.ambient_dim - r
+def is_singular_point(V: VarietyPresentation, p: ProjPoint) -> bool:
+    """Rank test: singular iff rank J(p) < n - r, r the presentation's
+    claimed_dim; the verdict is relative to the given generators."""
+    if V.claimed_dim is None:
+        raise ValueError("the variety dimension is required for the singularity test")
+    return rank_at(V, p) < V.ambient_dim - V.claimed_dim
 
 
-def zariski_tangent_dim(gens, point, membership_tol: float = MEMBERSHIP_TOL) -> int:
+def zariski_tangent_dim(gens, point) -> int:
     """Dimension of the Zariski tangent space of an affine zero set.
 
     gens are polynomials in n affine variables; the result is
@@ -206,7 +202,7 @@ def zariski_tangent_dim(gens, point, membership_tol: float = MEMBERSHIP_TOL) -> 
     point = tuple(point)
     if len(point) != gens[0].nvars:
         raise ValueError("point dimension mismatch")
-    if not _vanishes(gens, point, membership_tol, affine=True):
+    if not _vanishes(gens, point, MEMBERSHIP_TOL, affine=True):
         raise PointNotOnVarietyError("point is not a common zero")
     return len(point) - _jacobian_rank(gens, point, affine=True)
 
@@ -225,7 +221,7 @@ def discriminant(g2, g3):
     return g2 ** 3 - 27 * g3 ** 2
 
 
-def cubic_classify(g2, g3, tol: float = 1e-12) -> CubicClass:
+def cubic_classify(g2, g3) -> CubicClass:
     """Classify Y^2 Z = 4 X^3 - g2 X Z^2 - g3 Z^3 by its singularity type.
 
     Smooth iff the discriminant g2^3 - 27 g3^2 is nonzero.  In the
@@ -242,9 +238,9 @@ def cubic_classify(g2, g3, tol: float = 1e-12) -> CubicClass:
             return CubicClass.CUSPIDAL
         return CubicClass.NODAL
     scale = max(abs(complex(g2)) ** 3, 27 * abs(complex(g3)) ** 2, 1.0)
-    if abs(complex(d)) > tol * scale:
+    if abs(complex(d)) > CUBIC_CLASS_TOL * scale:
         return CubicClass.SMOOTH
-    if abs(complex(g2)) <= tol and abs(complex(g3)) <= tol:
+    if abs(complex(g2)) <= CUBIC_CLASS_TOL and abs(complex(g3)) <= CUBIC_CLASS_TOL:
         return CubicClass.CUSPIDAL
     return CubicClass.NODAL
 

@@ -8,10 +8,10 @@ lattices satisfy Z + Z tau = lam (Z + Z tau'), so
 wp(z; tau) = lam^-2 wp(z / lam; tau'), wp' picks up lam^-3, g2 lam^-4 and
 g3 lam^-6.  There |q'| = |exp(2 pi i tau')| <= exp(-pi sqrt 3) ~ 4.3e-3,
 and the number of terms is derived from |q'| so that every truncated tail
-is below rounding, at any Im(tau) > 0.  The tests check these values
-against the literal truncated lattice sums, within the sums' own tail
-bound.  Values near a lattice point are rejected with
-:class:`LatticePointError` instead of returning infinities.
+is below rounding, at any Im(tau) > 0 where neither lam^6 nor lam^-6 overflows.
+The tests check these values against the literal truncated lattice sums,
+within the sums' own tail bound.  Values near a lattice point are rejected
+with :class:`LatticePointError` instead of returning infinities.
 """
 
 from __future__ import annotations
@@ -36,15 +36,19 @@ class LatticePointError(ValueError):
     """Raised when evaluating a doubly periodic function at one of its poles."""
 
 
+class LatticeScaleError(ArithmeticError):
+    """Raised when lam^6 or lam^-6 of a lattice's reduction overflows."""
+
+
 @dataclass(frozen=True)
 class Lattice:
-    """The lattice Z + Z*tau with Im(tau) > 0."""
+    """The lattice Z + Z*tau with tau finite and Im(tau) > 0."""
 
     tau: complex
 
     def __post_init__(self):
-        if self.tau.imag <= 0:
-            raise ValueError("Im(tau) must be positive")
+        if not (cmath.isfinite(self.tau) and self.tau.imag > 0):
+            raise ValueError(f"tau must be finite with Im(tau) > 0, got {self.tau!r}")
 
     @cached_property
     def reduction(self) -> tuple:
@@ -114,6 +118,7 @@ def _reduce(tau: complex) -> tuple:
     integers so that lam = c tau + d carries a single rounding.  Each
     inversion multiplies Im tau' by 1/|tau'|^2 > 1; the 1e-12 margin keeps
     rounding from bouncing a point with |tau'| = 1 between tau' and -1/tau'.
+    Raises LatticeScaleError when lam^6 or lam^-6 overflows (g3 scales as lam^-6).
     """
     t, (a, b, c, d) = tau, (1, 0, 0, 1)
     while True:
@@ -122,8 +127,11 @@ def _reduce(tau: complex) -> tuple:
         if abs(t) >= 1.0 - 1e-12:
             break
         t, a, b, c, d = -1.0 / t, -c, -d, a, b
+    lam = c * tau + d
+    if abs(6.0 * math.log(abs(lam))) > math.log(sys.float_info.max):
+        raise LatticeScaleError(f"tau = {tau!r}: lam^6 or lam^-6 overflows, lam = {lam!r}")
     q = cmath.exp(2j * cmath.pi * t)
-    return t, c * tau + d, q, _series_terms(abs(q))
+    return t, lam, q, _series_terms(abs(q))
 
 
 def _power_tail(qa: float, N: int, p: int) -> float:

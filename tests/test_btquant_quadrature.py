@@ -95,23 +95,15 @@ def test_gauss_legendre_nodes_match_numpy():
         assert np.max(np.abs(t - ref_t)) <= 4.5e-16
 
 
-def _plan_arrays(basis) -> list:
-    """Every array of the basis's real and complex assembly plans."""
-    return [a for plan in (basis.real_plan, basis.complex_plan)
-            for a in (*plan.columns, plan.index, plan.conjugate) if a is not None]
-
-
 def test_rule_is_memoized_and_read_only():
     # the process keeps one level: the basis level_basis returned last, and its rule
     basis = level_basis(20)
     rule = basis.quad
     assert level_basis(20) is basis
-    plans = (basis.real_plan, basis.complex_plan)  # built on first use, then kept
-    assert basis.real_plan is plans[0] and basis.complex_plan is plans[1]
-    assert plans[1].conjugate is None  # complex values conjugate nothing
-    # a writable plan array on the kept basis would corrupt every later operator
-    for a in (rule.nodes, rule.weights, basis.radial_table, basis.pair_scale,
-              *_plan_arrays(basis)):
+    # a writable array on the kept basis, the assembly's cells among them,
+    # would corrupt every later operator
+    for a in (rule.nodes, rule.weights, basis.radial_weights, basis.radial_table,
+              basis.pair_scale, basis.columns, basis.index, basis.conjugate):
         with pytest.raises(ValueError):
             a[0] = 0.0
         with pytest.raises(ValueError):
@@ -136,18 +128,18 @@ def test_rule_is_memoized_and_read_only():
 
 def test_kept_footprint_at_level_1024_is_the_readme_figure():
     # what a process keeps for one level: the rule with its node geometry,
-    # the basis, and the assembly plans of real and of complex values
+    # and the basis with the one assembly plan, that of real node values
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     stated = re.search(r"about (\d+) MB\s+kept\s+at\s+m\s+=\s+1024", readme)
     basis = SectionBasis.build(1024)
     rule = basis.quad
     kept = [rule.nodes, rule.weights, rule.radii, rule.h]
     kept += [basis.radial_weights, basis.radial_table, basis.pair_scale]
-    plans = _plan_arrays(basis)
-    total = sum(a.nbytes for a in kept + plans)
+    plan = [basis.columns, basis.index, basis.conjugate]
+    total = sum(a.nbytes for a in kept + plan)
     assert stated is not None and round(total / 1e6) == int(stated.group(1))
-    # the plans stay no larger than the basis they index
-    assert sum(a.nbytes for a in plans) <= sum(a.nbytes for a in kept[4:])
+    # the plan stays no larger than the rest of the basis it indexes
+    assert sum(a.nbytes for a in plan) <= sum(a.nbytes for a in kept[4:])
 
 
 def test_h_of_a_writable_node_copy_is_fresh():

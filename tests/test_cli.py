@@ -559,8 +559,29 @@ def test_unknown_flag_exits_2():
     proc = subprocess.run(
         [sys.executable, "-m", "projquant.cli", "hilbert", "--nvars", "3",
          "--bogus-flag"],
-        capture_output=True, text=True, env=_child_env())
+        capture_output=True, text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("tau, code, message", [
+    # an infinite Im tau leaves no finite distance to the lattice, so the
+    # sample loop would accept no point
+    ("1+infj", 2, "argument --tau: expected a finite complex number"),
+    ("inf+1j", 2, "argument --tau: expected a finite complex number"),
+    ("nan+1j", 2, "argument --tau: expected a finite complex number"),
+    # lam = tau, and lam^-6 = 1e360 overflows
+    ("1e-60j", 1, "error: numeric failure: tau = 1e-60j: lam^6 or lam^-6 overflows"),
+])
+def test_weierstrass_embed_rejects_a_tau_it_cannot_handle(tau, code, message):
+    # a child process with a timeout, so a tau that stalls the sample loop
+    # fails this test instead of stalling the suite
+    proc = subprocess.run(
+        [sys.executable, "-m", "projquant.cli", "weierstrass-embed", f"--tau={tau}",
+         "--samples", "5"], capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == code and proc.stdout == ""
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+    if code == 2:
+        assert repr(tau) in proc.stderr
 
 
 # what a child process has imported after one command: a module it does not
@@ -587,7 +608,7 @@ print(json.dumps([rc, sorted(sys.modules)]))
 ])
 def test_commands_import_only_what_they_use(argv, code, absent):
     proc = subprocess.run([sys.executable, "-c", _CHILD_MODULES, *argv],
-                          capture_output=True, text=True, env=_child_env())
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
     rc, modules = json.loads(proc.stdout)
     assert rc == code
     assert absent.isdisjoint(modules)
@@ -600,7 +621,7 @@ def test_exact_zariski_dimension_loads_no_numpy():
          "from projquant.projgeo import zariski_tangent_dim; "
          "d = zariski_tangent_dim([parse_polynomial('X1^2 - 4 X0^3 - 4 X0^2', 2)], "
          "(Fraction(0), Fraction(0))); print(json.dumps([d, 'numpy' in sys.modules]))"],
-        capture_output=True, text=True, env=_child_env())
+        capture_output=True, text=True, env=_child_env(), timeout=120)
     assert json.loads(proc.stdout) == [2, False]
 
 
@@ -608,7 +629,7 @@ def test_bare_import_loads_no_submodule():
     proc = subprocess.run(
         [sys.executable, "-c", "import json, sys, projquant; print(json.dumps(sorted("
          "m for m in sys.modules if m.split('.')[0] in ('numpy', 'projquant'))))"],
-        capture_output=True, text=True, env=_child_env())
+        capture_output=True, text=True, env=_child_env(), timeout=120)
     assert json.loads(proc.stdout) == ["projquant"]
 
 
@@ -769,6 +790,12 @@ BAD_FLAGS = [
     (["tuynman-check", "--m", "x"], "--m", "'x'"),
     (["tuynman-check", "--m", "2,"], "--m", "'2,'"),
     (["weierstrass-embed", "--tau", "2j", "--samples", "x"], "--samples", "'x'"),
+    (["weierstrass-embed", "--tau", "0j"], "--tau", "'0j'"),
+    (["weierstrass-embed", "--tau", "x"], "--tau", "'x'"),
+    # the zero polynomial vanishes at every grid node
+    (["curve-points", "--poly", "0*X0"], "--poly", "'0*X0'"),
+    (["curve-points", "--poly", "X0-X0"], "--poly", "'X0-X0'"),
+    (["curve-points", "--poly", "0"], "--poly", "'0'"),
     (["classify-cubic", "--g2", "x", "--g3", "0"], "--g2", "'x'"),
     (["bt-converge", "--check", "norm", "--f", "x3", "--m-min", "0"], "--m-min", "'0'"),
     (["bt-converge", "--check", "norm", "--f", "x3", "--m-max=-4"], "--m-max", "'-4'"),

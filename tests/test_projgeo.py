@@ -162,6 +162,13 @@ def test_singular_points_of_classic_cubics():
     assert is_singular_point(cuspidal, pt(0, 0, 1))
 
 
+def test_singularity_test_needs_the_claimed_dimension():
+    # the presentation's claimed_dim is the one way to give the dimension
+    V = VarietyPresentation([X(0) * X(1)])
+    with pytest.raises(ValueError, match="dimension.* is required"):
+        is_singular_point(V, pt(0, 0, 1))
+
+
 def test_smooth_cubic_has_no_singular_candidates():
     for g2, g3 in [(F(4), F(0)), (F(1), F(1)), (F(-3), F(2))]:
         assert cubic_classify(g2, g3) is CubicClass.SMOOTH

@@ -12,6 +12,7 @@ from projquant.weierstrass import (
     EisensteinPair,
     Lattice,
     LatticePointError,
+    LatticeScaleError,
     eisenstein,
     embed,
     ode_residual,
@@ -46,6 +47,28 @@ def test_lattice_validation():
         Lattice(1.0 - 0.5j)
     with pytest.raises(ValueError):
         Lattice(0.5 + 0j)
+    # a non-finite tau has no reduction: inf real parts overflow the integer
+    # translation, nan ones cannot be rounded, and inf imaginary parts give
+    # no finite distance to the lattice
+    for tau in (complex(1, math.inf), complex(math.inf, 1), complex(math.nan, 1),
+                complex(1, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            Lattice(tau)
+
+
+@pytest.mark.parametrize("tau", [1e-60j, 1e-52j, 0.3 + 1e-300j])
+def test_lattice_scale_outside_the_float_range_is_an_error(tau):
+    # g3 scales as lam^-6, and Im tau' = Im tau / |lam|^2 >= sqrt(3) / 2 gives
+    # |lam| <= 1.08 sqrt(Im tau): lam = 1e-52j for tau = 1e-52j, and
+    # 1e-52^-6 = 1e312 overflows
+    with pytest.raises(LatticeScaleError, match="tau = "):
+        eisenstein(Lattice(tau))
+
+
+def test_lattice_scale_just_inside_the_float_range_is_accepted():
+    # |lam|^-6 = 1e300 is a float: the reduction goes through
+    t, lam, _, _ = Lattice(1e-50j).reduction
+    assert lam == 1e-50j and t == 1e50j
 
 
 def test_reduce_and_distance():
