@@ -194,24 +194,23 @@ def cmd_curve_points(args, config: RunConfig) -> int:
 
 
 def cmd_weierstrass_embed(args, config: RunConfig) -> int:
-    import numpy as np
+    import random
 
     from . import weierstrass
 
     lat = args.tau
-    rng = np.random.default_rng(config.seed)
-    zs = np.empty(0, dtype=complex)
-    while len(zs) < args.samples:
-        # blocks of the points still needed: the stream of one (x, y) draw per
-        # point, and never a draw past the last accepted point
-        xy = rng.uniform(0.02, 0.98, size=(args.samples - len(zs), 2))
-        z = xy[:, 0] + 1j * (xy[:, 1] * lat.tau.imag)
-        zs = np.concatenate([zs, z[lat.distance_to_lattice(z) > 10 * weierstrass.POLE_GUARD]])
-    X, Y = weierstrass.wp(lat, zs), weierstrass.wp_prime(lat, zs)
-    res = weierstrass.eisenstein(lat).cubic_residual(X, Y)
-    rows = zip(zs.real.tolist(), zs.imag.tolist(), X.tolist(), Y.tolist(),
-               [1.0] * len(zs), res.tolist())
-    worst = float(max(res, default=0.0))
+    residual = weierstrass.eisenstein(lat).cubic_residual
+    uniform, guard = random.Random(config.seed).uniform, 10 * weierstrass.POLE_GUARD
+    rows = []
+    while len(rows) < args.samples:
+        # one (x, y) draw per candidate point: none after the last accepted one
+        z = complex(uniform(0.02, 0.98), uniform(0.02, 0.98) * lat.tau.imag)
+        try:
+            pair = weierstrass._wp_pair(lat, z, guard)
+        except weierstrass.LatticePointError:
+            continue
+        rows.append((z.real, z.imag, *pair, 1.0, residual(*pair)))
+    worst = max(row[5] for row in rows)
     trailer = [f"# max_ode_residual = {worst!r}", f"# pass = {worst <= 1e-6}"]
     _write(_csv(config, ["z_re", "z_im", "X", "Y", "Z", "residual"], rows, trailer),
            args.out)

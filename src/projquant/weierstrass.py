@@ -8,10 +8,10 @@ lattices satisfy Z + Z tau = lam (Z + Z tau'), so
 wp(z; tau) = lam^-2 wp(z / lam; tau'), wp' picks up lam^-3, g2 lam^-4 and
 g3 lam^-6.  There |q'| = |exp(2 pi i tau')| <= exp(-pi sqrt 3) ~ 4.3e-3,
 and the number of terms is derived from |q'| so that every truncated tail
-is below rounding, at any Im(tau) > 0 where neither lam^6 nor lam^-6 overflows.
-The tests check these values against the literal truncated lattice sums,
-within the sums' own tail bound.  Values near a lattice point are rejected
-with :class:`LatticePointError` instead of returning infinities.
+is below rounding, wherever the terms of scale lam^-6 are floats.  Points
+are evaluated one at a time in Python complex numbers; the tests check them
+against the literal truncated lattice sums, within the sums' own tail bound.
+Values near a lattice point raise :class:`LatticePointError`.
 """
 
 from __future__ import annotations
@@ -21,15 +21,15 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 if TYPE_CHECKING:
     from .projgeo import ProjPoint
 
 #: points closer than this to a lattice point are treated as poles
 POLE_GUARD = 1e-8
+_EPS = sys.float_info.epsilon
 
 
 class LatticePointError(ValueError):
@@ -37,7 +37,7 @@ class LatticePointError(ValueError):
 
 
 class LatticeScaleError(ArithmeticError):
-    """Raised when lam^6 or lam^-6 of a lattice's reduction overflows."""
+    """Raised when g3, g2 wp or wp^3, which scale as lam^-6, would overflow."""
 
 
 @dataclass(frozen=True)
@@ -56,28 +56,54 @@ class Lattice:
         (a tau + b) / (c tau + d) in the fundamental domain for some
         (a, b, c, d) in SL2(Z), lam = c tau + d so that
         Z + Z tau = lam (Z + Z tau'), nome = exp(2 pi i tau'), and terms the
-        nome-series length derived from |nome|."""
+        Eisenstein series length derived from |nome|."""
         return _reduce(self.tau)
 
-    def reduce(self, z):
-        """Translate z (a number or an array) into the cell centered at 0."""
-        return _to_cell(np.asarray(z, dtype=complex), self.tau)[()]
+    @cached_property
+    def _wp_series(self) -> tuple:
+        """(tau', q', 1/12 - 2 sum c_k q'^k, [(c_k, k c_k)], log_cut,
+        (2 pi i / lam)^2, (2 pi i / lam)^3), c_k = k / (1 - q'^k), for
+        :func:`_wp_pair`, whose Lambert sums omit at most 2 / (1 - |q'|)
+        sum_{k>K} k^2 |A|^k after K terms, |A| = exp(-2 pi Im(tau' + w)) <= |q'|.
+        That is below rounding of 1/12 at kmax terms, and (with (K+1)^2 <=
+        (kmax+1)^2 and a ratio <= 4 |A|) once |A|^(K+1) <= cut."""
+        t, lam, q, _ = self.reduction
+        qa = abs(q)
+        kmax = next(k for k in count(1) if 24 / (1 - qa) * _power_tail(qa, k, 2) <= _EPS)
+        coefficients = [(k / (1 - q ** k), k * k / (1 - q ** k)) for k in range(1, kmax + 1)]
+        const = 1.0 / 12.0 - 2.0 * sum(c * q ** k for k, (c, _) in enumerate(coefficients, 1))
+        cut = _EPS * (1.0 - qa) * (1.0 - 4.0 * qa) / (24.0 * (kmax + 1) ** 2)
+        return (t, q, const, coefficients, -math.log(cut) / (2.0 * math.pi),
+                (2j * math.pi / lam) ** 2, (2j * math.pi / lam) ** 3)
 
-    def distance_to_lattice(self, z):
-        """Distance from z (a number or an array) to the lattice.  It is taken
-        in the reduced basis Z + Z tau = lam (Z + Z tau'), where the nearest
-        point to the centred cell is one of the nine around it; in a skewed
-        tau cell it need not be."""
-        t, lam = self.reduction[:2]
-        w = _to_cell(np.asarray(z, dtype=complex) / lam, t)
-        near = np.array([0, 1, -1, t, -t, 1 + t, -1 - t, 1 - t, -1 + t])
-        return (np.min(np.abs(w[..., None] - near), axis=-1) * abs(lam))[()]
+    def reduce(self, z: complex) -> complex:
+        """Translate z into the cell centered at 0."""
+        return _to_cell(z, self.tau)
+
+    def distance_to_lattice(self, z: complex) -> float:
+        """Distance from z to the lattice, taken in the reduced basis (in a
+        skewed tau cell no point around the cell need be nearest)."""
+        return _cell_point(self, z)[2]
 
 
-def _to_cell(w, t):
+def _to_cell(w: complex, t: complex) -> complex:
     """w translated by Z + Z t into |Re w| <= 1/2, |Im w| <= Im(t) / 2."""
-    w = w - np.round(w.imag / t.imag) * t
-    return w - np.round(w.real)
+    w = w - round(w.imag / t.imag) * t
+    return w - round(w.real)
+
+
+def _cell_point(L: Lattice, z: complex) -> tuple:
+    """(w, odd, distance to the lattice): w = z / lam in the tau' cell, folded
+    by parity (odd) to Im w >= 0, Re w >= 0 on Im w = 0.  As Im tau' >= 0.86,
+    0 or the nearest tau' + k is the nearest point of Z + Z tau'."""
+    t, lam, _, _ = L.reduction
+    w = _to_cell(z / lam, t)
+    odd = w.imag < 0 or (w.imag == 0 and w.real < 0)
+    if odd:
+        w = -w
+    s = w - t
+    gap, row = abs(w), abs(s - round(s.real))
+    return w, odd, (gap if gap < row else row) * abs(lam)
 
 
 @dataclass(frozen=True)
@@ -93,23 +119,14 @@ class EisensteinPair:
     def discriminant(self) -> complex:
         return self.g2 ** 3 - 27 * self.g3 ** 2
 
-    def cubic_residual(self, p, pp):
+    def cubic_residual(self, p: complex, pp: complex) -> float:
         """|pp^2 - 4 p^3 + g2 p + g3|: how far (p : pp : 1) is off the cubic."""
-        return abs(pp ** 2 - 4 * p ** 3 + self.g2 * p + self.g3)
-
-
-def _check_off_lattice(L: Lattice, z):
-    if np.any(L.distance_to_lattice(z) <= POLE_GUARD):
-        raise LatticePointError(f"z = {z} is within {POLE_GUARD} of a lattice point")
+        return abs(pp * pp - 4 * p * p * p + self.g2 * p + self.g3)
 
 
 # ---------------------------------------------------------------------------
 # nome-series evaluation on the fundamental domain
 # ---------------------------------------------------------------------------
-
-#: zeta(3) and zeta(5): sigma_3(k) <= zeta(3) k^3 and sigma_5(k) <= zeta(5) k^5
-_ZETA3, _ZETA5 = 1.2020569031595942, 1.0369277551433699
-
 
 def _reduce(tau: complex) -> tuple:
     """Translations and tau -> -1/tau until |Re tau'| <= 1/2 and |tau'| >= 1.
@@ -118,7 +135,10 @@ def _reduce(tau: complex) -> tuple:
     integers so that lam = c tau + d carries a single rounding.  Each
     inversion multiplies Im tau' by 1/|tau'|^2 > 1; the 1e-12 margin keeps
     rounding from bouncing a point with |tau'| = 1 between tau' and -1/tau'.
-    Raises LatticeScaleError when lam^6 or lam^-6 overflows (g3 scales as lam^-6).
+    As |lam|^2 = Im tau / Im tau' <= 4/3, LatticeScaleError when |lam|^-6
+    times the largest constant it has on the torus path is no float: g3's
+    (8 pi^6 / 27) |E6| or g2 wp's (4 pi^6 / 9) |E4| (wp ~ (2 pi / lam)^2 / 12
+    where the pole guard leaves points at that scale), |E4|, |E6| bounded.
     """
     t, (a, b, c, d) = tau, (1, 0, 0, 1)
     while True:
@@ -128,10 +148,14 @@ def _reduce(tau: complex) -> tuple:
             break
         t, a, b, c, d = -1.0 / t, -c, -d, a, b
     lam = c * tau + d
-    if abs(6.0 * math.log(abs(lam))) > math.log(sys.float_info.max):
-        raise LatticeScaleError(f"tau = {tau!r}: lam^6 or lam^-6 overflows, lam = {lam!r}")
     q = cmath.exp(2j * cmath.pi * t)
-    return t, lam, q, _series_terms(abs(q))
+    qa = abs(q)
+    e4, e6 = (1.0 + x for x in _tails(qa, 0))
+    scale = math.pi ** 6 * max(4.0 / 9.0 * e4, 8.0 / 27.0 * e6)
+    if math.log(scale) - 6.0 * math.log(abs(lam)) > math.log(sys.float_info.max):
+        raise LatticeScaleError(f"tau = {tau!r}: g3, g2 wp and wp^3 scale as lam^-6 "
+                                f"and overflow, lam = {lam!r}")
+    return t, lam, q, next(n for n in count(1) if max(_tails(qa, n)) <= _EPS)
 
 
 def _power_tail(qa: float, N: int, p: int) -> float:
@@ -141,95 +165,70 @@ def _power_tail(qa: float, N: int, p: int) -> float:
 
 
 def _tails(qa: float, N: int) -> tuple:
-    """Relative truncation errors after N nome terms, |q| = qa <= 4.4e-3.
-
-    The g2 and g3 series against their leading 1: 240 zeta(3) and
-    504 zeta(5) times the power tails.  The wp and wp' series against the
-    constant 1/12: with z folded to 0 <= Im z <= Im(tau')/2, each term n
-    is at most 1.31 (|q^n u| + |q^n / u| + 2 |q^n|) <= 5.24 |q|^(n - 1/2).
-    """
-    return (240.0 * _ZETA3 * _power_tail(qa, N, 3),
-            504.0 * _ZETA5 * _power_tail(qa, N, 5),
-            64.0 * qa ** (N + 0.5))
-
-
-def _series_terms(qa: float) -> int:
-    """The fewest nome terms (at least 1) whose tails are below rounding."""
-    N = 1
-    while max(_tails(qa, N)) > sys.float_info.epsilon:
-        N += 1
-    return N
-
-
-def _divisor_sigma(N: int, power: int) -> np.ndarray:
-    sig = np.zeros(N + 1)
-    for d in range(1, N + 1):
-        sig[d::d] += float(d) ** power
-    return sig
+    """Relative truncation errors of the g2 and g3 series after N terms:
+    240 and 504 times sum_{n>N} n^p |q|^n / (1 - |q|), p = 3 and 5."""
+    return (240.0 * _power_tail(qa, N, 3) / (1.0 - qa),
+            504.0 * _power_tail(qa, N, 5) / (1.0 - qa))
 
 
 def eisenstein(L: Lattice) -> EisensteinPair:
     """Lattice invariants via the normalized Eisenstein q-expansions at tau'.
 
-    g2 = lam^-4 (4 pi^4 / 3) (1 + 240 sum sigma_3(k) q'^k) and
-    g3 = lam^-6 (8 pi^6 / 27) (1 - 504 sum sigma_5(k) q'^k); tail_bound is
-    the closed-form bound on the omitted terms, scaled by the same weights.
+    g2 = lam^-4 (4 pi^4 / 3) (1 + 240 sum n^3 q'^n / (1 - q'^n)) and
+    g3 = lam^-6 (8 pi^6 / 27) (1 - 504 sum n^5 q'^n / (1 - q'^n)); tail_bound
+    is the closed-form bound on the omitted terms, scaled by the same weights.
     """
     _, lam, q, N = L.reduction
-    qk = q ** np.arange(1, N + 1)
+    qn = [(n, q ** n / (1 - q ** n)) for n in range(1, N + 1)]
     c2, c3 = 4.0 * math.pi ** 4 / 3.0, 8.0 * math.pi ** 6 / 27.0
-    g2 = c2 * (1.0 + 240.0 * np.sum(_divisor_sigma(N, 3)[1:] * qk)) / lam ** 4
-    g3 = c3 * (1.0 - 504.0 * np.sum(_divisor_sigma(N, 5)[1:] * qk)) / lam ** 6
-    t2, t3, _ = _tails(abs(q), N)
+    g2 = c2 * (1.0 + 240.0 * sum(n ** 3 * x for n, x in qn)) / lam ** 4
+    g3 = c3 * (1.0 - 504.0 * sum(n ** 5 * x for n, x in qn)) / lam ** 6
+    t2, t3 = _tails(abs(q), N)
     tail = max(c2 * t2 / abs(lam) ** 4, c3 * t3 / abs(lam) ** 6)
-    return EisensteinPair(complex(g2), complex(g3), N, float(tail))
+    return EisensteinPair(complex(g2), complex(g3), N, tail)
 
 
-def _u_series(L: Lattice, z):
-    """(u, 1 - u, q'^n u, q'^n / u, odd) for the u = exp(2 pi i w) expansion.
+def _wp_pair(L: Lattice, z: complex, guard: float = POLE_GUARD) -> tuple:
+    """(wp(z), wp'(z)); LatticePointError within guard of a lattice point.
 
-    w = z / lam is reduced into the tau' cell and folded by parity to
-    Im w >= 0 (Re w >= 0 on Im w = 0); odd marks the folded points, where
-    wp' changes sign.  The fold keeps |u| <= 1 and |q'^n / u| <=
-    |q'|^(n - 1/2); q'/u is exponentiated directly so that nothing overflows
-    or divides by an underflowed u.  1 - u comes from expm1: near the pole
-    w = 0 the difference would cancel to a relative error eps / |2 pi w|.
-    q'^n u and q'^n / u have a leading terms axis.
+    With w from :func:`_cell_point`, u = exp(2 pi i w), f(x) = x / (1 - x)^2
+    and g(x) = x (1 + x) / (1 - x)^3, wp = (2 pi i / lam)^2 (1/12 - 2 sum_{n>0}
+    f(q'^n) + sum_n f(q'^n u)) and wp' = (2 pi i / lam)^3 sum_n sign(n)
+    g(q'^n u).  Past n = 0 and -1 (u and B = q' / u) the Lambert form
+    sum_{n>0} f(q'^n x) = sum_k c_k (q' x)^k (g: k c_k) runs over A = q' u and
+    C = q' B, |C| <= |A| as the fold keeps Im w <= Im tau' / 2; evenness is
+    exact, and B is exponentiated directly, never divided by an underflowed u.
+    1 - u comes from expm1, as next to the pole the difference would cancel.
     """
-    _check_off_lattice(L, z)
-    t, lam, q, N = L.reduction
-    w = _to_cell(np.atleast_1d(z) / lam, t)
-    odd = (w.imag < 0) | ((w.imag == 0) & (w.real < 0))
-    w = np.where(odd, -w, w)
-    qn = q ** np.arange(N).reshape((-1,) + (1,) * w.ndim)  # q'^(n-1)
-    x = 2j * cmath.pi * w
-    u = np.exp(x)
-    return u, -np.expm1(x), qn * q * u, qn * np.exp(2j * cmath.pi * (t - w)), odd
+    w, odd, distance = _cell_point(L, z)
+    if distance <= guard:
+        raise LatticePointError(f"z = {z} is within {guard} of a lattice point")
+    t, q, const, coefficients, log_cut, k2, k3 = L._wp_series
+    x, y = 2.0 * math.pi * w.real, -2.0 * math.pi * w.imag
+    e, cos_x, sin_x, h = math.exp(y), math.cos(x), math.sin(x), math.sin(0.5 * x)
+    u = complex(e * cos_x, e * sin_x)
+    v = complex(2.0 * h * h - math.expm1(y) * cos_x, -e * sin_x)
+    B = cmath.exp(2j * math.pi * (t - w))
+    rb = 1 / (1 - B)
+    fb = B * rb * rb
+    s, sp = u / (v * v) + fb, u * (1 + u) / (v * v * v) - fb * (1 + B) * rb
+    a, c = A, C = q * u, q * B
+    for ck, dk in coefficients[:int(log_cut / (t.imag + w.imag))]:
+        s += ck * (a + c)
+        sp += dk * (a - c)
+        a *= A
+        c *= C
+    return k2 * (const + s), (-k3 if odd else k3) * sp
 
 
-def wp(L: Lattice, z):
-    """Weierstrass wp via its Fourier expansion in u = exp(2 pi i z / lam).
-
-    z is a number or an array of numbers (the result has its shape).  The
-    parity fold maps z and -z to the same w, so evenness is exact.
-    """
-    u, v, a, b, _ = _u_series(L, z)
-    _, lam, q, N = L.reduction
-    qn = q ** np.arange(1, N + 1)
-    s = (1.0 / 12.0 - np.sum(2 * qn / (1 - qn) ** 2) + u / v ** 2
-         + np.sum(a / (1 - a) ** 2 + b / (1 - b) ** 2, axis=0))
-    s = (2j * cmath.pi) ** 2 / lam ** 2 * s
-    return s if np.ndim(z) else complex(s[0])
+def wp(L: Lattice, z: complex) -> complex:
+    """Weierstrass wp via its Fourier expansion in u = exp(2 pi i z / lam)."""
+    return _wp_pair(L, z)[0]
 
 
-def wp_prime(L: Lattice, z):
+def wp_prime(L: Lattice, z: complex) -> complex:
     """Derivative of wp, from the term-wise differentiated expansion."""
-    u, v, a, b, odd = _u_series(L, z)
-    lam = L.reduction[1]
-    s = (u * (1 + u) / v ** 3
-         + np.sum(a * (1 + a) / (1 - a) ** 3 - b * (1 + b) / (1 - b) ** 3, axis=0))
-    s = np.where(odd, -1.0, 1.0) * (2j * cmath.pi) ** 3 / lam ** 3 * s
-    return s if np.ndim(z) else complex(s[0])
+    return _wp_pair(L, z)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +236,8 @@ def wp_prime(L: Lattice, z):
 # ---------------------------------------------------------------------------
 
 def ode_residual(L: Lattice, z: complex) -> float:
-    """|wp'(z)^2 - 4 wp(z)^3 + g2 wp(z) + g3|, for a number or an array z."""
-    return eisenstein(L).cubic_residual(wp(L, z), wp_prime(L, z))
+    """|wp'(z)^2 - 4 wp(z)^3 + g2 wp(z) + g3|."""
+    return eisenstein(L).cubic_residual(*_wp_pair(L, z))
 
 
 def embed(L: Lattice, z: complex) -> ProjPoint:
@@ -249,6 +248,7 @@ def embed(L: Lattice, z: complex) -> ProjPoint:
     """
     from .projgeo import ProjPoint
 
-    if L.distance_to_lattice(z) <= POLE_GUARD:
+    try:
+        return ProjPoint((*_wp_pair(L, z), 1.0))
+    except LatticePointError:
         return ProjPoint((0.0, 1.0, 0.0))
-    return ProjPoint((wp(L, z), wp_prime(L, z), 1.0))

@@ -15,10 +15,15 @@ import math
 import numpy as np
 
 from projquant.gitquot import LinearAction, _coords, _moment_rows
-from projquant.weierstrass import EisensteinPair, Lattice, _check_off_lattice
+from projquant.weierstrass import POLE_GUARD, EisensteinPair, Lattice, LatticePointError
 
 #: default truncation N of the lattice sums
 DEFAULT_CUTOFF = 60
+
+
+def _check_off_lattice(L: Lattice, z: complex):
+    if L.distance_to_lattice(z) <= POLE_GUARD:
+        raise LatticePointError(f"z = {z} is within {POLE_GUARD} of a lattice point")
 
 
 def _lattice_points(L: Lattice, N: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import json
 import os
 from fractions import Fraction
+import random
 import subprocess
 import sys
 import warnings
@@ -342,12 +343,12 @@ def test_samples_must_be_positive(argv, capsys):
 
 
 def test_weierstrass_embed_samples_follow_single_point_draws(tmp_path, capsys):
-    # the block draws give the stream of one (x, y) pair per point
+    # the samples are the stream of one (x, y) pair of draws per point
     from projquant.weierstrass import POLE_GUARD, Lattice
 
     for tau, samples, seed in ((2j, 50, 0), (0.3 + 0.1j, 17, 5), (1e-3j, 9, 2)):
         lat = Lattice(tau)
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         want = []
         while len(want) < samples:
             z = complex(rng.uniform(0.02, 0.98), rng.uniform(0.02, 0.98) * lat.tau.imag)
@@ -361,33 +362,32 @@ def test_weierstrass_embed_samples_follow_single_point_draws(tmp_path, capsys):
 
 
 class _ScriptedUniform:
-    """Stands in for the generator: uniform() hands out the scripted (x, y)
-    rows in order and records the block sizes asked for."""
+    """Stands in for the generator: uniform() hands out the scripted values
+    in order and counts the calls."""
 
     def __init__(self, rows):
-        self.rows, self.sizes = list(rows), []
+        self.values, self.calls = [v for row in rows for v in row], 0
 
-    def uniform(self, low, high, size):
-        self.sizes.append(size)
-        block, self.rows = self.rows[:size[0]], self.rows[size[0]:]
-        return np.array(block, dtype=float)
+    def uniform(self, low, high):
+        self.calls += 1
+        return self.values.pop(0)
 
 
 def test_weierstrass_embed_block_draws_stop_at_last_accepted_point(capsys, monkeypatch):
     # (0, 0) is the lattice point 0 and is rejected; random draws almost never
-    # are, so only a scripted stream shows the refill blocks and where they stop
+    # are, so only a scripted stream shows the redraws and where they stop
     good = [(0.1 * k + 0.05, 0.37) for k in range(9)]
     script = [good[0], (0, 0), good[1], (0, 0), good[2], (0, 0), good[3], good[4], (0, 0),
               good[5], (0, 0), good[6], good[7], good[8]]
     fake = _ScriptedUniform(script + [(0.5, 0.5)] * 8)
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: fake)
+    monkeypatch.setattr(random, "Random", lambda seed: fake)
     code, out = run_cli(capsys, "weierstrass-embed", "--tau", "2j", "--samples", "9")
     assert code == 0
     zs = [(float(r[0]), float(r[1])) for r in csv_rows(out)[1]]
     assert zs == [(x, 2 * y) for x, y in good]
-    # 9 needed, 5 kept; 4 needed, 3 kept; 1 needed, 1 kept: nothing past good[8]
-    assert fake.sizes == [(9, 2), (4, 2), (1, 2)]
-    assert len(fake.rows) == 8
+    # two uniform calls per candidate, 9 kept and 5 rejected: nothing past good[8]
+    assert fake.calls == 2 * len(script)
+    assert len(fake.values) == 16
 
 
 def test_weierstrass_embed(capsys):
@@ -570,7 +570,10 @@ def test_unknown_flag_exits_2():
     ("inf+1j", 2, "argument --tau: expected a finite complex number"),
     ("nan+1j", 2, "argument --tau: expected a finite complex number"),
     # lam = tau, and lam^-6 = 1e360 overflows
-    ("1e-60j", 1, "error: numeric failure: tau = 1e-60j: lam^6 or lam^-6 overflows"),
+    ("1e-60j", 1, "error: numeric failure: tau = 1e-60j: g3, g2 wp and wp^3 scale as lam^-6"),
+    # lam^-6 is a float, but g3 and g2 wp are not
+    ("5e-52j", 1, "error: numeric failure: tau = 5e-52j: g3, g2 wp and wp^3 scale as lam^-6"),
+    ("1.1e-51j", 1, "error: numeric failure: tau = 1.1e-51j: g3, g2 wp and wp^3 scale as lam^-6"),
 ])
 def test_weierstrass_embed_rejects_a_tau_it_cannot_handle(tau, code, message):
     # a child process with a timeout, so a tau that stalls the sample loop
@@ -604,7 +607,7 @@ print(json.dumps([rc, sorted(sys.modules)]))
     (["hilbert", "--nvars", "3", "--degrees", "3", "--m", "0..10"], 0, {"numpy"}),
     (["hilbert", "--bogus-flag"], 2, {"numpy"}),
     (["weierstrass-embed", "--tau", "2j", "--samples", "5"], 0,
-     {"projquant.btquant", "projquant.gitquot", "projquant.projgeo"}),
+     {"numpy", "projquant.btquant", "projquant.gitquot", "projquant.projgeo"}),
 ])
 def test_commands_import_only_what_they_use(argv, code, absent):
     proc = subprocess.run([sys.executable, "-c", _CHILD_MODULES, *argv],
