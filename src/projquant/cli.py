@@ -201,6 +201,16 @@ def cmd_weierstrass_embed(args, config: RunConfig) -> int:
     lat = args.tau
     residual = weierstrass.eisenstein(lat).cubic_residual
     uniform, guard = random.Random(config.seed).uniform, 10 * weierstrass.POLE_GUARD
+    # Every z is within the covering radius R of the lattice, so for R <= guard
+    # no draw clears the guard.  For reduced tau', R <= h / sqrt 2, h = |lam|
+    # Im tau' the spacing of the lattice's rows along lam; so R > 3 guard gives
+    # h > 4 guard, and at least half of the plane is farther than guard from
+    # every row.  The box below is 0.96^2 of the cell [0, 1) x [0, Im tau), so
+    # then a draw clears the guard with probability above 0.45.
+    if lat.covering_radius <= 3 * guard:
+        raise weierstrass.LatticeScaleError(
+            f"tau = {lat.tau!r}: covering radius {lat.covering_radius!r} <= {3 * guard!r}, "
+            f"too fine a lattice for samples to clear the pole guard {guard!r}")
     rows = []
     while len(rows) < args.samples:
         # one (x, y) draw per candidate point: none after the last accepted one

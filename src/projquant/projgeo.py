@@ -1,10 +1,13 @@
 """Projective and affine geometry over exact coordinates.
 
 Varieties are given by homogeneous generator lists; singularity verdicts are
-rank conditions on the Jacobi matrix, computed exactly (fraction-free
-elimination) for exact points and by SVD thresholding for floating ones.
-All verdicts are relative to the supplied presentation: the toolkit does not
-certify that the generators generate the full vanishing ideal.
+rank conditions on the Jacobi matrix, computed exactly by fraction-free
+elimination.  Every decision is made in Q(i): a float coordinate or
+coefficient is lifted exactly first (every float is a binary rational), so a
+float point decides like its exact binary value, and one only near a variety
+is not on it.  All verdicts are relative to the supplied presentation: the
+toolkit does not certify that the generators generate the full vanishing
+ideal.
 """
 
 from __future__ import annotations
@@ -19,17 +22,7 @@ from .gaussrat import GaussianRational, exact_rank, is_exact_scalar
 from .poly import Polynomial
 
 if TYPE_CHECKING:
-    import numpy as np  # the float helpers import it when called
-
-#: singular values below this fraction of the entries' size bound count as
-#: zero (float rank)
-FLOAT_RANK_RTOL = 1e-9
-
-#: scale-invariant membership tolerance for floating points
-MEMBERSHIP_TOL = 1e-8
-
-#: a float cubic's relative discriminant (and |g2|, |g3|) at most this count as 0
-CUBIC_CLASS_TOL = 1e-12
+    import numpy as np  # to_complex imports it when called
 
 
 class PointNotOnVarietyError(ValueError):
@@ -40,8 +33,8 @@ class ProjPoint:
     """Point of P^n given by one homogeneous coordinate representative.
 
     Coordinates may be exact (int/Fraction/GaussianRational) or complex
-    floats; exact and floating points follow the exact resp. numerical
-    code paths throughout the module.
+    floats, as `gitquot` and `weierstrass.embed` build them; membership and
+    rank lift a float coordinate to the exact value it stores.
     """
 
     __slots__ = ("coords",)
@@ -110,44 +103,28 @@ class VarietyPresentation:
         return self.nvars - 1
 
 
-def _size(coords, affine: bool) -> float:
-    """Float size of a point: ||p|| for projective coordinates, and
-    max(1, ||x||) for affine ones, whose polynomials have terms of lower
-    degree that a point near the origin does not make small."""
-    import numpy as np
-
-    return max(int(affine), float(np.linalg.norm([complex(c) for c in coords])))
-
-
-def _vanishes(gens, coords, tol: float, affine: bool) -> bool:
-    """Whether every generator vanishes at the coordinates: exactly for exact
-    coordinates, else |g(x)| <= tol * size^deg(g), with deg(g) at least 1
-    for an affine point (see _size)."""
-    if all(is_exact_scalar(c) for c in coords):
-        return all(g.evaluate(coords) == 0 for g in gens)
-    size = _size(coords, affine)
-    return all(abs(g.evaluate(coords)) <= tol * size ** max(g.degree(), int(affine))
-               for g in gens)
+def _exactify(c):
+    """c itself if exact, else the Gaussian rational a float (or complex) equals."""
+    if is_exact_scalar(c):
+        return c
+    z = complex(c)
+    return GaussianRational(Fraction(z.real), Fraction(z.imag))
 
 
-def _jacobian_rank(gens, coords, affine: bool) -> int:
-    """Rank of the Jacobi matrix of the generators at the coordinates: exact
-    elimination for exact coordinates, else singular values counted against
-    the partials' size bound at the point's size (see _size)."""
-    values = [[g.partial(i).evaluate(coords) for i in range(len(coords))] for g in gens]
-    if all(is_exact_scalar(c) for c in coords):
-        return exact_rank(values)
-    return _float_matrix_rank(values, _derivative_bound(gens, _size(coords, affine)))
+def _vanishes(gens, coords) -> bool:
+    """Whether every generator vanishes at the exact coordinates."""
+    return all(g.evaluate(coords) == 0 for g in gens)
 
 
-def is_on_variety(V: VarietyPresentation, p: ProjPoint, tol: float = 0.0) -> bool:
-    """Scale-invariant membership test |f(p)| <= tol * ||p||^deg(f).
+def _jacobian_rank(gens, coords) -> int:
+    """Rank of the Jacobi matrix of the generators at the exact coordinates."""
+    return exact_rank([[g.partial(i).evaluate(coords) for i in range(len(coords))]
+                       for g in gens])
 
-    With exact coordinates and tol = 0 the test is exact; a nonzero tol
-    asks for the float test, so the point enters as complex values.
-    """
-    return _vanishes(V.generators, p.coords if tol == 0 else p.to_complex(), tol,
-                     affine=False)
+
+def is_on_variety(V: VarietyPresentation, p: ProjPoint) -> bool:
+    """Whether every generator vanishes at p, exactly (float coordinates lifted)."""
+    return _vanishes(V.generators, tuple(map(_exactify, p.coords)))
 
 
 def jacobian(V: VarietyPresentation) -> tuple:
@@ -155,31 +132,11 @@ def jacobian(V: VarietyPresentation) -> tuple:
     return tuple(tuple(g.partial(i) for i in range(V.nvars)) for g in V.generators)
 
 
-def _float_matrix_rank(values, scale: float) -> int:
-    """Rank of a float matrix whose entries are sums of terms at most scale
-    in size: singular values above FLOAT_RANK_RTOL * scale count.  Rounding
-    leaves entries of size eps * scale where the exact value is zero, which
-    a threshold relative to the largest singular value would count."""
-    import numpy as np
-
-    a = np.array(values, dtype=complex)
-    if a.size == 0:
-        return 0
-    return int(np.sum(np.linalg.svd(a, compute_uv=False) > FLOAT_RANK_RTOL * scale))
-
-
-def _derivative_bound(gens, norm: float) -> float:
-    """Bound deg * sum |c| * norm^(deg-1) on every |dg/dX_i| at a point of the
-    given norm; it holds for terms below the top degree when norm >= 1."""
-    return max(g.degree() * sum(abs(complex(c)) for c in g.terms.values())
-               * norm ** (g.degree() - 1) for g in gens)
-
-
 def rank_at(V: VarietyPresentation, p: ProjPoint) -> int:
     """Rank of the Jacobi matrix at a point of the variety."""
-    if not is_on_variety(V, p, 0.0 if p.is_exact else MEMBERSHIP_TOL):
+    if not is_on_variety(V, p):
         raise PointNotOnVarietyError(f"{format_point(p)} is not on the variety")
-    return _jacobian_rank(V.generators, p.coords, affine=False)
+    return _jacobian_rank(V.generators, tuple(map(_exactify, p.coords)))
 
 
 def is_singular_point(V: VarietyPresentation, p: ProjPoint) -> bool:
@@ -199,12 +156,12 @@ def zariski_tangent_dim(gens, point) -> int:
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         raise ValueError("need at least one nonzero generator")
-    point = tuple(point)
+    point = tuple(map(_exactify, point))
     if len(point) != gens[0].nvars:
         raise ValueError("point dimension mismatch")
-    if not _vanishes(gens, point, MEMBERSHIP_TOL, affine=True):
+    if not _vanishes(gens, point):
         raise PointNotOnVarietyError("point is not a common zero")
-    return len(point) - _jacobian_rank(gens, point, affine=True)
+    return len(point) - _jacobian_rank(gens, point)
 
 
 class CubicClass(enum.Enum):
@@ -214,11 +171,9 @@ class CubicClass(enum.Enum):
 
 
 def discriminant(g2, g3):
-    """g2^3 - 27*g3^2, exact when both inputs are exact."""
-    if is_exact_scalar(g2) and is_exact_scalar(g3):
-        return g2 * g2 * g2 - 27 * g3 * g3
-    g2, g3 = complex(g2), complex(g3)
-    return g2 ** 3 - 27 * g3 ** 2
+    """g2^3 - 27*g3^2 in Q(i), float inputs lifted exactly."""
+    g2, g3 = _exactify(g2), _exactify(g3)
+    return g2 * g2 * g2 - 27 * g3 * g3
 
 
 def cubic_classify(g2, g3) -> CubicClass:
@@ -227,20 +182,12 @@ def cubic_classify(g2, g3) -> CubicClass:
     Smooth iff the discriminant g2^3 - 27 g3^2 is nonzero.  In the
     degenerate case the right-hand cubic 4x^3 - g2 x - g3 has a repeated
     root; the root is triple exactly when g2 = g3 = 0, which separates the
-    cusp (one tangent direction) from the node (two).
+    cusp (one tangent direction) from the node (two).  Float inputs are
+    lifted exactly, so 3.0, 1.0 + 1e-15 is smooth.
     """
-    exact = is_exact_scalar(g2) and is_exact_scalar(g3)
-    d = discriminant(g2, g3)
-    if exact:
-        if d != 0:
-            return CubicClass.SMOOTH
-        if g2 == 0 and g3 == 0:
-            return CubicClass.CUSPIDAL
-        return CubicClass.NODAL
-    scale = max(abs(complex(g2)) ** 3, 27 * abs(complex(g3)) ** 2, 1.0)
-    if abs(complex(d)) > CUBIC_CLASS_TOL * scale:
+    if discriminant(g2, g3) != 0:
         return CubicClass.SMOOTH
-    if abs(complex(g2)) <= CUBIC_CLASS_TOL and abs(complex(g3)) <= CUBIC_CLASS_TOL:
+    if g2 == 0 and g3 == 0:
         return CubicClass.CUSPIDAL
     return CubicClass.NODAL
 
@@ -257,13 +204,6 @@ def weierstrass_cubic(g2, g3) -> Polynomial:
         (1, 0, 2): _exactify(g2),
         (0, 0, 3): _exactify(g3),
     })
-
-
-def _exactify(c):
-    if is_exact_scalar(c):
-        return c
-    z = complex(c)
-    return GaussianRational(Fraction(z.real), Fraction(z.imag))
 
 
 def weierstrass_cubic_singular_points(g2, g3):
@@ -287,7 +227,7 @@ def veronese_square(p: ProjPoint) -> ProjPoint:
     """Degree-2 Veronese image of P^1 in P^2: (a:b) -> (a^2 : ab : b^2)."""
     if len(p) != 2:
         raise ValueError("veronese_square expects a point of P^1")
-    a, b = p.coords if p.is_exact else map(complex, p.coords)
+    a, b = p.coords
     return ProjPoint((a * a, a * b, b * b))
 
 

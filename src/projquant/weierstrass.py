@@ -37,7 +37,8 @@ class LatticePointError(ValueError):
 
 
 class LatticeScaleError(ArithmeticError):
-    """Raised when g3, g2 wp or wp^3, which scale as lam^-6, would overflow."""
+    """Raised when g3, g2 wp or wp^3, which scale as lam^-6, would overflow, or
+    when the lattice is too fine for samples to clear the pole guard."""
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,14 @@ class Lattice:
         cut = _EPS * (1.0 - qa) * (1.0 - 4.0 * qa) / (24.0 * (kmax + 1) ** 2)
         return (t, q, const, coefficients, -math.log(cut) / (2.0 * math.pi),
                 (2j * math.pi / lam) ** 2, (2j * math.pi / lam) ** 3)
+
+    @cached_property
+    def covering_radius(self) -> float:
+        """Largest distance from a point of C to the lattice lam (Z + Z tau'):
+        |lam| |tau'| |tau' - s| / (2 Im tau'), s = +-1 the sign of Re tau',
+        the circumradius of the acute triangle 0, s, tau'."""
+        t, lam, _, _ = self.reduction
+        return abs(lam) * abs(t) * math.hypot(1 - abs(t.real), t.imag) / (2 * t.imag)
 
     def reduce(self, z: complex) -> complex:
         """Translate z into the cell centered at 0."""

@@ -8,6 +8,9 @@ No command or library call of projquant reaches them.
 * The sampled zero level of a circle action's moment map, ||mu(x)|| <= tol.
 * The dimension of a circle action's quotient as the growth degree of the
   number of invariant monomials per degree.
+* Float membership and float rank: a scaled vanishing test and singular
+  values counted against a size bound, for points that are only near a
+  variety, such as the torus embedding's, and for the orbit dimension.
 """
 
 import math
@@ -19,6 +22,9 @@ from projquant.weierstrass import POLE_GUARD, EisensteinPair, Lattice, LatticePo
 
 #: default truncation N of the lattice sums
 DEFAULT_CUTOFF = 60
+
+#: singular values below this fraction of the entries' size bound count as zero
+FLOAT_RANK_RTOL = 1e-9
 
 
 def _check_off_lattice(L: Lattice, z: complex):
@@ -107,3 +113,37 @@ def invariant_growth_degree(weights, D: int = 80) -> float:
     C(D) = c D^(dim + 1) (1 + O(1 / D)), so this tends to that dimension."""
     h = invariant_monomial_counts(weights, 2 * D)
     return math.log2(sum(h) / sum(h[:D + 1])) - 1
+
+
+def on_variety_within(V, p, tol: float) -> bool:
+    """Float counterpart of projgeo.is_on_variety: |g(p)| <= tol ||p||^deg(g)
+    for every generator g, at p's coordinates as complex numbers, so the
+    verdict does not depend on the representative's scale."""
+    x = [complex(c) for c in p.coords]
+    size = float(np.linalg.norm(x))
+    return all(abs(g.evaluate(x)) <= tol * size ** g.degree() for g in V.generators)
+
+
+def float_rank(values, scale: float) -> int:
+    """Float counterpart of gitquot.orbit_dim's rank: the singular values of
+    a matrix whose entries are sums of terms at most scale in size, counted
+    above FLOAT_RANK_RTOL * scale.  Rounding leaves entries of size
+    eps * scale where the exact value is zero, which a threshold relative
+    to the largest singular value would count."""
+    a = np.array(values, dtype=complex)
+    if a.size == 0:
+        return 0
+    return int(np.sum(np.linalg.svd(a, compute_uv=False) > FLOAT_RANK_RTOL * scale))
+
+
+def float_jacobian_rank(V, p) -> int:
+    """Float counterpart of projgeo.rank_at, for a point near the variety:
+    the Jacobi matrix at p's complex coordinates, its singular values
+    counted against deg(g) sum |c| ||p||^(deg(g) - 1), a bound on every
+    partial dg/dX_i at a point of that norm."""
+    x = [complex(c) for c in p.coords]
+    norm = float(np.linalg.norm(x))
+    bound = max(g.degree() * sum(abs(complex(c)) for c in g.terms.values())
+                * norm ** (g.degree() - 1) for g in V.generators)
+    return float_rank([[g.partial(i).evaluate(x) for i in range(len(x))]
+                       for g in V.generators], bound)

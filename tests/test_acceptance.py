@@ -59,6 +59,7 @@ from projquant.projgeo import (
     zariski_tangent_dim,
 )
 from projquant.weierstrass import Lattice, eisenstein, embed, ode_residual
+from reference_routes import on_variety_within
 
 F = Fraction
 LEVELS = [4, 8, 16, 32, 64]
@@ -302,7 +303,7 @@ def test_torus_oracle():
     cubic = VarietyPresentation([weierstrass_cubic(pair.g2.real, pair.g3.real)],
                                 claimed_dim=1)
     for z in (0.4, 0.3 + 0.2j, 0.7 + 1.3j, 0.25 + 0.6j):
-        if not is_on_variety(cubic, embed(lat, z), tol=1e-5):
+        if not on_variety_within(cubic, embed(lat, z), 1e-5):
             failures.append(f"embedded point off cubic at z={z}")
     elapsed = time.perf_counter() - t0
     if elapsed >= 10.0:
@@ -377,6 +378,51 @@ def test_singular_cubic_ring_is_its_forms_on_the_curve():
                 failures.append(f"{kind.value} cubic at m={m}: rank {exact_rank(values)} "
                                 f"vs h(m) = {hilbert_function(ring, m)}")
     report("singular cubics: coordinate ring = forms on the curve", failures)
+
+
+def _add(p, q):
+    """Chord-tangent sum of two affine points of Y^2 = 4x^3 - 8, neither the
+    inverse of the other: the line through them (the tangent if p = q) meets
+    the curve a third time at x3 = s^2 / 4 - x1 - x2, its slope s; the sum is
+    that point's reflection."""
+    (x1, y1), (x2, y2) = p, q
+    s = 12 * x1 * x1 / (2 * y1) if p == q else (y2 - y1) / (x2 - x1)
+    x3 = s * s / 4 - x1 - x2
+    return x3, -(y1 + s * (x3 - x1))
+
+
+def test_smooth_cubic_ring_is_its_forms_on_the_curve():
+    # the paper's claim on a smooth curve, exactly.  On Y^2 = 4x^3 - 8
+    # (g2 = 0, g3 = 8) the point P = (3, 10) has infinite order, so P, -P,
+    # 2P, -2P, ... from the chord-tangent rule are distinct rational points.
+    # A nonzero form of degree m on the irreducible cubic meets it in at most
+    # 3m points (Bezout), so the rank of the degree-m monomials' values at
+    # 3m + 1 of them is the degree-m piece's dimension h(m): 1, then 3m,
+    # which is h^0 of the degree-3m line bundle on a genus-1 curve
+    # (Riemann-Roch), the quantum space's dimension at level m.
+    failures = []
+    g2, g3 = F(0), F(8)
+    if cubic_classify(g2, g3) is not CubicClass.SMOOTH:
+        failures.append(f"({g2}, {g3}) is not smooth")
+    cubic = VarietyPresentation([weierstrass_cubic(g2, g3)], claimed_dim=1)
+    ring = GradedRingPresentation.hypersurface(cubic.generators[0])
+    P = kP = (F(3), F(10))
+    points = []
+    while len(points) < 19:
+        points += [kP, (kP[0], -kP[1])]
+        kP = _add(kP, P)
+    if len(set(points)) != len(points):
+        failures.append("repeated point")
+    for x, y in points:
+        if not is_on_variety(cubic, ProjPoint((x, y, F(1)))):
+            failures.append(f"({x}, {y}) is off the cubic")
+    for m in range(7):
+        values = [[x ** a * y ** b for a, b, _ in monomials_of_degree(3, m)]
+                  for x, y in points[:3 * m + 1]]
+        if exact_rank(values) != hilbert_function(ring, m):
+            failures.append(f"smooth cubic at m={m}: rank {exact_rank(values)} "
+                            f"vs h(m) = {hilbert_function(ring, m)}")
+    report("smooth cubic: coordinate ring = forms on the curve", failures)
 
 
 def test_symplectic_git_correspondence():

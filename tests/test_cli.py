@@ -574,6 +574,11 @@ def test_unknown_flag_exits_2():
     # lam^-6 is a float, but g3 and g2 wp are not
     ("5e-52j", 1, "error: numeric failure: tau = 5e-52j: g3, g2 wp and wp^3 scale as lam^-6"),
     ("1.1e-51j", 1, "error: numeric failure: tau = 1.1e-51j: g3, g2 wp and wp^3 scale as lam^-6"),
+    # 2^-30 + 2^-60 i: every point is within 1e-9 of the lattice, so no
+    # sample would clear the pole guard and the draw loop would not end
+    ("9.313225746154785e-10+8.673617379884035e-19j", 1,
+     "error: numeric failure: tau = (9.313225746154785e-10+8.673617379884035e-19j): "
+     "covering radius"),
 ])
 def test_weierstrass_embed_rejects_a_tau_it_cannot_handle(tau, code, message):
     # a child process with a timeout, so a tau that stalls the sample loop
@@ -617,13 +622,16 @@ def test_commands_import_only_what_they_use(argv, code, absent):
     assert absent.isdisjoint(modules)
 
 
-def test_exact_zariski_dimension_loads_no_numpy():
+@pytest.mark.parametrize("point", ["(Fraction(0), Fraction(0))", "(0.0, 0.0)"],
+                         ids=["exact", "float"])
+def test_exact_zariski_dimension_loads_no_numpy(point):
+    # a float point is lifted exactly, so it takes the same numpy-free route
     proc = subprocess.run(
         [sys.executable, "-c", "import json, sys; from fractions import Fraction; "
          "from projquant.poly import parse_polynomial; "
          "from projquant.projgeo import zariski_tangent_dim; "
          "d = zariski_tangent_dim([parse_polynomial('X1^2 - 4 X0^3 - 4 X0^2', 2)], "
-         "(Fraction(0), Fraction(0))); print(json.dumps([d, 'numpy' in sys.modules]))"],
+         f"{point}); print(json.dumps([d, 'numpy' in sys.modules]))"],
         capture_output=True, text=True, env=_child_env(), timeout=120)
     assert json.loads(proc.stdout) == [2, False]
 

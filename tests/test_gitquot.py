@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from projquant import gitquot
 from projquant.gaussrat import GaussianRational
 from projquant.poly import Polynomial, monomials_of_degree
-from projquant.projgeo import ProjPoint, _float_matrix_rank, format_point
+from projquant.projgeo import ProjPoint, format_point
 from projquant.gitquot import (
     EmptyInvariantSetError,
     InvariantSet,
@@ -25,7 +25,7 @@ from projquant.gitquot import (
     orbit_meets_zero_level,
     semistable,
 )
-from reference_routes import invariant_growth_degree, zero_level
+from reference_routes import float_rank, invariant_growth_degree, zero_level
 
 F = Fraction
 X0 = Polynomial.variable(2, 0)
@@ -318,7 +318,7 @@ def test_orbit_dim_matches_the_svd_rank(case):
     A = generator(action)
     nrm2 = np.vdot(x, x).real
     row = A @ x - (np.vdot(x, A @ x) / nrm2) * x
-    assert orbit_dim(action, x) == _float_matrix_rank([row], np.linalg.norm(A) * math.sqrt(nrm2))
+    assert orbit_dim(action, x) == float_rank([row], np.linalg.norm(A) * math.sqrt(nrm2))
 
 
 def test_one_param_limits():

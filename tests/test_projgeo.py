@@ -78,13 +78,15 @@ def test_is_on_variety_examples():
 
 
 def test_is_on_variety_representative_independent():
+    # scaling by lam is exact on (1, 2, 4), so each float representative
+    # holds lam (1, 2, 4) exactly, and membership is decided exactly
     V = VarietyPresentation([X(1) ** 2 - X(0) * X(2)])
     base = np.array([1.0, 2.0, 4.0])
     for lam in (2.0, -0.3, 1e4, 1j, 0.5 - 0.1j):
-        assert is_on_variety(V, ProjPoint(tuple(lam * base)), tol=1e-12)
+        assert is_on_variety(V, ProjPoint(tuple(lam * base)))
     off = np.array([1.0, 2.0, 4.0001])
     for lam in (1.0, 1e6, 1e-6):
-        assert not is_on_variety(V, ProjPoint(tuple(lam * off)), tol=1e-9)
+        assert not is_on_variety(V, ProjPoint(tuple(lam * off)))
 
 
 def test_zero_generator_dropped_with_warning():
@@ -186,25 +188,50 @@ def test_rank_chart_consistency():
         affine_dim = zariski_tangent_dim([chart], a)
         assert proj_singular == (affine_dim > 1) == expected
     # each rational cubic of the corpus: its singular point and one regular
-    # point, with exact and with float coordinates, through both routes
+    # point through both routes.  A float copy decides like the exact point
+    # where its floats hold that point exactly, and is off the cubic where
+    # they round it
+    held = rounded = 0
     for g2, g3 in CUBIC_CASES:
         if g2.imag or g3.imag:
             continue
         f = weierstrass_cubic(g2, g3)
         V = VarietyPresentation([f], claimed_dim=1)
         points = [(p.coords, True) for p in weierstrass_cubic_singular_points(g2, g3)]
-        points.append((_regular_chart_point(g2, g3), False))
+        regular = _regular_chart_point(g2, g3)
+        if regular is None:  # (1/9, 1/27): the float point over x = 1 is near it
+            _assert_off_both_routes(f, V, (1.0, cmath.sqrt(complex(4 - g2 - g3)), 1.0))
+        else:
+            points.append((regular, False))
         for coords, singular in points:
-            for c in (coords, tuple(complex(x) for x in coords)):
-                affine_dim = zariski_tangent_dim([f.dehomogenize(2)], c[:2])
-                assert is_singular_point(V, ProjPoint(c)) == (affine_dim > 1) == singular, c
+            _assert_routes_agree(f, V, coords, singular)
+            floats = tuple(complex(x) for x in coords)
+            if all(F(z.real) == x.real and F(z.imag) == x.imag for z, x in zip(floats, coords)):
+                _assert_routes_agree(f, V, floats, singular)
+                held += 1
+            else:
+                _assert_off_both_routes(f, V, floats)
+                rounded += 1
+    assert held and rounded
+
+
+def _assert_routes_agree(f, V, coords, singular):
+    affine_dim = zariski_tangent_dim([f.dehomogenize(2)], coords[:2])
+    assert is_singular_point(V, ProjPoint(coords)) == (affine_dim > 1) == singular, coords
+
+
+def _assert_off_both_routes(f, V, coords):
+    with pytest.raises(PointNotOnVarietyError):
+        is_singular_point(V, ProjPoint(coords))
+    with pytest.raises(PointNotOnVarietyError):
+        zariski_tangent_dim([f.dehomogenize(2)], coords[:2])
 
 
 def _regular_chart_point(g2, g3):
     """A point (x : y : 1) of the Weierstrass cubic off its singular point:
     the first x = a/d^2 in a small grid where 4x^3 - g2 x - g3 is plus or
-    minus a rational square, so that y lies in Q(i).  (1/9, 1/27) has no
-    such x of small height; it gets the float point over x = 1."""
+    minus a rational square, so that y lies in Q(i); None where there is no
+    such x of small height, as for (1/9, 1/27)."""
     node = [p.coords[0] for p in weierstrass_cubic_singular_points(g2, g3)]
     for d in (1, 2, 3):
         for a in sorted(range(-12, 13), key=abs):
@@ -213,20 +240,32 @@ def _regular_chart_point(g2, g3):
             y = F(isqrt(abs(r.numerator)), isqrt(r.denominator))
             if y * y == abs(r) and x not in node:
                 return (x, y if r >= 0 else GaussianRational(0, y), F(1))
-    return (1.0, cmath.sqrt(complex(4 - g2 - g3)), 1.0)
+    return None
 
 
 def test_float_rank_path():
+    # a float coordinate is lifted to the binary fraction it holds: (1.0, 2.0,
+    # 4.0) decides like (1, 2, 4), and a float that rounds the node (c : 0 : 1)
+    # of g2 = 12 c^2, g3 = -8 c^3 is off the cubic, with no tolerance to pass it
     V = VarietyPresentation([X(1) ** 2 - X(0) * X(2)], claimed_dim=1)
     p = ProjPoint((1.0, 2.0, 4.0))
-    assert rank_at(V, p) == 1
+    assert rank_at(V, p) == rank_at(V, pt(1, 2, 4)) == 1
     assert not is_singular_point(V, p)
+    for c in (F(2, 7), F(5, 3)):
+        f = weierstrass_cubic(12 * c ** 2, -8 * c ** 3)
+        node = VarietyPresentation([f], claimed_dim=1)
+        assert is_singular_point(node, pt(c, 0, 1))
+        assert not is_on_variety(node, ProjPoint((float(c), 0.0, 1.0)))
+        with pytest.raises(PointNotOnVarietyError):
+            rank_at(node, ProjPoint((float(c), 0.0, 1.0)))
+        with pytest.raises(PointNotOnVarietyError):
+            zariski_tangent_dim([f.dehomogenize(2)], (float(c), 0.0))
 
 
-@pytest.mark.parametrize("c", [F(2, 7), F(5, 3)])
+@pytest.mark.parametrize("c", [F(3, 4), F(-5, 8)])
 def test_float_node_is_singular_like_the_exact_one(c):
-    # the node of g2 = 12 c^2, g3 = -8 c^3 is (c : 0 : 1); at its float
-    # representative the Jacobian entries are rounding noise (1e-16, 1e-14)
+    # the node of g2 = 12 c^2, g3 = -8 c^3 is (c : 0 : 1); a binary fraction
+    # c is a float, and the float node decides like the exact one
     f = weierstrass_cubic(12 * c ** 2, -8 * c ** 3)
     V = VarietyPresentation([f], claimed_dim=1)
     assert is_singular_point(V, pt(c, 0, 1))
@@ -289,9 +328,13 @@ def test_nodal_case_has_double_root():
 
 
 def test_cubic_classify_float_tolerance():
-    assert cubic_classify(3.0, 1.0 + 1e-15) is CubicClass.NODAL
-    assert cubic_classify(1e-14, 1e-14) is CubicClass.CUSPIDAL
+    # floats are lifted exactly: the verdict is that of the binary value
+    assert cubic_classify(3.0, 1.0 + 1e-15) is CubicClass.SMOOTH
+    assert cubic_classify(3.0, 1.0) is CubicClass.NODAL
+    assert cubic_classify(1e-14, 1e-14) is CubicClass.SMOOTH
+    assert cubic_classify(0.0, 0.0) is CubicClass.CUSPIDAL
     assert cubic_classify(4.0, 0.0) is CubicClass.SMOOTH
+    assert discriminant(3.0, 1.0 + 1e-15) == discriminant(F(3), F(1 + 1e-15)) != 0
 
 
 def test_classification_matches_exact_singular_search():

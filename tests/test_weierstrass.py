@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projquant.projgeo import VarietyPresentation, is_on_variety, is_singular_point, weierstrass_cubic
+from projquant.projgeo import PointNotOnVarietyError, VarietyPresentation, rank_at, weierstrass_cubic
 from projquant.weierstrass import (
     EisensteinPair,
     Lattice,
@@ -20,7 +20,14 @@ from projquant.weierstrass import (
     wp_prime,
 )
 from projquant.weierstrass import _power_tail
-from reference_routes import eisenstein_lattice, ode_residual_lattice, wp_lattice, wp_prime_lattice
+from reference_routes import (
+    eisenstein_lattice,
+    float_jacobian_rank,
+    ode_residual_lattice,
+    on_variety_within,
+    wp_lattice,
+    wp_prime_lattice,
+)
 
 TAU_SQUARE = 1j
 TAU_RECT = 2j
@@ -397,6 +404,16 @@ def test_ode_residual_many_points():
 
 # -- embedding ----------------------------------------------------------------------
 
+@pytest.mark.parametrize("tau", [TAU_SQUARE, TAU_HEX, 0.3 + 1.7j, 5 + 0.01j])
+def test_covering_radius_is_the_largest_distance_to_the_lattice(tau):
+    # brute force over a grid of the cell s + t tau: no grid point is
+    # farther than R, and some is within one grid step of it
+    L, n = Lattice(tau), 120
+    far = max(L.distance_to_lattice(s / n + t / n * L.tau) for s in range(n) for t in range(n))
+    assert far <= L.covering_radius * (1 + 4 * EPS)
+    assert L.covering_radius - far <= abs(1 + L.tau) / n
+
+
 def test_embed_lattice_class_goes_to_infinity():
     L = Lattice(TAU_RECT)
     assert embed(L, 0.0).coords == (0.0, 1.0, 0.0)
@@ -408,9 +425,12 @@ def test_embedded_points_on_cubic():
     pair = eisenstein(L)
     cubic = VarietyPresentation([weierstrass_cubic(pair.g2.real, pair.g3.real)],
                                 claimed_dim=1)
-    assert is_on_variety(cubic, embed(L, 0.4), tol=1e-5)
+    assert on_variety_within(cubic, embed(L, 0.4), 1e-5)
     for z in (0.25, 0.3 + 0.2j, 0.1 + 1.1j):
-        assert is_on_variety(cubic, embed(L, z), tol=1e-5)
+        assert on_variety_within(cubic, embed(L, z), 1e-5)
+    # projgeo decides exactly: a float torus point is only near the cubic
+    with pytest.raises(PointNotOnVarietyError):
+        rank_at(cubic, embed(L, 0.4))
 
 
 def test_embed_parity():
@@ -440,7 +460,7 @@ def test_no_singular_points_on_embedded_cubic():
         if L.distance_to_lattice(z) < 1e-2:
             continue
         p = embed(L, z)
-        if not is_on_variety(V, p, tol=1e-7):
+        if not on_variety_within(V, p, 1e-7):
             continue  # membership tolerance for the rank precheck
-        assert not is_singular_point(V, p)
+        assert float_jacobian_rank(V, p) == 1
         count += 1
