@@ -14,10 +14,10 @@ enumerate the invariant ring.
 
 from __future__ import annotations
 
+import cmath
 import math
+import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .poly import Polynomial
 from .projgeo import ProjPoint
@@ -52,33 +52,32 @@ class LinearAction:
         return int(any(self.weights))
 
 
-def _coords(x) -> np.ndarray:
-    if isinstance(x, ProjPoint):
-        return x.to_complex()
-    v = np.asarray(x, dtype=complex)
-    if not np.any(v):
+def _coords(x) -> tuple:
+    """The coordinates of x as complex numbers: a ProjPoint's, or those of
+    any sequence of numbers, numpy arrays included."""
+    v = x.to_complex() if isinstance(x, ProjPoint) else tuple(map(complex, x))
+    if not any(v):
         raise ValueError("zero vector does not represent a projective point")
     return v
 
 
-def moment_map(action: LinearAction, x) -> np.ndarray:
-    """Moment-map value at x, one real component:
+def moment_map(action: LinearAction, x) -> tuple:
+    """Moment-map value at x, its one real component as a 1-tuple:
     (x* A x) / (2 pi i |x|^2) = sum w_j |x_j|^2 / (2 pi |x|^2) for the
     generator A = i*diag(w); the |x|^2 denominator makes it
     representative-independent.
     """
-    return _moment_rows(action, _coords(x)[None, :])[0]
+    return (_moment(action.weights, _squared_moduli(_coords(x))),)
 
 
-def _moment_rows(action: LinearAction, V: np.ndarray) -> np.ndarray:
-    """moment_map of each row v of V, shape (rows, 1):
-    Im(sum conj(v_j) (i w_j v_j)) / (2 pi |v|^2).  Elementwise products and
-    row sums only, so a row's value does not depend on the rows stacked with
-    it."""
-    gen = np.array([1j * w for w in action.weights], dtype=complex)
-    num = np.add.reduce(V.conj() * (gen * V), axis=-1)
-    nrm2 = np.add.reduce(V.real * V.real + V.imag * V.imag, axis=1)
-    return (num.imag / (2.0 * math.pi * nrm2))[:, None]
+def _squared_moduli(v) -> list:
+    """|v_j|^2 for each coordinate of v, shared by mu and the invariant moduli."""
+    return [c.real * c.real + c.imag * c.imag for c in v]
+
+
+def _moment(weights, a: list) -> float:
+    """sum w_j a_j / (2 pi sum a_j): mu at the point of squared moduli a."""
+    return sum([w * p for w, p in zip(weights, a)]) / (2.0 * math.pi * sum(a))
 
 
 def infinitesimal_invariance(F: Polynomial, action: LinearAction) -> bool:
@@ -120,28 +119,37 @@ def semistable(x, inv: InvariantSet, tol: float = 0.0) -> bool:
         raise EmptyInvariantSetError("cannot decide semistability from an empty set")
     if isinstance(x, ProjPoint) and x.is_exact and tol == 0.0:
         return any(F.evaluate(x.coords) != 0 for F in inv.polys)
-    return bool(np.any(_invariant_moduli(inv, _coords(x)[None, :]) > tol))
+    v = _coords(x)
+    return any(m > tol for m in _invariant_moduli(_log_terms(inv), v, _squared_moduli(v)))
 
 
-def _invariant_moduli(inv: InvariantSet, V: np.ndarray) -> np.ndarray:
-    """(|F(v)| / ||v||^deg F)^(1 / deg F) for each row v of V, one column per
-    invariant: for a monomial, the weighted geometric mean of |v_k| / ||v||
-    over its variables, so one threshold serves every degree.  Each term's
-    log modulus and phase are sums over u = v / ||v||, and the terms are
-    shifted by the row's largest log modulus before they are summed, so no
-    product of moduli underflows: X0^201 X1^200 at (1e-3 : 1) reads 0.03,
-    not 0."""
-    U = V / np.linalg.norm(V, axis=1)[:, None]
-    log_u, arg_u = _log_moduli(U) / 2.0, np.angle(U)
-    cols = []
-    for F in inv.polys:
-        terms = [(complex(c), sum(e * log_u[:, k] for k, e in enumerate(m) if e),
-                  sum(e * arg_u[:, k] for k, e in enumerate(m) if e)) for m, c in F.iter_terms()]
-        top = np.max([r for _, r, _ in terms], axis=0)
-        top = np.where(top > -np.inf, top, 0.0)  # every term 0: no shift
-        total = sum(c * np.exp(r - top) * np.exp(1j * t) for c, r, t in terms)
-        cols.append(np.exp((top + _log_moduli(total) / 2.0) / F.degree()))
-    return np.stack(cols, axis=1)
+def _log_terms(inv: InvariantSet) -> list:
+    """Each invariant as (degree, terms), a term (coefficient, ((k, e), ...))
+    with the exponents e > 0 of its variables k, for _invariant_moduli."""
+    return [(F.degree(), [(complex(c), tuple((k, e) for k, e in enumerate(m) if e))
+                          for m, c in F.terms.items()]) for F in inv.polys]
+
+
+def _invariant_moduli(terms: list, v, a: list):
+    """(|F(v)| / ||v||^deg F)^(1 / deg F) for each invariant F in turn (terms:
+    _log_terms of the set, a: _squared_moduli(v)): for a monomial, the
+    weighted geometric mean of |v_k| / ||v|| over its variables, so one
+    threshold serves every degree.  Each term's log modulus and phase are
+    sums over u = v / ||v||, and the terms are shifted by the largest log
+    modulus before they are summed, so no product of moduli underflows:
+    X0^201 X1^200 at (1e-3 : 1) reads 0.03, not 0."""
+    half_log_s = 0.5 * math.log(sum(a))
+    log_u = [math.log(abs(c)) - half_log_s if c else -math.inf for c in v]
+    for degree, poly in terms:
+        logs = [sum([e * log_u[k] for k, e in exps]) for _, exps in poly]
+        top = max(logs)
+        if len(poly) == 1 or top == -math.inf:  # one term has no phases to sum; none is 0
+            total = abs(poly[0][0]) if top > -math.inf else 0.0
+        else:
+            total = abs(sum(c * cmath.rect(math.exp(r - top),
+                                           sum(e * cmath.phase(v[k]) for k, e in exps))
+                            for (c, exps), r in zip(poly, logs)))
+        yield math.exp((top + math.log(total)) / degree) if total else 0.0
 
 
 def orbit_dim(action: LinearAction, x) -> int:
@@ -157,16 +165,9 @@ def one_param_limit(weights, x, direction: str) -> ProjPoint:
     on the support survive.  The result is a fixed point of the subgroup."""
     if direction not in ("0", "inf"):
         raise ValueError("direction must be one of '0', 'inf'")
-    to_zero, to_inf = _limits(weights, _coords(x)[None, :])
-    return ProjPoint(tuple((to_zero if direction == "0" else to_inf)[0]))
-
-
-def _limits(weights, V: np.ndarray):
-    """The t -> 0 and t -> infinity limits of each row of V: the coordinates
-    at the least and at the greatest weight on its support survive, the
-    rest vanish."""
-    w = np.array(weights, dtype=float)
-    return tuple(np.where(w == ext[:, None], V, 0.0) for ext in _extremal_weights(weights, V))
+    v = _coords(x)
+    ext = _extremal_weights(weights, v)[direction == "inf"]
+    return ProjPoint(tuple(c if w == ext else 0j for w, c in zip(weights, v)))
 
 
 def orbit_meets_zero_level(action: LinearAction, x, tol: float = 1e-9):
@@ -182,17 +183,17 @@ def orbit_meets_zero_level(action: LinearAction, x, tol: float = 1e-9):
     search and decides no verdict.
     """
     v = _coords(x)
-    witness = _zero_level_witness(action.weights, v, _log_moduli(v).tolist(), tol)
+    witness = _zero_level_witness(action.weights, v, _log_moduli(v), tol)
     return (False, None) if witness is None else (True, ProjPoint(tuple(witness)))
 
 
-def _log_moduli(V: np.ndarray) -> np.ndarray:
-    """2 log |v_j| for each entry of V, -inf where it is 0: the squared
+def _log_moduli(v) -> list:
+    """2 log |v_j| for each coordinate of v, -inf where it is 0: the squared
     moduli in log space, which do not underflow at moduli of 1e-200."""
-    return 2.0 * np.log(np.abs(V), out=np.full(V.shape, -np.inf), where=V != 0)
+    return [2.0 * math.log(abs(c)) if c else -math.inf for c in v]
 
 
-def _zero_level_witness(weights, v: np.ndarray, log_a: list, tol: float):
+def _zero_level_witness(weights, v, log_a: list, tol: float):
     """Coordinates where the orbit closure of v (log_a: its _log_moduli)
     meets the zero level, or None: the t -> 0 or t -> infinity limit for a
     root at -inf or inf, else e^(s w) . v at the root s, scaled so that its
@@ -201,11 +202,10 @@ def _zero_level_witness(weights, v: np.ndarray, log_a: list, tol: float):
     if math.isnan(s):
         return None
     if math.isinf(s):
-        to_zero, to_inf = _limits(weights, v[None, :])
-        return (to_zero if s < 0 else to_inf)[0]
+        return one_param_limit(weights, v, "inf" if s > 0 else "0").coords
     e = [a + 2.0 * s * w for w, a in zip(weights, log_a)]
     top = max(e)
-    return [c / abs(c) * math.exp(0.5 * (x - top)) if c else 0j for c, x in zip(v.tolist(), e)]
+    return tuple(c / abs(c) * math.exp(0.5 * (x - top)) if c else 0j for c, x in zip(v, e))
 
 
 def _orbit_root(weights, log_a: list, tol: float) -> float:
@@ -223,7 +223,8 @@ def _orbit_root(weights, log_a: list, tol: float) -> float:
     w_hi P_hi e^(2 s w_hi) and negative part at most its size N_- at s = 0,
     so mu >= 0 at s_hi = max(0, ln(N_- / (w_hi P_hi)) / (2 w_hi)); s_lo
     likewise from N_+ and |w_lo| P_lo."""
-    ws, las = zip(*((w, a) for w, a in zip(weights, log_a) if a > -math.inf))
+    ws, las = (weights, log_a) if -math.inf not in log_a else zip(
+        *((w, a) for w, a in zip(weights, log_a) if a > -math.inf))
     w_lo, w_hi = min(ws), max(ws)
     if w_lo == 0:
         return -math.inf
@@ -231,10 +232,17 @@ def _orbit_root(weights, log_a: list, tol: float) -> float:
         return math.inf
     if not w_lo < 0 < w_hi:
         return math.nan
-    # log w_hi P_hi, log |w_lo| P_lo, log N_+ and log N_- from log |w_j| |v_j|^2
-    terms = [(w, math.log(abs(w)) + a) for w, a in zip(ws, las) if w]
-    top, bottom, n_plus, n_minus = (_log_sum([t for w, t in terms if keep(w)]) for keep in (
-        lambda w: w == w_hi, lambda w: w == w_lo, lambda w: w > 0, lambda w: w < 0))
+    # log w_hi P_hi, log |w_lo| P_lo, log N_+ and log N_- from log |w_j| |v_j|^2 in
+    # one pass; a sign class that is its extremal class is not summed again
+    at_hi, at_lo, pos, neg = [], [], [], []
+    for w, a in zip(ws, las):
+        if w:
+            t = math.log(abs(w)) + a
+            (pos if w > 0 else neg).append(t)
+            (at_hi if w == w_hi else at_lo if w == w_lo else []).append(t)
+    top, bottom = _log_sum(at_hi), _log_sum(at_lo)
+    n_plus = _log_sum(pos) if len(pos) > len(at_hi) else top
+    n_minus = _log_sum(neg) if len(neg) > len(at_lo) else bottom
     lo = min(0.0, (n_plus - bottom) / (2.0 * w_lo))
     hi = max(0.0, (n_minus - top) / (2.0 * w_hi))
     x = min(max((bottom - top) / (2.0 * (w_hi - w_lo)), lo), hi)
@@ -250,8 +258,10 @@ def _orbit_root(weights, log_a: list, tol: float) -> float:
 
 def _log_sum(terms: list) -> float:
     """log sum exp of the terms, shifted by their maximum."""
+    if len(terms) == 1:
+        return terms[0]
     big = max(terms)
-    return big + math.log(sum(math.exp(t - big) for t in terms))
+    return big + math.log(sum([math.exp(t - big) for t in terms]))
 
 
 def _ray_moment_map(weights, log_a, s: float):
@@ -271,11 +281,11 @@ def _ray_moment_map(weights, log_a, s: float):
     return mean / (2.0 * math.pi), (m2 / z - mean * mean) / math.pi
 
 
-def _extremal_weights(weights, V: np.ndarray):
-    """Least and greatest weight on the support of each row of V: the
-    weights whose coordinates survive as t -> 0 and t -> infinity."""
-    w_live = np.where(V != 0, np.array(weights, dtype=float), np.nan)
-    return np.fmin.reduce(w_live, axis=1), np.fmax.reduce(w_live, axis=1)
+def _extremal_weights(weights, v) -> tuple:
+    """Least and greatest weight on the support of v: the weights whose
+    coordinates survive as t -> 0 and t -> infinity."""
+    live = [w for w, c in zip(weights, v) if c]
+    return min(live), max(live)
 
 
 def is_stable(action: LinearAction, x, inv: InvariantSet,
@@ -313,71 +323,64 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
     """
     weights = action.weights
     if inv is None or not inv.polys:
-        return {
-            "n_samples": 0,
-            "verdict": "no nonconstant certified invariants: semistable locus "
-                       "not determined",
-            "equivalence_holds": None,
-        }
-    rng = np.random.default_rng(seed)
+        return {"n_samples": 0, "equivalence_holds": None, "verdict": "no nonconstant "
+                "certified invariants: semistable locus not determined"}
+    rng = random.Random(seed)
     n = action.n + 1
-    head = _rays(rng, max(0, n_samples - 2 * n), n)
-    tail = _rays(rng, max(0, n_samples - len(head) - n), n)  # after every coordinate fixed point
-    V = np.concatenate([head, np.eye(n), tail])
-    zl_phases = _zero_level_samples(action, rng, count=64)
-    semi, zl_semi = np.split(np.any(_invariant_moduli(inv, np.concatenate([V, zl_phases])) > 1e-12,
-                                    axis=1), [len(V)])
-    w_lo, w_hi = _extremal_weights(weights, V)
-    met = (w_lo <= 0) & (w_hi >= 0)
-    mismatches = int(np.count_nonzero(semi != met))
-    mus = _moment_rows(action, V)
-    points = _format_rows(V)
-    limits = map(_format_rows, _limits(weights, V))
-    rows = [{"point": p, "semistable": a, "orbit_meets_zero_level": b,
-             "mu": mu, "limit_t_to_0": l0, "limit_t_to_inf": linf}
-            for p, a, b, mu, l0, linf in zip(points, semi.tolist(), met.tolist(), mus.tolist(),
-                                              *limits)]
-
-    zl = np.linalg.norm(mus, axis=1) <= 1e-7
-    zero_all_semistable = bool(np.all(semi[zl]) and np.all(zl_semi))
+    points = [_ray(rng, n) for _ in range(max(0, n_samples - 2 * n))]
+    points += [tuple(complex(i == j) for i in range(n)) for j in range(n)]
+    points += [_ray(rng, n) for _ in range(max(0, n_samples - len(points)))]
+    terms = _log_terms(inv)
+    zero_all_semistable = all(
+        any(m > 1e-12 for m in _invariant_moduli(terms, v, _squared_moduli(v)))
+        for v in _zero_level_samples(action, rng, count=64))
+    rows, mismatches, zero_level = [], 0, 0
+    for v in points:  # one pass per sample, each coordinate formatted once, as in format_point
+        a = _squared_moduli(v)
+        mu = _moment(weights, a)
+        semi = any(m > 1e-12 for m in _invariant_moduli(terms, v, a))
+        w_lo, w_hi = _extremal_weights(weights, v)
+        met = w_lo <= 0 <= w_hi
+        mismatches += semi != met
+        if abs(mu) <= 1e-7:
+            zero_level += 1
+            zero_all_semistable = zero_all_semistable and semi
+        text = [repr(c.real) if c.imag == 0 else repr(c) for c in v]
+        to_zero, to_inf = (" : ".join([t if w == ext else "0.0" for w, t in zip(weights, text)])
+                           for ext in (w_lo, w_hi))
+        rows.append({"point": f"({' : '.join(text)})", "semistable": semi,
+                     "orbit_meets_zero_level": met, "mu": [mu],
+                     "limit_t_to_0": f"({to_zero})", "limit_t_to_inf": f"({to_inf})"})
     return {
         "n_samples": len(points),
         "samples": rows,
         "equivalence_holds": mismatches == 0,
         "mismatches": mismatches,
-        "zero_level_sampled": int(np.count_nonzero(zl)),
+        "zero_level_sampled": zero_level,
         "zero_level_all_semistable": zero_all_semistable,
         "quotient_dim": action.n - 1 if min(weights) < 0 < max(weights) else weights.count(0) - 1,
     }
 
 
-def _format_rows(V: np.ndarray) -> list[str]:
-    """format_point of each row of V, without building the points: each
-    coordinate is repr of its real part when its imaginary part is 0, as
-    projgeo._format_coord writes a complex float."""
-    return ["(" + " : ".join(repr(c.real) if c.imag == 0 else repr(c) for c in row) + ")"
-            for row in V.tolist()]
-
-
-def _zero_level_samples(action: LinearAction, rng, count: int = 64) -> np.ndarray:
+def _zero_level_samples(action: LinearAction, rng: random.Random, count: int = 64) -> list:
     """Deterministic points on the moment zero level, found by the orbit
-    search along random rays (drawn in blocks, one root per ray): the rows of
-    an (N, n+1) array, N <= count."""
+    search along random rays, one root per ray and at most 50 * count rays:
+    at most count coordinate tuples."""
     weights, n = action.weights, action.n + 1
-    out, tries = np.empty((0, n), dtype=complex), 0
-    while len(out) < count and tries < 50 * count:
-        block = min(count - len(out), 50 * count - tries)
-        tries += block
-        X = _rays(rng, block, n)
-        W = np.array([w for v, log_a in zip(X, _log_moduli(X).tolist())
-                      if (w := _zero_level_witness(weights, v, log_a, 1e-12)) is not None],
-                     dtype=complex).reshape(-1, n)
-        out = np.concatenate([out, W[np.abs(_moment_rows(action, W)[:, 0]) <= 1e-10]])
+    out = []
+    for _ in range(50 * count):
+        if len(out) == count:
+            break
+        v = _ray(rng, n)
+        w = _zero_level_witness(weights, v, _log_moduli(v), 1e-12)
+        if w is not None and abs(_moment(weights, _squared_moduli(w))) <= 1e-10:
+            out.append(w)
     return out
 
 
-def _rays(rng, count: int, n: int) -> np.ndarray:
-    """count random points of C^n, real and imaginary parts standard normal,
-    drawn as count (re, im) pairs of n normals from one stream."""
-    ri = rng.normal(size=(count, 2, n))
-    return ri[:, 0] + 1j * ri[:, 1]
+def _ray(rng: random.Random, n: int) -> tuple:
+    """A random point of C^n, real and imaginary parts standard normal: each
+    coordinate by Box-Muller from two uniforms of the stream, modulus
+    sqrt(-2 ln(1 - U)) and phase 2 pi U'."""
+    return tuple([cmath.rect(math.sqrt(-2.0 * math.log(1.0 - rng.random())),
+                             math.tau * rng.random()) for _ in range(n)])

@@ -12,17 +12,14 @@ ideal.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .gaussrat import GaussianRational, exact_rank, is_exact_scalar
 from .poly import Polynomial
-
-if TYPE_CHECKING:
-    import numpy as np  # to_complex imports it when called
 
 
 class PointNotOnVarietyError(ValueError):
@@ -57,10 +54,8 @@ class ProjPoint:
     def is_exact(self) -> bool:
         return all(is_exact_scalar(c) for c in self.coords)
 
-    def to_complex(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([complex(c) for c in self.coords])
+    def to_complex(self) -> tuple:
+        return tuple(map(complex, self.coords))
 
     def __repr__(self):
         return f"ProjPoint({format_point(self)})"
@@ -112,7 +107,11 @@ def _exactify(c):
 
 
 def _vanishes(gens, coords) -> bool:
-    """Whether every generator vanishes at the exact coordinates."""
+    """Whether every generator vanishes at the coordinates, lifted exactly; a
+    nan or an infinite coordinate is on no variety."""
+    if not all(is_exact_scalar(c) or cmath.isfinite(complex(c)) for c in coords):
+        return False
+    coords = tuple(map(_exactify, coords))
     return all(g.evaluate(coords) == 0 for g in gens)
 
 
@@ -124,7 +123,7 @@ def _jacobian_rank(gens, coords) -> int:
 
 def is_on_variety(V: VarietyPresentation, p: ProjPoint) -> bool:
     """Whether every generator vanishes at p, exactly (float coordinates lifted)."""
-    return _vanishes(V.generators, tuple(map(_exactify, p.coords)))
+    return _vanishes(V.generators, p.coords)
 
 
 def jacobian(V: VarietyPresentation) -> tuple:
@@ -156,12 +155,11 @@ def zariski_tangent_dim(gens, point) -> int:
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         raise ValueError("need at least one nonzero generator")
-    point = tuple(map(_exactify, point))
     if len(point) != gens[0].nvars:
         raise ValueError("point dimension mismatch")
     if not _vanishes(gens, point):
         raise PointNotOnVarietyError("point is not a common zero")
-    return len(point) - _jacobian_rank(gens, point)
+    return len(point) - _jacobian_rank(gens, tuple(map(_exactify, point)))
 
 
 class CubicClass(enum.Enum):

@@ -6,6 +6,9 @@ No command or library call of projquant reaches them.
   converge like O(1/N^2); the program's nome route agrees with them within
   their own tail.
 * The sampled zero level of a circle action's moment map, ||mu(x)|| <= tol.
+* The array passes that gitquot ran before it went to one scalar pass per
+  point: the moment map, the invariant moduli and the one-parameter limits
+  of every row of an array at once.
 * The dimension of a circle action's quotient as the growth degree of the
   number of invariant monomials per degree.
 * Float membership and float rank: a scaled vanishing test and singular
@@ -17,7 +20,7 @@ import math
 
 import numpy as np
 
-from projquant.gitquot import LinearAction, _coords, _moment_rows
+from projquant.gitquot import InvariantSet, LinearAction, _coords
 from projquant.weierstrass import POLE_GUARD, EisensteinPair, Lattice, LatticePointError
 
 #: default truncation N of the lattice sums
@@ -85,8 +88,50 @@ def zero_level(action: LinearAction, points, tol: float) -> list:
     """The sampled zero level of the moment map: ||mu(x)|| <= tol."""
     points = list(points)
     V = np.array([_coords(p) for p in points]).reshape(len(points), action.n + 1)
-    mu = np.linalg.norm(_moment_rows(action, V), axis=1)
+    mu = np.linalg.norm(moment_rows(action, V), axis=1)
     return [p for p, r in zip(points, mu) if r <= tol]
+
+
+def moment_rows(action: LinearAction, V: np.ndarray) -> np.ndarray:
+    """The moment map of each row v of V, shape (rows, 1):
+    Im(sum conj(v_j) (i w_j v_j)) / (2 pi |v|^2), from the generator
+    i*diag(w) as a complex vector."""
+    gen = np.array([1j * w for w in action.weights], dtype=complex)
+    num = np.add.reduce(V.conj() * (gen * V), axis=-1)
+    nrm2 = np.add.reduce(V.real * V.real + V.imag * V.imag, axis=1)
+    return (num.imag / (2.0 * math.pi * nrm2))[:, None]
+
+
+def _log_moduli(V: np.ndarray) -> np.ndarray:
+    return 2.0 * np.log(np.abs(V), out=np.full(V.shape, -np.inf), where=V != 0)
+
+
+def invariant_moduli_rows(inv: InvariantSet, V: np.ndarray) -> np.ndarray:
+    """(|F(v)| / ||v||^deg F)^(1 / deg F) for each row v of V, one column per
+    invariant, from u = V / ||V|| row by row: each term's log modulus and
+    phase summed over u's columns, the terms shifted by the row's largest
+    log modulus before they are summed."""
+    U = V / np.linalg.norm(V, axis=1)[:, None]
+    log_u, arg_u = _log_moduli(U) / 2.0, np.angle(U)
+    cols = []
+    for F in inv.polys:
+        terms = [(complex(c), sum(e * log_u[:, k] for k, e in enumerate(m) if e),
+                  sum(e * arg_u[:, k] for k, e in enumerate(m) if e)) for m, c in F.iter_terms()]
+        top = np.max([r for _, r, _ in terms], axis=0)
+        top = np.where(top > -np.inf, top, 0.0)  # every term 0: no shift
+        total = sum(c * np.exp(r - top) * np.exp(1j * t) for c, r, t in terms)
+        cols.append(np.exp((top + _log_moduli(total) / 2.0) / F.degree()))
+    return np.stack(cols, axis=1)
+
+
+def limit_rows(weights, V: np.ndarray):
+    """The t -> 0 and t -> infinity limits of each row of V: the coordinates
+    at the least and at the greatest weight on its support survive, the
+    rest vanish."""
+    w = np.array(weights, dtype=float)
+    w_live = np.where(V != 0, w, np.nan)
+    return tuple(np.where(w == ext[:, None], V, 0.0)
+                 for ext in (np.fmin.reduce(w_live, axis=1), np.fmax.reduce(w_live, axis=1)))
 
 
 def invariant_monomial_counts(weights, D: int) -> list:

@@ -14,6 +14,8 @@ to 1e-9, and the log-log slope must lie in the first-order window.
 
 import cmath
 import math
+import random
+import sys
 import time
 from fractions import Fraction
 
@@ -58,7 +60,7 @@ from projquant.projgeo import (
     weierstrass_cubic_singular_points,
     zariski_tangent_dim,
 )
-from projquant.weierstrass import Lattice, eisenstein, embed, ode_residual
+from projquant.weierstrass import POLE_GUARD, Lattice, eisenstein, embed, ode_residual, wp, wp_prime
 from reference_routes import on_variety_within
 
 F = Fraction
@@ -423,6 +425,61 @@ def test_smooth_cubic_ring_is_its_forms_on_the_curve():
             failures.append(f"smooth cubic at m={m}: rank {exact_rank(values)} "
                             f"vs h(m) = {hilbert_function(ring, m)}")
     report("smooth cubic: coordinate ring = forms on the curve", failures)
+
+
+def _cubic_excess(g3, values) -> float:
+    """Largest |Y^2 - (4x^3 - 8)| / bound over (wp, wp') pairs scaled to
+    x = wp / mu^2, Y = wp' / mu^3 with mu^6 = g3 / 8, where g2 = 0 leaves
+    wp'^2 = 4 wp^3 - g3.  To first order, relative errors d and d' in wp and
+    wp' move the residual by 12 |x|^3 d + 2 |Y|^2 d' <= 3 T max(d, d'),
+    T = |Y|^2 + 4 |x|^3 + 8 the size of its terms; with wp and wp' claimed
+    to 16 eps, and 16 eps T more for g3, mu^6 = g3 / 8 and the residual's
+    own rounding (T >= 8 bounds the constant term), bound = 64 eps T."""
+    mu = (g3 / 8) ** (1 / 6)
+    worst = 0.0
+    for p, pp in values:
+        x, y = p / mu ** 2, pp / mu ** 3
+        size = abs(y) ** 2 + 4 * abs(x) ** 3 + 8
+        worst = max(worst, abs(y * y - (4 * x ** 3 - 8)) / (64 * sys.float_info.epsilon * size))
+    return worst
+
+
+def test_smooth_cubic_is_the_torus_the_package_builds():
+    # the curve Y^2 = 4x^3 - 8 of the test above is the equianharmonic torus
+    # C / (Z + Z rho), rho = e^(2 pi i / 3): E4(rho) = 0, so g2 = 0, and
+    # scaling (wp, wp') by (mu^-2, mu^-3), mu^6 = g3 / 8, puts the torus on it
+    t0 = time.perf_counter()
+    failures = []
+    lat = Lattice(cmath.exp(2j * math.pi / 3))
+    pair = eisenstein(lat)
+    # g2 is then the omitted tail (tail_bound) plus the rounding of the E4
+    # series 1 + 240 sum n^3 x_n, x_n = q^n / (1 - q^n), n <= N: each term
+    # takes at most 2 ceil(log2 N) + 3 complex operations (4 eps each), the
+    # sum N + 1 additions and the scalings 4 more, all relative to the
+    # terms' size
+    _, lam, q, _ = lat.reduction
+    n_max = pair.cutoff
+    size = 1 + sum(240 * n ** 3 * abs(q ** n / (1 - q ** n)) for n in range(1, n_max + 1))
+    eta = (n_max + 5 + 4 * (2 * math.ceil(math.log2(n_max)) + 3)) * sys.float_info.epsilon
+    g2_bound = pair.tail_bound + 4 * math.pi ** 4 / 3 / abs(lam) ** 4 * eta * size
+    if not abs(pair.g2) <= g2_bound:
+        failures.append(f"|g2| = {abs(pair.g2):.3e} at rho exceeds {g2_bound:.3e}")
+    rng = random.Random(35)
+    values = []
+    while len(values) < 50:
+        z = rng.random() + rng.random() * lat.tau
+        if lat.distance_to_lattice(z) > 10 * POLE_GUARD:
+            values.append((wp(lat, z), wp_prime(lat, z)))
+    excess = _cubic_excess(pair.g3, values)
+    if not excess <= 1.0:
+        failures.append(f"scaled torus points off Y^2 = 4x^3 - 8: {excess:.2f} x the bound")
+    # the bound is tight enough to see a 1e-12 relative error in wp
+    if not _cubic_excess(pair.g3, [(p * (1 + 1e-12), pp) for p, pp in values]) > 1.0:
+        failures.append("a 1e-12 relative error in wp passes the bound")
+    elapsed = time.perf_counter() - t0
+    if elapsed >= 0.5:
+        failures.append(f"runtime {elapsed:.2f}s")
+    report("smooth cubic: the equianharmonic torus scaled onto Y^2 = 4x^3 - 8", failures)
 
 
 def test_symplectic_git_correspondence():

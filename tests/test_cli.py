@@ -613,6 +613,8 @@ print(json.dumps([rc, sorted(sys.modules)]))
     (["hilbert", "--bogus-flag"], 2, {"numpy"}),
     (["weierstrass-embed", "--tau", "2j", "--samples", "5"], 0,
      {"numpy", "projquant.btquant", "projquant.gitquot", "projquant.projgeo"}),
+    (["moment-map", "--weights=-1,1", "--samples", "20"], 0,
+     {"numpy", "projquant.btquant", "projquant.weierstrass"}),
 ])
 def test_commands_import_only_what_they_use(argv, code, absent):
     proc = subprocess.run([sys.executable, "-c", _CHILD_MODULES, *argv],

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -25,7 +26,7 @@ from projquant.gitquot import (
     orbit_meets_zero_level,
     semistable,
 )
-from reference_routes import float_rank, invariant_growth_degree, zero_level
+from reference_routes import float_rank, invariant_growth_degree, moment_rows, zero_level
 
 F = Fraction
 X0 = Polynomial.variable(2, 0)
@@ -68,7 +69,7 @@ def test_moment_map_scale_invariance():
     p = np.array([1.3 - 0.4j, 0.2 + 2.1j])
     base = moment_map(HYPERBOLIC, p)
     for lam in (2.0, -3.5, 1j, 0.3 - 0.7j, 1e6):
-        assert np.max(np.abs(moment_map(HYPERBOLIC, lam * p) - base)) < 1e-12
+        assert abs(moment_map(HYPERBOLIC, lam * p)[0] - base[0]) < 1e-12
 
 
 def test_moment_map_is_real_and_equivariant():
@@ -80,12 +81,10 @@ def test_moment_map_is_real_and_equivariant():
         t = rng.uniform(-3, 3)
         vals, vecs = np.linalg.eig(A * t)
         moved = (vecs @ np.diag(np.exp(vals)) @ np.linalg.inv(vecs)) @ x
-        assert np.max(np.abs(moment_map(HYPERBOLIC, moved) - base)) < 1e-10
+        assert abs(moment_map(HYPERBOLIC, moved)[0] - base[0]) < 1e-10
 
 
 def test_moment_rows_match_closed_form_and_vdot():
-    from projquant.gitquot import _moment_rows
-
     rng = np.random.default_rng(8)
     V = rng.normal(size=(60, 4)) + 1j * rng.normal(size=(60, 4))
     V[rng.random((60, 4)) < 0.3] = 0.0
@@ -95,15 +94,16 @@ def test_moment_rows_match_closed_form_and_vdot():
     p = np.abs(V) ** 2
     closed = (p @ w) / (2 * math.pi * p.sum(axis=1))
     action = LinearAction.from_weights(w)
-    mu = _moment_rows(action, V)
+    mu = moment_rows(action, V)
     assert mu.shape == (60, 1)
     assert np.max(np.abs(mu[:, 0] - closed)) <= 1e-15
     # a per-row vdot with the generator matrix, and each row alone through
-    # moment_map gives the same bits as in the stack
-    for v, row in zip(V, mu):
-        want = np.real(np.vdot(v, generator(action) @ v) / (2j * math.pi * np.vdot(v, v).real))
-        assert abs(row[0] - want) <= 1e-15
-        assert np.array_equal(moment_map(action, v), row)
+    # the scalar moment_map, a 1-tuple
+    for v, row, want in zip(V, mu, closed):
+        vdot = np.real(np.vdot(v, generator(action) @ v) / (2j * math.pi * np.vdot(v, v).real))
+        assert abs(row[0] - vdot) <= 1e-15
+        got, = moment_map(action, v)
+        assert type(got) is float and abs(got - want) <= 1e-15
 
 
 @pytest.mark.parametrize("weights, bad", [((1.5, -1.9), "1.5"), ((-1, "2"), "'2'")])
@@ -230,7 +230,7 @@ def test_invariant_scale_is_a_weighted_geometric_mean(weights, x):
     # coordinate whatever its degree d, so one threshold serves every degree;
     # X0^201 X1^200 at (1e-3 : 1 - 2i) is below 1e-600 before the root
     from projquant.cli import _weight_invariants
-    from projquant.gitquot import _invariant_moduli
+    from projquant.gitquot import _coords, _invariant_moduli, _log_terms, _squared_moduli
 
     inv = _weight_invariants(LinearAction.from_weights(weights))
     u = np.abs(np.array(x, dtype=complex)) / np.linalg.norm(np.array(x, dtype=complex))
@@ -238,7 +238,8 @@ def test_invariant_scale_is_a_weighted_geometric_mean(weights, x):
     for P in inv.polys:
         (m, _), = P.terms.items()
         want.append(math.prod(u[k] ** (a / P.degree()) for k, a in enumerate(m)))
-    got = _invariant_moduli(inv, np.array([x], dtype=complex))[0]
+    v = _coords(x)
+    got = list(_invariant_moduli(_log_terms(inv), v, _squared_moduli(v)))
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
     assert semistable(pt(*x), inv, tol=1e-12)
 
@@ -400,17 +401,19 @@ def test_orbit_search_over_wide_moduli(case):
 @settings(max_examples=200, deadline=None)
 @given(weighted_points(rows=8))
 def test_zero_level_samples_are_the_per_point_witnesses(case):
-    # the sampler's rows are, bit for bit, the witnesses that
+    # the sampler's points are, bit for bit, the witnesses that
     # orbit_meets_zero_level returns for the same rays one at a time; a
     # witness at a limit is that one-parameter limit
-    from projquant.gitquot import _rays, _zero_level_samples
+    from projquant.gitquot import _zero_level_samples
 
     weights, V = case
     action = LinearAction.from_weights(weights)
     count = len(V)
-    got = _zero_level_samples(action, _ScriptedNormal(list(V) * 50), count)
+    rays = [tuple(map(complex, x)) for x in V] * 50
+    with mock.patch.object(gitquot, "_ray", side_effect=rays):
+        got = _zero_level_samples(action, random.Random(0), count)
     want = []
-    for x in _rays(_ScriptedNormal(list(V) * 50), 50 * count, len(weights)):
+    for x in rays:
         if len(want) == count:
             break
         met, witness = orbit_meets_zero_level(action, x, tol=1e-12)
@@ -421,8 +424,8 @@ def test_zero_level_samples_are_the_per_point_witnesses(case):
         if met:
             assert abs(moment_map(action, witness)[0]) <= 1e-12
         if met and abs(moment_map(action, witness)[0]) <= 1e-10:
-            want.append(list(witness.coords))
-    assert got.tolist() == want
+            want.append(witness.coords)
+    assert got == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -433,7 +436,7 @@ def test_ray_closed_form_matches_moment_map(case, s):
     weights, x = case
     w = np.array(weights, dtype=float)
     action = LinearAction.from_weights(weights)
-    log_a = _log_moduli(x).tolist()
+    log_a = _log_moduli(x)
     direct = moment_map(action, x * np.exp(s * w))[0]
     scale = max(max(abs(w)) / (2 * math.pi), abs(direct))  # |mu| bound
     mu, slope = _ray_moment_map(weights, log_a, s)
@@ -518,7 +521,7 @@ def test_quotient_of_hyperbolic_zero_level_is_a_point():
     from projquant.gitquot import _zero_level_samples
 
     report = kirwan_correspondence_check(HYPERBOLIC, INV, n_samples=20, seed=0)
-    zl = _zero_level_samples(HYPERBOLIC, np.random.default_rng(0), count=12)
+    zl = _zero_level_samples(HYPERBOLIC, random.Random(0), count=12)
     assert len(zl) == 12
     for x in zl:
         assert is_stable(HYPERBOLIC, x, INV, tol=1e-12)
@@ -576,53 +579,57 @@ def test_kirwan_check_holds_at_high_invariant_degree(weights, seed):
 
 @pytest.mark.parametrize("weights, count", [((-1, 1, 1), 64), ((0, 1), 8), ((1, 2), 3)])
 def test_zero_level_samples_follow_single_ray_draws(weights, count):
-    from projquant.gitquot import _zero_level_samples
+    from projquant.gitquot import _ray, _zero_level_samples
 
     action = LinearAction.from_weights(weights)
-    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    rng, ref = random.Random(5), random.Random(5)
     got = _zero_level_samples(action, rng, count)
     want, tries = [], 0
     while len(want) < count and tries < 50 * count:  # one ray per draw
         tries += 1
-        x = ref.normal(size=len(weights)) + 1j * ref.normal(size=len(weights))
+        x = _ray(ref, len(weights))
         met, witness = orbit_meets_zero_level(action, x, tol=1e-12)
         if met and abs(moment_map(action, witness)[0]) <= 1e-10:
             want.append(witness)
-    assert got.shape == (len(want), len(weights)) and len(want) == (0 if weights == (1, 2) else count)
+    assert len(got) == len(want) == (0 if weights == (1, 2) else count)
     for p, q in zip(got, want):
         assert np.allclose(p, q.to_complex(), rtol=1e-12, atol=0.0)
-    assert rng.normal() == ref.normal()  # the same number of draws
-
-
-class _ScriptedNormal:
-    """Stands in for the generator: normal() hands out the scripted rays (as
-    (2, n) real/imaginary pairs) in order and records the block sizes."""
-
-    def __init__(self, rays):
-        self.rays, self.sizes = list(rays), []
-
-    def normal(self, size):
-        self.sizes.append(size[0])
-        block, self.rays = self.rays[:size[0]], self.rays[size[0]:]
-        return np.array([[x.real, x.imag] for x in block])
+    assert rng.random() == ref.random()  # the same number of draws
 
 
 def test_zero_level_samples_stop_at_last_accepted_ray():
-    # random rays are accepted all-or-none (a generic ray of weights (-1, 1)
-    # always meets the zero level), so only a scripted stream can mix them:
-    # (0, 1) lies off the support of the weight -1 and is rejected
+    # rays are drawn one at a time until count are accepted or 50 * count
+    # are drawn; random rays are accepted all-or-none (a generic ray of
+    # weights (-1, 1) always meets the zero level), so only a scripted
+    # stream can mix them: (0, 1) lies off the support of the weight -1 and
+    # is rejected
     from projquant.gitquot import _zero_level_samples
 
-    good = [np.array([1.0 + k, 2.0 - 1j * k]) for k in range(5)]
-    bad = np.array([0.0, 1.0 + 0j])
-    fake = _ScriptedNormal([good[0], bad, good[1], bad, good[2], bad, good[3], good[4]]
-                           + [good[0]] * 6)
-    got = _zero_level_samples(LinearAction.from_weights((-1, 1)), fake, count=5)
-    # 5 needed, 3 kept; 2 needed, 1 kept; 1 needed, 1 kept: nothing past good[4]
-    assert fake.sizes == [5, 2, 1] and len(fake.rays) == 6
-    want = [orbit_meets_zero_level(LinearAction.from_weights((-1, 1)), x, tol=1e-12)[1]
-            for x in good]
-    assert got.tolist() == [list(q.coords) for q in want]
+    action = LinearAction.from_weights((-1, 1))
+    good = [(complex(1.0 + k), 2.0 - 1j * k) for k in range(5)]
+    bad = (0j, 1.0 + 0j)
+    rays = iter([good[0], bad, good[1], bad, good[2], bad, good[3], good[4]] + [good[0]] * 6)
+    with mock.patch.object(gitquot, "_ray", lambda rng, n: next(rays)):
+        got = _zero_level_samples(action, random.Random(0), count=5)
+        assert len(list(rays)) == 6  # nothing drawn past good[4]
+        rays = iter([bad] * 101)
+        assert _zero_level_samples(action, random.Random(0), count=2) == []
+        assert len(list(rays)) == 1  # at most 50 rays per point asked for
+    assert got == [orbit_meets_zero_level(action, x, tol=1e-12)[1].coords for x in good]
+
+
+def test_rays_are_standard_complex_normal():
+    # Box-Muller from the stream's uniforms: real and imaginary parts
+    # standard normal and uncorrelated; at 20000 draws each sample moment
+    # below is within 0.04 of its value, a 5-sigma or wider margin
+    from projquant.gitquot import _ray
+
+    rng = random.Random(11)
+    z = np.array([c for _ in range(10000) for c in _ray(rng, 2)])
+    for part in (z.real, z.imag):
+        assert abs(part.mean()) < 0.04 and abs(part.var() - 1.0) < 0.04
+        assert abs(np.mean(part ** 4) - 3.0) < 0.3
+    assert abs(np.mean(z.real * z.imag)) < 0.04
 
 
 def test_orbit_search_reports_the_t_to_0_limit_first():
@@ -630,23 +637,23 @@ def test_orbit_search_reports_the_t_to_0_limit_first():
     # t -> 0 limit (-inf) wins, as orbit_meets_zero_level documents
     from projquant.gitquot import _log_moduli, _orbit_root
 
-    V = np.array([[1.0, 0.0, 0.0], [0.3, -2j, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
-    s = [_orbit_root((0, 0, 2), log_a, 1e-9) for log_a in _log_moduli(V).tolist()]
+    V = [(1.0, 0.0, 0.0), (0.3, -2j, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 1.0)]
+    s = [_orbit_root((0, 0, 2), _log_moduli(v), 1e-9) for v in V]
     assert s[0] == s[1] == -math.inf
     assert math.isnan(s[2])  # support weight 2 only: mu = 1 / pi
     assert s[3] == -math.inf  # least support weight 0
-    assert _orbit_root((-2, 0), _log_moduli(np.array([1.0, 1.0])).tolist(), 1e-9) == math.inf
+    assert _orbit_root((-2, 0), _log_moduli((1.0, 1.0)), 1e-9) == math.inf
 
 
 def _kirwan_reference(action, inv, n_samples, seed):
     """kirwan_correspondence_check one point and one ray at a time, each orbit
     verdict from the root search of orbit_meets_zero_level, the quotient's
     dimension from the growth of the invariant monomial count."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     n = action.n + 1
 
     def draw():
-        return rng.normal(size=n) + 1j * rng.normal(size=n)
+        return gitquot._ray(rng, n)
 
     points = [ProjPoint(tuple(draw())) for _ in range(max(0, n_samples - 2 * n))]
     points += [ProjPoint(tuple(1.0 if i == j else 0.0 for i in range(n))) for j in range(n)]
@@ -697,3 +704,95 @@ def test_kirwan_trivial_action_contract():
     report = kirwan_correspondence_check(TRIVIAL, None)
     assert report["equivalence_holds"] is None
     assert "not determined" in report["verdict"]
+
+
+# -- the scalar pass against the array reference -----------------------------------------
+
+X3 = [Polynomial.variable(3, k) for k in range(3)]
+
+
+def _mu_scale(weights, V):
+    """sum |w_j| |v_j|^2 / (2 pi |v|^2) for each row v of V: the size of mu's
+    terms, which bounds its rounding; mu itself cancels near the zero level,
+    where the array route's complex products (re (w re) + im (w im), with
+    whatever contraction numpy's loops make) and the scalar w |v_j|^2 round
+    apart by ulps of the terms, not of mu."""
+    p = np.abs(V) ** 2
+    return (p @ np.abs(np.array(weights, dtype=float))) / (2 * math.pi * p.sum(axis=1))
+
+
+@pytest.mark.parametrize("weights, polys", [
+    ((-1, 1), None), ((-1, 2), None), ((-1, 1, 1), None), ((-1, 0, 1), None), ((-40, 41), None),
+    ((-1, 1, 1), [X3[0] * X3[1] - 2 * X3[0] * X3[2],
+                  X3[0] ** 2 * X3[1] * X3[2] + GaussianRational(1, 3) * X3[0] ** 2 * X3[2] ** 2])])
+def test_scalar_pass_matches_the_array_reference(weights, polys):
+    # the one-pass scalar helpers against the array passes they replaced, on
+    # points with zero coordinates, every coordinate point and (1e-3 : 1),
+    # where X0^41 X1^40 reads 0.03; the second set of (-1, 1, 1) has
+    # several terms per invariant, so their phases are summed
+    from projquant.cli import _weight_invariants
+    from projquant.gitquot import _invariant_moduli, _log_terms, _squared_moduli
+    from reference_routes import invariant_moduli_rows, limit_rows
+
+    action = LinearAction.from_weights(weights)
+    inv = _weight_invariants(action) if polys is None else InvariantSet.certified(polys, action)
+    n = len(weights)
+    rng = np.random.default_rng(35)
+    V = rng.normal(size=(60, n)) + 1j * rng.normal(size=(60, n))
+    V[rng.random((60, n)) < 0.3] = 0.0
+    V[~V.any(axis=1), -1] = 1.0
+    V = np.concatenate([V, np.eye(n), [[1e-3] + [1.0] * (n - 1)]])
+    mus, scale = moment_rows(action, V)[:, 0], _mu_scale(weights, V)
+    moduli, limits = invariant_moduli_rows(inv, V), limit_rows(weights, V)
+    terms = _log_terms(inv)
+    for k, x in enumerate(V):
+        p = ProjPoint(tuple(x.tolist()))
+        mu, = moment_map(action, p)
+        assert abs(mu - mus[k]) <= 1e-15 * scale[k]
+        got = list(_invariant_moduli(terms, p.coords, _squared_moduli(p.coords)))
+        assert np.allclose(got, moduli[k], rtol=1e-12, atol=0.0)
+        assert semistable(p, inv, tol=1e-12) == bool(np.any(moduli[k] > 1e-12))
+        for direction, limit in zip(("0", "inf"), limits):
+            q = one_param_limit(weights, p, direction)
+            assert format_point(q) == format_point(ProjPoint(tuple(limit[k].tolist())))
+            assert semistable(q, inv, tol=1e-12) == bool(
+                np.any(invariant_moduli_rows(inv, limit[k][None, :]) > 1e-12))
+    if weights == (-40, 41):  # X0^41 X1^40 at (1e-3 : 1), the last point: no underflow
+        assert abs(moduli[-1][0] - 0.0303) < 1e-4
+
+
+@pytest.mark.parametrize("weights", [(-1, 1), (-1, 2), (-1, 1, 1), (-1, 0, 1)])
+def test_kirwan_rows_match_the_array_reference(weights):
+    # every row of the one-pass report, recomputed at its printed point by
+    # the array passes: mu, the semistability verdict and both limit strings
+    from projquant.cli import _weight_invariants
+    from reference_routes import invariant_moduli_rows, limit_rows
+
+    action = LinearAction.from_weights(weights)
+    inv = _weight_invariants(action)
+    rows = kirwan_correspondence_check(action, inv, n_samples=60, seed=4)["samples"]
+    V = np.array([[complex(c) for c in r["point"][1:-1].split(" : ")] for r in rows])
+    mus, scale = moment_rows(action, V)[:, 0], _mu_scale(weights, V)
+    semi = np.any(invariant_moduli_rows(inv, V) > 1e-12, axis=1)
+    limits = [[format_point(ProjPoint(tuple(x))) for x in L.tolist()]
+              for L in limit_rows(weights, V)]
+    for k, r in enumerate(rows):
+        assert abs(r["mu"][0] - mus[k]) <= 1e-15 * scale[k]
+        assert r["semistable"] == semi[k]
+        assert (r["limit_t_to_0"], r["limit_t_to_inf"]) == (limits[0][k], limits[1][k])
+
+
+def test_orbit_search_takes_any_sequence_of_numbers():
+    # the zero-level search op passes numpy arrays; a list and a tuple of the
+    # same point give the same verdict and the same witness
+    action = LinearAction.from_weights((-1, 1, 2))
+    for x, want in [([0.3 + 0.1j, -1.2 + 0.4j, 0.5j], True), ([0.0, 1.0, 2.0j], False),
+                    ([1.0, 0.0, 0.0], False), ([1.0, 0.0, 3.0], True)]:
+        results = [orbit_meets_zero_level(action, y, tol=1e-9) for y in (np.array(x), x, tuple(x))]
+        met, witness = results[0]
+        assert met == want
+        for other_met, other in results[1:]:
+            assert other_met == met
+            assert (witness is None and other is None) or other.coords == witness.coords
+        if witness is not None:
+            assert all(type(c) is complex for c in witness.coords)

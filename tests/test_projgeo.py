@@ -262,6 +262,27 @@ def test_float_rank_path():
             zariski_tangent_dim([f.dehomogenize(2)], (float(c), 0.0))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
+                                 complex(1.0, float("nan")), complex(float("-inf"), 2.0)])
+def test_non_finite_coordinates_are_on_no_variety(bad):
+    # a nan or an infinity has no exact value to lift: the point is on no
+    # variety, and the rank routes say so with their own error, not with
+    # Fraction's ValueError or OverflowError; X1 - X2 vanishes at any
+    # (bad : 1 : 1) if the bad coordinate is skipped
+    for V in (VarietyPresentation([X(1) ** 2 - X(0) * X(2)], claimed_dim=1),
+              VarietyPresentation([X(1) - X(2)], claimed_dim=1)):
+        p = ProjPoint((bad, 1.0, 1.0))
+        assert is_on_variety(V, p) is False
+        with pytest.raises(PointNotOnVarietyError):
+            rank_at(V, p)
+        with pytest.raises(PointNotOnVarietyError):
+            is_singular_point(V, p)
+    with pytest.raises(PointNotOnVarietyError):
+        zariski_tangent_dim([X(1, 2) ** 2 - X(0, 2)], (bad, 1.0))
+    with pytest.raises(PointNotOnVarietyError):
+        zariski_tangent_dim([X(1, 2) - 1], (bad, 1.0))
+
+
 @pytest.mark.parametrize("c", [F(3, 4), F(-5, 8)])
 def test_float_node_is_singular_like_the_exact_one(c):
     # the node of g2 = 12 c^2, g3 = -8 c^3 is (c : 0 : 1); a binary fraction
