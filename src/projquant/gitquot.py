@@ -54,8 +54,10 @@ class LinearAction:
 
 def _coords(x) -> tuple:
     """The coordinates of x as complex numbers: a ProjPoint's, or those of
-    any sequence of numbers, numpy arrays included."""
+    any sequence of numbers, numpy arrays included; each finite, not all 0."""
     v = x.to_complex() if isinstance(x, ProjPoint) else tuple(map(complex, x))
+    if not all(map(cmath.isfinite, v)):
+        raise ValueError(f"coordinates must be finite, got {v}")
     if not any(v):
         raise ValueError("zero vector does not represent a projective point")
     return v
@@ -71,8 +73,15 @@ def moment_map(action: LinearAction, x) -> tuple:
 
 
 def _squared_moduli(v) -> list:
-    """|v_j|^2 for each coordinate of v, shared by mu and the invariant moduli."""
-    return [c.real * c.real + c.imag * c.imag for c in v]
+    """|v_j|^2 for each coordinate of v, for mu.  When their sum leaves
+    [1e-300, 1e300], v is scaled by 2^-e first, e the binary exponent of its
+    largest part: exactly, so mu reads the same at (1e-200 : 1e-200) and at
+    (1e200 : 1e200) as at (1 : 1)."""
+    a = [c.real * c.real + c.imag * c.imag for c in v]
+    if 1e-300 <= sum(a) <= 1e300:
+        return a
+    e = math.frexp(max([max(abs(c.real), abs(c.imag)) for c in v]))[1]
+    return _squared_moduli([complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e)) for c in v])
 
 
 def _moment(weights, a: list) -> float:
@@ -110,17 +119,22 @@ class InvariantSet:
         return cls(polys=polys)
 
 
-def semistable(x, inv: InvariantSet, tol: float = 0.0) -> bool:
+def semistable(x, inv: InvariantSet) -> bool:
     """x is semistable (relative to the supplied invariants) when some
-    nonconstant invariant does not vanish at it; scale-invariant test.  At a
-    float point, tol bounds (|F(x)| / |x|^deg F)^(1 / deg F), which is on the
-    scale of a coordinate whatever the degree of F."""
+    nonconstant invariant does not vanish at it; scale-invariant test.  An
+    exact point is tested in Q(i), a float point by _semistable_at."""
     if not inv.polys:
         raise EmptyInvariantSetError("cannot decide semistability from an empty set")
-    if isinstance(x, ProjPoint) and x.is_exact and tol == 0.0:
+    if isinstance(x, ProjPoint) and x.is_exact:
         return any(F.evaluate(x.coords) != 0 for F in inv.polys)
-    v = _coords(x)
-    return any(m > tol for m in _invariant_moduli(_log_terms(inv), v, _squared_moduli(v)))
+    return _semistable_at(_log_terms(inv), _coords(x))
+
+
+def _semistable_at(terms: list, v) -> bool:
+    """The float semistability verdict of every caller: some invariant F
+    (terms: _log_terms of the set) has (|F(v)| / |v|^deg F)^(1 / deg F),
+    on the scale of a coordinate whatever the degree of F, above 1e-12."""
+    return any(m > 1e-12 for m in _invariant_moduli(terms, v))
 
 
 def _log_terms(inv: InvariantSet) -> list:
@@ -130,16 +144,17 @@ def _log_terms(inv: InvariantSet) -> list:
                           for m, c in F.terms.items()]) for F in inv.polys]
 
 
-def _invariant_moduli(terms: list, v, a: list):
+def _invariant_moduli(terms: list, v):
     """(|F(v)| / ||v||^deg F)^(1 / deg F) for each invariant F in turn (terms:
-    _log_terms of the set, a: _squared_moduli(v)): for a monomial, the
-    weighted geometric mean of |v_k| / ||v|| over its variables, so one
-    threshold serves every degree.  Each term's log modulus and phase are
-    sums over u = v / ||v||, and the terms are shifted by the largest log
-    modulus before they are summed, so no product of moduli underflows:
-    X0^201 X1^200 at (1e-3 : 1) reads 0.03, not 0."""
-    half_log_s = 0.5 * math.log(sum(a))
-    log_u = [math.log(abs(c)) - half_log_s if c else -math.inf for c in v]
+    _log_terms of the set): for a monomial, the weighted geometric mean of
+    |v_k| / ||v|| over its variables, so one threshold serves every degree.
+    ||v|| is the hypot of the moduli, which does not underflow.  Each term's
+    log modulus and phase are sums over u = v / ||v||, and the terms are
+    shifted by the largest log modulus before they are summed, so no product
+    of moduli underflows: X0^201 X1^200 at (1e-3 : 1) reads 0.03, not 0."""
+    mods = [abs(c) for c in v]
+    log_norm = math.log(math.hypot(*mods))
+    log_u = [math.log(m) - log_norm if m else -math.inf for m in mods]
     for degree, poly in terms:
         logs = [sum([e * log_u[k] for k, e in exps]) for _, exps in poly]
         top = max(logs)
@@ -174,64 +189,52 @@ def orbit_meets_zero_level(action: LinearAction, x, tol: float = 1e-9):
     """Does the closure of the complexified orbit of x meet the zero level of
     the moment map?
 
-    Along t = e^s the single moment component is increasing in s (it is the
-    logarithmic derivative of a log-convex function), so it has a root
-    exactly when the support weights have both signs, found by a safeguarded
-    scalar root search (_orbit_root); both t -> 0 and t -> infinity limit
-    points are also inspected, exactly.  Returns (met, witness) with the
-    witness a ProjPoint or None; tol bounds |mu| at a witness found by the
-    search and decides no verdict.
+    Along t = e^s the single moment component increases (it is the
+    logarithmic derivative of a log-convex function) from w_lo / 2 pi to
+    w_hi / 2 pi, the least and greatest weight on the support of x, so the
+    closure meets the zero level exactly when w_lo <= 0 <= w_hi.  Returns
+    (met, witness), the witness a ProjPoint on the zero level or None: the
+    t -> 0 limit when w_lo = 0, else the t -> infinity limit when w_hi = 0,
+    else a point of the orbit with |mu| <= tol found by a safeguarded scalar
+    root search (_orbit_root).  tol decides no verdict: a search that does
+    not reach it raises ArithmeticError.
     """
-    v = _coords(x)
-    witness = _zero_level_witness(action.weights, v, _log_moduli(v), tol)
-    return (False, None) if witness is None else (True, ProjPoint(tuple(witness)))
+    witness = _zero_level_witness(action.weights, _coords(x), tol)
+    return (False, None) if witness is None else (True, ProjPoint(witness))
 
 
-def _log_moduli(v) -> list:
-    """2 log |v_j| for each coordinate of v, -inf where it is 0: the squared
-    moduli in log space, which do not underflow at moduli of 1e-200."""
-    return [2.0 * math.log(abs(c)) if c else -math.inf for c in v]
-
-
-def _zero_level_witness(weights, v, log_a: list, tol: float):
-    """Coordinates where the orbit closure of v (log_a: its _log_moduli)
-    meets the zero level, or None: the t -> 0 or t -> infinity limit for a
-    root at -inf or inf, else e^(s w) . v at the root s, scaled so that its
-    largest coordinate has modulus 1 and no coordinate overflows."""
-    s = _orbit_root(weights, log_a, tol)
-    if math.isnan(s):
+def _zero_level_witness(weights, v, tol: float):
+    """The coordinates of orbit_meets_zero_level's witness or None.  The
+    squared moduli are taken in log space (-inf off the support), so they do
+    not underflow at 1e-200, and e^(s w) . v at the root s is scaled so that
+    its largest coordinate has modulus 1 and no coordinate overflows."""
+    log_a = [2.0 * math.log(abs(c)) if c else -math.inf for c in v]
+    ws, las = (weights, log_a) if -math.inf not in log_a else zip(
+        *((w, a) for w, a in zip(weights, log_a) if a > -math.inf))
+    w_lo, w_hi = min(ws), max(ws)
+    if not w_lo <= 0 <= w_hi:
         return None
-    if math.isinf(s):
-        return one_param_limit(weights, v, "inf" if s > 0 else "0").coords
+    if w_lo == 0 or w_hi == 0:
+        return one_param_limit(weights, v, "0" if w_lo == 0 else "inf").coords
+    s = _orbit_root(ws, las, w_lo, w_hi, tol)
     e = [a + 2.0 * s * w for w, a in zip(weights, log_a)]
     top = max(e)
     return tuple(c / abs(c) * math.exp(0.5 * (x - top)) if c else 0j for c, x in zip(v, e))
 
 
-def _orbit_root(weights, log_a: list, tol: float) -> float:
-    """Where the orbit closure of v (log_a = 2 log |v_j|, -inf off the
-    support) meets the zero level: -inf or inf for the t -> 0 or
-    t -> infinity limit (mu = extremal weight on the support / 2 pi, zero
-    exactly when that weight is; '0' first), s for e^(s w) . v with
-    |mu| <= tol there, nan when it does not.
-    Support weights w_lo < 0 < w_hi give one root.  Newton steps
-    (mu' = Var_p(w) / pi; the midpoint when a step leaves the bracket or the
-    slope is 0) narrow it, for at most 200 evaluations, from the root of the
-    two extremal weight classes (P = sum of |v_j|^2 over a class; exact when
-    the nonzero support weights take two values).  The bracket: for s >= 0
-    the numerator sum w_j |v_j|^2 e^(2 s w_j) has positive part at least
+def _orbit_root(ws, las, w_lo: int, w_hi: int, tol: float) -> float:
+    """s with |mu| <= tol at e^(s w) . v, for the support weights ws of v,
+    least w_lo < 0 < greatest w_hi, and las = 2 log |v_j| on the support:
+    mu has one root along the orbit.  Newton steps (mu' = Var_p(w) / pi;
+    the midpoint when a step leaves the bracket or the slope is 0) narrow
+    it, for at most 200 evaluations, from the root of the two extremal
+    weight classes (P = sum of |v_j|^2 over a class; exact when the nonzero
+    support weights take two values); ArithmeticError, naming |mu| and tol,
+    when they do not reach tol.  The bracket: for s >= 0 the numerator
+    sum w_j |v_j|^2 e^(2 s w_j) has positive part at least
     w_hi P_hi e^(2 s w_hi) and negative part at most its size N_- at s = 0,
     so mu >= 0 at s_hi = max(0, ln(N_- / (w_hi P_hi)) / (2 w_hi)); s_lo
     likewise from N_+ and |w_lo| P_lo."""
-    ws, las = (weights, log_a) if -math.inf not in log_a else zip(
-        *((w, a) for w, a in zip(weights, log_a) if a > -math.inf))
-    w_lo, w_hi = min(ws), max(ws)
-    if w_lo == 0:
-        return -math.inf
-    if w_hi == 0:
-        return math.inf
-    if not w_lo < 0 < w_hi:
-        return math.nan
     # log w_hi P_hi, log |w_lo| P_lo, log N_+ and log N_- from log |w_j| |v_j|^2 in
     # one pass; a sign class that is its extremal class is not summed again
     at_hi, at_lo, pos, neg = [], [], [], []
@@ -253,7 +256,8 @@ def _orbit_root(weights, log_a: list, tol: float) -> float:
         lo, hi = (lo, x) if mu > 0 else (x, hi)  # mu increases with s
         step = x - mu / slope if slope else lo  # slope 0: no step, the midpoint
         x = step if lo < step < hi else 0.5 * (lo + hi)
-    return math.nan
+    raise ArithmeticError(f"orbit search: |mu| = {abs(mu)!r} after 200 evaluations, "
+                          f"above tol = {tol!r}")
 
 
 def _log_sum(terms: list) -> float:
@@ -288,8 +292,7 @@ def _extremal_weights(weights, v) -> tuple:
     return min(live), max(live)
 
 
-def is_stable(action: LinearAction, x, inv: InvariantSet,
-              tol: float = 0.0) -> bool:
+def is_stable(action: LinearAction, x, inv: InvariantSet) -> bool:
     """Stability: full-dimensional orbit, semistable, and a closedness
     surrogate: both one-parameter limits leave the semistable locus (so the
     orbit is closed within it; a trivial action has no limits to leave).
@@ -297,10 +300,10 @@ def is_stable(action: LinearAction, x, inv: InvariantSet,
     point with a one-dimensional orbit carries two weights (one weight
     w != 0 makes every invariant vanish, w = 0 fixes the point), so each
     limit drops a coordinate.  General closedness is not decided here."""
-    if not semistable(x, inv, tol) or orbit_dim(action, x) != action.k_dim:
+    if not semistable(x, inv) or orbit_dim(action, x) != action.k_dim:
         return False
     return action.k_dim == 0 or not any(
-        semistable(one_param_limit(action.weights, x, direction), inv, tol)
+        semistable(one_param_limit(action.weights, x, direction), inv)
         for direction in ("0", "inf"))
 
 
@@ -309,10 +312,8 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
     """Sample-based check of the semistable/zero-level correspondence.
 
     For each sampled point the semistability verdict (from the certified
-    invariants) is compared with whether the orbit closure meets the zero
-    level, read off the moment map's limits: along the orbit mu runs
-    monotonically between w_lo / 2 pi and w_hi / 2 pi, the extremal weights
-    on the support, so the closure meets 0 exactly when w_lo <= 0 <= w_hi.
+    invariants) is compared with the orbit verdict w_lo <= 0 <= w_hi of
+    orbit_meets_zero_level, from the extremal weights on the support.
     The zero level must consist of semistable points only.  The quotient's
     complex dimension is read off the weights, not sampled: the zero level
     mod K is the GIT quotient (Kempf-Ness), n - 1 dimensional when the
@@ -331,14 +332,11 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
     points += [tuple(complex(i == j) for i in range(n)) for j in range(n)]
     points += [_ray(rng, n) for _ in range(max(0, n_samples - len(points)))]
     terms = _log_terms(inv)
-    zero_all_semistable = all(
-        any(m > 1e-12 for m in _invariant_moduli(terms, v, _squared_moduli(v)))
-        for v in _zero_level_samples(action, rng, count=64))
+    zero_all_semistable = all(_semistable_at(terms, v) for v in _zero_level_samples(action, rng))
     rows, mismatches, zero_level = [], 0, 0
     for v in points:  # one pass per sample, each coordinate formatted once, as in format_point
-        a = _squared_moduli(v)
-        mu = _moment(weights, a)
-        semi = any(m > 1e-12 for m in _invariant_moduli(terms, v, a))
+        mu = _moment(weights, _squared_moduli(v))
+        semi = _semistable_at(terms, v)
         w_lo, w_hi = _extremal_weights(weights, v)
         met = w_lo <= 0 <= w_hi
         mismatches += semi != met
@@ -362,17 +360,19 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
     }
 
 
-def _zero_level_samples(action: LinearAction, rng: random.Random, count: int = 64) -> list:
+def _zero_level_samples(action: LinearAction, rng: random.Random) -> list:
     """Deterministic points on the moment zero level, found by the orbit
-    search along random rays, one root per ray and at most 50 * count rays:
-    at most count coordinate tuples."""
+    search along random rays, one root per ray and at most 50 * 64 rays, a
+    ray whose search misses skipped: at most 64 coordinate tuples."""
     weights, n = action.weights, action.n + 1
     out = []
-    for _ in range(50 * count):
-        if len(out) == count:
+    for _ in range(50 * 64):
+        if len(out) == 64:
             break
-        v = _ray(rng, n)
-        w = _zero_level_witness(weights, v, _log_moduli(v), 1e-12)
+        try:
+            w = _zero_level_witness(weights, _ray(rng, n), 1e-12)
+        except ArithmeticError:
+            continue
         if w is not None and abs(_moment(weights, _squared_moduli(w))) <= 1e-10:
             out.append(w)
     return out
