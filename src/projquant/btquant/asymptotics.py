@@ -8,48 +8,13 @@ Every level m is taken on the rule quad, by default its own build_quadrature(m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .bands import ConvergenceTable, convergence_table, fit_loglog_slope
 from .chart import SmoothFunction, poisson_function
 from .operators import OperatorMatrix, _assemble, _toeplitz_of, op_norm, toeplitz
 from .quadrature import QuadratureRule
 from .sections import level_basis
-
-
-def doubling_levels(m_min: int, m_max: int) -> list[int]:
-    """m_min, 2*m_min, ... capped so the last entry is m_max."""
-    if m_min < 1 or m_max < m_min:
-        raise ValueError("need 1 <= m_min <= m_max")
-    levels = []
-    m = m_min
-    while m < m_max:
-        levels.append(m)
-        m *= 2
-    levels.append(m_max)
-    return levels
-
-
-def fit_loglog_slope(ms, values) -> float | None:
-    """Least-squares slope of log(value) against log(m); None when fewer
-    than two distinct levels leave no line to fit, or when a value <= 0 has
-    no logarithm."""
-    if len(set(ms)) < 2 or not all(v > 0 for v in values):
-        return None
-    x = np.log(np.asarray(ms, dtype=float))
-    y = np.log(np.asarray(values, dtype=float))
-    return float(np.polyfit(x, y, 1)[0])
-
-
-@dataclass(frozen=True)
-class ConvergenceTable:
-    levels: tuple
-    values: tuple
-    slope: float | None
-
-    def rows(self):
-        return list(zip(self.levels, self.values))
 
 
 def norm_asymptotics(f: SmoothFunction, m_list,
@@ -106,10 +71,8 @@ def product_residual(f: SmoothFunction, g: SmoothFunction, m: int,
 
 
 def dirac_table(f, g, m_list, quad=None) -> ConvergenceTable:
-    vals = tuple(dirac_residual(f, g, m, quad=quad) for m in m_list)
-    return ConvergenceTable(tuple(m_list), vals, fit_loglog_slope(m_list, vals))
+    return convergence_table(lambda m: dirac_residual(f, g, m, quad=quad), m_list)
 
 
 def product_table(f, g, m_list, quad=None) -> ConvergenceTable:
-    vals = tuple(product_residual(f, g, m, quad=quad) for m in m_list)
-    return ConvergenceTable(tuple(m_list), vals, fit_loglog_slope(m_list, vals))
+    return convergence_table(lambda m: product_residual(f, g, m, quad=quad), m_list)

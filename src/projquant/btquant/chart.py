@@ -29,6 +29,7 @@ import numpy as np
 
 from ..poly import Polynomial, parse_polynomial
 from . import sections
+from .bands import FAMILY, sphere_laplacian
 from .quadrature import bundle_weight
 
 
@@ -127,17 +128,6 @@ def _coordinate_derivative(i: int, z, h2, bar: bool):
     return out if bar else np.conjugate(out, out=out)
 
 
-def _sphere_laplacian(p: Polynomial) -> Polynomial:
-    """Delta of p(x1, x2, x3) on the unit sphere, as a polynomial.  From
-    Delta x_i = -4 x_i, <grad x_i, grad x_j> = 2 (delta_ij - x_i x_j) and
-    Euler's sum_i x_i d_i X^a = d X^a for a term of degree d:
-    Delta X^a = 2 sum_i d_i d_i X^a - 2 d (d + 1) X^a."""
-    out = Polynomial(3, {m: -2 * sum(m) * (sum(m) + 1) * c for m, c in p.terms.items()})
-    for i in range(3):
-        out = out + 2 * p.partial(i).partial(i)
-    return out
-
-
 def _evaluate(q: Polynomial, z, h=None):
     """q at the sphere points over chart points z, as an array: evaluate_array
     on the coordinates q uses; h = _h(z) is formed here if not given."""
@@ -169,7 +159,7 @@ def _on_sphere(name: str, text: str) -> SmoothFunction:
     """The polynomial in X0, X1, X2 = x1, x2, x3 given by text, restricted to
     the sphere, with every chart fact derived from it.  Values are real."""
     p = parse_polynomial(text, 3)
-    lap, unit = _sphere_laplacian(p), Polynomial.constant(3, 1)
+    lap, unit = sphere_laplacian(p), Polynomial.constant(3, 1)
     gradient = [(i, None if p_i == unit else p_i)
                 for i, p_i in enumerate(map(p.partial, range(3))) if not p_i.is_zero]
     return SmoothFunction(name, fn=lambda z: _evaluate(p, z),
@@ -180,8 +170,7 @@ def _on_sphere(name: str, text: str) -> SmoothFunction:
 
 
 def standard_family() -> dict[str, SmoothFunction]:
-    """The fixed test family, polynomials in X0, X1, X2 = x1, x2, x3: 1, the
-    three coordinates, x3^2 and x1*x2.  Closed under the Poisson bracket up
-    to constants, with known angular selection rules."""
-    texts = {"one": "1", "x1": "X0", "x2": "X1", "x3": "X2", "x3sq": "X2^2", "x1x2": "X0*X1"}
-    return {name: _on_sphere(name, text) for name, text in texts.items()}
+    """The fixed test family (bands.FAMILY), polynomials in X0, X1, X2 = x1,
+    x2, x3: 1, the three coordinates, x3^2 and x1*x2.  Closed under the
+    Poisson bracket up to constants, with known angular selection rules."""
+    return {name: _on_sphere(name, text) for name, (text, _) in FAMILY.items()}

@@ -289,48 +289,49 @@ def _test_function(family: dict, name: str, flag: str):
 
 
 def cmd_bt_converge(args, config: RunConfig) -> int:
-    from .btquant import (dirac_table, doubling_levels, norm_asymptotics, product_table,
-                          standard_family, tuynman_residual)
+    from .btquant import bands
 
-    family = standard_family()
+    family = bands.family()
     f = _test_function(family, args.f, "--f")
     g = _test_function(family, args.g, "--g") if args.g else None
     if g is None and args.check in ("dirac", "c1"):
         raise UsageError(f"--g is required for the {args.check} check")
     if args.m_min > args.m_max:
         raise UsageError(f"--m-min {args.m_min} is above --m-max {args.m_max}")
-    levels = doubling_levels(args.m_min, args.m_max)
+    levels = bands.doubling_levels(args.m_min, args.m_max)
 
     if args.check == "norm":
-        data = norm_asymptotics(f, levels)
-        rows = [(m, nrm) for (m, nrm, _) in data["rows"]]
-        slope = data["gap_slope"]
-        bound_ok = all(nrm <= data["sup_norm"] + 1e-8 for (_, nrm) in rows)
+        sup = bands.FAMILY[args.f][1]
+        rows = [(m, bands.op_norm(bands.toeplitz(f, m), hermitian=True)) for m in levels]
+        slope = bands.fit_loglog_slope(levels, [sup - nrm for (_, nrm) in rows])
+        bound_ok = all(nrm <= sup + 1e-8 for (_, nrm) in rows)
         ok = bound_ok and slope is not None and abs(slope + 1.0) <= 0.15
-        trailer = [f"# sup_norm = {data['sup_norm']!r}",
+        trailer = [f"# sup_norm = {sup!r}",
                    f"# gap_slope = {slope!r}",
                    f"# upper_bound_ok = {bound_ok}"]
     elif args.check == "dirac":
-        table = dirac_table(f, g, levels)
+        table = bands.convergence_table(lambda m: bands.dirac_residual(f, g, m), levels)
         rows = table.rows()
         slope_ok = table.slope is not None and abs(table.slope + 1.0) <= 0.3
-        ratio = table.values[0] / table.values[-1]
-        ratio_ok = ratio > 8.0
+        # a commuting pair's residual is exactly 0: no ratio, and the gate fails
+        ratio = table.values[0] / table.values[-1] if table.values[-1] else None
+        ratio_ok = ratio is not None and ratio > 8.0
         ok = slope_ok and ratio_ok
         trailer = [f"# slope = {table.slope!r}",
                    f"# first_over_final = {ratio!r}",
                    f"# slope_ok = {slope_ok}", f"# ratio_ok = {ratio_ok}"]
     elif args.check == "product":
-        table = product_table(f, g if g else f, levels)
+        table = bands.convergence_table(
+            lambda m: bands.product_residual(f, g if g else f, m), levels)
         rows = table.rows()
         ok = table.slope is not None and abs(table.slope + 1.0) <= 0.3
         trailer = [f"# slope = {table.slope!r}"]
     elif args.check == "tuynman":
-        rows = [(m, tuynman_residual(f, m)) for m in levels]
+        rows = [(m, bands.tuynman_residual(f, m)) for m in levels]
         ok = all(v <= 1e-6 for (_, v) in rows)
         trailer = []
     else:  # c1, argparse's fifth choice: the Dirac norm (see btquant.asymptotics)
-        table = dirac_table(f, g, levels)
+        table = bands.convergence_table(lambda m: bands.dirac_residual(f, g, m), levels)
         rows = table.rows()
         tail = [a for (m, a) in rows if m >= 8]
         monotone = all(b < a for a, b in zip(tail, tail[1:]))
@@ -344,13 +345,11 @@ def cmd_bt_converge(args, config: RunConfig) -> int:
 
 
 def cmd_tuynman_check(args, config: RunConfig) -> int:
-    from .btquant import standard_family, tuynman_residual
+    from .btquant import bands
 
-    family = standard_family()
+    family = bands.family()
     functions = [(name, _test_function(family, name, "--f")) for name in args.f]
-    # levels outermost: the process keeps one rule, so each is built once
-    res = {(name, m): tuynman_residual(f, m) for m in args.m for name, f in functions}
-    rows = [(name, m, res[name, m]) for name, _ in functions for m in args.m]
+    rows = [(name, m, bands.tuynman_residual(f, m)) for name, f in functions for m in args.m]
     worst = max(res for (_, _, res) in rows)
     ok = worst <= 1e-6
     trailer = [f"# max_residual = {worst!r}", f"# pass = {ok}"]

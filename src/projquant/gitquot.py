@@ -80,8 +80,31 @@ def _squared_moduli(v) -> list:
     a = [c.real * c.real + c.imag * c.imag for c in v]
     if 1e-300 <= sum(a) <= 1e300:
         return a
+    return _squared_moduli(_scaled(v))
+
+
+def _scaled(v) -> list:
+    """v times 2^-e, e the binary exponent of its largest real or imaginary
+    part: exact, and every part then lies below 1 in modulus."""
     e = math.frexp(max([max(abs(c.real), abs(c.imag)) for c in v]))[1]
-    return _squared_moduli([complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e)) for c in v])
+    return [complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e)) for c in v]
+
+
+def _moduli(v) -> tuple:
+    """v, its moduli |v_j| and their hypot ||v||, with v replaced by
+    _scaled(v) when a modulus or the hypot would leave the float range:
+    (1.5e308+1.5e308j, 1e308) has no float |v_0|.  Otherwise v is returned
+    as is, so every value read from it keeps its bits."""
+    try:
+        mods = [abs(c) for c in v]
+        norm = math.hypot(*mods)
+        if norm < math.inf:
+            return v, mods, norm
+    except OverflowError:
+        pass
+    v = _scaled(v)
+    mods = [abs(c) for c in v]
+    return v, mods, math.hypot(*mods)
 
 
 def _moment(weights, a: list) -> float:
@@ -152,8 +175,8 @@ def _invariant_moduli(terms: list, v):
     log modulus and phase are sums over u = v / ||v||, and the terms are
     shifted by the largest log modulus before they are summed, so no product
     of moduli underflows: X0^201 X1^200 at (1e-3 : 1) reads 0.03, not 0."""
-    mods = [abs(c) for c in v]
-    log_norm = math.log(math.hypot(*mods))
+    v, mods, norm = _moduli(v)
+    log_norm = math.log(norm)
     log_u = [math.log(m) - log_norm if m else -math.inf for m in mods]
     for degree, poly in terms:
         logs = [sum([e * log_u[k] for k, e in exps]) for _, exps in poly]
@@ -208,7 +231,8 @@ def _zero_level_witness(weights, v, tol: float):
     squared moduli are taken in log space (-inf off the support), so they do
     not underflow at 1e-200, and e^(s w) . v at the root s is scaled so that
     its largest coordinate has modulus 1 and no coordinate overflows."""
-    log_a = [2.0 * math.log(abs(c)) if c else -math.inf for c in v]
+    v, mods, _ = _moduli(v)
+    log_a = [2.0 * math.log(r) if r else -math.inf for r in mods]
     ws, las = (weights, log_a) if -math.inf not in log_a else zip(
         *((w, a) for w, a in zip(weights, log_a) if a > -math.inf))
     w_lo, w_hi = min(ws), max(ws)

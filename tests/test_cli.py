@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from fractions import Fraction
 import random
@@ -9,8 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from projquant import btquant, cli
-from projquant.btquant import InsufficientResolutionError
+from projquant import cli
+from projquant.btquant import InsufficientResolutionError, bands
 from projquant.cli import main
 from projquant.config import RunConfig, load_config
 
@@ -517,6 +518,22 @@ def test_bt_converge_single_level_has_no_slope(capsys, check, pair, slope_key):
     assert "# pass = False" in comments(out)
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["--check", "dirac", "--f", "x3", "--g", "x3sq"], "first_over_final"),
+    (["--check", "product", "--f", "x3", "--g", "one"], "slope"),
+])
+def test_commuting_pairs_print_exact_zeros(capsys, argv, key):
+    # both operators are diagonal (T_one is the identity), so every residual
+    # is exactly 0.0: no logarithm and no ratio, printed as None, and the
+    # gate fails as it always did for these pairs
+    code, out = run_cli(capsys, "bt-converge", *argv)
+    assert code == 1
+    _, rows = csv_rows(out)
+    assert [v for _, v in rows] == ["0.0"] * 5
+    assert f"# {key} = None" in comments(out)
+    assert "# pass = False" in comments(out)
+
+
 def test_unknown_function_rejected(capsys):
     # both commands look the names up the same way: exit 2, an error naming
     # the bad name and the family, nothing on stdout
@@ -539,11 +556,35 @@ def test_numeric_failure_exits_1(capsys, monkeypatch, exc):
     def broken(*args, **kwargs):
         raise exc
 
-    # the handler looks the function up in btquant when it runs
-    monkeypatch.setattr(btquant, "norm_asymptotics", broken)
+    # the handler looks the function up in btquant.bands when it runs
+    monkeypatch.setattr(bands, "op_norm", broken)
     code = main(["bt-converge", "--check", "norm", "--f", "x3", "--m-max", "8"])
     assert code == 1
     assert f"error: numeric failure: {exc}" in capsys.readouterr().err
+
+
+def _capped_to_256_mb():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+
+@pytest.mark.parametrize("argv, check", [
+    (["--check", "norm", "--f", "x3", "--m-min", "4096", "--m-max", "4096"],
+     lambda v: abs(v - 4096 / 4098) <= 2 * math.ulp(4096 / 4098)),
+    (["--check", "dirac", "--f", "x1", "--g", "x3sq", "--m-min", "2048", "--m-max", "2048"],
+     math.isfinite),
+])
+def test_large_levels_fit_in_256_mb(argv, check):
+    # the bands take O(m) memory: this child's address space is capped at
+    # 256 MB, where the quadrature route's rule alone needed gigabytes; one
+    # level leaves no slope, so both gates fail with exit 1
+    proc = subprocess.run([sys.executable, "-m", "projquant.cli", "bt-converge", *argv],
+                          capture_output=True, text=True, env=_child_env(), timeout=120,
+                          preexec_fn=_capped_to_256_mb)
+    assert proc.returncode == 1 and proc.stderr == ""
+    _, rows = csv_rows(proc.stdout)
+    assert len(rows) == 1 and check(float(rows[0][1]))
+    assert "# pass = False" in comments(proc.stdout)
 
 
 # -- config and determinism ----------------------------------------------------------------------
@@ -606,6 +647,12 @@ print(json.dumps([rc, sorted(sys.modules)]))
 """
 
 
+#: what the band route must not load: the dense BT route and numpy
+_DENSE_BT = {"numpy", "projquant.btquant.quadrature", "projquant.btquant.sections",
+             "projquant.btquant.operators", "projquant.btquant.chart",
+             "projquant.btquant.asymptotics"}
+
+
 @pytest.mark.parametrize("argv, code, absent", [
     (["--help"], 0, {"numpy"}),
     (["classify-cubic", "--g2", "0", "--g3", "0"], 0, {"numpy"}),
@@ -615,6 +662,10 @@ print(json.dumps([rc, sorted(sys.modules)]))
      {"numpy", "projquant.btquant", "projquant.gitquot", "projquant.projgeo"}),
     (["moment-map", "--weights=-1,1", "--samples", "20"], 0,
      {"numpy", "projquant.btquant", "projquant.weierstrass"}),
+    *[(["bt-converge", "--check", check, "--f", "x1", "--g", "x3sq", "--m-max", "16"], code,
+       _DENSE_BT) for check, code in
+      (("norm", 1), ("dirac", 1), ("product", 1), ("tuynman", 0), ("c1", 1))],
+    (["tuynman-check"], 0, _DENSE_BT),
 ])
 def test_commands_import_only_what_they_use(argv, code, absent):
     proc = subprocess.run([sys.executable, "-c", _CHILD_MODULES, *argv],
@@ -636,6 +687,27 @@ def test_exact_zariski_dimension_loads_no_numpy(point):
          f"{point}); print(json.dumps([d, 'numpy' in sys.modules]))"],
         capture_output=True, text=True, env=_child_env(), timeout=120)
     assert json.loads(proc.stdout) == [2, False]
+
+
+def _loaded_after(code):
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import json, sys; {code}; print(json.dumps(sorted("
+         "m for m in sys.modules if m.split('.')[0] in ('numpy', 'projquant'))))"],
+        capture_output=True, text=True, env=_child_env(), timeout=120)
+    return set(json.loads(proc.stdout))
+
+
+def test_band_module_loads_no_numpy():
+    loaded = _loaded_after("import projquant.btquant.bands")
+    assert "projquant.btquant.bands" in loaded and _DENSE_BT.isdisjoint(loaded)
+
+
+def test_first_dense_name_loads_the_whole_dense_route():
+    # a caller that builds its symbols with standard_family, as the bt_deep
+    # benchmark does before it times anything, pays every import of the
+    # dense route there, and none on the first toeplitz or dirac_residual
+    loaded = _loaded_after("from projquant import btquant; btquant.standard_family()")
+    assert _DENSE_BT <= loaded
 
 
 def test_bare_import_loads_no_submodule():
@@ -664,7 +736,7 @@ SUBMODULES = ["btquant", "coordring", "gaussrat", "gitquot", "poly", "projgeo", 
 BTQUANT_ALL = [
     "ConvergenceTable", "GradientUnavailableError", "InsufficientResolutionError",
     "OperatorMatrix", "QuadratureRule", "SectionBasis", "SmoothFunction", "asymptotics",
-    "build_quadrature", "chart", "dirac_residual", "dirac_table", "doubling_levels",
+    "bands", "build_quadrature", "chart", "dirac_residual", "dirac_table", "doubling_levels",
     "fit_loglog_slope", "geom_quant", "norm_asymptotics", "op_norm", "operators",
     "poisson", "poisson_function", "product_residual", "product_table", "quadrature",
     "sections", "standard_family", "toeplitz", "tuynman_residual",
@@ -691,6 +763,7 @@ def test_public_surface():
     with pytest.raises(AttributeError):
         projquant.no_such_name
     assert projquant.btquant.__all__ == BTQUANT_ALL
+    exec("from projquant.btquant import *", star)  # every lazy name resolves
 
 
 def test_one_process_runs_commands_like_separate_processes(capsys):

@@ -273,6 +273,22 @@ def test_verdicts_hold_at_extreme_scales(scale):
         assert orbit_meets_zero_level(HYPERBOLIC, y)[0]
 
 
+@pytest.mark.parametrize("big, small", [
+    ((1.5e308 + 1.5e308j, 1e308), (1.5 + 1.5j, 1.0)),  # |v_0| is not a float
+    ((1.5e308, 1.5e308), (1.5, 1.5)),  # each |v_j| is, their hypot is not
+])
+def test_verdicts_hold_past_the_float_range_of_a_modulus(big, small):
+    # the point is small scaled by 1e308, up to rounding; every verdict, and
+    # the witness, read as there
+    assert semistable(big, INV) == semistable(small, INV) is True
+    assert is_stable(HYPERBOLIC, big, INV) == is_stable(HYPERBOLIC, small, INV) is True
+    (met, witness), (met_small, witness_small) = (orbit_meets_zero_level(HYPERBOLIC, x)
+                                                  for x in (big, small))
+    assert met == met_small is True
+    assert max(abs(a - b) for a, b in zip(witness.coords, witness_small.coords)) <= 1e-15
+    assert abs(moment_map(HYPERBOLIC, witness)[0]) <= 1e-9
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
 @pytest.mark.parametrize("call", [lambda x: moment_map(HYPERBOLIC, x), lambda x: semistable(x, INV),
                                   lambda x: orbit_meets_zero_level(HYPERBOLIC, x)],
