@@ -9,8 +9,10 @@ quadrature rule with numpy, and is the independent reference for the bands.
 
 The public names resolve on first access (PEP 562), so importing this
 package, or ``projquant.btquant.bands``, loads no numpy.  The first name of
-the dense route loads all five of its modules, so that a caller who has
-reached one pays no import on the first use of another.
+the dense route loads all five of its modules and binds every name they
+export here at once, so that a caller who has reached one pays no import on
+the first use of another, and every one of them is in this namespace before
+anything scans it.
 """
 
 from importlib import import_module as _import_module
@@ -37,12 +39,10 @@ def __getattr__(name):
         return _import_module(f"{__name__}.{name}")  # binds itself here
     if name not in _ORIGIN:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    if _ORIGIN[name] in _DENSE:
-        for module in _DENSE:
-            _import_module(f"{__name__}.{module}")
-    value = getattr(_import_module(f"{__name__}.{_ORIGIN[name]}"), name)
-    globals()[name] = value
-    return value
+    for module in _DENSE if _ORIGIN[name] in _DENSE else (_ORIGIN[name],):
+        loaded = _import_module(f"{__name__}.{module}")
+        globals().update({n: getattr(loaded, n) for n in _EXPORTS[module]})
+    return globals()[name]
 
 
 def __dir__():

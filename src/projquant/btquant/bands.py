@@ -315,11 +315,11 @@ NORM_ULPS = 4
 def op_norm(A: dict, hermitian: bool = False) -> float:
     """Spectral norm of a band.  A Hermitian band (read on and below its
     diagonal, like eigvalsh) gives its largest |eigenvalue|, any other its
-    largest singular value, sqrt(lambda_max(A^H A)).  A diagonal band gives
-    max |a_ii| directly; otherwise bisection on the inertia of LDL^H of
-    sigma I -+ A, without pivoting, from the Gershgorin bracket, until the
-    bracket is NORM_ULPS units of its upper end wide.  Diagonals that are all
-    zero do not count."""
+    largest singular value, sqrt(lambda_max(A^H A)): bisection on the
+    inertia of LDL^H of sigma I -+ A, without pivoting, from the Gershgorin
+    bracket [max |a_ii|, max row sum of |a_ij|], until the bracket is
+    NORM_ULPS units of its upper end wide; for a diagonal band it is closed
+    from the start.  Diagonals that are all zero do not count."""
     A = {d: v for d, v in A.items() if any(v)}
     if not A:
         return 0.0
@@ -340,8 +340,6 @@ def _hermitian_norm(A: dict, definite: bool = False) -> float:
     n = _size(A)
     diag = [x.real for x in A.get(0, [0.0] * n)]
     lower = [A.get(d, [0.0] * (n - d)) for d in range(1, max(A) + 1)]
-    if not lower:
-        return max(abs(x) for x in diag)
     radius = [abs(x) for x in diag]  # Gershgorin: row sums of |a_ij|
     for d, v in enumerate(lower, 1):
         for i, x in enumerate(v):
@@ -362,15 +360,6 @@ def _positive_definite(sigma: float, sign: float, diag: list, lower: list) -> bo
     """Whether sigma I - sign A has only positive pivots in LDL^H, row by row
     without pivoting: the test stops at the first pivot <= 0."""
     n, w = len(diag), len(lower)
-    if w == 1:  # tridiagonal: d_i = b_ii - |b_(i,i-1)|^2 / d_(i-1)
-        pivot = sigma - sign * diag[0]
-        if pivot <= 0:
-            return False
-        for x, e in zip(diag[1:], lower[0]):
-            pivot = sigma - sign * x - (e.real * e.real + e.imag * e.imag) / pivot
-            if pivot <= 0:
-                return False
-        return True
     pivots, rows = [], []  # rows[i][r] = L[i, i - w + r]
     for i in range(n):
         t = [0.0] * w  # t[r] = L[i, j] pivot_j, j = i - w + r

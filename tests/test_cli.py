@@ -710,6 +710,19 @@ def test_first_dense_name_loads_the_whole_dense_route():
     assert _DENSE_BT <= loaded
 
 
+def test_first_dense_name_binds_every_dense_name():
+    # a wrapper that scans the package's namespace after standard_family (as
+    # perfbench's tracer does) finds every name of the dense route there, so
+    # that it can rebind and later restore each one
+    script = ("import json; from projquant import btquant as bt; bt.standard_family(); "
+              "print(json.dumps(sorted(n for n, m in bt._ORIGIN.items() "
+              "if m in bt._DENSE and n not in vars(bt))))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_bare_import_loads_no_submodule():
     proc = subprocess.run(
         [sys.executable, "-c", "import json, sys, projquant; print(json.dumps(sorted("
