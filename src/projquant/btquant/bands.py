@@ -33,7 +33,6 @@ log-log slope and the table type.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..gaussrat import GaussianRational
@@ -77,11 +76,11 @@ def fit_loglog_slope(ms, values) -> float | None:
             / math.fsum(d * d for d in dx))
 
 
-@dataclass(frozen=True)
 class ConvergenceTable:
-    levels: tuple
-    values: tuple
-    slope: float | None
+    """Residuals at the levels, with their log-log slope."""
+
+    def __init__(self, levels: tuple, values: tuple, slope: float | None):
+        self.levels, self.values, self.slope = levels, values, slope
 
     def rows(self):
         return list(zip(self.levels, self.values))

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from fractions import Fraction
 
 from .config import RunConfig, load_config, output_path
 
@@ -53,6 +51,8 @@ def _fmt(x) -> str:
 
 
 def _json_report(config: RunConfig, payload: dict) -> str:
+    import json
+
     payload = dict(payload)
     payload["config"] = config.to_dict()
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -73,7 +73,9 @@ def _argument(expected: str):
 
 
 @_argument("a rational number such as 3/4")
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str):
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -139,7 +141,7 @@ def cmd_classify_cubic(args, config: RunConfig) -> int:
 
 
 def cmd_curve_points(args, config: RunConfig) -> int:
-    import numpy as np
+    import math
 
     from . import projgeo
     from .poly import parse_polynomial
@@ -155,42 +157,123 @@ def cmd_curve_points(args, config: RunConfig) -> int:
     if args.resolution < 2:
         raise UsageError(f"--resolution must be >= 2 grid nodes per axis, got {args.resolution}")
     for axis, lo, hi in (("x", args.xmin, args.xmax), ("y", args.ymin, args.ymax)):
-        if not (np.isfinite(lo) and np.isfinite(hi)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise UsageError(f"the {axis} window needs finite bounds, got [{lo}, {hi}]")
         if lo == hi:
             raise UsageError(f"the {axis} window is empty: --{axis}min = --{axis}max = {lo}")
-    affine = f.dehomogenize(2)  # plot plane is the chart X2 = 1
-
-    def val(x, y):
-        return np.real(np.broadcast_to(affine.evaluate_array((x, y)), np.broadcast(x, y).shape))
-
-    xs = np.linspace(args.xmin, args.xmax, args.resolution)
-    ys = np.linspace(args.ymin, args.ymax, args.resolution)
-    nodes = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
-    grid = val(nodes[..., 0], nodes[..., 1])
-    # vertical grid lines, then horizontal ones: a node value of exactly 0 is a
-    # point (lo = hi), a sign change a bracket; the fixed coordinate stays exact
-    lo, hi, fa = [], [], []
-    for vals, p in ((grid, nodes), (grid.T, nodes.transpose(1, 0, 2))):
-        a, b = vals[:, :-1], vals[:, 1:]
-        hit = (a == 0.0) | ((a < 0) != (b < 0))
-        lo.append(p[:, :-1][hit])
-        hi.append(np.where((a[hit] == 0.0)[:, None], lo[-1], p[:, 1:][hit]))
-        fa.append(a[hit])
-    lo, hi, fa = (np.concatenate(c) for c in (lo, hi, fa))
-    for _ in range(60):  # all brackets in lockstep, until a step moves none
-        mid = 0.5 * (lo + hi)
-        fm = val(mid[:, 0], mid[:, 1])
-        stop = fm == 0.0  # an exact zero freezes its bracket at mid
-        left = (fa < 0) != (fm < 0)
-        state = (np.where((stop | ~left)[:, None], mid, lo),
-                 np.where((stop | left)[:, None], mid, hi), np.where(left, fa, fm))
-        if all(map(np.array_equal, state, (lo, hi, fa))):
-            break  # a fixed point: every later step would repeat this one
-        lo, hi, fa = state
-    pts = sorted(map(tuple, (0.5 * (lo + hi)).tolist()))
+    xs = _linspace(args.xmin, args.xmax, args.resolution)
+    ys = _linspace(args.ymin, args.ymax, args.resolution)
+    pts, _ = _curve_scan(f.dehomogenize(2), xs, ys)  # plot plane is the chart X2 = 1
     _write(_csv(config, ["x", "y"], pts), args.out)
     return PASS
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """numpy.linspace(start, stop, num) in Python floats, bit for bit: node i
+    is i * step + start (i / div * delta + start where step underflows to
+    0), and the last node is stop."""
+    div, delta = num - 1, stop - start
+    step = delta / div
+    nodes = [i * step + start if step else i / div * delta + start for i in range(num)]
+    nodes[-1] = stop
+    return nodes
+
+
+def _curve_scan(affine, xs: list[float], ys: list[float]) -> tuple[list, int]:
+    """The sorted points where the affine curve crosses or touches a grid
+    line, and the most bisection steps any bracket took.
+
+    Vertical grid lines, then horizontal ones: a node value of exactly 0 is
+    a point (lo = hi), a sign change a bracket, halved until a step moves
+    it no more, at most 60 times; an exact zero freezes its bracket at the
+    midpoint.  The fixed coordinate of a line enters the bisection as
+    0.5 * (c + c), which is c unless c + c overflows.  Every value is the
+    float fold of Polynomial.evaluate_array, bit for bit, through the code
+    of _line_scanner."""
+    values, roots_y = _line_scanner(affine, 1)
+    _, roots_x = _line_scanner(affine, 0)
+    grid = [values(x, ys) for x in xs]  # grid[i][j]: the value at (xs[i], ys[j])
+    pts, most = [], 0
+    for x, line in zip(xs, grid):
+        x = 0.5 * (x + x)
+        roots, steps = roots_y(x, ys, line)
+        pts += [(x, y) for y in roots]
+        most = max(most, steps)
+    for y, line in zip(ys, zip(*grid)):
+        y = 0.5 * (y + y)
+        roots, steps = roots_x(y, xs, line)
+        pts += [(x, y) for x in roots]
+        most = max(most, steps)
+    return sorted(pts), most
+
+
+#: the scan along one grid line, with the names of Polynomial.line_source:
+#: c the fixed coordinate, t the moving one, k<i> the bound numbers
+_LINE_SCAN = """\
+def scanner(k):
+    {unpack}
+
+    def values(c, ts):
+        {setup}
+        out = []
+        for t in ts:
+            out.append({expr})
+        return out
+
+    def roots(c, ts, vals):
+        {setup}
+        out, most = [], 0
+        for i in range(len(ts) - 1):
+            fa = vals[i]
+            if fa == 0.0:
+                lo = hi = ts[i]
+            elif (fa < 0) != (vals[i + 1] < 0):
+                lo, hi = ts[i], ts[i + 1]
+            else:
+                continue
+            neg = fa < 0  # as every step keeps fa or takes an fm of its sign
+            for step in range(1, 61):
+                t = 0.5 * (lo + hi)
+                fm = {expr}
+                if fm == 0.0:
+                    if neg:
+                        fm = fa
+                    if lo == hi == t and fm == fa:
+                        break
+                    lo = hi = t
+                    fa = fm
+                elif (fm < 0) != neg:
+                    if hi == t:
+                        break
+                    hi = t
+                else:
+                    if lo == t and fm == fa:
+                        break
+                    lo, fa = t, fm
+            out.append(0.5 * (lo + hi))
+            most = max(most, step)
+        return out, most
+
+    return values, roots
+"""
+
+
+def _line_scanner(affine, moving: int):
+    """values(c, ts) and roots(c, ts, vals) along the grid lines on which
+    coordinate `moving` varies, with affine's numbers bound."""
+    setup, expr, k = affine.line_source(("t", "c") if moving == 0 else ("c", "t"), moving)
+    return _compiled(_LINE_SCAN.format(
+        unpack="".join(f"k{i}, " for i in range(len(k))) + "= k" if k else "pass",
+        setup="\n        ".join(setup) or "pass", expr=expr))(k)
+
+
+@functools.cache
+def _compiled(source: str):
+    """The scanner that source defines, compiled once per process for each
+    monomial structure; no input text reaches source."""
+    namespace = {}
+    exec(compile(source, "<curve-points line scan>", "exec"), namespace)
+    return namespace["scanner"]
 
 
 def cmd_weierstrass_embed(args, config: RunConfig) -> int:
@@ -382,8 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve-points", help="real locus of a plane curve as CSV")
     p.add_argument("--poly", help="homogeneous polynomial in X0, X1, X2")
-    p.add_argument("--g2", type=_fraction, default=Fraction(0))
-    p.add_argument("--g3", type=_fraction, default=Fraction(0))
+    p.add_argument("--g2", type=_fraction, default="0")
+    p.add_argument("--g3", type=_fraction, default="0")
     p.add_argument("--xmin", type=float, default=-2.0)
     p.add_argument("--xmax", type=float, default=2.0)
     p.add_argument("--ymin", type=float, default=-3.0)

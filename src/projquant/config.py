@@ -9,22 +9,24 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, asdict, fields
 
 #: environment variable that may override the output directory (only that)
 OUTPUT_DIR_ENV = "PROJQUANT_OUTDIR"
 
 
-@dataclass
 class RunConfig:
-    seed: int = 0
+    """The run's settings: one int per key, each checked here."""
 
-    def __post_init__(self):
-        if self.seed < 0:
+    def __init__(self, seed: int = 0):
+        if seed < 0:
             raise ValueError("seed must be non-negative")
+        self.seed = seed
+
+    def __eq__(self, other):
+        return isinstance(other, RunConfig) and self.to_dict() == other.to_dict()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"seed": self.seed}
 
     def comment_lines(self) -> list[str]:
         """Config echo for CSV output, one '# key = value' line each."""
@@ -37,7 +39,7 @@ def load_config(path: str | None) -> RunConfig:
     is an error naming the file, line and key."""
     if path is None:
         return RunConfig()
-    keys = {f.name for f in fields(RunConfig)}
+    keys = RunConfig().to_dict().keys()
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):

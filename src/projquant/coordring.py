@@ -11,13 +11,9 @@ Dimensions use exact integer arithmetic throughout.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 
-from .poly import Polynomial, monomials_of_degree
 
-
-@dataclass(frozen=True)
 class GradedRingPresentation:
     """K[P^n] modulo relations of the given degrees (s = 0: the full ring).
 
@@ -26,21 +22,18 @@ class GradedRingPresentation:
     for the principal case s <= 1 (any single nonzero relation is regular).
     """
 
-    nvars: int
-    relation_degrees: tuple = ()
-
-    def __post_init__(self):
-        if self.nvars < 1:
-            raise ValueError(f"need at least 1 variable, got nvars = {self.nvars}")
-        degs = tuple(int(d) for d in self.relation_degrees)
+    def __init__(self, nvars: int, relation_degrees=()):
+        if nvars < 1:
+            raise ValueError(f"need at least 1 variable, got nvars = {nvars}")
+        degs = tuple(int(d) for d in relation_degrees)
         if any(d <= 0 for d in degs):
             raise ValueError("relation degrees must be positive")
-        if len(degs) > self.nvars:
+        if len(degs) > nvars:
             raise ValueError("more relations than variables cannot be a regular sequence")
-        object.__setattr__(self, "relation_degrees", degs)
+        self.nvars, self.relation_degrees = nvars, degs
 
     @classmethod
-    def hypersurface(cls, f: Polynomial) -> "GradedRingPresentation":
+    def hypersurface(cls, f) -> "GradedRingPresentation":
         if f.is_zero or not f.is_homogeneous():
             raise ValueError(f"relation {f} is not a nonzero homogeneous polynomial")
         return cls(f.nvars, (f.degree(),))
@@ -77,13 +70,15 @@ def variety_dim(R: GradedRingPresentation) -> int:
     return krull_dim(R) - 1
 
 
-def graded_basis_hypersurface(f: Polynomial, m: int) -> list[tuple]:
+def graded_basis_hypersurface(f, m: int) -> list[tuple]:
     """Monomial basis of degree m of K[X_0..X_n]/(f), graded-lex descending.
 
     The basis consists of the degree-m monomials not divisible by the
     leading monomial of f: a single generator is its own Groebner basis,
     making this set exact (its cardinality equals the Hilbert function).
     """
+    from .poly import monomials_of_degree
+
     if f.is_zero:
         raise ValueError("relation must be nonzero")
     if not f.is_homogeneous():

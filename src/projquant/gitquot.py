@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 
 from .poly import Polynomial
 from .projgeo import ProjPoint
@@ -27,11 +26,11 @@ class EmptyInvariantSetError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class LinearAction:
     """The circle U(1) acting on C^(n+1) by the generator i*diag(weights)."""
 
-    weights: tuple
+    def __init__(self, weights: tuple):
+        self.weights = weights
 
     @classmethod
     def from_weights(cls, weights) -> "LinearAction":
@@ -122,11 +121,11 @@ def infinitesimal_invariance(F: Polynomial, action: LinearAction) -> bool:
     return all(sum(e * w for e, w in zip(mono, action.weights)) == 0 for mono in F.terms)
 
 
-@dataclass(frozen=True)
 class InvariantSet:
     """Nonconstant homogeneous polynomials, each certified invariant exactly."""
 
-    polys: tuple
+    def __init__(self, polys: tuple):
+        self.polys = polys
 
     @classmethod
     def certified(cls, polys, action: LinearAction) -> "InvariantSet":
@@ -338,7 +337,9 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
     For each sampled point the semistability verdict (from the certified
     invariants) is compared with the orbit verdict w_lo <= 0 <= w_hi of
     orbit_meets_zero_level, from the extremal weights on the support.
-    The zero level must consist of semistable points only.  The quotient's
+    The zero level must consist of semistable points only: the verdict
+    holds when the sampler's points and the sample rows with |mu| <= 1e-7
+    are all semistable, and fails when there are none.  The quotient's
     complex dimension is read off the weights, not sampled: the zero level
     mod K is the GIT quotient (Kempf-Ness), n - 1 dimensional when the
     weights take both signs (full-support points are semistable, with
@@ -356,7 +357,8 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
     points += [tuple(complex(i == j) for i in range(n)) for j in range(n)]
     points += [_ray(rng, n) for _ in range(max(0, n_samples - len(points)))]
     terms = _log_terms(inv)
-    zero_all_semistable = all(_semistable_at(terms, v) for v in _zero_level_samples(action, rng))
+    # the verdicts on the zero level: the sampler's points, then the sample rows there
+    zero = [_semistable_at(terms, v) for v in _zero_level_samples(action, rng)]
     rows, mismatches, zero_level = [], 0, 0
     for v in points:  # one pass per sample, each coordinate formatted once, as in format_point
         mu = _moment(weights, _squared_moduli(v))
@@ -366,7 +368,7 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
         mismatches += semi != met
         if abs(mu) <= 1e-7:
             zero_level += 1
-            zero_all_semistable = zero_all_semistable and semi
+            zero.append(semi)
         text = [repr(c.real) if c.imag == 0 else repr(c) for c in v]
         to_zero, to_inf = (" : ".join([t if w == ext else "0.0" for w, t in zip(weights, text)])
                            for ext in (w_lo, w_hi))
@@ -379,7 +381,7 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
         "equivalence_holds": mismatches == 0,
         "mismatches": mismatches,
         "zero_level_sampled": zero_level,
-        "zero_level_all_semistable": zero_all_semistable,
+        "zero_level_all_semistable": bool(zero) and all(zero),
         "quotient_dim": action.n - 1 if min(weights) < 0 < max(weights) else weights.count(0) - 1,
     }
 

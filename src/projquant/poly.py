@@ -199,7 +199,8 @@ class Polynomial:
         """Float value at coordinates that may be numpy arrays (broadcast); rational
         coefficients enter as floats, so real input gives the complex path's real part.
         Unit coefficients add no factor, the zero polynomial gives 0.0, and the
-        coordinates of variables no term uses are never read (they may be None)."""
+        coordinates of variables no term uses are never read (they may be None).
+        Only * and + touch a coordinate, so line_source can run this fold on symbols."""
         total = None
         for m, c in self.iter_terms():
             v = None if c == 1 else complex(c) if isinstance(c, GaussianRational) else float(c)
@@ -209,6 +210,20 @@ class Polynomial:
             v = 1.0 if v is None else v
             total = v if total is None else total + v
         return 0.0 if total is None else total
+
+    def line_source(self, names, moving: int) -> tuple[list[str], str, list]:
+        """evaluate_array's fold as Python source along a line on which only
+        coordinate `moving` varies; names are the coordinates' identifiers.
+        Returns (setup, expr, values): statements naming h0, h1, ... each
+        operand that reads no moving coordinate and meets one that does, to
+        run once per line; the expression of the value; and the numbers that
+        the names k0, k1, ... stand for, so no coefficient enters the text.
+        The text is built by evaluate_array itself, run on symbols, so it
+        makes the same float operations in the same order."""
+        line = _Line()
+        total = line.operand(self.evaluate_array(
+            [_Source(name, i == moving, line) for i, name in enumerate(names)]))
+        return line.setup, line.hoisted(total).text, line.values
 
     def dehomogenize(self, i: int) -> "Polynomial":
         """Set X_i = 1 and drop that variable (affine chart alpha_i != 0)."""
@@ -235,6 +250,58 @@ def _powu(x, e: int):
         if e & 1:
             out = x if out is None else out * x
     return out
+
+
+class _Line:
+    """The source that Polynomial.line_source collects: setup statements and
+    the numbers bound to names."""
+
+    def __init__(self):
+        self.setup, self.values = [], []
+
+    def operand(self, x) -> "_Source":
+        """x itself if a _Source, else a number, bound to the next name k<i>."""
+        if isinstance(x, _Source):
+            return x
+        self.values.append(x)
+        return _Source(f"k{len(self.values) - 1}", False, self)
+
+    def hoisted(self, x: "_Source") -> "_Source":
+        """x, or a name h<i> computed once per line if x reads no moving
+        coordinate and is not a name already."""
+        if x.moving or x.text.isidentifier():
+            return x
+        self.setup.append(f"h{len(self.setup)} = {x.text}")
+        return _Source(f"h{len(self.setup) - 1}", False, self)
+
+
+class _Source:
+    """A value of the fold as source text, and whether it reads the moving
+    coordinate: * and + give the text of the same operation, the operands in
+    their order."""
+
+    __slots__ = ("text", "moving", "line")
+
+    def __init__(self, text: str, moving: bool, line: _Line):
+        self.text, self.moving, self.line = text, moving, line
+
+    def _apply(self, op: str, a, b) -> "_Source":
+        a, b = self.line.operand(a), self.line.operand(b)
+        if a.moving != b.moving:
+            a, b = self.line.hoisted(a), self.line.hoisted(b)
+        return _Source(f"({a.text} {op} {b.text})", a.moving or b.moving, self.line)
+
+    def __mul__(self, other):
+        return self._apply("*", self, other)
+
+    def __rmul__(self, other):
+        return self._apply("*", other, self)
+
+    def __add__(self, other):
+        return self._apply("+", self, other)
+
+    def __radd__(self, other):
+        return self._apply("+", other, self)
 
 
 # ---------------------------------------------------------------------------

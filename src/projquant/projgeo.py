@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import enum
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .gaussrat import GaussianRational, exact_rank, is_exact_scalar
@@ -61,7 +60,6 @@ class ProjPoint:
         return f"ProjPoint({format_point(self)})"
 
 
-@dataclass(frozen=True)
 class VarietyPresentation:
     """Zero set of finitely many homogeneous polynomials in P^n.
 
@@ -69,11 +67,8 @@ class VarietyPresentation:
     cannot distort rank or membership logic.
     """
 
-    generators: tuple
-    claimed_dim: int | None = None
-
-    def __post_init__(self):
-        gens = tuple(self.generators)
+    def __init__(self, generators, claimed_dim: int | None = None):
+        gens = tuple(generators)
         if not gens:
             raise ValueError("need at least one generator")
         for g in gens:
@@ -86,7 +81,7 @@ class VarietyPresentation:
             warnings.warn("zero generator dropped from variety presentation")
         if not kept:
             raise ValueError("all generators were zero")
-        object.__setattr__(self, "generators", kept)
+        self.generators, self.claimed_dim = kept, claimed_dim
 
     @property
     def nvars(self) -> int:

@@ -19,13 +19,8 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .projgeo import ProjPoint
 
 #: points closer than this to a lattice point are treated as poles
 POLE_GUARD = 1e-8
@@ -41,15 +36,13 @@ class LatticeScaleError(ArithmeticError):
     when the lattice is too fine for samples to clear the pole guard."""
 
 
-@dataclass(frozen=True)
 class Lattice:
     """The lattice Z + Z*tau with tau finite and Im(tau) > 0."""
 
-    tau: complex
-
-    def __post_init__(self):
-        if not (cmath.isfinite(self.tau) and self.tau.imag > 0):
-            raise ValueError(f"tau must be finite with Im(tau) > 0, got {self.tau!r}")
+    def __init__(self, tau: complex):
+        if not (cmath.isfinite(tau) and tau.imag > 0):
+            raise ValueError(f"tau must be finite with Im(tau) > 0, got {tau!r}")
+        self.tau = tau
 
     @cached_property
     def reduction(self) -> tuple:
@@ -115,15 +108,12 @@ def _cell_point(L: Lattice, z: complex) -> tuple:
     return w, odd, (gap if gap < row else row) * abs(lam)
 
 
-@dataclass(frozen=True)
 class EisensteinPair:
     """Lattice invariants g2, g3 with the series length and truncation bound
     used (for the nome series a closed-form bound on the omitted terms)."""
 
-    g2: complex
-    g3: complex
-    cutoff: int
-    tail_bound: float
+    def __init__(self, g2: complex, g3: complex, cutoff: int, tail_bound: float):
+        self.g2, self.g3, self.cutoff, self.tail_bound = g2, g3, cutoff, tail_bound
 
     def discriminant(self) -> complex:
         return self.g2 ** 3 - 27 * self.g3 ** 2
@@ -249,7 +239,7 @@ def ode_residual(L: Lattice, z: complex) -> float:
     return eisenstein(L).cubic_residual(*_wp_pair(L, z))
 
 
-def embed(L: Lattice, z: complex) -> ProjPoint:
+def embed(L: Lattice, z: complex):
     """Map [z] to (wp(z) : wp'(z) : 1), with the lattice class [0] at (0:1:0).
 
     The image lies on X1^2 X2 - 4 X0^3 + g2 X0 X2^2 + g3 X2^3 = 0 within a

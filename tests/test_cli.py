@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -201,24 +202,6 @@ def test_curve_points_match_scalar_scan(capsys, argv, window, want_zeros):
         assert rows == []
 
 
-def _curve_points_steps(capsys, monkeypatch, argv):
-    """The curve-points stdout and the number of bisection steps taken (one
-    evaluate_array call per step, after the one on the grid)."""
-    from projquant.poly import Polynomial
-
-    calls = []
-    real = Polynomial.evaluate_array
-
-    def counting(self, *args):
-        calls.append(1)
-        return real(self, *args)
-
-    monkeypatch.setattr(Polynomial, "evaluate_array", counting)
-    code, out = run_cli(capsys, "curve-points", *argv)
-    assert code == 0
-    return out, len(calls) - 1
-
-
 def _seeded_curves():
     rng = np.random.default_rng(27)
     return [[f"--g2={g2 + Fraction(int(rng.integers(-8, 9)), 40)}",
@@ -226,18 +209,75 @@ def _seeded_curves():
             for g2, g3 in ((4, 0), (2, 1), (3, -1))]
 
 
+def _reference_rows(argv):
+    """The rows of _scalar_curve_scan for a curve-points argv, read by the
+    command's own parser, and the curve's affine part."""
+    from projquant.poly import parse_polynomial
+    from projquant.projgeo import weierstrass_cubic
+
+    args = cli.build_parser().parse_args(["curve-points", *argv])
+    f = (parse_polynomial(args.poly, nvars=3) if args.poly is not None
+         else weierstrass_cubic(args.g2, args.g3))
+    xs = np.linspace(args.xmin, args.xmax, args.resolution).tolist()
+    ys = np.linspace(args.ymin, args.ymax, args.resolution).tolist()
+    want, _ = _scalar_curve_scan(f, xs, ys)
+    return [[repr(x), repr(y)] for x, y in want], f.dehomogenize(2), xs, ys
+
+
 @pytest.mark.parametrize("argv", [["--g2", "4", "--g3", "0", "--resolution", "201"],
                                   *_seeded_curves()])
-def test_curve_points_fixed_point_exit_matches_60_steps(capsys, monkeypatch, argv):
+def test_curve_points_fixed_point_exit_matches_60_steps(capsys, argv):
     # a step that moves no bracket is repeated by every later one, so leaving
-    # the loop there prints what all 60 steps print.  The README command's
-    # brackets near y = 0 keep halving in ulps and never stop early.
-    out, steps = _curve_points_steps(capsys, monkeypatch, argv)
-    monkeypatch.setattr(np, "array_equal", lambda *a: False)  # no fixed point seen
-    want, all_steps = _curve_points_steps(capsys, monkeypatch, argv)
-    assert all_steps == 60
-    assert out == want
+    # the bracket's loop there prints what all 60 steps print, as the scalar
+    # scan takes them.  The README command's brackets near y = 0 keep halving
+    # in ulps and never stop early; the seeded grids' brackets all do.
+    code, out = run_cli(capsys, "curve-points", *argv)
+    assert code == 0
+    want, affine, xs, ys = _reference_rows(argv)
+    assert csv_rows(out)[1] == want
+    pts, steps = cli._curve_scan(affine, xs, ys)
+    assert [[repr(x), repr(y)] for x, y in pts] == want
     assert steps == 60 if argv[-1] == "201" else steps < 60
+
+
+def _seeded_poly_argv(rng):
+    """curve-points argv for a random curve of degree <= 4 with rational
+    coefficients, a window that may be reversed or have integer bounds, and
+    2 to 41 nodes per axis."""
+    degree = int(rng.integers(1, 5))
+    monomials = [(a, b, degree - a - b) for a in range(degree + 1) for b in range(degree + 1 - a)]
+    picked = rng.choice(len(monomials), size=int(rng.integers(1, len(monomials) + 1)),
+                        replace=False)
+    coefficients = [Fraction(int(rng.choice([-1, 1]) * rng.integers(1, 10)), int(rng.integers(1, 7)))
+                    for _ in picked]
+    text = " + ".join(f"{c}*X0^{monomials[k][0]}*X1^{monomials[k][1]}*X2^{monomials[k][2]}"
+                      for c, k in zip(coefficients, picked))
+    bounds = []
+    for _ in range(2):
+        lo, hi = sorted(rng.integers(-3, 4, size=2) if rng.random() < 0.3
+                        else np.round(rng.uniform(-3, 3, size=2), 3))
+        if lo == hi:
+            hi = lo + 1
+        bounds.append((float(hi), float(lo)) if rng.random() < 0.3 else (float(lo), float(hi)))
+    (xmin, xmax), (ymin, ymax) = bounds
+    return [f"--poly={text}", f"--xmin={xmin!r}", f"--xmax={xmax!r}",
+            f"--ymin={ymin!r}", f"--ymax={ymax!r}", "--resolution", str(int(rng.integers(2, 42)))]
+
+
+def test_curve_points_match_scalar_scan_on_seeded_curves(capsys):
+    # the float fold and the scalar route agree bit for bit beyond the cases
+    # above: every sign, exact zero and bisection step on random curves
+    rng = np.random.default_rng(39)
+    for _ in range(30):
+        argv = _seeded_poly_argv(rng)
+        code, out = run_cli(capsys, "curve-points", *argv)
+        assert code == 0, argv
+        assert csv_rows(out)[1] == _reference_rows(argv)[0], argv
+
+
+def test_curve_points_default_cubic_is_g2_g3_zero(capsys):
+    assert (run_cli(capsys, "curve-points", "--resolution", "21")
+            == run_cli(capsys, "curve-points", "--g2", "0", "--g3", "0", "--resolution", "21"))
 
 
 def test_weierstrass_embed_computes_eisenstein_once(capsys, monkeypatch):
@@ -634,16 +674,17 @@ def test_weierstrass_embed_rejects_a_tau_it_cannot_handle(tau, code, message):
 
 
 # what a child process has imported after one command: a module it does not
-# need costs start-up in every process that runs the command
+# need costs start-up in every process that runs the command.  The child
+# prints with repr, so that it imports no json of its own
 _CHILD_MODULES = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from projquant.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
         rc = main(sys.argv[1:])
     except SystemExit as exc:
         rc = exc.code
-print(json.dumps([rc, sorted(sys.modules)]))
+print(repr([rc, sorted(sys.modules)]))
 """
 
 
@@ -651,28 +692,33 @@ print(json.dumps([rc, sorted(sys.modules)]))
 _DENSE_BT = {"numpy", "projquant.btquant.quadrature", "projquant.btquant.sections",
              "projquant.btquant.operators", "projquant.btquant.chart",
              "projquant.btquant.asymptotics"}
+#: what no command loads: numpy, and dataclasses with the inspect it imports
+_NONE = {"numpy", "dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("argv, code, absent", [
-    (["--help"], 0, {"numpy"}),
-    (["classify-cubic", "--g2", "0", "--g3", "0"], 0, {"numpy"}),
-    (["hilbert", "--nvars", "3", "--degrees", "3", "--m", "0..10"], 0, {"numpy"}),
-    (["hilbert", "--bogus-flag"], 2, {"numpy"}),
+    (["--help"], 0, _NONE | {"fractions"}),
+    (["classify-cubic", "--g2", "0", "--g3", "0"], 0, _NONE),
+    (["hilbert", "--nvars", "3", "--degrees", "3", "--m", "0..10"], 0,
+     _NONE | {"projquant.poly", "fractions", "json"}),
+    (["hilbert", "--bogus-flag"], 2, _NONE),
     (["weierstrass-embed", "--tau", "2j", "--samples", "5"], 0,
-     {"numpy", "projquant.btquant", "projquant.gitquot", "projquant.projgeo"}),
+     _NONE | {"projquant.btquant", "projquant.gitquot", "projquant.projgeo", "fractions",
+              "json"}),
     (["moment-map", "--weights=-1,1", "--samples", "20"], 0,
-     {"numpy", "projquant.btquant", "projquant.weierstrass"}),
+     _NONE | {"projquant.btquant", "projquant.weierstrass"}),
     *[(["bt-converge", "--check", check, "--f", "x1", "--g", "x3sq", "--m-max", "16"], code,
-       _DENSE_BT) for check, code in
+       _NONE | _DENSE_BT | {"json"}) for check, code in
       (("norm", 1), ("dirac", 1), ("product", 1), ("tuynman", 0), ("c1", 1))],
-    (["tuynman-check"], 0, _DENSE_BT),
+    (["tuynman-check"], 0, _NONE | _DENSE_BT | {"json"}),
+    (["curve-points", "--g2", "4", "--g3", "0", "--resolution", "201"], 0, _NONE | {"json"}),
 ])
 def test_commands_import_only_what_they_use(argv, code, absent):
     proc = subprocess.run([sys.executable, "-c", _CHILD_MODULES, *argv],
                           capture_output=True, text=True, env=_child_env(), timeout=120)
-    rc, modules = json.loads(proc.stdout)
+    rc, modules = ast.literal_eval(proc.stdout)
     assert rc == code
-    assert absent.isdisjoint(modules)
+    assert absent.isdisjoint(modules), absent.intersection(modules)
 
 
 @pytest.mark.parametrize("point", ["(Fraction(0), Fraction(0))", "(0.0, 0.0)"],

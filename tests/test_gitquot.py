@@ -587,6 +587,15 @@ def test_zero_level_cut_is_pinned():
     assert report["zero_level_sampled"] == 1 and report["zero_level_all_semistable"]
 
 
+def test_zero_level_verdict_needs_a_checked_point():
+    # a sampler that finds no zero-level point and no sample row on the zero
+    # level leave nothing checked: the verdict is False, not all() of nothing
+    with mock.patch.object(gitquot, "_zero_level_samples", lambda action, rng: []):
+        report = kirwan_correspondence_check(HYPERBOLIC, INV, n_samples=20, seed=0)
+    assert report["zero_level_sampled"] == 0
+    assert report["zero_level_all_semistable"] is False
+
+
 def test_quotient_of_hyperbolic_zero_level_is_a_point():
     # Kempf-Ness: the quotient is the zero level mod K; points of the zero
     # level of (-1, 1) are stable, with one-dimensional orbits in the line
