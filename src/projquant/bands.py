@@ -7,7 +7,7 @@ In the chart h = (1+|z|^2)^-1, and the sphere coordinates and 1 are
 
 so a polynomial of degree D in x1, x2, x3 is h^D N(z, zbar), N of degree
 <= D in z and in zbar.  In the orthonormal sections s_k = c_k z^k of level m
-(sections.py) the entry <s_j, z^a zbar^b h^E s_k> vanishes unless
+(btquant/sections.py) the entry <s_j, z^a zbar^b h^E s_k> vanishes unless
 j - k = a - b, and is the Beta integral
 
     (m+1) sqrt(C(m,j) C(m,k)) (k+a)! (m+E-k-a)! / (m+E+1)!
@@ -26,8 +26,8 @@ degree D has offsets |d| <= D, so its operator, the products the residuals
 form and their norms cost O(m D) memory and O(m D^2) time per factorization.
 
 The module also holds what the command line shares with the quadrature route
-(asymptotics.py, chart.py): the test family, the doubling levels, the
-log-log slope and the table type.
+(btquant.asymptotics, btquant.chart): the test family, the doubling levels,
+the log-log slope and the table type.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ..gaussrat import GaussianRational
-from ..poly import Polynomial, parse_polynomial
+from .gaussrat import GaussianRational
+from .poly import Polynomial, parse_polynomial
 
 #: the fixed test family, polynomials in X0, X1, X2 = x1, x2, x3, each with
 #: its exact sup norm on the unit sphere: 1, and 1/2 for x1 x2 (at x1 = x2)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bands import ConvergenceTable, convergence_table, fit_loglog_slope
+from ..bands import ConvergenceTable, convergence_table, fit_loglog_slope
 from .chart import SmoothFunction, poisson_function
 from .operators import OperatorMatrix, _assemble, _toeplitz_of, op_norm, toeplitz
 from .quadrature import QuadratureRule

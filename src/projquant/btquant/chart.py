@@ -29,7 +29,7 @@ import numpy as np
 
 from ..poly import Polynomial, parse_polynomial
 from . import sections
-from .bands import FAMILY, sphere_laplacian
+from ..bands import FAMILY, sphere_laplacian
 from .quadrature import bundle_weight
 
 

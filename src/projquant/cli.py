@@ -119,7 +119,7 @@ def _degree_range(text: str) -> range:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each imports what it uses, so a command loads no module
-# (and the exact ones no numpy) that it does not need
+# that it does not need
 # ---------------------------------------------------------------------------
 
 def cmd_classify_cubic(args, config: RunConfig) -> int:
@@ -159,6 +159,11 @@ def cmd_curve_points(args, config: RunConfig) -> int:
     for axis, lo, hi in (("x", args.xmin, args.xmax), ("y", args.ymin, args.ymax)):
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise UsageError(f"the {axis} window needs finite bounds, got [{lo}, {hi}]")
+        # doubled bounds in range keep hi - lo, each midpoint and the scan's
+        # fixed coordinate 0.5 * (c + c) finite
+        if not (math.isfinite(lo + lo) and math.isfinite(hi + hi)):
+            raise UsageError(f"the {axis} window needs bounds of magnitude at most "
+                             f"{sys.float_info.max / 2!r}, got [{lo}, {hi}]")
         if lo == hi:
             raise UsageError(f"the {axis} window is empty: --{axis}min = --{axis}max = {lo}")
     xs = _linspace(args.xmin, args.xmax, args.resolution)
@@ -187,9 +192,9 @@ def _curve_scan(affine, xs: list[float], ys: list[float]) -> tuple[list, int]:
     a point (lo = hi), a sign change a bracket, halved until a step moves
     it no more, at most 60 times; an exact zero freezes its bracket at the
     midpoint.  The fixed coordinate of a line enters the bisection as
-    0.5 * (c + c), which is c unless c + c overflows.  Every value is the
-    float fold of Polynomial.evaluate_array, bit for bit, through the code
-    of _line_scanner."""
+    0.5 * (c + c), which is c, as cmd_curve_points keeps c + c finite.
+    Every value is the float fold of Polynomial.evaluate_array, bit for
+    bit, through the code of _line_scanner."""
     values, roots_y = _line_scanner(affine, 1)
     _, roots_x = _line_scanner(affine, 0)
     grid = [values(x, ys) for x in xs]  # grid[i][j]: the value at (xs[i], ys[j])
@@ -372,7 +377,7 @@ def _test_function(family: dict, name: str, flag: str):
 
 
 def cmd_bt_converge(args, config: RunConfig) -> int:
-    from .btquant import bands
+    from . import bands
 
     family = bands.family()
     f = _test_function(family, args.f, "--f")
@@ -428,7 +433,7 @@ def cmd_bt_converge(args, config: RunConfig) -> int:
 
 
 def cmd_tuynman_check(args, config: RunConfig) -> int:
-    from .btquant import bands
+    from . import bands
 
     family = bands.family()
     functions = [(name, _test_function(family, name, "--f")) for name in args.f]
@@ -525,23 +530,12 @@ def main(argv=None) -> int:
         parser.error(str(exc))  # exits with code 2
     try:
         return args.handler(args, config)
-    except _numeric_failures() as exc:  # before ValueError: LinAlgError is one
+    except ArithmeticError as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return FAIL
     except (UsageError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-
-
-def _numeric_failures() -> tuple[type, ...]:
-    """The numeric failure classes of the modules loaded so far.  An except
-    clause evaluates this only once an exception is raised; a handler that
-    never imported numpy or btquant cannot raise theirs, so it imports neither."""
-    return tuple(getattr(sys.modules[module], name) for module, name in (
-        ("numpy.linalg", "LinAlgError"),
-        ("projquant.btquant.quadrature", "InsufficientResolutionError"),
-        ("projquant.weierstrass", "LatticeScaleError"))
-        if module in sys.modules)
 
 
 if __name__ == "__main__":

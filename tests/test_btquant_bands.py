@@ -1,4 +1,4 @@
-"""The band route, btquant.bands: its entries against exact Beta integrals,
+"""The band route, projquant.bands: its entries against exact Beta integrals,
 its operators and residuals against the quadrature route, the spin closed
 forms, and mutants that the checks must catch."""
 
@@ -10,8 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from projquant import bands
 from projquant.btquant import (
-    bands,
     dirac_residual,
     fit_loglog_slope,
     product_residual,

@@ -11,8 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from projquant import cli
-from projquant.btquant import InsufficientResolutionError, bands
+from projquant import bands, cli
 from projquant.cli import main
 from projquant.config import RunConfig, load_config
 
@@ -106,6 +105,31 @@ def test_curve_points_rejects_degenerate_windows(bounds, axis, capsys):
     assert main(["curve-points", "--g2", "4", "--g3", "0", "--resolution", "5", *bounds]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"the {axis} window" in captured.err
+
+
+@pytest.mark.parametrize("bounds, axis", [
+    (["--xmin=-1.7e308", "--xmax=-1e308", "--ymin=-1", "--ymax=2"], "x"),
+    (["--xmin=-1e308", "--xmax=1e308", "--ymin=-1", "--ymax=2"], "x"),
+    (["--ymin=-1", "--ymax=1.7e308"], "y"),
+])
+def test_curve_points_rejects_windows_that_overflow(bounds, axis, capsys):
+    # a bound whose double overflows gave, with exit 0, -inf rows (the scan's
+    # fixed coordinate 0.5 * (x + x)) or nan and inf rows (an infinite step)
+    assert main(["curve-points", "--poly", "X1", *bounds, "--resolution", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: the {axis} window needs bounds of magnitude at most 8.988465674311579e+307")
+
+
+def test_curve_points_widest_window_is_finite(capsys):
+    half = sys.float_info.max / 2
+    code, out = run_cli(capsys, "curve-points", "--poly", "X1", f"--xmin={-half!r}",
+                        f"--xmax={half!r}", "--ymin=-1", "--ymax=2", "--resolution", "3")
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert [float(x) for x, _ in rows] == [-half, 0.0, half]
+    assert all(math.isfinite(float(y)) for _, y in rows)
 
 
 def test_curve_points_reversed_window_is_valid(capsys):
@@ -590,13 +614,15 @@ def test_unknown_function_rejected(capsys):
         assert captured.err == f"error: unknown test function {name} for --{flag}; {choices}\n"
 
 
-@pytest.mark.parametrize("exc", [np.linalg.LinAlgError("SVD did not converge"),
-                                 InsufficientResolutionError("profiles are not finite")])
+@pytest.mark.parametrize("exc", [ArithmeticError("pivot underflow"),
+                                 ZeroDivisionError("float division by zero")])
 def test_numeric_failure_exits_1(capsys, monkeypatch, exc):
+    # every ArithmeticError a handler raises is a numeric failure, exit 1
+    # with a message and no traceback
     def broken(*args, **kwargs):
         raise exc
 
-    # the handler looks the function up in btquant.bands when it runs
+    # the handler looks the function up in projquant.bands when it runs
     monkeypatch.setattr(bands, "op_norm", broken)
     code = main(["bt-converge", "--check", "norm", "--f", "x3", "--m-max", "8"])
     assert code == 1
@@ -688,10 +714,6 @@ print(repr([rc, sorted(sys.modules)]))
 """
 
 
-#: what the band route must not load: the dense BT route and numpy
-_DENSE_BT = {"numpy", "projquant.btquant.quadrature", "projquant.btquant.sections",
-             "projquant.btquant.operators", "projquant.btquant.chart",
-             "projquant.btquant.asymptotics"}
 #: what no command loads: numpy, and dataclasses with the inspect it imports
 _NONE = {"numpy", "dataclasses", "inspect"}
 
@@ -708,9 +730,9 @@ _NONE = {"numpy", "dataclasses", "inspect"}
     (["moment-map", "--weights=-1,1", "--samples", "20"], 0,
      _NONE | {"projquant.btquant", "projquant.weierstrass"}),
     *[(["bt-converge", "--check", check, "--f", "x1", "--g", "x3sq", "--m-max", "16"], code,
-       _NONE | _DENSE_BT | {"json"}) for check, code in
+       _NONE | {"projquant.btquant", "json"}) for check, code in
       (("norm", 1), ("dirac", 1), ("product", 1), ("tuynman", 0), ("c1", 1))],
-    (["tuynman-check"], 0, _NONE | _DENSE_BT | {"json"}),
+    (["tuynman-check"], 0, _NONE | {"projquant.btquant", "json"}),
     (["curve-points", "--g2", "4", "--g3", "0", "--resolution", "201"], 0, _NONE | {"json"}),
 ])
 def test_commands_import_only_what_they_use(argv, code, absent):
@@ -744,29 +766,30 @@ def _loaded_after(code):
 
 
 def test_band_module_loads_no_numpy():
-    loaded = _loaded_after("import projquant.btquant.bands")
-    assert "projquant.btquant.bands" in loaded and _DENSE_BT.isdisjoint(loaded)
+    loaded = _loaded_after("import projquant.bands")
+    assert "projquant.bands" in loaded and "numpy" not in loaded
+    assert not any(m.startswith("projquant.btquant") for m in loaded), loaded
 
 
-def test_first_dense_name_loads_the_whole_dense_route():
-    # a caller that builds its symbols with standard_family, as the bt_deep
-    # benchmark does before it times anything, pays every import of the
-    # dense route there, and none on the first toeplitz or dirac_residual
-    loaded = _loaded_after("from projquant import btquant; btquant.standard_family()")
-    assert _DENSE_BT <= loaded
+#: the quadrature route's five modules
+_DENSE_BT = {"projquant.btquant.quadrature", "projquant.btquant.sections",
+             "projquant.btquant.operators", "projquant.btquant.chart",
+             "projquant.btquant.asymptotics"}
 
 
-def test_first_dense_name_binds_every_dense_name():
-    # a wrapper that scans the package's namespace after standard_family (as
-    # perfbench's tracer does) finds every name of the dense route there, so
-    # that it can rebind and later restore each one
-    script = ("import json; from projquant import btquant as bt; bt.standard_family(); "
-              "print(json.dumps(sorted(n for n, m in bt._ORIGIN.items() "
-              "if m in bt._DENSE and n not in vars(bt))))")
+def test_btquant_import_binds_the_whole_dense_route():
+    # importing the package loads numpy and the five modules, and binds
+    # every exported name, so that a wrapper that scans the namespace (as
+    # perfbench's tracer does) can rebind and later restore each one
+    script = ("import json, sys; import projquant.btquant as bt; "
+              "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] in "
+              "('numpy', 'projquant')), [n for n in bt.__all__ if n not in vars(bt)]]))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    loaded, unbound = json.loads(proc.stdout)
+    assert _DENSE_BT | {"numpy"} <= set(loaded)
+    assert unbound == []
 
 
 def test_bare_import_loads_no_submodule():
@@ -789,13 +812,14 @@ PUBLIC = {
     "weierstrass": ["EisensteinPair", "Lattice", "LatticePointError", "eisenstein",
                     "embed", "ode_residual", "wp", "wp_prime"],
 }
-SUBMODULES = ["btquant", "coordring", "gaussrat", "gitquot", "poly", "projgeo", "weierstrass"]
+SUBMODULES = ["bands", "btquant", "coordring", "gaussrat", "gitquot", "poly", "projgeo",
+              "weierstrass"]
 
 # the btquant package's exports: its submodules and the names they define
 BTQUANT_ALL = [
     "ConvergenceTable", "GradientUnavailableError", "InsufficientResolutionError",
     "OperatorMatrix", "QuadratureRule", "SectionBasis", "SmoothFunction", "asymptotics",
-    "bands", "build_quadrature", "chart", "dirac_residual", "dirac_table", "doubling_levels",
+    "build_quadrature", "chart", "dirac_residual", "dirac_table", "doubling_levels",
     "fit_loglog_slope", "geom_quant", "norm_asymptotics", "op_norm", "operators",
     "poisson", "poisson_function", "product_residual", "product_table", "quadrature",
     "sections", "standard_family", "toeplitz", "tuynman_residual",
@@ -804,25 +828,29 @@ BTQUANT_ALL = [
 
 def test_public_surface():
     import importlib
+    import types
 
     import projquant
 
-    star = {}
-    exec("from projquant import *", star)
-    owners = [(name, mod) for mod, names in PUBLIC.items() for name in names]
-    owners += [(mod, None) for mod in SUBMODULES]
-    assert len(owners) == 36
-    for name, mod in owners:
-        want = importlib.import_module(f"projquant.{name if mod is None else mod}")
-        if mod is not None:
-            want = getattr(want, name)
-        assert getattr(projquant, name) is want, name
-        assert name in dir(projquant), name
-        assert star[name] is want, name
+    # the package root re-exports nothing: beyond __version__ it holds only
+    # the submodules that imports have bound there
+    assert projquant.__version__ == "0.1.0"
+    assert [name for name in dir(projquant) if not name.startswith("_")
+            and not isinstance(getattr(projquant, name), types.ModuleType)] == []
     with pytest.raises(AttributeError):
         projquant.no_such_name
+    for mod in SUBMODULES:
+        module = importlib.import_module(f"projquant.{mod}")
+        assert isinstance(module, types.ModuleType) and getattr(projquant, mod) is module, mod
+    owners = [(name, mod) for mod, names in PUBLIC.items() for name in names]
+    assert len(owners) == 29
+    for name, mod in owners:
+        assert getattr(importlib.import_module(f"projquant.{mod}"), name).__module__ \
+            == f"projquant.{mod}", name
     assert projquant.btquant.__all__ == BTQUANT_ALL
-    exec("from projquant.btquant import *", star)  # every lazy name resolves
+    star = {}
+    exec("from projquant.btquant import *", star)
+    assert sorted(n for n in star if n != "__builtins__") == BTQUANT_ALL
 
 
 def test_one_process_runs_commands_like_separate_processes(capsys):
