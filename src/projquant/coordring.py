@@ -1,8 +1,9 @@
 """Graded coordinate rings of hypersurfaces and complete intersections.
 
 The ring K[X_0..X_n]/(f_1,..,f_s) is represented by the degrees of its
-relations.  For a regular sequence the dimension of each graded piece comes
-from Koszul inclusion-exclusion over subsets of relations, and the Krull
+relations.  For a regular sequence the Hilbert series is the Koszul
+numerator prod (1 - t^d_i) over (1 - t)^(n+1), so the dimension of each
+graded piece comes from that product expanded once, and the Krull
 dimension is nvars - s, one more than the degree of the eventual Hilbert
 polynomial.
 Dimensions use exact integer arithmetic throughout.
@@ -10,7 +11,6 @@ Dimensions use exact integer arithmetic throughout.
 
 from __future__ import annotations
 
-import itertools
 from math import comb
 
 
@@ -42,20 +42,20 @@ class GradedRingPresentation:
 def hilbert_function(R: GradedRingPresentation, m: int) -> int:
     """dim of the degree-m graded piece of the quotient ring.
 
-    Koszul inclusion-exclusion for a regular sequence of degrees d_1..d_s in
-    n+1 variables: sum over subsets S of (-1)^|S| C(n + m - sum(d_i), n),
-    binomials with negative upper entry vanishing.
+    For a regular sequence of degrees d_1..d_s in n+1 variables the Hilbert
+    series is prod (1 - t^d_i) / (1 - t)^(n+1): with c_k the coefficients of
+    the numerator, expanded once up to degree min(m, sum d_i), the dimension
+    is sum c_k C(n + m - k, n), O(s m) work at most.
     """
     if m < 0:
         return 0
+    top = min(m, sum(R.relation_degrees))
+    c = [1] + [0] * top
+    for d in R.relation_degrees:
+        for k in range(top, d - 1, -1):
+            c[k] -= c[k - d]
     n = R.nvars - 1
-    total = 0
-    for k in range(len(R.relation_degrees) + 1):
-        for subset in itertools.combinations(R.relation_degrees, k):
-            top = n + m - sum(subset)
-            if top >= n:
-                total += (-1) ** k * comb(top, n)
-    return total
+    return sum(ck * comb(n + m - k, n) for k, ck in enumerate(c))
 
 
 def krull_dim(R: GradedRingPresentation) -> int:

@@ -9,7 +9,9 @@ moment map divides by the squared coordinate norm so its value is
 independent of the chosen representative (the numerator is quadratic in
 the coordinates).  Semistability verdicts are always relative to a
 supplied, exactly certified invariant set; the toolkit never claims to
-enumerate the invariant ring.
+enumerate the invariant ring.  They are exact: a point is semistable when
+some invariant is nonzero at the exact value of its coordinates, a float
+coordinate read as the binary rational it stores, so no threshold enters.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import cmath
 import math
 import random
 
+from .gaussrat import is_exact_scalar
 from .poly import Polynomial
-from .projgeo import ProjPoint
+from .projgeo import ProjPoint, _exactify
 
 
 class EmptyInvariantSetError(ValueError):
@@ -51,12 +54,22 @@ class LinearAction:
         return int(any(self.weights))
 
 
-def _coords(x) -> tuple:
-    """The coordinates of x as complex numbers: a ProjPoint's, or those of
-    any sequence of numbers, numpy arrays included; each finite, not all 0."""
-    v = x.to_complex() if isinstance(x, ProjPoint) else tuple(map(complex, x))
-    if not all(map(cmath.isfinite, v)):
+def _given(x) -> tuple:
+    """The coordinates of x as given, exact ones not passed through complex():
+    a ProjPoint's, or those of any sequence of numbers, numpy arrays
+    included; each finite, not all 0."""
+    v = x.coords if isinstance(x, ProjPoint) else tuple(x)
+    if not all(is_exact_scalar(c) or cmath.isfinite(c) for c in v):
         raise ValueError(f"coordinates must be finite, got {v}")
+    if not any(c != 0 for c in v):
+        raise ValueError("zero vector does not represent a projective point")
+    return v
+
+
+def _coords(x) -> tuple:
+    """The coordinates of x (_given) as complex numbers, not all 0 as such:
+    complex() rounds an exact 1/10^400 to 0."""
+    v = tuple(map(complex, _given(x)))
     if not any(v):
         raise ValueError("zero vector does not represent a projective point")
     return v
@@ -90,20 +103,14 @@ def _scaled(v) -> list:
 
 
 def _moduli(v) -> tuple:
-    """v, its moduli |v_j| and their hypot ||v||, with v replaced by
-    _scaled(v) when a modulus or the hypot would leave the float range:
-    (1.5e308+1.5e308j, 1e308) has no float |v_0|.  Otherwise v is returned
-    as is, so every value read from it keeps its bits."""
+    """v and its moduli |v_j|, with v replaced by _scaled(v) when a modulus
+    would leave the float range: (1.5e308+1.5e308j, 1e308) has no float
+    |v_0|.  Otherwise v is returned as is, so every value read from it
+    keeps its bits."""
     try:
-        mods = [abs(c) for c in v]
-        norm = math.hypot(*mods)
-        if norm < math.inf:
-            return v, mods, norm
+        return v, [abs(c) for c in v]
     except OverflowError:
-        pass
-    v = _scaled(v)
-    mods = [abs(c) for c in v]
-    return v, mods, math.hypot(*mods)
+        return _moduli(_scaled(v))
 
 
 def _moment(weights, a: list) -> float:
@@ -143,57 +150,29 @@ class InvariantSet:
 
 def semistable(x, inv: InvariantSet) -> bool:
     """x is semistable (relative to the supplied invariants) when some
-    nonconstant invariant does not vanish at it; scale-invariant test.  An
-    exact point is tested in Q(i), a float point by _semistable_at."""
+    nonconstant invariant does not vanish at it, decided exactly by
+    _semistable_at at the coordinates as given."""
     if not inv.polys:
         raise EmptyInvariantSetError("cannot decide semistability from an empty set")
-    if isinstance(x, ProjPoint) and x.is_exact:
-        return any(F.evaluate(x.coords) != 0 for F in inv.polys)
-    return _semistable_at(_log_terms(inv), _coords(x))
+    return _semistable_at(inv.polys, _given(x))
 
 
-def _semistable_at(terms: list, v) -> bool:
-    """The float semistability verdict of every caller: some invariant F
-    (terms: _log_terms of the set) has (|F(v)| / |v|^deg F)^(1 / deg F),
-    on the scale of a coordinate whatever the degree of F, above 1e-12."""
-    return any(m > 1e-12 for m in _invariant_moduli(terms, v))
-
-
-def _log_terms(inv: InvariantSet) -> list:
-    """Each invariant as (degree, terms), a term (coefficient, ((k, e), ...))
-    with the exponents e > 0 of its variables k, for _invariant_moduli."""
-    return [(F.degree(), [(complex(c), tuple((k, e) for k, e in enumerate(m) if e))
-                          for m, c in F.terms.items()]) for F in inv.polys]
-
-
-def _invariant_moduli(terms: list, v):
-    """(|F(v)| / ||v||^deg F)^(1 / deg F) for each invariant F in turn (terms:
-    _log_terms of the set): for a monomial, the weighted geometric mean of
-    |v_k| / ||v|| over its variables, so one threshold serves every degree.
-    ||v|| is the hypot of the moduli, which does not underflow.  Each term's
-    log modulus and phase are sums over u = v / ||v||, and the terms are
-    shifted by the largest log modulus before they are summed, so no product
-    of moduli underflows: X0^201 X1^200 at (1e-3 : 1) reads 0.03, not 0."""
-    v, mods, norm = _moduli(v)
-    log_norm = math.log(norm)
-    log_u = [math.log(m) - log_norm if m else -math.inf for m in mods]
-    for degree, poly in terms:
-        logs = [sum([e * log_u[k] for k, e in exps]) for _, exps in poly]
-        top = max(logs)
-        if len(poly) == 1 or top == -math.inf:  # one term has no phases to sum; none is 0
-            total = abs(poly[0][0]) if top > -math.inf else 0.0
-        else:
-            total = abs(sum(c * cmath.rect(math.exp(r - top),
-                                           sum(e * cmath.phase(v[k]) for k, e in exps))
-                            for (c, exps), r in zip(poly, logs)))
-        yield math.exp((top + math.log(total)) / degree) if total else 0.0
+def _semistable_at(polys, v) -> bool:
+    """The semistability verdict of every caller: whether some invariant is
+    nonzero at the coordinates v, exactly.  A one-term invariant is nonzero
+    exactly where all of its variables are; any other is evaluated in Q(i)
+    at v's exact value, each float coordinate lifted to the binary rational
+    it stores (projgeo._exactify)."""
+    exact = tuple(map(_exactify, v)) if any(len(F.terms) > 1 for F in polys) else v
+    return any(F.evaluate(exact) != 0 if len(F.terms) > 1 else
+               all(v[k] != 0 for k, e in enumerate(next(iter(F.terms))) if e) for F in polys)
 
 
 def orbit_dim(action: LinearAction, x) -> int:
     """Complex dimension of the orbit of the complexified group through x:
     1 when the support of x carries two distinct weights, 0 when x is a
     fixed point."""
-    return int(len({w for w, c in zip(action.weights, _coords(x)) if c != 0}) > 1)
+    return int(len({w for w, c in zip(action.weights, _given(x)) if c != 0}) > 1)
 
 
 def one_param_limit(weights, x, direction: str) -> ProjPoint:
@@ -202,7 +181,7 @@ def one_param_limit(weights, x, direction: str) -> ProjPoint:
     on the support survive.  The result is a fixed point of the subgroup."""
     if direction not in ("0", "inf"):
         raise ValueError("direction must be one of '0', 'inf'")
-    v = _coords(x)
+    v = _given(x)
     ext = _extremal_weights(weights, v)[direction == "inf"]
     return ProjPoint(tuple(c if w == ext else 0j for w, c in zip(weights, v)))
 
@@ -230,7 +209,7 @@ def _zero_level_witness(weights, v, tol: float):
     squared moduli are taken in log space (-inf off the support), so they do
     not underflow at 1e-200, and e^(s w) . v at the root s is scaled so that
     its largest coordinate has modulus 1 and no coordinate overflows."""
-    v, mods, _ = _moduli(v)
+    v, mods = _moduli(v)
     log_a = [2.0 * math.log(r) if r else -math.inf for r in mods]
     ws, las = (weights, log_a) if -math.inf not in log_a else zip(
         *((w, a) for w, a in zip(weights, log_a) if a > -math.inf))
@@ -356,13 +335,12 @@ def kirwan_correspondence_check(action: LinearAction, inv: InvariantSet | None,
     points = [_ray(rng, n) for _ in range(max(0, n_samples - 2 * n))]
     points += [tuple(complex(i == j) for i in range(n)) for j in range(n)]
     points += [_ray(rng, n) for _ in range(max(0, n_samples - len(points)))]
-    terms = _log_terms(inv)
     # the verdicts on the zero level: the sampler's points, then the sample rows there
-    zero = [_semistable_at(terms, v) for v in _zero_level_samples(action, rng)]
+    zero = [_semistable_at(inv.polys, v) for v in _zero_level_samples(action, rng)]
     rows, mismatches, zero_level = [], 0, 0
     for v in points:  # one pass per sample, each coordinate formatted once, as in format_point
         mu = _moment(weights, _squared_moduli(v))
-        semi = _semistable_at(terms, v)
+        semi = _semistable_at(inv.polys, v)
         w_lo, w_hi = _extremal_weights(weights, v)
         met = w_lo <= 0 <= w_hi
         mismatches += semi != met

@@ -7,8 +7,11 @@ No command or library call of projquant reaches them.
   their own tail.
 * The sampled zero level of a circle action's moment map, ||mu(x)|| <= tol.
 * The array passes that gitquot ran before it went to one scalar pass per
-  point: the moment map, the invariant moduli and the one-parameter limits
-  of every row of an array at once.
+  point: the moment map and the one-parameter limits of every row of an
+  array at once.
+* Semistability in Fractions: every term of every invariant multiplied out
+  at a point's exact binary value, with no shortcut for a one-term
+  invariant.
 * The dimension of a circle action's quotient as the growth degree of the
   number of invariant monomials per degree.
 * Float membership and float rank: a scaled vanishing test and singular
@@ -17,6 +20,7 @@ No command or library call of projquant reaches them.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -102,26 +106,29 @@ def moment_rows(action: LinearAction, V: np.ndarray) -> np.ndarray:
     return (num.imag / (2.0 * math.pi * nrm2))[:, None]
 
 
-def _log_moduli(V: np.ndarray) -> np.ndarray:
-    return 2.0 * np.log(np.abs(V), out=np.full(V.shape, -np.inf), where=V != 0)
+def semistable_rows(inv: InvariantSet, V: np.ndarray) -> list:
+    """Whether some invariant is nonzero at each row v of V, exactly: each
+    coordinate and coefficient as a pair of Fractions (real, imaginary), and
+    each term of each invariant the product of its coefficient and one
+    factor per unit of each exponent, the terms summed as pairs."""
+    def times(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
+    def value(F, x):
+        re = im = Fraction(0)
+        for m, c in F.iter_terms():
+            t = (Fraction(c.real), Fraction(c.imag))
+            for k, e in enumerate(m):
+                for _ in range(e):
+                    t = times(t, x[k])
+            re, im = re + t[0], im + t[1]
+        return re, im
 
-def invariant_moduli_rows(inv: InvariantSet, V: np.ndarray) -> np.ndarray:
-    """(|F(v)| / ||v||^deg F)^(1 / deg F) for each row v of V, one column per
-    invariant, from u = V / ||V|| row by row: each term's log modulus and
-    phase summed over u's columns, the terms shifted by the row's largest
-    log modulus before they are summed."""
-    U = V / np.linalg.norm(V, axis=1)[:, None]
-    log_u, arg_u = _log_moduli(U) / 2.0, np.angle(U)
-    cols = []
-    for F in inv.polys:
-        terms = [(complex(c), sum(e * log_u[:, k] for k, e in enumerate(m) if e),
-                  sum(e * arg_u[:, k] for k, e in enumerate(m) if e)) for m, c in F.iter_terms()]
-        top = np.max([r for _, r, _ in terms], axis=0)
-        top = np.where(top > -np.inf, top, 0.0)  # every term 0: no shift
-        total = sum(c * np.exp(r - top) * np.exp(1j * t) for c, r, t in terms)
-        cols.append(np.exp((top + _log_moduli(total) / 2.0) / F.degree()))
-    return np.stack(cols, axis=1)
+    rows = []
+    for v in V.tolist():
+        x = [(Fraction(complex(c).real), Fraction(complex(c).imag)) for c in v]
+        rows.append(any(value(F, x) != (0, 0) for F in inv.polys))
+    return rows
 
 
 def limit_rows(weights, V: np.ndarray):

@@ -47,6 +47,32 @@ def test_negative_degree_is_zero():
     assert hilbert_function(R, -1) == 0
 
 
+def test_forty_relations():
+    # a regular sequence of degrees d_i in s + r variables has the series
+    # prod (1 + t + ... + t^(d_i - 1)) / (1 - t)^r; 40 quadrics in 40
+    # variables give (1 + t)^40, so dim = C(40, m).  A sum over the 2^40
+    # subsets of relations would not finish; the numerator product takes
+    # milliseconds
+    R = GradedRingPresentation(40, (2,) * 40)
+    assert [hilbert_function(R, m) for m in range(45)] == [comb(40, m) for m in range(45)]
+    degrees = [1 + k % 4 for k in range(40)]
+    p = [1]
+    for d in degrees:  # times 1 + t + ... + t^(d - 1)
+        p = [sum(p[j] for j in range(max(0, k - d + 1), min(k, len(p) - 1) + 1))
+             for k in range(len(p) + d - 1)]
+    R = GradedRingPresentation(42, degrees)  # r = 2: dim = sum (m - k + 1) p_k
+    for m in range(0, 130, 7):
+        assert hilbert_function(R, m) == sum((m - k + 1) * c for k, c in enumerate(p[:m + 1]))
+
+
+def test_numerator_stops_at_its_degree():
+    # prod (1 - t^d_i) has degree sum d_i, so a huge m costs no more than
+    # that: the plane cubic has dimension 3m at every m >= 1
+    R = GradedRingPresentation(3, (3,))
+    assert hilbert_function(R, 10 ** 15) == 3 * 10 ** 15
+    assert hilbert_function(GradedRingPresentation(40, (2,) * 40), 10 ** 15) == 0
+
+
 def test_pascal_identity():
     for n in range(1, 6):
         for m in range(1, 25):

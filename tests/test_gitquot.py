@@ -221,31 +221,64 @@ def test_semistable_examples():
     assert not semistable(pt(F(1), F(0)), INV)
     assert not semistable(pt(F(0), F(1)), INV)
     assert semistable(pt(2.0 + 1j, -0.5), INV)
-    # the float threshold 1e-12 on (|X0 X1| / |x|^2)^(1/2): 5e-12 reads
-    # semistable and 5e-13 does not, so a 10x move either way fails here
+    # a float point is decided at the binary rational it stores: X0 X1 is
+    # 2.5e-25 here, nonzero, so the point is semistable
     assert semistable((2.5e-23, 1.0), INV)
-    assert not semistable((2.5e-25, 1.0), INV)
-
-
-@pytest.mark.parametrize("weights, x", [((-1, 1), (0.3j, 1.0)), ((-40, 41), (1e-4, 1.0)),
-                                        ((-200, 201), (1e-3, 1.0 - 2j)), ((-1, 0, 5), (1e-5, 0, 1j))])
-def test_invariant_scale_is_a_weighted_geometric_mean(weights, x):
-    # a monomial reads prod (|x_k| / |x|)^(a_k / d): on the scale of a
-    # coordinate whatever its degree d, so one threshold serves every degree;
-    # X0^201 X1^200 at (1e-3 : 1 - 2i) is below 1e-600 before the root
+    assert semistable((2.5e-25, 1.0), INV)
+    # monomials of degree 2 to 401, each nonzero on a full support however
+    # small its value: X0^201 X1^200 at (1e-3 : 1 - 2i) is below 1e-600
     from projquant.cli import _weight_invariants
-    from projquant.gitquot import _coords, _invariant_moduli, _log_terms
+
+    for weights, x in [((-1, 1), (0.3j, 1.0)), ((-40, 41), (1e-4, 1.0)),
+                       ((-200, 201), (1e-3, 1.0 - 2j)), ((-1, 0, 5), (1e-5, 0, 1j))]:
+        assert semistable(pt(*x), _weight_invariants(LinearAction.from_weights(weights)))
+
+
+@pytest.mark.parametrize("x", [(2.5e-25, 1.0), (1e-300, 1.0), (5e-324, 1.0), (1.0, 5e-324j),
+                               (F(1, 10 ** 400), 1), pt(F(1, 10 ** 400), F(1)),
+                               (F(1, 10 ** 400), 1e-300)])
+def test_semistable_reads_every_coordinate_as_given(x):
+    # no value of X0 X1 is too small to count: a subnormal float, and an
+    # exact coordinate that complex() would round to 0, both keep the point
+    # off the unstable locus {X0 X1 = 0}, and is_stable agrees
+    assert semistable(x, INV)
+    assert is_stable(HYPERBOLIC, x, INV)
+    assert orbit_dim(HYPERBOLIC, x) == 1
+    y = tuple(x.coords if isinstance(x, ProjPoint) else x)
+    assert not semistable((y[0], 0), INV) and not semistable((0.0, y[1]), INV)
+
+
+def test_semistable_decides_a_cancellation_exactly():
+    # X1 X2 - X0 X3 at (1, a, a, b), a = 1 + 2^-30 and b = 1 + 2^-29, is
+    # a^2 - b = 2^-60 exactly; in floats a * a rounds to b and it reads 0
+    action = LinearAction.from_weights((-1, -1, 1, 1))
+    X = [Polynomial.variable(4, k) for k in range(4)]
+    inv = InvariantSet.certified([X[1] * X[2] - X[0] * X[3]], action)
+    a, b = 1.0 + 2.0 ** -30, 1.0 + 2.0 ** -29
+    assert a * a - b == 0.0
+    assert semistable((1.0, a, a, b), inv)
+    assert semistable(pt(F(1), F(a), F(a), F(b)), inv)
+    a = F(a)
+    assert not semistable(pt(F(1), a, a, a * a), inv)  # a true zero of the invariant
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=2, max_size=4), st.data())
+def test_semistable_is_the_weight_hull_rule_at_any_scale(weights, data):
+    # with the invariants moment-map reads off the weights, a float point of
+    # any scale in [1e-320, 1e300] is semistable exactly when the weights on
+    # its support satisfy w_lo <= 0 <= w_hi
+    from projquant.cli import _weight_invariants
 
     inv = _weight_invariants(LinearAction.from_weights(weights))
-    u = np.abs(np.array(x, dtype=complex)) / np.linalg.norm(np.array(x, dtype=complex))
-    want = []
-    for P in inv.polys:
-        (m, _), = P.terms.items()
-        want.append(math.prod(u[k] ** (a / P.degree()) for k, a in enumerate(m)))
-    v = _coords(x)
-    got = list(_invariant_moduli(_log_terms(inv), v))
-    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-    assert semistable(pt(*x), inv)
+    assume(inv is not None)
+    n = len(weights)
+    live = data.draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    exps = data.draw(st.lists(st.floats(-320.0, 300.0), min_size=n, max_size=n))
+    phases = data.draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n))
+    x = tuple(cmath.rect(10.0 ** u, a) if on else 0j for on, u, a in zip(live, exps, phases))
+    support = [w for w, c in zip(weights, x) if c != 0]
+    assert semistable(x, inv) == (min(support) <= 0 <= max(support))
 
 
 def test_semistable_needs_invariants():
@@ -512,7 +545,7 @@ def test_stability_verdicts():
     assert is_stable(HYPERBOLIC, pt(F(2), F(-3)), INV)
     assert not is_stable(HYPERBOLIC, pt(F(1), F(0)), INV)  # fixed point
     assert not is_stable(HYPERBOLIC, pt(F(0), F(1)), INV)
-    assert not is_stable(HYPERBOLIC, (1e-170, 1.0), INV)  # |X0 X1| / |x|^2 = 1e-170
+    assert is_stable(HYPERBOLIC, (1e-170, 1.0), INV)  # X0 X1 = 1e-170 is not 0
 
 
 @pytest.mark.parametrize("weights", [(-1, 1), (-1, 2), (-1, 1, 1), (2, -1, -1), (0, 1), (0, 1, 1),
@@ -571,6 +604,19 @@ def test_kirwan_correspondence_hyperbolic():
     generic = next(r for r in report["samples"] if r["semistable"])
     assert generic["limit_t_to_0"].endswith(": 0.0)")
     assert generic["limit_t_to_inf"].startswith("(0.0 :")
+
+
+def test_kirwan_rows_are_exact_at_tiny_coordinates():
+    # sample rows at (1e-30 : 1): X0 X1 = 1e-30 is not 0 and the support
+    # weights are -1 and 1, so each row is semistable and its orbit closure
+    # meets the zero level; a threshold on the invariant counted a mismatch
+    ray = (1e-30 + 0j, 1.0 + 0j)
+    with mock.patch.object(gitquot, "_ray", lambda rng, n: ray):
+        report = kirwan_correspondence_check(HYPERBOLIC, INV, n_samples=6, seed=0)
+    rows = [r for r in report["samples"] if r["point"] == "(1e-30 : 1.0)"]
+    assert len(rows) == 4 and all(r["semistable"] and r["orbit_meets_zero_level"] for r in rows)
+    assert report["mismatches"] == 0 and report["equivalence_holds"] is True
+    assert report["zero_level_all_semistable"] is True
 
 
 def test_zero_level_cut_is_pinned():
@@ -647,9 +693,9 @@ def test_weight_invariants_decide_every_support(weights):
 @pytest.mark.parametrize("weights", [(-5, 7), (-9, 11), (-40, 41), (-200, 201), (-3, 2, -4, 5)])
 def test_kirwan_check_holds_at_high_invariant_degree(weights, seed):
     # the largest pair invariants of these weights have degree 9 to 401;
-    # their moduli at Gaussian points must not fall below the fixed threshold
-    # with the degree (at 1e-12 on |F| / |x|^deg, (-40, 41) failed every
-    # sample, and (-9, 11) any sample with |x0|^2 / |x|^2 below 7e-3)
+    # however small their values at Gaussian points, the verdict must not
+    # change (a threshold of 1e-12 on |F| / |x|^deg failed every sample of
+    # (-40, 41), and any of (-9, 11) with |x0|^2 / |x|^2 below 7e-3)
     from projquant.cli import _weight_invariants
 
     action = LinearAction.from_weights(weights)
@@ -810,13 +856,13 @@ def _mu_scale(weights, V):
     ((-1, 1, 1), [X3[0] * X3[1] - 2 * X3[0] * X3[2],
                   X3[0] ** 2 * X3[1] * X3[2] + GaussianRational(1, 3) * X3[0] ** 2 * X3[2] ** 2])])
 def test_scalar_pass_matches_the_array_reference(weights, polys):
-    # the one-pass scalar helpers against the array passes they replaced, on
-    # points with zero coordinates, every coordinate point and (1e-3 : 1),
-    # where X0^41 X1^40 reads 0.03; the second set of (-1, 1, 1) has
-    # several terms per invariant, so their phases are summed
+    # the one-pass scalar helpers against the array passes they replaced, and
+    # semistability against every term multiplied out in Fractions, on points
+    # with zero coordinates, every coordinate point and (1e-3 : 1), where
+    # X0^41 X1^40 is below 1e-120; the second set of (-1, 1, 1) has several
+    # terms per invariant
     from projquant.cli import _weight_invariants
-    from projquant.gitquot import _invariant_moduli, _log_terms
-    from reference_routes import invariant_moduli_rows, limit_rows
+    from reference_routes import limit_rows, semistable_rows
 
     action = LinearAction.from_weights(weights)
     inv = _weight_invariants(action) if polys is None else InvariantSet.certified(polys, action)
@@ -827,37 +873,33 @@ def test_scalar_pass_matches_the_array_reference(weights, polys):
     V[~V.any(axis=1), -1] = 1.0
     V = np.concatenate([V, np.eye(n), [[1e-3] + [1.0] * (n - 1)]])
     mus, scale = moment_rows(action, V)[:, 0], _mu_scale(weights, V)
-    moduli, limits = invariant_moduli_rows(inv, V), limit_rows(weights, V)
-    terms = _log_terms(inv)
+    semi, limits = semistable_rows(inv, V), limit_rows(weights, V)
     for k, x in enumerate(V):
         p = ProjPoint(tuple(x.tolist()))
         mu, = moment_map(action, p)
         assert abs(mu - mus[k]) <= 1e-15 * scale[k]
-        got = list(_invariant_moduli(terms, p.coords))
-        assert np.allclose(got, moduli[k], rtol=1e-12, atol=0.0)
-        assert semistable(p, inv) == bool(np.any(moduli[k] > 1e-12))
+        assert semistable(p, inv) == semi[k]
         for direction, limit in zip(("0", "inf"), limits):
             q = one_param_limit(weights, p, direction)
             assert format_point(q) == format_point(ProjPoint(tuple(limit[k].tolist())))
-            assert semistable(q, inv) == bool(
-                np.any(invariant_moduli_rows(inv, limit[k][None, :]) > 1e-12))
-    if weights == (-40, 41):  # X0^41 X1^40 at (1e-3 : 1), the last point: no underflow
-        assert abs(moduli[-1][0] - 0.0303) < 1e-4
+            assert semistable(q, inv) == semistable_rows(inv, limit[k][None, :])[0]
+    assert semi[-1]  # (1e-3 : 1 : ...) has full support
 
 
 @pytest.mark.parametrize("weights", [(-1, 1), (-1, 2), (-1, 1, 1), (-1, 0, 1)])
 def test_kirwan_rows_match_the_array_reference(weights):
     # every row of the one-pass report, recomputed at its printed point by
-    # the array passes: mu, the semistability verdict and both limit strings
+    # the array passes (mu and both limit strings) and in Fractions (the
+    # semistability verdict)
     from projquant.cli import _weight_invariants
-    from reference_routes import invariant_moduli_rows, limit_rows
+    from reference_routes import limit_rows, semistable_rows
 
     action = LinearAction.from_weights(weights)
     inv = _weight_invariants(action)
     rows = kirwan_correspondence_check(action, inv, n_samples=60, seed=4)["samples"]
     V = np.array([[complex(c) for c in r["point"][1:-1].split(" : ")] for r in rows])
     mus, scale = moment_rows(action, V)[:, 0], _mu_scale(weights, V)
-    semi = np.any(invariant_moduli_rows(inv, V) > 1e-12, axis=1)
+    semi = semistable_rows(inv, V)
     limits = [[format_point(ProjPoint(tuple(x))) for x in L.tolist()]
               for L in limit_rows(weights, V)]
     for k, r in enumerate(rows):
