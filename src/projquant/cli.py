@@ -1,7 +1,7 @@
 """Unified command-line front end.
 
-Exit codes: 0 on success, 1 when a numeric check violates its threshold or
-the numerics break down (CI-friendly), 2 on usage errors.  All CSV output
+Exit codes: 0 on success, 1 when a numeric check violates its threshold,
+the numerics break down or memory runs out, 2 on usage errors.  All CSV output
 carries a header row, '.' decimals and leading '# key = value' lines echoing
 the configuration; JSON output embeds the same configuration under the
 "config" key.  Identical configuration produces byte-identical output.
@@ -9,9 +9,9 @@ the configuration; JSON output embeds the same configuration under the
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
+import types
 
 from .config import RunConfig, load_config, output_path
 
@@ -58,43 +58,21 @@ def _json_report(config: RunConfig, payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _argument(expected: str):
-    """Turn parse(text) into an argparse type: a ValueError it raises becomes
-    a usage error naming the flag (argparse adds it), what was expected and
-    the offending text."""
-    def wrap(parse):
-        def parse_argument(text: str):
-            try:
-                return parse(text)
-            except ValueError:
-                raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
-        return parse_argument
-    return wrap
-
-
-@_argument("a rational number such as 3/4")
 def _fraction(text: str):
     from fractions import Fraction
-
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+    return Fraction(text)
 
 
-@_argument("a positive integer")
 def _positive_int(text: str) -> int:
     if int(text) < 1:
         raise ValueError(text)
     return int(text)
 
 
-@_argument("comma-separated integers such as -1,1")
 def _integers(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-@_argument("comma-separated levels >= 1 such as 2,4,8")
 def _levels(text: str) -> tuple[int, ...]:
     levels = tuple(int(part) for part in text.split(","))
     if min(levels) < 1:
@@ -102,19 +80,23 @@ def _levels(text: str) -> tuple[int, ...]:
     return levels
 
 
-@_argument("a finite complex number with positive imaginary part such as 2j")
 def _lattice(text: str):
     from .weierstrass import Lattice
     return Lattice(complex(text))
 
 
-@_argument("a degree or a range lo..hi with lo <= hi")
 def _degree_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     lo, hi = int(lo), int(hi if sep else lo)
     if lo > hi:
         raise ValueError(text)
     return range(lo, hi + 1)
+
+
+def _check(text: str) -> str:
+    if text not in ("norm", "dirac", "product", "tuynman", "c1"):
+        raise ValueError(text)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +400,7 @@ def cmd_bt_converge(args, config: RunConfig) -> int:
         rows = [(m, bands.tuynman_residual(f, m)) for m in levels]
         ok = all(v <= 1e-6 for (_, v) in rows)
         trailer = []
-    else:  # c1, argparse's fifth choice: the Dirac norm (see btquant.asymptotics)
+    else:  # c1, the fifth --check choice: the Dirac norm (see btquant.asymptotics)
         table = bands.convergence_table(lambda m: bands.dirac_residual(f, g, m), levels)
         rows = table.rows()
         tail = [a for (m, a) in rows if m >= 8]
@@ -446,92 +428,117 @@ def cmd_tuynman_check(args, config: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser wiring
+# the flag table and its parser
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; parsing leaves it
-    unchanged.  It holds the cmd_* handlers themselves, so replacing one of
-    them after the first call has no effect (their own globals are still
-    looked up at call time)."""
-    parser = argparse.ArgumentParser(
-        prog="projquant",
-        description="Projective geometry, torus embeddings, Berezin-Toeplitz "
-                    "quantization and moment-map checks")
-    parser.add_argument("--config", help="path to a key = value config file")
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of a flag that must be given
+_USAGE = "usage: projquant [--config CONFIG] {} [--flag value | --flag=value]..."
+_OUT = {"--out": (str, None, "a file to write to instead of stdout")}
+_Q = "a rational number such as 3/4"  # the help of each flag read in Q
+_TOP = ("Projective geometry, torus embeddings, Berezin-Toeplitz quantization and moment-map "
+        "checks.\nThe token after a flag is its value.", {"--config": (str, None, "config file")})
 
-    p = sub.add_parser("classify-cubic", help="classify a Weierstrass plane cubic")
-    p.add_argument("--g2", type=_fraction, required=True)
-    p.add_argument("--g3", type=_fraction, required=True)
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_classify_cubic)
+#: command -> (handler, help, flags), each flag -> (type, default, help); a
+#: text default is read by the flag's type, like a given value, and a value
+#: the type rejects is a usage error that names the flag and its help
+COMMANDS = {
+    "classify-cubic": (cmd_classify_cubic, "classify a Weierstrass plane cubic", {
+        "--g2": (_fraction, REQUIRED, _Q), "--g3": (_fraction, REQUIRED, _Q), **_OUT}),
+    "curve-points": (cmd_curve_points, "real locus of a plane curve as CSV", {
+        "--poly": (str, None, "a homogeneous polynomial in X0, X1, X2, for the cubic of g2, g3"),
+        "--g2": (_fraction, "0", _Q), "--g3": (_fraction, "0", _Q),
+        "--xmin": (float, -2.0, "a float, a window bound"), "--xmax": (float, 2.0, "a float"),
+        "--ymin": (float, -3.0, "a float, a window bound"), "--ymax": (float, 3.0, "a float"),
+        "--resolution": (int, 201, "an integer, the grid nodes per axis"), **_OUT}),
+    "weierstrass-embed": (cmd_weierstrass_embed, "embed a torus into P^2", {
+        "--tau": (_lattice, REQUIRED, "a finite complex number, imaginary part > 0, such as 2j"),
+        "--samples": (_positive_int, 50, "a positive integer, the points to embed"), **_OUT}),
+    "hilbert": (cmd_hilbert, "graded dimensions of a coordinate ring", {
+        "--nvars": (int, REQUIRED, "an integer, the number of variables"),
+        "--degrees": (_integers, (), "comma-separated integers, the relation degrees"),
+        "--m": (_degree_range, "0..10", "a degree or a range lo..hi with lo <= hi"), **_OUT}),
+    "moment-map": (cmd_moment_map, "moment map / stability report", {
+        "--weights": (_integers, REQUIRED, "comma-separated integers such as -1,1"),
+        "--samples": (_positive_int, 200, "a positive integer, the sample points"), **_OUT}),
+    "bt-converge": (cmd_bt_converge, "semiclassical convergence tables", {
+        "--check": (_check, REQUIRED, "one of norm, dirac, product, tuynman, c1"),
+        "--f": (str, REQUIRED, "a test function name such as x3"),
+        "--g": (str, None, "a second test function name, for dirac, product and c1"),
+        "--m-min": (_positive_int, 4, "a positive integer, the lowest level"),
+        "--m-max": (_positive_int, 64, "a positive integer, the highest level"), **_OUT}),
+    "tuynman-check": (cmd_tuynman_check, "geometric-quantization identity check", {
+        "--f": (functools.partial(str.split, sep=","), "x1,x3", "comma-separated function names"),
+        "--m": (_levels, "2,4,8,16", "comma-separated levels >= 1 such as 2,4,8"), **_OUT}),
+}
 
-    p = sub.add_parser("curve-points", help="real locus of a plane curve as CSV")
-    p.add_argument("--poly", help="homogeneous polynomial in X0, X1, X2")
-    p.add_argument("--g2", type=_fraction, default="0")
-    p.add_argument("--g3", type=_fraction, default="0")
-    p.add_argument("--xmin", type=float, default=-2.0)
-    p.add_argument("--xmax", type=float, default=2.0)
-    p.add_argument("--ymin", type=float, default=-3.0)
-    p.add_argument("--ymax", type=float, default=3.0)
-    p.add_argument("--resolution", type=int, default=201)
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_curve_points)
 
-    p = sub.add_parser("weierstrass-embed", help="embed a torus into P^2")
-    p.add_argument("--tau", type=_lattice, required=True,
-                   help="lattice parameter as a Python complex, e.g. 2j or 0.5+0.866j")
-    p.add_argument("--samples", type=_positive_int, default=50)
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_weierstrass_embed)
+def parse_args(argv):
+    """The handler, config path and flag values of argv, read against COMMANDS;
+    the token after a flag is its value.  -h/--help prints help and exits 0."""
+    command, table, given, tokens = None, _TOP[1], {}, iter(argv)
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        if token in ("-h", "--help"):
+            print(_help(command))
+            raise SystemExit(PASS)
+        if flag in table:
+            given[flag] = text if eq else next(tokens, None)
+            if given[flag] is None:
+                _usage_error(command, f"argument {flag}: expected a value after it")
+        elif command is None and token[:1] != "-":
+            if token not in COMMANDS:
+                _usage_error(None, f"unknown command {token!r}; choose from {', '.join(COMMANDS)}")
+            command, table = token, COMMANDS[token][2]
+        else:
+            _usage_error(command, f"unknown argument {flag!r}; "
+                                  f"{command or 'projquant'} takes {', '.join(table)}")
+    if command is None:
+        _usage_error(None, f"a command is required; choose from {', '.join(COMMANDS)}")
+    args = types.SimpleNamespace(handler=COMMANDS[command][0], config=given.get("--config"))
+    for flag, (kind, default, expected) in table.items():
+        text = given.get(flag, default)
+        if text is REQUIRED:
+            _usage_error(command, f"argument {flag}: required")
+        try:
+            value = kind(text) if isinstance(text, str) else text
+        except ZeroDivisionError:
+            _usage_error(command, f"argument {flag}: zero denominator in {text!r}")
+        except ValueError:
+            _usage_error(command, f"argument {flag}: expected {expected}, got {text!r}")
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
 
-    p = sub.add_parser("hilbert", help="graded dimensions of a coordinate ring")
-    p.add_argument("--nvars", type=int, required=True)
-    p.add_argument("--degrees", type=_integers, default=(),
-                   help="comma-separated relation degrees (omit for the full ring)")
-    p.add_argument("--m", type=_degree_range, default="0..10", help="degree or lo..hi range")
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_hilbert)
 
-    p = sub.add_parser("moment-map", help="moment map / stability report")
-    p.add_argument("--weights", type=_integers, required=True, help="comma-separated integers")
-    p.add_argument("--samples", type=_positive_int, default=200)
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_moment_map)
+def _help(command) -> str:
+    """The usage line, then each flag, and at the top each command, with its help."""
+    about, flags = COMMANDS[command][1:] if command else _TOP
+    rows = [(f"{flag} {flag[2:].upper()}", text + (" (required)" if default is REQUIRED else
+             f" (default {default})" if default not in (None, ()) else ""))
+            for flag, (_, default, text) in flags.items()]
+    rows += [(name, entry[1]) for name, entry in COMMANDS.items() if not command]
+    width = max(len(name) for name, _ in rows) + 2
+    lines = [f"  {name:<{width}}{text}" for name, text in rows]
+    return "\n".join([_USAGE.format(command or "COMMAND"), "", about, "", *lines])
 
-    p = sub.add_parser("bt-converge", help="semiclassical convergence tables")
-    p.add_argument("--check", required=True,
-                   choices=["norm", "dirac", "product", "tuynman", "c1"])
-    p.add_argument("--f", required=True, help="test function name (e.g. x3)")
-    p.add_argument("--g", help="second test function where applicable")
-    p.add_argument("--m-min", type=_positive_int, default=4)
-    p.add_argument("--m-max", type=_positive_int, default=64)
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_bt_converge)
 
-    p = sub.add_parser("tuynman-check", help="geometric-quantization identity check")
-    p.add_argument("--f", type=functools.partial(str.split, sep=","), default="x1,x3",
-                   help="comma-separated function names")
-    p.add_argument("--m", type=_levels, default="2,4,8,16", help="comma-separated levels")
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_tuynman_check)
-
-    return parser
+def _usage_error(command, message: str):
+    sys.stderr.write(f"{_USAGE.format(command or 'COMMAND')}\nprojquant: error: {message}\n")
+    raise SystemExit(USAGE)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         config = load_config(args.config)
     except (OSError, ValueError) as exc:
-        parser.error(str(exc))  # exits with code 2
+        _usage_error(None, str(exc))
     try:
         return args.handler(args, config)
     except ArithmeticError as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
+        return FAIL
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc!r}", file=sys.stderr)
         return FAIL
     except (UsageError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

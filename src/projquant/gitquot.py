@@ -79,9 +79,14 @@ def moment_map(action: LinearAction, x) -> tuple:
     """Moment-map value at x, its one real component as a 1-tuple:
     (x* A x) / (2 pi i |x|^2) = sum w_j |x_j|^2 / (2 pi |x|^2) for the
     generator A = i*diag(w); the |x|^2 denominator makes it
-    representative-independent.
+    representative-independent.  With an exact coordinate in x, the ratio
+    of the two sums is taken in Q and rounded once (float ones lifted).
     """
-    return (_moment(action.weights, _squared_moduli(_coords(x))),)
+    v = _given(x)
+    if any(map(is_exact_scalar, v)):
+        a = [c.real * c.real + c.imag * c.imag for c in map(_exactify, v)]
+        return (float(sum([w * p for w, p in zip(action.weights, a)]) / sum(a)) / (2.0 * math.pi),)
+    return (_moment(action.weights, _squared_moduli(_coords(v))),)
 
 
 def _squared_moduli(v) -> list:
@@ -200,7 +205,7 @@ def orbit_meets_zero_level(action: LinearAction, x, tol: float = 1e-9):
     root search (_orbit_root).  tol decides no verdict: a search that does
     not reach it raises ArithmeticError.
     """
-    witness = _zero_level_witness(action.weights, _coords(x), tol)
+    witness = _zero_level_witness(action.weights, _given(x), tol)
     return (False, None) if witness is None else (True, ProjPoint(witness))
 
 
@@ -209,8 +214,7 @@ def _zero_level_witness(weights, v, tol: float):
     squared moduli are taken in log space (-inf off the support), so they do
     not underflow at 1e-200, and e^(s w) . v at the root s is scaled so that
     its largest coordinate has modulus 1 and no coordinate overflows."""
-    v, mods = _moduli(v)
-    log_a = [2.0 * math.log(r) if r else -math.inf for r in mods]
+    v, phases, log_a = _polar(v)
     ws, las = (weights, log_a) if -math.inf not in log_a else zip(
         *((w, a) for w, a in zip(weights, log_a) if a > -math.inf))
     w_lo, w_hi = min(ws), max(ws)
@@ -221,7 +225,21 @@ def _zero_level_witness(weights, v, tol: float):
     s = _orbit_root(ws, las, w_lo, w_hi, tol)
     e = [a + 2.0 * s * w for w, a in zip(weights, log_a)]
     top = max(e)
-    return tuple(c / abs(c) * math.exp(0.5 * (x - top)) if c else 0j for c, x in zip(v, e))
+    return tuple(p * math.exp(0.5 * (x - top)) if p else 0j for p, x in zip(phases, e))
+
+
+def _polar(v) -> tuple:
+    """v, its phases c/|c| and its 2 log |c| (0 and -inf at c = 0): with an exact
+    coordinate in v from |c|^2 in Q through integer logs, else in floats (_moduli)."""
+    if not any(map(is_exact_scalar, v)):
+        v, mods = _moduli(tuple(map(complex, v)))
+        return v, [c / r if r else 0j for c, r in zip(v, mods)], [
+            2.0 * math.log(r) if r else -math.inf for r in mods]
+    parts = [(c.real, c.imag, max(abs(c.real), abs(c.imag))) for c in map(_exactify, v)]
+    z = [complex(x / t, y / t) if t else 0j for x, y, t in parts]  # its larger part is 1
+    a = [x * x + y * y for x, y, _ in parts]
+    return v, [c / abs(c) if c else 0j for c in z], [
+        math.log(p.numerator) - math.log(p.denominator) if p else -math.inf for p in a]
 
 
 def _orbit_root(ws, las, w_lo: int, w_hi: int, tol: float) -> float:

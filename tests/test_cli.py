@@ -146,7 +146,7 @@ def test_curve_points_reversed_window_is_valid(capsys):
     ["curve-points", "--poly", "1/0*X0"],
 ])
 def test_zero_denominator_is_a_usage_error(argv, capsys):
-    try:  # argparse exits on a flag its type rejects; main returns on a bad --poly
+    try:  # parse_args exits on a flag its type rejects; main returns on a bad --poly
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
@@ -239,7 +239,7 @@ def _reference_rows(argv):
     from projquant.poly import parse_polynomial
     from projquant.projgeo import weierstrass_cubic
 
-    args = cli.build_parser().parse_args(["curve-points", *argv])
+    args = cli.parse_args(["curve-points", *argv])
     f = (parse_polynomial(args.poly, nvars=3) if args.poly is not None
          else weierstrass_cubic(args.g2, args.g3))
     xs = np.linspace(args.xmin, args.xmax, args.resolution).tolist()
@@ -653,6 +653,22 @@ def test_large_levels_fit_in_256_mb(argv, check):
     assert "# pass = False" in comments(proc.stdout)
 
 
+def _capped_to_64_mb():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))
+
+
+def test_out_of_memory_exits_1_without_a_traceback():
+    # the band of T_x3 at m = 10^7 holds 10^7 entries, far past a 64 MB
+    # address space: one line on stderr and exit 1, like a numeric failure
+    proc = subprocess.run([sys.executable, "-m", "projquant.cli", "bt-converge", "--check",
+                           "norm", "--f", "x3", "--m-min", "10000000", "--m-max", "10000000"],
+                          capture_output=True, text=True, env=_child_env(), timeout=120,
+                          preexec_fn=_capped_to_64_mb)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
+
+
 # -- config and determinism ----------------------------------------------------------------------
 
 def _child_env():
@@ -668,6 +684,7 @@ def test_unknown_flag_exits_2():
          "--bogus-flag"],
         capture_output=True, text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 2
+    assert "--bogus-flag" in proc.stderr.splitlines()[-1]
 
 
 @pytest.mark.parametrize("tau, code, message", [
@@ -714,8 +731,9 @@ print(repr([rc, sorted(sys.modules)]))
 """
 
 
-#: what no command loads: numpy, and dataclasses with the inspect it imports
-_NONE = {"numpy", "dataclasses", "inspect"}
+#: what no command loads: numpy, dataclasses with the inspect it imports, and
+#: argparse, as the commands read their flags from cli.COMMANDS
+_NONE = {"numpy", "dataclasses", "inspect", "argparse"}
 
 
 @pytest.mark.parametrize("argv, code, absent", [
@@ -860,8 +878,8 @@ def test_public_surface():
 
 
 def test_one_process_runs_commands_like_separate_processes(capsys):
-    # the parser is built once per process; subcommands run in turn through
-    # it, with a usage error in between, print what fresh processes print
+    # subcommands run in turn in one process, with a usage error in
+    # between, print what fresh processes print
     commands = [
         ["classify-cubic", "--g2", "3", "--g3", "1"],
         ["hilbert", "--nvars", "3", "--degrees", "3", "--m", "0..6"],
@@ -869,7 +887,6 @@ def test_one_process_runs_commands_like_separate_processes(capsys):
         ["bt-converge", "--check", "norm", "--f", "x3", "--m-min", "4", "--m-max", "16"],
         ["moment-map", "--weights=-1,1", "--samples", "20"],
     ]
-    assert cli.build_parser() is cli.build_parser()
     procs = [subprocess.Popen([sys.executable, "-m", "projquant.cli", *cmd],
                               stdout=subprocess.PIPE, text=True, env=_child_env())
              for cmd in commands]
@@ -952,7 +969,7 @@ def test_runconfig_validation():
     assert RunConfig(seed=0).to_dict() == {"seed": 0}
 
 
-# a config value read as an int, and a flag value read by its argparse type
+# a config value read as an int, and a flag value read by its type
 # or checked by its command: each bad one is a usage error naming the key
 # (with the file and line) or the flag, and the offending text
 BAD_CONFIG_LINES = ["seed = true", "seed = 1.5", 'seed = "7"', "seed = -3"]
@@ -995,7 +1012,7 @@ def test_bad_value_is_a_usage_error(tmp_path, capsys, line, argv, name, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"# run\n{line}\n")
         argv = ["--config", str(cfg), *argv]
-    try:  # argparse exits on a flag its type rejects; main returns on a UsageError
+    try:  # parse_args exits on a flag its type rejects; main returns on a UsageError
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
@@ -1006,3 +1023,105 @@ def test_bad_value_is_a_usage_error(tmp_path, capsys, line, argv, name, text):
     if line is not None:
         assert f"{cfg}:2: " in err
     assert "Traceback" not in captured.err and "invalid" not in err and " _" not in err
+
+
+# -- the flag table -------------------------------------------------------------------------------
+
+def _readme_commands():
+    """The argv of each line of the README's "Command line" block."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```", 2)[1]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("projquant ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def _forms(argv):
+    """argv with every flag's value as the next token, and as --flag=value."""
+    space = [part for token in argv
+             for part in (token.split("=", 1) if token.startswith("--") else [token])]
+    return space, [space[0], *(f"{flag}={value}" for flag, value in zip(space[1::2], space[2::2]))]
+
+
+def test_readme_block_runs_every_command():
+    assert len(README_COMMANDS) == 8
+    assert {argv[0] for argv in README_COMMANDS} == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_commands_run_in_either_form(capsys, argv):
+    # each line of the README block parses against the flag table and runs
+    # (the Dirac check's endpoint-ratio gate fails by design), and prints
+    # the same with every value as the next token or after '='
+    code, out = run_cli(capsys, *argv)
+    assert code == (1 if "dirac" in argv else 0) and out
+    for form in _forms(argv):
+        assert run_cli(capsys, *form) == (code, out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["moment-map", "--weights", "-1,2", "--samples", "20"],
+    ["moment-map", "--weights", "-1,0,1", "--samples", "20"],
+    ["classify-cubic", "--g2", "4/3", "--g3", "-8/27"],
+    ["curve-points", "--g2", "3", "--g3", "-1", "--xmin", "-1.5", "--ymin", "-2",
+     "--resolution", "41"],
+], ids=" ".join)
+def test_negative_values_parse_in_the_space_form(capsys, argv):
+    # the token after a flag is its value, even when it starts with '-'
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and (code, out) == run_cli(capsys, *_forms(argv)[1])
+    if argv[0] == "classify-cubic":
+        assert json.loads(out)["class"] == "nodal"  # g2^3 = 27 g3^2
+
+
+_CHOICES = "choose from " + ", ".join(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["nope"], f"unknown command 'nope'; {_CHOICES}"),
+    ([], f"a command is required; {_CHOICES}"),
+    (["--config", "run.cfg"], f"a command is required; {_CHOICES}"),
+    (["hilbert", "--nvars"], "argument --nvars: expected a value after it"),
+    (["--config"], "argument --config: expected a value after it"),
+    (["classify-cubic", "--g2", "1"], "argument --g3: required"),
+    (["bt-converge", "--check", "nope", "--f", "x3"],
+     "argument --check: expected one of norm, dirac, product, tuynman, c1, got 'nope'"),
+    (["tuynman-check", "--m", "-2"],
+     "argument --m: expected comma-separated levels >= 1 such as 2,4,8, got '-2'"),
+    # no flag is read from a prefix of its name
+    (["hilbert", "--samp", "5", "--nvars", "2"],
+     "unknown argument '--samp'; hilbert takes --nvars, --degrees, --m, --out"),
+    (["hilbert", "--nvars", "2", "7"],
+     "unknown argument '7'; hilbert takes --nvars, --degrees, --m, --out"),
+    (["hilbert", "--nvars", "2", "--config", "run.cfg"],
+     "unknown argument '--config'; hilbert takes --nvars, --degrees, --m, --out"),
+    (["--nvars", "2", "hilbert"], "unknown argument '--nvars'; projquant takes --config"),
+], ids=repr)
+def test_usage_errors_name_what_is_wrong(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines()[-1] == f"projquant: error: {message}"
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_command_help_lists_every_flag(capsys, command):
+    for flag in ("--help", "-h"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", "run.cfg", command, flag])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        listed = [line.split()[0] for line in out.splitlines() if line.startswith("  --")]
+        assert listed == list(cli.COMMANDS[command][2])
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  ")]
+    assert listed == ["--config", *cli.COMMANDS]

@@ -248,6 +248,43 @@ def test_semistable_reads_every_coordinate_as_given(x):
     assert not semistable((y[0], 0), INV) and not semistable((0.0, y[1]), INV)
 
 
+@pytest.mark.parametrize("x, want", [
+    ((F(1, 10 ** 400), 1), (1, 1)),
+    (pt(F(1, 10 ** 400), F(1)), (1, 1)),
+    ((F(1, 10 ** 400), 1e-300), (1, 1)),
+    ((1, F(-1, 10 ** 400)), (1, -1)),
+    ((GaussianRational(F(1, 10 ** 400), F(-3, 10 ** 401)), 1.0), ((1 - 0.3j) / abs(1 - 0.3j), 1)),
+])
+def test_orbit_search_reads_exact_coordinates_as_given(x, want):
+    # complex() rounds 1/10^400 to 0, which made the orbit of a semistable
+    # point that of the fixed point (0 : 1), off the zero level; the search
+    # keeps each coordinate's phase, and at mu = 0 both moduli are 1
+    met, witness = orbit_meets_zero_level(HYPERBOLIC, x)
+    assert met and semistable(x, INV)
+    assert max(abs(a - b) for a, b in zip(witness.coords, want)) <= 1e-12
+    assert abs(moment_map(HYPERBOLIC, witness)[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("x, ratio", [
+    ((F(1, 10 ** 400), F(1, 10 ** 400)), 0),
+    (pt(F(1, 10 ** 400), F(3, 10 ** 400)), F(4, 5)),  # (9 - 1) / (9 + 1)
+    ((GaussianRational(F(3, 10 ** 400), F(4, 10 ** 400)), 0), -1),
+    ((F(1, 10 ** 400), 0.0), -1),
+    ((1, 2), F(3, 5)),
+    ((F(1, 3), 0.1), (F(0.1) ** 2 - F(1, 9)) / (F(0.1) ** 2 + F(1, 9))),  # 0.1 as stored
+])
+def test_moment_map_at_exact_points_rounds_once(x, ratio):
+    # sum w_j |x_j|^2 / sum |x_j|^2 in Q, rounded once, then over 2 pi; at
+    # (1/10^400 : 1/10^400) it raised "zero vector"
+    assert moment_map(HYPERBOLIC, x) == (float(ratio) / (2.0 * math.pi),)
+
+
+def test_moment_map_at_float_points_keeps_the_float_route():
+    x = (0.1, 0.3 - 0.2j)
+    a = [0.1 * 0.1, 0.3 * 0.3 + 0.2 * 0.2]
+    assert moment_map(HYPERBOLIC, x) == ((a[1] - a[0]) / (2.0 * math.pi * (a[0] + a[1])),)
+
+
 def test_semistable_decides_a_cancellation_exactly():
     # X1 X2 - X0 X3 at (1, a, a, b), a = 1 + 2^-30 and b = 1 + 2^-29, is
     # a^2 - b = 2^-60 exactly; in floats a * a rounds to b and it reads 0
